@@ -71,6 +71,7 @@ from .wsr import (
     price_matrix_c2,
     wsr_solve,
     wsr_sweep,
+    wsr_sweep_points,
 )
 
 __version__ = "0.1.0"
@@ -144,4 +145,5 @@ __all__ = [
     "write_channels",
     "wsr_solve",
     "wsr_sweep",
+    "wsr_sweep_points",
 ]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .multicast import solve_multicast
-from .rates import evaluate_triple
+from .rates import evaluate_stack
 from .rotation import SolverOptions, build_rotation, n_angles
 from .splitting import hull_pareto
 from .types import (
@@ -23,10 +23,10 @@ from .types import (
     ORDER_21,
     ORDER_NA,
     ChannelPair,
-    CovarianceTriple,
     RateRegion,
     RateTriple,
     Scenario,
+    check_covariance_stacks,
 )
 from .waterfill import waterfill
 from .wiretap import solve_wiretap
@@ -37,25 +37,102 @@ from .wiretap import solve_wiretap
 _FAMILY_CYCLE = ("full", "full", "rank1", "rotdiag")
 
 
-def _random_shape(rng: np.random.Generator, nt: int, family: str) -> np.ndarray:
-    if family == "full":
-        g = rng.standard_normal((nt, nt))
-        b = g @ g.T
-    elif family == "rank1":
-        g = rng.standard_normal(nt)
-        b = np.outer(g, g)
-    else:
-        v = build_rotation(rng.uniform(0.0, math.pi, n_angles(nt)), nt)
-        d = rng.dirichlet(np.ones(nt))
-        b = (v * d) @ v.T
-    return 0.5 * (b + b.T)
+# Samples drawn, validated and rated together.  Larger blocks amortize the
+# stacked calls further but widen the pairwise Pareto prefilter.
+_BLOCK = 256
+# Most point pairs the prefilter compares at once (a few bytes each): on a
+# single-antenna pair every sample can be Pareto-optimal, and the kept set
+# then grows with the sample count.
+_PAIR_CHUNK = 1 << 20
 
 
-def _scaled(shape: np.ndarray, trace: float) -> np.ndarray:
-    t = float(np.trace(shape))
-    if trace <= 0 or t <= 0:
-        return np.zeros_like(shape)
-    return shape * (trace / t)
+def _draw_block(
+    rng: np.random.Generator, nt: int, first: int, n: int, p: float, common: bool
+) -> np.ndarray:
+    """Covariances of samples first, ..., first + n - 1 as an (n, 3, nt, nt) array.
+
+    The generator is called sample by sample, each sample drawing its
+    Dirichlet power shares and then its three shapes, so a seed gives the
+    same covariances at any block size; the arithmetic that turns the
+    draws into covariances runs on the whole block.
+    Shape families: a Gram matrix of a square Gaussian, an outer product of
+    a Gaussian vector, or a rotated diagonal with Dirichlet loadings.
+    """
+    n_active = 3 if common else 2
+    shares = np.empty((n, n_active))
+    gauss = np.empty((n, 3, nt, nt))
+    vecs = np.empty((n, 3, nt))
+    rots = np.empty((n, 3, nt, nt))
+    loads = np.empty((n, 3, nt))
+    share_alpha, load_alpha = np.ones(n_active), np.ones(nt)
+    families = [_FAMILY_CYCLE[(first + j) % len(_FAMILY_CYCLE)] for j in range(n)]
+    for j, family in enumerate(families):
+        shares[j] = rng.dirichlet(share_alpha)
+        if family == "full":
+            rng.standard_normal(out=gauss[j])
+        elif family == "rank1":
+            rng.standard_normal(out=vecs[j])
+        else:
+            for m in range(3):
+                rots[j, m] = build_rotation(rng.uniform(0.0, math.pi, n_angles(nt)), nt)
+                loads[j, m] = rng.dirichlet(load_alpha)
+    shapes = np.empty((n, 3, nt, nt))
+    kind = np.array(families)
+    full, rank1, rotdiag = kind == "full", kind == "rank1", kind == "rotdiag"
+    g = gauss[full]
+    shapes[full] = g @ g.swapaxes(-1, -2)
+    shapes[rank1] = vecs[rank1][..., :, None] * vecs[rank1][..., None, :]
+    v = rots[rotdiag]
+    shapes[rotdiag] = (v * loads[rotdiag][..., None, :]) @ v.swapaxes(-1, -2)
+    shapes = 0.5 * (shapes + shapes.swapaxes(-1, -2))
+
+    traces = shares * p
+    if not common:
+        traces = np.concatenate([np.zeros((n, 1)), traces], axis=1)
+    t = np.trace(shapes, axis1=-2, axis2=-1)
+    live = (traces > 0) & (t > 0)
+    scale = traces / np.where(live, t, 1.0)
+    return np.where(live[..., None, None], shapes * scale[..., None, None], 0.0)
+
+
+def _undominated(rows: np.ndarray, kept: int) -> np.ndarray:
+    """Mask of the rows that no other row strictly dominates or repeats earlier.
+
+    The first ``kept`` rows must already be mutually undominated and
+    distinct.  Of several equal rows only the first stays: the hull in
+    ``hull_pareto`` keeps only the first of equal points anyway, and the
+    kept set cannot grow with repeats (as at zero power, where every
+    sample rates (0, 0, 0)).
+    """
+    old, new = rows[:kept], rows[kept:]
+    fresh = ~_dominated_by(new, old, ties=True)
+    survivors = new[fresh]
+    fresh[fresh] = ~_dominated_by(
+        survivors, survivors, ties=np.tri(len(survivors), k=-1, dtype=bool)
+    )
+    return np.concatenate([~_dominated_by(old, survivors), fresh])
+
+
+def _dominated_by(points: np.ndarray, others: np.ndarray, ties=False) -> np.ndarray:
+    """Which ``points`` some row of ``others`` strictly dominates.
+
+    Where ``ties`` (a bool, or a (points, others) mask) is true, a row of
+    ``others`` equal to the point also counts.  Points are compared in
+    chunks of at most ``_PAIR_CHUNK`` pairs.
+    """
+    ties = np.broadcast_to(ties, (len(points), len(others)))
+    out = np.zeros(len(points), dtype=bool)
+    step = max(1, _PAIR_CHUNK // max(1, len(others)))
+    for i in range(0, len(points), step):
+        pts = points[i : i + step]
+        ge = np.ones((len(pts), len(others)), dtype=bool)
+        gt = ties[i : i + step].copy()
+        for c in range(points.shape[1]):
+            col, own = others[:, c], pts[:, c, None]
+            ge &= col >= own
+            gt |= col > own
+        out[i : i + step] = (ge & gt).any(axis=1)
+    return out
 
 
 def random_search_region(
@@ -70,29 +147,34 @@ def random_search_region(
     Sample zero is always the all-zero triple, so a single-sample run
     returns the origin.  Both encoding orders are evaluated when the
     scenario permits a swap.  Deterministic for a fixed seed.
+
+    Samples are drawn, validated and rated ``_BLOCK`` at a time.  After
+    each block the points that another point strictly dominates, and
+    repeats of an earlier point, are dropped, keeping sample order (order
+    "12" before "21" within a sample); only the survivors become
+    ``RateTriple`` points for the hull.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if p < 0:
         raise ValueError("power budget must be nonnegative")
     rng = np.random.default_rng(seed)
-    nt = ch.nt
     orders = (ORDER_12, ORDER_21) if scenario.allows_order_swap else (ORDER_12,)
-    n_active = 3 if scenario.common_enabled else 2
-    points = [RateTriple(0.0, 0.0, 0.0, ORDER_NA)]
-    for i in range(n_samples - 1):
-        family = _FAMILY_CYCLE[i % len(_FAMILY_CYCLE)]
-        shares = rng.dirichlet(np.ones(n_active)) * p
-        traces = shares if scenario.common_enabled else np.concatenate([[0.0], shares])
-        shapes = [_random_shape(rng, nt, family) for _ in range(3)]
-        cov = CovarianceTriple(
-            _scaled(shapes[0], traces[0]),
-            _scaled(shapes[1], traces[1]),
-            _scaled(shapes[2], traces[2]),
-            p,
-        )
-        for order in orders:
-            points.append(evaluate_triple(ch, scenario, cov, order))
+    tags = (ORDER_NA,) + orders
+    rows = np.zeros((1, 3))
+    codes = np.zeros(1, dtype=int)
+    for first in range(0, n_samples - 1, _BLOCK):
+        n = min(_BLOCK, n_samples - 1 - first)
+        q = _draw_block(rng, ch.nt, first, n, p, scenario.common_enabled)
+        stacks = (q[:, 0], q[:, 1], q[:, 2])
+        check_covariance_stacks(stacks, p)
+        rates = evaluate_stack(ch, scenario, *stacks, orders)
+        kept = len(rows)
+        rows = np.concatenate([rows, rates.transpose(1, 0, 2).reshape(-1, 3)])
+        codes = np.concatenate([codes, np.tile(np.arange(1, len(tags)), n)])
+        mask = _undominated(rows, kept)
+        rows, codes = rows[mask], codes[mask]
+    points = [RateTriple(*map(float, r), tags[c]) for r, c in zip(rows, codes)]
     return RateRegion(tuple(hull_pareto(points)), scenario, p)
 
 

@@ -10,6 +10,7 @@ seed, wall time, and solver flags.  One process runs one
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .baselines import oma_timeshare, random_search_region, tdma_region
 from .rotation import SolverOptions
 from .splitting import hull_pareto, sweep_points
 from .types import ChannelPair, Scenario
-from .wsr import WsrConfig, wsr_sweep
+from .wsr import WsrConfig, wsr_sweep_points
 
 METHODS = ("ps", "wsr", "tdma", "oma", "oracle")
 
@@ -86,9 +87,12 @@ def load_channels(path: str) -> ChannelPair:
                 line_no, f"expected {nt} entries in this row, got {len(toks)}"
             )
         try:
-            return [float(tok) for tok in toks]
+            row = [float(tok) for tok in toks]
         except ValueError:
             raise ChannelParseError(line_no, f"non-numeric token in {text!r}") from None
+        if not all(math.isfinite(x) for x in row):
+            raise ChannelParseError(line_no, f"non-finite entry in {text!r}")
+        return row
 
     h1 = [parse_row(no, txt) for no, txt in body[:n1]]
     h2 = [parse_row(no, txt) for no, txt in body[n1:]]
@@ -132,6 +136,19 @@ def _csv_rows_ps(ch, scenario, cfg, opts):
     return rows, n_unconverged
 
 
+def _method_param_problem(cfg: RunConfig) -> str | None:
+    """Why the chosen method cannot run with these parameters, or None."""
+    if cfg.method == "ps" and not 0.0 < cfg.eps1 <= 0.5:
+        return f"--eps1 must lie in (0, 0.5], got {cfg.eps1}"
+    if cfg.method == "wsr" and not 0.0 < cfg.sigma <= 1.0:
+        return f"--sigma must lie in (0, 1], got {cfg.sigma}"
+    if cfg.method == "wsr" and cfg.power <= 0:
+        return "the weighted-sum-rate method needs a positive --power"
+    if cfg.method == "oracle" and cfg.samples < 1:
+        return f"--samples must be positive, got {cfg.samples}"
+    return None
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one job; returns the process exit code."""
     if cfg.method not in METHODS:
@@ -156,8 +173,12 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.power < 0:
+    if not cfg.power >= 0:
         print("error: power must be nonnegative", file=sys.stderr)
+        return 2
+    problem = _method_param_problem(cfg)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
         ch = load_channels(cfg.channels)
@@ -172,16 +193,18 @@ def run(cfg: RunConfig) -> int:
         rows, n_unconverged = _csv_rows_ps(ch, scenario, cfg, opts)
     else:
         if cfg.method == "wsr":
-            region = wsr_sweep(ch, scenario, cfg.power, sigma=cfg.sigma)
+            solved = wsr_sweep_points(ch, scenario, cfg.power, sigma=cfg.sigma)
+            points = hull_pareto([pt for pt, _ in solved])
+            n_unconverged = sum(1 for _, sol in solved if not sol.converged)
         elif cfg.method == "tdma":
-            region = tdma_region(ch, scenario, cfg.power, opts)
+            points = tdma_region(ch, scenario, cfg.power, opts).points
         elif cfg.method == "oma":
-            region = oma_timeshare(ch, scenario, cfg.power, opts)
+            points = oma_timeshare(ch, scenario, cfg.power, opts).points
         else:
-            region = random_search_region(
+            points = random_search_region(
                 ch, scenario, cfg.power, cfg.samples, seed=cfg.seed
-            )
-        rows = [(t, "", "", "") for t in region.points]
+            ).points
+        rows = [(t, "", "", "") for t in points]
     wall = time.perf_counter() - start
 
     with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -203,7 +226,6 @@ def run(cfg: RunConfig) -> int:
         "seed": str(cfg.seed),
         "solver_max_iters": str(opts.max_iters),
         "solver_n_starts": str(opts.n_starts),
-        "solver_ftol": _fmt(opts.ftol),
         "solver_gtol": _fmt(opts.gtol),
         "wsr_eps2": _fmt(WsrConfig(1.0, 0.0).eps2),
         "wsr_eps3": _fmt(WsrConfig(1.0, 0.0).eps3),

@@ -190,6 +190,94 @@ def conf_rate_user2(ch: ChannelPair, q1, q2) -> float:
     return layered_rate(ch.h2, q2, q1) - layered_rate(ch.h1, q2, q1)
 
 
+def _half_logdet2_stack(h: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """0.5 * log2|I + H Q H^T| for each Q of a (k, nt, nt) stack.
+
+    One batched Cholesky factorization covers the stack; if round-off
+    defeats it anywhere, every matrix goes through ``logdet_pd`` instead.
+    """
+    m = np.eye(h.shape[0]) + h @ qs @ h.T
+    m = 0.5 * (m + m.swapaxes(-1, -2))
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        ld = np.array([logdet_pd(mi) for mi in m])
+    else:
+        ld = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return 0.5 * ld / LN2
+
+
+def evaluate_stack(
+    ch: ChannelPair,
+    scenario: Scenario,
+    q0: np.ndarray,
+    q1: np.ndarray,
+    q2: np.ndarray,
+    orders: tuple = (ORDER_12,),
+) -> np.ndarray:
+    """Rate triples of k covariance triples, for each encoding order.
+
+    ``q0``, ``q1`` and ``q2`` are (k, nt, nt) stacks of covariances that
+    have already passed validation (``CovarianceTriple`` or
+    ``check_covariance_stacks``).  Returns an array of shape
+    (len(orders), k, 3) holding (r0, r1, r2) per order and triple, with
+    negative secrecy rates clamped to zero.
+
+    Order "21" exchanges the roles of the two users in the formulas (h1
+    with h2 and q1 with q2) and is rejected for scenario B, whose single
+    order is already optimal.  Both orders draw on the same eight
+    log-determinants, 0.5 * log2|I + Hu Q Hu^T| for each user u and
+    Q in {q0 + (q1 + q2), q1 + q2, q1, q2}; for instance user 2's view of
+    the first-encoded covariance enters both the first user's secrecy
+    term and the second user's interference term.
+    """
+    for order in orders:
+        if order not in (ORDER_12, ORDER_21):
+            raise ValueError(f"order must be '12' or '21', got {order!r}")
+        if order == ORDER_21 and not scenario.allows_order_swap:
+            raise ValueError("scenario B supports only the '12' encoding order")
+    if q0.shape[1:] != (ch.nt, ch.nt) or not q0.shape == q1.shape == q2.shape:
+        raise DimensionError(
+            f"covariance stacks of shapes {q0.shape}, {q1.shape}, {q2.shape} "
+            f"do not match nt = {ch.nt}"
+        )
+    k = q0.shape[0]
+
+    q12 = q1 + q2
+    stack = np.concatenate([q0 + q12, q12, q1, q2])
+    # logdet[u][j]: user u's link with the j-th covariance of the list above.
+    logdet = (
+        _half_logdet2_stack(ch.h1, stack).reshape(4, k),
+        _half_logdet2_stack(ch.h2, stack).reshape(4, k),
+    )
+    # The shared message sees q1 + q2 as interference on both links, so its
+    # rate does not depend on the order.
+    r0 = np.minimum(*(ld[0] - ld[1] for ld in logdet))
+
+    out = np.empty((len(orders), k, 3))
+    for n, order in enumerate(orders):
+        # first, second: the users (0 or 1) encoded first and second; own:
+        # where the first-encoded user's covariance sits in the list above.
+        # The scenario's user-1 and user-2 rules apply to the first- and
+        # second-encoded message, as "21" is only allowed where they agree.
+        first, second = (0, 1) if order == ORDER_12 else (1, 0)
+        own = 2 + first
+        lf, ls = logdet[first], logdet[second]
+        r_first = lf[own]
+        if scenario.user1_confidential:
+            r_first = r_first - ls[own]
+        r_second = ls[1] - ls[own]
+        if scenario.user2_confidential:
+            r_second = r_second - (lf[1] - lf[own])
+        out[n, :, 0] = r0
+        out[n, :, 1 + first] = r_first
+        out[n, :, 1 + second] = r_second
+    if not np.all(np.isfinite(out)):
+        raise ValueError("rate evaluation produced non-finite values")
+    # Clamp as Python's max(r, 0.0) does, so that -0.0 passes unchanged.
+    return np.where(out < 0.0, 0.0, out)
+
+
 def evaluate_triple(
     ch: ChannelPair,
     scenario: Scenario,
@@ -198,49 +286,11 @@ def evaluate_triple(
 ) -> RateTriple:
     """Evaluate the scenario's three rate formulas for a covariance triple.
 
-    ``order`` selects which user is encoded first.  Order "21" exchanges the
-    roles of the two users in the formulas (h1 with h2 and q1 with q2) and
-    is rejected for scenario B, whose single order is already optimal.
-    Negative secrecy rates are clamped to zero in the reported triple.
+    The single-triple case of ``evaluate_stack``: ``order`` selects which
+    user is encoded first, and negative secrecy rates are clamped to zero
+    in the reported triple.
     """
-    if order not in (ORDER_12, ORDER_21):
-        raise ValueError(f"order must be '12' or '21', got {order!r}")
-    if order == ORDER_21 and not scenario.allows_order_swap:
-        raise ValueError("scenario B supports only the '12' encoding order")
-    if cov.nt != ch.nt:
-        raise DimensionError(
-            f"covariances of size {cov.nt} do not match nt = {ch.nt}"
-        )
-
-    if order == ORDER_21:
-        work = ch.swapped()
-        q_first, q_second = cov.q2, cov.q1
-    else:
-        work = ch
-        q_first, q_second = cov.q1, cov.q2
-
-    # The shared message sees the sum q1 + q2 on both links, so the swap
-    # leaves its value unchanged.
-    r0 = min(
-        layered_rate(work.h1, cov.q0, q_first + q_second),
-        layered_rate(work.h2, cov.q0, q_first + q_second),
-    )
-
-    if scenario.user1_confidential:
-        r_first = gauss_rate(work.h1, q_first) - gauss_rate(work.h2, q_first)
-    else:
-        r_first = gauss_rate(work.h1, q_first)
-
-    if scenario.user2_confidential:
-        r_second = layered_rate(work.h2, q_second, q_first) - layered_rate(
-            work.h1, q_second, q_first
-        )
-    else:
-        r_second = layered_rate(work.h2, q_second, q_first)
-
-    if order == ORDER_21:
-        r1, r2 = r_second, r_first
-    else:
-        r1, r2 = r_first, r_second
-
-    return RateTriple(max(r0, 0.0), max(r1, 0.0), max(r2, 0.0), order)
+    r0, r1, r2 = evaluate_stack(
+        ch, scenario, cov.q0[None], cov.q1[None], cov.q2[None], (order,)
+    )[0, 0]
+    return RateTriple(float(r0), float(r1), float(r2), order)

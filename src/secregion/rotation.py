@@ -33,22 +33,20 @@ class SolverOptions:
 
     ``n_starts`` counts the warm start plus the random restarts.  A start
     stops at the gradient tolerance ``gtol``, when the line search can no
-    longer improve the objective (the improvement floor ``ftol`` in
-    effect), or at the ``max_iters`` cap; only hitting the cap marks the
-    winning start as not converged.
+    longer improve the objective, or at the ``max_iters`` cap; only
+    hitting the cap marks the winning start as not converged.
     """
 
     max_iters: int = 500
     n_starts: int = 8
     seed: int = 0
-    ftol: float = 1e-9
     gtol: float = 1e-7
 
     def __post_init__(self):
         if self.max_iters < 1 or self.n_starts < 1:
             raise ValueError("max_iters and n_starts must be positive")
-        if self.ftol <= 0 or self.gtol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.gtol <= 0:
+            raise ValueError("gtol must be positive")
 
 
 def rotation_pairs(nt: int) -> list:

@@ -92,6 +92,37 @@ def project_psd(q) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def check_covariance_stacks(stacks: Sequence[np.ndarray], p_total: float) -> None:
+    """Validate k covariance triples given as q0, q1, q2 stacks of shape (k, nt, nt).
+
+    Triple i passes when each of its matrices is symmetric within
+    ``SYMMETRY_TOL`` with least eigenvalue at least ``-PSD_TOL``, and its
+    trace sum fits ``p_total`` up to ``TRACE_REL_SLACK``.  The first failing
+    triple raises the ``ValueError`` that ``CovarianceTriple`` gives it.
+    The stacks must already be finite float arrays of one shape.
+    """
+    qs = np.stack(stacks)
+    qt = qs.swapaxes(-1, -2)
+    asym = np.max(np.abs(qs - qt), axis=(-2, -1)) > SYMMETRY_TOL
+    indefinite = np.linalg.eigvalsh(0.5 * (qs + qt))[..., 0] < -PSD_TOL
+    traces = np.trace(qs, axis1=-2, axis2=-1)
+    total = traces[0] + traces[1] + traces[2]
+    p = float(p_total)
+    over = (p < 0) | (total > p * (1.0 + TRACE_REL_SLACK) + 1e-12)
+    bad = asym.any(axis=0) | indefinite.any(axis=0) | over
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    for j, name in enumerate(("q0", "q1", "q2")):
+        if asym[j, i]:
+            raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL}")
+        if indefinite[j, i]:
+            raise ValueError(f"{name} fails the PSD check at tolerance {PSD_TOL}")
+    if p < 0:
+        raise ValueError("p_total must be nonnegative")
+    raise ValueError(f"trace sum {float(total[i])} exceeds budget {p}")
+
+
 @dataclass(frozen=True)
 class ChannelPair:
     """The two real downlink channel matrices defining a problem instance.
@@ -180,19 +211,11 @@ class CovarianceTriple:
             arr = as_matrix(getattr(self, name), name)
             if arr.shape[0] != arr.shape[1]:
                 raise DimensionError(f"{name} must be square, got {arr.shape}")
-            if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_TOL:
-                raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL}")
-            if np.linalg.eigvalsh(0.5 * (arr + arr.T))[0] < -PSD_TOL:
-                raise ValueError(f"{name} fails the PSD check at tolerance {PSD_TOL}")
             mats.append(arr)
         if len({m.shape for m in mats}) != 1:
             raise DimensionError("q0, q1, q2 must share a common shape")
         p = float(self.p_total)
-        if p < 0:
-            raise ValueError("p_total must be nonnegative")
-        total = sum(float(np.trace(m)) for m in mats)
-        if total > p * (1.0 + TRACE_REL_SLACK) + 1e-12:
-            raise ValueError(f"trace sum {total} exceeds budget {p}")
+        check_covariance_stacks([m[None] for m in mats], p)
         object.__setattr__(self, "q0", _frozen_copy(mats[0]))
         object.__setattr__(self, "q1", _frozen_copy(mats[1]))
         object.__setattr__(self, "q2", _frozen_copy(mats[2]))
@@ -303,18 +326,16 @@ def pareto_filter(points: Sequence[RateTriple]) -> list:
         return []
     arr = np.array([p.as_array() for p in points])
     order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))[::-1]
-    kept_rows = []
-    kept_arr = np.empty((0, 3))
+    kept_arr = np.empty_like(arr)
     kept_idx = []
     for i in order:
         p = arr[i]
-        if kept_rows:
-            ge = (kept_arr >= p).all(axis=1)
-            gt = (kept_arr > p).any(axis=1)
-            if bool((ge & gt).any()):
-                continue
-        kept_rows.append(p)
-        kept_arr = np.asarray(kept_rows)
+        kept = kept_arr[: len(kept_idx)]
+        ge = (kept >= p).all(axis=1)
+        gt = (kept > p).any(axis=1)
+        if bool((ge & gt).any()):
+            continue
+        kept_arr[len(kept_idx)] = p
         kept_idx.append(i)
     kept_idx.sort()
     return [points[i] for i in kept_idx]

@@ -425,17 +425,19 @@ def kkt_residual(
     return float(max(parts))
 
 
-def wsr_sweep(
+def wsr_sweep_points(
     ch: ChannelPair,
     scenario: Scenario,
     p: float,
     sigma: float = 0.05,
     base: WsrConfig | None = None,
-) -> RateRegion:
-    """Frontier traced by sweeping the weight pair (w, 1 - w).
+) -> list:
+    """Every solve of the weight sweep (w, 1 - w), as (point, solution) pairs.
 
     Scenarios whose encoding order matters are also solved with the user
-    roles exchanged; the exchanged points carry the "21" order tag.
+    roles exchanged; the exchanged points are mapped back to user order
+    and carry the "21" order tag, while their solutions stay in the
+    exchanged roles.
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
@@ -446,7 +448,7 @@ def wsr_sweep(
         weights.append(w)
         w += sigma
     weights.append(1.0)
-    points = []
+    solved = []
     for w1 in weights:
         cfg = (
             replace(base, w1=w1, w2=1.0 - w1)
@@ -454,10 +456,25 @@ def wsr_sweep(
             else WsrConfig(w1=w1, w2=1.0 - w1)
         )
         sol = wsr_solve(ch, scenario_off, cfg, p)
-        points.append(sol.rates)
+        solved.append((sol.rates, sol))
         if scenario_off.allows_order_swap:
             swapped = wsr_solve(ch.swapped(), scenario_off, cfg, p)
-            points.append(
-                RateTriple(0.0, swapped.rates.r2, swapped.rates.r1, ORDER_21)
-            )
-    return RateRegion(tuple(hull_pareto(points)), scenario_off, p)
+            point = RateTriple(0.0, swapped.rates.r2, swapped.rates.r1, ORDER_21)
+            solved.append((point, swapped))
+    return solved
+
+
+def wsr_sweep(
+    ch: ChannelPair,
+    scenario: Scenario,
+    p: float,
+    sigma: float = 0.05,
+    base: WsrConfig | None = None,
+) -> RateRegion:
+    """Frontier traced by sweeping the weight pair (w, 1 - w).
+
+    The Pareto hull of the points of ``wsr_sweep_points``.
+    """
+    solved = wsr_sweep_points(ch, scenario, p, sigma, base)
+    scenario_off = Scenario(scenario.tag, common_enabled=False)
+    return RateRegion(tuple(hull_pareto([pt for pt, _ in solved])), scenario_off, p)

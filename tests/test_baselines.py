@@ -1,16 +1,22 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from secregion import (
     ChannelPair,
+    RateTriple,
     Scenario,
     oma_timeshare,
+    pareto_filter,
     random_search_region,
     region_contains,
     solve_wiretap,
     tdma_region,
     waterfill,
 )
+from secregion.baselines import _undominated
 
 
 class TestRandomSearchRegion:
@@ -43,6 +49,46 @@ class TestRandomSearchRegion:
     def test_common_share_respected(self, ch22):
         reg = random_search_region(ch22, Scenario("A", True), 6.0, 2000, seed=5)
         assert reg.max_rate(0) > 0.0
+
+    def test_prefilter_matches_pareto_filter(self):
+        # Integer coordinates give many ties and exact repeats; filtering in
+        # two blocks must keep the first of each distinct point that
+        # pareto_filter keeps, in input order.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            rows = rng.integers(0, 4, size=(60, 3)).astype(float)
+            first = rows[:25][_undominated(rows[:25], 0)]
+            both = np.concatenate([first, rows[25:]])
+            got = both[_undominated(both, len(first))]
+            ref = [t.as_array().tolist() for t in pareto_filter([RateTriple(*r) for r in rows])]
+            assert got.tolist() == [r for i, r in enumerate(ref) if r not in ref[:i]]
+
+    def test_zero_power_keeps_one_point(self, ch22):
+        reg = random_search_region(ch22, Scenario("A", True), 0.0, 3000, seed=0)
+        assert [(t.r0, t.r1, t.r2, t.order) for t in reg.points] == [(0.0, 0.0, 0.0, "na")]
+
+    # Regions recorded with the oracle that drew, validated and rated one
+    # sample at a time (2000 samples, seed 0): the block-wise oracle must
+    # reproduce its random draws, rates and kept points bit for bit.
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "oracle_golden.json").read_text()
+    )
+
+    @pytest.mark.parametrize(
+        "name, instance, tag, common, power",
+        [
+            ("ch22-A-off-p12", "ch22", "A", False, 12.0),
+            ("ch22-B-off-p12", "ch22", "B", False, 12.0),
+            ("ch22-C-off-p12", "ch22", "C", False, 12.0),
+            ("ch22-A-on-p6", "ch22", "A", True, 6.0),
+            ("ch_row3-C-off-p4", "ch_row3", "C", False, 4.0),
+        ],
+    )
+    def test_seed_golden(self, request, name, instance, tag, common, power):
+        ch = request.getfixturevalue(instance)
+        reg = random_search_region(ch, Scenario(tag, common), power, 2000, seed=0)
+        assert [[t.r0, t.r1, t.r2] for t in reg.points] == self.GOLDEN[name]["points"]
+        assert [t.order for t in reg.points] == self.GOLDEN[name]["orders"]
 
 
 class TestTdmaRegion:

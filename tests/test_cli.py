@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import secregion.wsr
 
 from secregion import (
     ChannelPair,
@@ -57,6 +61,23 @@ class TestLoadChannels:
         with pytest.raises(ChannelParseError) as err:
             load_channels(str(path))
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_token(self, tmp_path, capsys, token):
+        path = tmp_path / "bad.txt"
+        write_text(path, f"1 1 2\n1 0.4\n0.4 {token}\n")
+        with pytest.raises(ChannelParseError) as err:
+            load_channels(str(path))
+        assert err.value.line_no == 3
+        cfg = RunConfig(
+            channels=str(path),
+            scenario="A",
+            method="tdma",
+            power=1.0,
+            out=str(tmp_path / "o.csv"),
+        )
+        assert run(cfg) == 1
+        assert "cannot read channels: line 3" in capsys.readouterr().err
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -148,6 +169,51 @@ class TestRun:
             assert run(cfg) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_wsr_unconverged_count_from_solutions(self, ch22_file, tmp_path, monkeypatch):
+        # Mark every other solve unconverged; the sidecar must count them.
+        solve = secregion.wsr.wsr_solve
+        flags = []
+
+        def flaky(*args):
+            sol = solve(*args)
+            flags.append(sol.converged and len(flags) % 2 == 1)
+            return replace(sol, converged=flags[-1])
+
+        monkeypatch.setattr(secregion.wsr, "wsr_solve", flaky)
+        out = tmp_path / "w.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="A",
+            method="wsr",
+            power=2.0,
+            out=str(out),
+            common=False,
+            sigma=0.5,
+        )
+        assert run(cfg) == 0
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
+        )
+        assert len(flags) == 6  # weights 0, 0.5, 1 in both orders
+        assert int(meta["n_unconverged_cells"]) == flags.count(False) >= 3
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [
+            ("oracle", ["--samples", "0"]),
+            ("ps", ["--eps1", "0.7"]),
+            ("wsr", ["--sigma", "0"]),
+            ("wsr", ["--power", "0"]),
+        ],
+    )
+    def test_bad_parameter_is_usage_error(self, ch22_file, tmp_path, capsys, method, extra):
+        argv = ["--channels", ch22_file, "--scenario", "A", "--common", "off"]
+        argv += ["--method", method, "--power", "2.0", "--out", str(tmp_path / "o.csv")]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_main_argv(self, ch22_file, tmp_path):
         out = tmp_path / "m.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secregion import (
     ChannelPair,
@@ -17,7 +19,8 @@ from secregion import (
     private_rate_user1,
     private_rate_user2,
 )
-from secregion.rates import link_rate_fn
+from secregion.rates import evaluate_stack, link_rate_fn
+from secregion.types import check_covariance_stacks
 
 from conftest import random_psd
 
@@ -176,6 +179,108 @@ class TestEvaluateTriple:
         cov = CovarianceTriple(z, z, z, 1.0)
         with pytest.raises(ValueError):
             evaluate_triple(ch22, Scenario("B"), cov, ORDER_21)
+
+
+def slogdet_rates(h1, h2, tag, q0, q1, q2, order):
+    """Independent rate triple from slogdet, with the order swap spelled out."""
+
+    def c(h, q):
+        sign, logabs = np.linalg.slogdet(np.eye(h.shape[0]) + h @ q @ h.T)
+        assert sign > 0
+        return 0.5 * logabs / np.log(2.0)
+
+    if order == ORDER_21:
+        h1, h2, q1, q2 = h2, h1, q2, q1
+    qi = q1 + q2
+    r0 = min(c(h1, q0 + qi) - c(h1, qi), c(h2, q0 + qi) - c(h2, qi))
+    first = c(h1, q1) - (c(h2, q1) if tag in ("B", "C") else 0.0)
+    second = c(h2, qi) - c(h2, q1) - ((c(h1, qi) - c(h1, q1)) if tag == "C" else 0.0)
+    if order == ORDER_21:
+        first, second = second, first
+    return max(r0, 0.0), max(first, 0.0), max(second, 0.0)
+
+
+def psd_stack(rng, k, nt, max_trace):
+    """k random PSD matrices of random rank (zero included) and trace."""
+    out = np.zeros((k, nt, nt))
+    for i in range(k):
+        g = rng.standard_normal((nt, int(rng.integers(0, nt + 1))))
+        b = g @ g.T
+        if np.trace(b) > 0:
+            out[i] = b * (rng.uniform(0.0, max_trace) / np.trace(b))
+    return out
+
+
+@st.composite
+def stacked_cases(draw):
+    nt = draw(st.integers(1, 4))
+    n1 = draw(st.integers(1, 5))
+    n2 = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    tag = draw(st.sampled_from("ABC"))
+    common = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ch = ChannelPair(rng.standard_normal((n1, nt)), rng.standard_normal((n2, nt)))
+    q0 = psd_stack(rng, k, nt, 4.0) if common else np.zeros((k, nt, nt))
+    q1 = psd_stack(rng, k, nt, 4.0)
+    q2 = psd_stack(rng, k, nt, 4.0)
+    return ch, Scenario(tag, common), q0, q1, q2
+
+
+class TestEvaluateStack:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_cases())
+    def test_matches_per_triple_and_slogdet(self, case):
+        ch, sc, q0, q1, q2 = case
+        orders = ("12", "21") if sc.allows_order_swap else ("12",)
+        p = float(np.trace(q0 + q1 + q2, axis1=1, axis2=2).max())
+        check_covariance_stacks((q0, q1, q2), p)
+        got = evaluate_stack(ch, sc, q0, q1, q2, orders)
+        assert got.shape == (len(orders), q0.shape[0], 3)
+        for n, order in enumerate(orders):
+            for i in range(q0.shape[0]):
+                t = evaluate_triple(ch, sc, CovarianceTriple(q0[i], q1[i], q2[i], p), order)
+                ref = slogdet_rates(ch.h1, ch.h2, sc.tag, q0[i], q1[i], q2[i], order)
+                assert got[n, i] == pytest.approx([t.r0, t.r1, t.r2], abs=1e-12)
+                assert got[n, i] == pytest.approx(ref, abs=1e-12)
+
+    def test_eigenvalue_fallback(self, ch_row3, monkeypatch):
+        rng = np.random.default_rng(21)
+        qs = [psd_stack(rng, 6, 3, 3.0) for _ in range(3)]
+        want = evaluate_stack(ch_row3, Scenario("C"), *qs, ("12", "21"))
+
+        def failing(_):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        got = evaluate_stack(ch_row3, Scenario("C"), *qs, ("12", "21"))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_rejects_bad_order_and_shape(self, ch22):
+        z = np.zeros((3, 2, 2))
+        with pytest.raises(ValueError):
+            evaluate_stack(ch22, Scenario("B"), z, z, z, ("12", "21"))
+        with pytest.raises(DimensionError):
+            evaluate_stack(ch22, Scenario("A"), z, z, np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("fault", ["asymmetric", "indefinite", "over_budget"])
+    def test_stacked_check_matches_triple_message(self, slot, fault):
+        rng = np.random.default_rng(slot)
+        qs = [psd_stack(rng, 5, 2, 1.0) for _ in range(3)]
+        check_covariance_stacks(qs, 3.0)
+        bad = 3
+        if fault == "asymmetric":
+            qs[slot][bad, 0, 1] += 1e-6
+        elif fault == "indefinite":
+            qs[slot][bad] = [[1.0, 0.0], [0.0, -1e-3]]
+        else:
+            qs[slot][bad] = 5.0 * np.eye(2)
+        with pytest.raises(ValueError) as triple_err:
+            CovarianceTriple(qs[0][bad], qs[1][bad], qs[2][bad], 3.0)
+        with pytest.raises(ValueError) as stack_err:
+            check_covariance_stacks(qs, 3.0)
+        assert str(stack_err.value) == str(triple_err.value)
 
 
 class TestNumericalPaths:
