@@ -11,17 +11,7 @@ orthogonal baselines provide independent validation.
 from .baselines import oma_timeshare, random_search_region, tdma_region
 from .cli import ChannelParseError, RunConfig, load_channels, run, write_channels
 from .multicast import MulticastResult, case_classify, solve_multicast
-from .rates import (
-    common_rate,
-    common_rate_components,
-    conf_rate_user1,
-    conf_rate_user2,
-    evaluate_triple,
-    gauss_rate,
-    layered_rate,
-    private_rate_user1,
-    private_rate_user2,
-)
+from .rates import evaluate_triple, gauss_rate, layered_rate
 from .rotation import (
     RotationParam,
     SolverOptions,
@@ -107,10 +97,6 @@ __all__ = [
     "build_rotation",
     "case_classify",
     "closed_form_block",
-    "common_rate",
-    "common_rate_components",
-    "conf_rate_user1",
-    "conf_rate_user2",
     "evaluate_triple",
     "gauss_rate",
     "hull_pareto",
@@ -123,8 +109,6 @@ __all__ = [
     "price_matrix_b",
     "price_matrix_c1",
     "price_matrix_c2",
-    "private_rate_user1",
-    "private_rate_user2",
     "project_psd",
     "random_search_region",
     "region_contains",

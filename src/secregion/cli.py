@@ -173,8 +173,8 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not cfg.power >= 0:
-        print("error: power must be nonnegative", file=sys.stderr)
+    if not 0 <= cfg.power < math.inf:
+        print("error: power must be nonnegative and finite", file=sys.stderr)
         return 2
     problem = _method_param_problem(cfg)
     if problem:

@@ -1,7 +1,11 @@
 """Rate expressions for the two-user downlink with layered messages.
 
 Every achievable-rate formula used anywhere in the package is evaluated
-here, always against the original (untransformed) channels.  Log
+here, always against the original (untransformed) channels.  The
+scenario rules for the three messages live only in ``rate_stack``;
+``evaluate_stack`` and ``evaluate_triple`` clamp its values for
+reporting.  ``gauss_rate`` and ``layered_rate`` are the single-link
+primitives of the subproblem solvers and the WSR coupling terms.  Log
 determinants go through a Cholesky factorization of I + PSD, which is
 positive definite by construction; an eigenvalue sum is the fallback when
 round-off defeats the factorization.  Inverse-times-matrix expressions are
@@ -150,46 +154,6 @@ def layered_rate(h, q_signal, q_interference) -> float:
     return _half_logdet2_iplus(h, qs + qi) - _half_logdet2_iplus(h, qi)
 
 
-def common_rate_components(ch: ChannelPair, cov: CovarianceTriple) -> tuple:
-    """Per-user rates of the shared message over the residual interference."""
-    qi = cov.q1 + cov.q2
-    return (
-        layered_rate(ch.h1, cov.q0, qi),
-        layered_rate(ch.h2, cov.q0, qi),
-    )
-
-
-def common_rate(ch: ChannelPair, cov: CovarianceTriple) -> float:
-    """Rate of the message both users decode: the worse of the two links."""
-    return min(common_rate_components(ch, cov))
-
-
-def private_rate_user1(ch: ChannelPair, q1) -> float:
-    """First-encoded private message: interference-free link to user 1."""
-    return gauss_rate(ch.h1, q1)
-
-
-def private_rate_user2(ch: ChannelPair, q1, q2) -> float:
-    """Second private message, with the first user's signal as interference."""
-    return layered_rate(ch.h2, q2, q1)
-
-
-def conf_rate_user1(ch: ChannelPair, q1) -> float:
-    """Secrecy rate of user 1's message with user 2 as the eavesdropper.
-
-    May be negative; callers clamp only at reporting boundaries.
-    """
-    return gauss_rate(ch.h1, q1) - gauss_rate(ch.h2, q1)
-
-
-def conf_rate_user2(ch: ChannelPair, q1, q2) -> float:
-    """Secrecy rate of user 2's message with user 1 eavesdropping.
-
-    Both links see user 1's signal as interference; may be negative.
-    """
-    return layered_rate(ch.h2, q2, q1) - layered_rate(ch.h1, q2, q1)
-
-
 def _half_logdet2_stack(h: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """0.5 * log2|I + H Q H^T| for each Q of a (k, nt, nt) stack.
 
@@ -207,7 +171,7 @@ def _half_logdet2_stack(h: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return 0.5 * ld / LN2
 
 
-def evaluate_stack(
+def rate_stack(
     ch: ChannelPair,
     scenario: Scenario,
     q0: np.ndarray,
@@ -215,13 +179,15 @@ def evaluate_stack(
     q2: np.ndarray,
     orders: tuple = (ORDER_12,),
 ) -> np.ndarray:
-    """Rate triples of k covariance triples, for each encoding order.
+    """Unclamped rate triples of k covariance triples, for each encoding order.
 
-    ``q0``, ``q1`` and ``q2`` are (k, nt, nt) stacks of covariances that
-    have already passed validation (``CovarianceTriple`` or
-    ``check_covariance_stacks``).  Returns an array of shape
-    (len(orders), k, 3) holding (r0, r1, r2) per order and triple, with
-    negative secrecy rates clamped to zero.
+    The one place where the scenario rules are written out: which message
+    is confidential, and which layer interferes with which.  ``q0``,
+    ``q1`` and ``q2`` are (k, nt, nt) stacks of PSD covariances; nothing
+    else about them is checked here.  Returns an array of shape
+    (len(orders), k, 3) holding (r0, r1, r2) per order and triple.
+    Secrecy rates may be negative; solvers ascend these values, and
+    ``evaluate_stack`` clamps them for reporting.
 
     Order "21" exchanges the roles of the two users in the formulas (h1
     with h2 and q1 with q2) and is rejected for scenario B, whose single
@@ -274,6 +240,23 @@ def evaluate_stack(
         out[n, :, 1 + second] = r_second
     if not np.all(np.isfinite(out)):
         raise ValueError("rate evaluation produced non-finite values")
+    return out
+
+
+def evaluate_stack(
+    ch: ChannelPair,
+    scenario: Scenario,
+    q0: np.ndarray,
+    q1: np.ndarray,
+    q2: np.ndarray,
+    orders: tuple = (ORDER_12,),
+) -> np.ndarray:
+    """Reported rate triples: ``rate_stack`` with negative rates clamped to zero.
+
+    The stacks must already have passed validation (``CovarianceTriple``
+    or ``check_covariance_stacks``).
+    """
+    out = rate_stack(ch, scenario, q0, q1, q2, orders)
     # Clamp as Python's max(r, 0.0) does, so that -0.0 passes unchanged.
     return np.where(out < 0.0, 0.0, out)
 

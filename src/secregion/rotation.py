@@ -214,18 +214,6 @@ def _warm_start(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
     return np.concatenate([angles, logits])
 
 
-def _central_diff_grad(fun, x: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        step = _FD_REL_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * step)
-    return g
-
-
 def _fd_points(x: np.ndarray) -> tuple:
     """Stacked x +- step*e_i rows for a central difference, plus the steps."""
     n = x.size
@@ -244,17 +232,19 @@ def maximize_psd_objective(
     opts: SolverOptions | None = None,
     warm_q: np.ndarray | None = None,
     search_objective=None,
-    batch_search=None,
+    *,
+    batch_search,
 ) -> tuple:
     """Multi-start quasi-Newton maximization of a function of a PSD matrix.
 
     ``objective`` maps an nt x nt PSD matrix with trace <= budget to the
     value being maximized; ``search_objective`` may supply a smoothed
     surrogate for the line searches while ranking still uses the true
-    objective, and ``batch_search`` a vectorized surrogate over covariance
-    stacks that speeds up the finite-difference gradients.  The zero
-    matrix and ``warm_q`` are always evaluated as candidates, so the
-    result can never fall below either.
+    objective.  ``batch_search`` maps a (k, nt, nt) covariance stack to
+    the k values of the search objective; it evaluates all points of each
+    central-difference gradient in one call.  The zero matrix and
+    ``warm_q`` are always evaluated as candidates, so the result can never
+    fall below either.
 
     Returns ``(q, value, converged)``.  Deterministic for a fixed seed;
     starts run sequentially in seed order.
@@ -288,17 +278,10 @@ def maximize_psd_objective(
     def neg(x):
         return -search(_decode(x, nt, budget))
 
-    if batch_search is not None:
-
-        def neg_grad(x):
-            pts, steps = _fd_points(x)
-            vals = -np.asarray(batch_search(_decode_batch(pts, nt, budget)))
-            return (vals[0::2] - vals[1::2]) / (2.0 * steps)
-
-    else:
-
-        def neg_grad(x):
-            return _central_diff_grad(neg, x)
+    def neg_grad(x):
+        pts, steps = _fd_points(x)
+        vals = -np.asarray(batch_search(_decode_batch(pts, nt, budget)))
+        return (vals[0::2] - vals[1::2]) / (2.0 * steps)
 
     for x0 in starts:
         res = minimize(

@@ -7,9 +7,14 @@ the first message (water-filling or wiretap search by scenario), a design
 on the interference-whitened channel for the second, and a max-min design
 on the residual-whitened channels for the shared message.
 
-Whitened-channel solutions are re-evaluated through the original-channel
-rate expressions as the reported truth; a disagreement beyond 1e-9 raises
-``ConsistencyError``, keeping the transform identities load-bearing.
+``solve_split`` and ``sweep_points`` share one per-split pipeline; the
+sweep only caches the first stage, which depends on its own budget alone.
+Each split's covariance triple is rated by a single ``evaluate_triple``
+call on the original channels, the reported truth.  The rates that the
+second and common stages found on their whitened channels must match
+that call's rates for the same messages; a disagreement beyond 1e-9
+raises ``ConsistencyError``, keeping the transform identities
+load-bearing.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .multicast import solve_multicast
-from .rates import evaluate_triple, layered_rate
+from .rates import evaluate_triple
 from .rotation import SolverOptions
 from .transforms import whiten_multicast, whiten_p2p, whiten_wiretap
 from .types import (
@@ -83,46 +88,68 @@ def _stage_second(work: ChannelPair, scenario: Scenario, qa, p2: float, opts):
     """Second user's covariance given the first layer, via whitening."""
     nt = work.nt
     if p2 == 0:
-        return np.zeros((nt, nt)), True
+        return np.zeros((nt, nt)), 0.0, True
     if scenario.user2_confidential:
         h1w, h2w = whiten_wiretap(work, qa)
         res = solve_wiretap(h2w, h1w, p2, opts)
-        qb, reported = res.q, res.rate
-        original = layered_rate(work.h2, qb, qa) - layered_rate(work.h1, qb, qa)
-        # The wiretap solver clamps at the zero matrix, so compare clamped.
-        original = max(original, 0.0)
-        converged = res.converged
-    else:
-        h2w = whiten_p2p(work.h2, qa)
-        qb, reported = waterfill(h2w, p2)
-        original = layered_rate(work.h2, qb, qa)
-        converged = True
-    if abs(original - reported) > _EQUIV_TOL:
-        raise ConsistencyError(
-            f"whitened-channel rate {reported} disagrees with the original-channel "
-            f"rate {original} beyond {_EQUIV_TOL}"
-        )
-    return qb, converged
+        return res.q, res.rate, res.converged
+    qb, rate = waterfill(whiten_p2p(work.h2, qa), p2)
+    return qb, rate, True
 
 
 def _stage_common(work: ChannelPair, qa, qb, p0: float, opts):
     """Shared-message covariance on the residual-whitened channels."""
     nt = work.nt
     if p0 == 0:
-        return np.zeros((nt, nt)), True
+        return np.zeros((nt, nt)), 0.0, True
     g1, g2 = whiten_multicast(work, qa, qb)
     res = solve_multicast(g1, g2, p0, opts)
-    qsum = qa + qb
-    original = min(
-        layered_rate(work.h1, res.q, qsum),
-        layered_rate(work.h2, res.q, qsum),
+    return res.q, res.rate, res.converged
+
+
+def _solve_cell(
+    ch: ChannelPair,
+    scenario: Scenario,
+    split: PowerSplit,
+    p: float,
+    order: str,
+    opts,
+    first: tuple,
+) -> SplitResult:
+    """Finish one split from its first stage ``(qa, converged)``.
+
+    Runs the second and common stages, rates the triple once on the
+    original pair, and requires both whitened-channel rates to match the
+    rates ``evaluate_triple`` reports; under order "21" the second-encoded
+    user is user 1.
+    """
+    qa, conv1 = first
+    work = ch.swapped() if order == ORDER_21 else ch
+    qb, rate_b, conv2 = _stage_second(
+        work, scenario, qa, _effective(split.alpha2 * p, p), opts
     )
-    if abs(original - res.rate) > _EQUIV_TOL:
-        raise ConsistencyError(
-            f"whitened multicast rate {res.rate} disagrees with the original-channel "
-            f"rate {original} beyond {_EQUIV_TOL}"
-        )
-    return res.q, res.converged
+    q0, rate_0, conv0 = _stage_common(
+        work, qa, qb, _effective(split.alpha0 * p, p), opts
+    )
+    q1, q2 = (qb, qa) if order == ORDER_21 else (qa, qb)
+    cov = CovarianceTriple(q0, q1, q2, p)
+    rates = evaluate_triple(ch, scenario, cov, order)
+    second = rates.r1 if order == ORDER_21 else rates.r2
+    for stage, whitened, original in (
+        ("second-stage", rate_b, second),
+        ("multicast", rate_0, rates.r0),
+    ):
+        if abs(original - whitened) > _EQUIV_TOL:
+            raise ConsistencyError(
+                f"whitened {stage} rate {whitened} disagrees with the "
+                f"original-channel rate {original} beyond {_EQUIV_TOL}"
+            )
+    return SplitResult(cov, rates, conv1 and conv2 and conv0)
+
+
+def _check_budget(p: float) -> None:
+    if not (np.isfinite(p) and p >= 0):
+        raise ValueError(f"power budget must be nonnegative and finite, got {p}")
 
 
 def solve_split(
@@ -138,27 +165,13 @@ def solve_split(
         raise ValueError(f"order must be '12' or '21', got {order!r}")
     if order == ORDER_21 and not scenario.allows_order_swap:
         raise ValueError("scenario B supports only the '12' encoding order")
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
+    _check_budget(p)
     if not scenario.common_enabled and split.alpha0 * p > _BUDGET_FLOOR_REL * p:
         raise ValueError("alpha0 must be 0 when the common message is disabled")
 
-    p1 = _effective(split.alpha1 * p, p)
-    p2 = _effective(split.alpha2 * p, p)
-    p0 = _effective(split.alpha0 * p, p)
-
     work = ch.swapped() if order == ORDER_21 else ch
-    qa, conv1 = _stage_first(work, scenario, p1, opts)
-    qb, conv2 = _stage_second(work, scenario, qa, p2, opts)
-    q0, conv0 = _stage_common(work, qa, qb, p0, opts)
-
-    if order == ORDER_21:
-        q1, q2 = qb, qa
-    else:
-        q1, q2 = qa, qb
-    cov = CovarianceTriple(q0, q1, q2, p)
-    rates = evaluate_triple(ch, scenario, cov, order)
-    return SplitResult(cov, rates, conv1 and conv2 and conv0)
+    first = _stage_first(work, scenario, _effective(split.alpha1 * p, p), opts)
+    return _solve_cell(ch, scenario, split, p, order, opts, first)
 
 
 def _alpha_grid(eps1: float, upper: float) -> list:
@@ -189,31 +202,22 @@ def sweep_points(
     """
     if not 0.0 < eps1 <= 0.5:
         raise ValueError("eps1 must lie in (0, 0.5]")
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
+    _check_budget(p)
     orders = (ORDER_12, ORDER_21) if scenario.allows_order_swap else (ORDER_12,)
     points = []
     for order in orders:
         work = ch.swapped() if order == ORDER_21 else ch
         for a1 in _alpha_grid(eps1, 1.0):
-            p1 = _effective(a1 * p, p)
-            qa, conv1 = _stage_first(work, scenario, p1, opts)
+            first = _stage_first(work, scenario, _effective(a1 * p, p), opts)
             a2_values = (
                 _alpha_grid(eps1, 1.0 - a1)
                 if scenario.common_enabled
                 else [1.0 - a1]
             )
             for a2 in a2_values:
-                a0 = 1.0 - a1 - a2
-                split = PowerSplit(max(a0, 0.0), a1, a2)
-                qb, conv2 = _stage_second(work, scenario, qa, _effective(a2 * p, p), opts)
-                q0, conv0 = _stage_common(work, qa, qb, _effective(split.alpha0 * p, p), opts)
-                if order == ORDER_21:
-                    cov = CovarianceTriple(q0, qb, qa, p)
-                else:
-                    cov = CovarianceTriple(q0, qa, qb, p)
-                rates = evaluate_triple(ch, scenario, cov, order)
-                points.append(SweepPoint(rates, split, order, conv1 and conv2 and conv0))
+                split = PowerSplit(max(1.0 - a1 - a2, 0.0), a1, a2)
+                res = _solve_cell(ch, scenario, split, p, order, opts, first)
+                points.append(SweepPoint(res.rates, split, order, res.converged))
     return points
 
 

@@ -98,16 +98,19 @@ def check_covariance_stacks(stacks: Sequence[np.ndarray], p_total: float) -> Non
     Triple i passes when each of its matrices is symmetric within
     ``SYMMETRY_TOL`` with least eigenvalue at least ``-PSD_TOL``, and its
     trace sum fits ``p_total`` up to ``TRACE_REL_SLACK``.  The first failing
-    triple raises the ``ValueError`` that ``CovarianceTriple`` gives it.
+    triple raises the ``ValueError`` that ``CovarianceTriple`` gives it; a
+    NaN or infinite ``p_total`` is rejected before any triple is checked.
     The stacks must already be finite float arrays of one shape.
     """
+    p = float(p_total)
+    if not np.isfinite(p):
+        raise ValueError(f"p_total must be finite, got {p}")
     qs = np.stack(stacks)
     qt = qs.swapaxes(-1, -2)
     asym = np.max(np.abs(qs - qt), axis=(-2, -1)) > SYMMETRY_TOL
     indefinite = np.linalg.eigvalsh(0.5 * (qs + qt))[..., 0] < -PSD_TOL
     traces = np.trace(qs, axis1=-2, axis2=-1)
     total = traces[0] + traces[1] + traces[2]
-    p = float(p_total)
     over = (p < 0) | (total > p * (1.0 + TRACE_REL_SLACK) + 1e-12)
     bad = asym.any(axis=0) | indefinite.any(axis=0) | over
     if not bad.any():

@@ -25,16 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rates import (
-    LN2,
-    conf_rate_user1,
-    conf_rate_user2,
-    evaluate_triple,
-    gauss_rate,
-    layered_rate,
-    private_rate_user1,
-    private_rate_user2,
-)
+from .rates import LN2, evaluate_triple, gauss_rate, layered_rate, rate_stack
 from .splitting import hull_pareto
 from .types import (
     ORDER_12,
@@ -191,15 +182,6 @@ def closed_form_block(w: float, s, r, h) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def _scenario_rates(ch: ChannelPair, scenario: Scenario, q1, q2) -> tuple:
-    """Unclamped per-user rates for the scenario's message kinds."""
-    if scenario.tag == "A":
-        return private_rate_user1(ch, q1), private_rate_user2(ch, q1, q2)
-    if scenario.tag == "B":
-        return conf_rate_user1(ch, q1), private_rate_user2(ch, q1, q2)
-    return conf_rate_user1(ch, q1), conf_rate_user2(ch, q1, q2)
-
-
 @dataclass(frozen=True)
 class BsmmState:
     q1: np.ndarray
@@ -234,11 +216,17 @@ def bsmm_inner(
     q2 = q1.copy()
     w1, w2 = cfg.w1, cfg.w2
 
+    zero = np.zeros((1, nt, nt))
+
+    def weighted_sum(q1, q2):
+        # The unclamped rates: the ascent runs on the true objective.
+        _, r1, r2 = rate_stack(ch, scenario, zero, q1[None], q2[None])[0, 0]
+        return float(w1 * r1 + w2 * r2)
+
     def lagrangian(q1, q2, wsr):
         return wsr - lam * (float(np.trace(q1) + np.trace(q2)) - p)
 
-    r1, r2 = _scenario_rates(ch, scenario, q1, q2)
-    prev_lagr = lagrangian(q1, q2, w1 * r1 + w2 * r2)
+    prev_lagr = lagrangian(q1, q2, weighted_sum(q1, q2))
     prev_wsr = 0.0
     wsr = 0.0
     converged = False
@@ -274,8 +262,7 @@ def bsmm_inner(
                 np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T,
                 ch.h2,
             )
-        r1, r2 = _scenario_rates(ch, scenario, q1, q2)
-        wsr = w1 * r1 + w2 * r2
+        wsr = weighted_sum(q1, q2)
         lagr = lagrangian(q1, q2, wsr)
         if lagr < prev_lagr - _ASCENT_SLACK:
             raise ConsistencyError(
@@ -311,8 +298,8 @@ def wsr_solve(
     slack, in which case the multiplier rests at the bottom of the
     bracket.
     """
-    if p <= 0:
-        raise ValueError("power budget must be positive")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"power budget must be positive and finite, got {p}")
     nt = ch.nt
     if cfg.w1 == 0 and cfg.w2 == 0:
         zeros = np.zeros((nt, nt))

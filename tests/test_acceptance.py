@@ -19,7 +19,6 @@ from secregion import (
     bsmm_inner,
     gauss_rate,
     layered_rate,
-    conf_rate_user2,
     price_matrix_a,
     price_matrix_b,
     price_matrix_c1,
@@ -90,7 +89,8 @@ class TestAcceptance:
             )
             w1, w2 = whiten_wiretap(ch, q1)
             got = gauss_rate(w2, q2) - gauss_rate(w1, q2)
-            worst = max(worst, abs(got - conf_rate_user2(ch, q1, q2)))
+            original = layered_rate(ch.h2, q2, q1) - layered_rate(ch.h1, q2, q1)
+            worst = max(worst, abs(got - original))
             g1, g2 = whiten_multicast(ch, q1, q2)
             worst = max(
                 worst, abs(gauss_rate(g1, q0) - layered_rate(ch.h1, q0, q1 + q2))

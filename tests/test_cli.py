@@ -205,6 +205,8 @@ class TestRun:
             ("ps", ["--eps1", "0.7"]),
             ("wsr", ["--sigma", "0"]),
             ("wsr", ["--power", "0"]),
+            ("ps", ["--power", "inf"]),
+            ("tdma", ["--power", "nan"]),
         ],
     )
     def test_bad_parameter_is_usage_error(self, ch22_file, tmp_path, capsys, method, extra):

@@ -9,17 +9,11 @@ from secregion import (
     DimensionError,
     ORDER_21,
     Scenario,
-    common_rate,
-    common_rate_components,
-    conf_rate_user1,
-    conf_rate_user2,
     evaluate_triple,
     gauss_rate,
     layered_rate,
-    private_rate_user1,
-    private_rate_user2,
 )
-from secregion.rates import evaluate_stack, link_rate_fn
+from secregion.rates import evaluate_stack, link_rate_fn, rate_stack
 from secregion.types import check_covariance_stacks
 
 from conftest import random_psd
@@ -36,105 +30,116 @@ def scalar_ch(h1, h2):
     return ChannelPair([[float(h1)]], [[float(h2)]])
 
 
+def core(ch, tag, q0, q1, q2):
+    """Unclamped (r0, r1, r2) of one triple in order "12", from ``rate_stack``."""
+    qs = [np.asarray(q, dtype=float)[None] for q in (q0, q1, q2)]
+    return rate_stack(ch, Scenario(tag), *qs)[0, 0]
+
+
 class TestCommonRate:
     def test_zero_q0(self):
         ch = scalar_ch(1.0, 1.0)
-        cov = CovarianceTriple([[0.0]], [[1.0]], [[1.0]], 2.0)
-        assert common_rate(ch, cov) == 0.0
+        assert core(ch, "A", [[0.0]], [[1.0]], [[1.0]])[0] == 0.0
 
     def test_scalar_value(self):
         ch = scalar_ch(1.0, 1.0)
-        cov = CovarianceTriple([[4.0]], [[0.0]], [[0.0]], 4.0)
-        assert common_rate(ch, cov) == pytest.approx(0.5 * np.log2(5.0), abs=1e-12)
+        r0 = core(ch, "A", [[4.0]], [[0.0]], [[0.0]])[0]
+        assert r0 == pytest.approx(0.5 * np.log2(5.0), abs=1e-12)
 
     def test_matrix_value_vs_independent_eval(self, ch22):
         q0 = 6.0 * np.eye(2)
         z = np.zeros((2, 2))
-        cov = CovarianceTriple(q0, z, z, 12.0)
         expected = min(eig_logdet_rate(ch22.h1, q0), eig_logdet_rate(ch22.h2, q0))
-        assert common_rate(ch22, cov) == pytest.approx(expected, abs=1e-12)
+        assert core(ch22, "A", q0, z, z)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_reduces_to_interference_free_min(self, ch22):
         q0 = random_psd(np.random.default_rng(0), 2, 3.0)
         z = np.zeros((2, 2))
-        cov = CovarianceTriple(q0, z, z, 3.0)
         expected = min(gauss_rate(ch22.h1, q0), gauss_rate(ch22.h2, q0))
-        assert common_rate(ch22, cov) == pytest.approx(expected, abs=1e-12)
+        assert core(ch22, "A", q0, z, z)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_scale_monotone(self, ch22):
         z = np.zeros((2, 2))
         q0 = random_psd(np.random.default_rng(1), 2, 2.0)
-        r1 = common_rate(ch22, CovarianceTriple(q0, z, z, 2.0))
-        r2 = common_rate(ch22, CovarianceTriple(2 * q0, z, z, 4.0))
+        r1 = core(ch22, "A", q0, z, z)[0]
+        r2 = core(ch22, "A", 2 * q0, z, z)[0]
         assert r2 >= r1 - 1e-12
 
 
 class TestPrivateRates:
+    """Scenario A: user 1 first and interference-free, user 2 over user 1."""
+
     def test_user1_zero(self, ch22):
-        assert private_rate_user1(ch22, np.zeros((2, 2))) == 0.0
+        z = np.zeros((2, 2))
+        assert core(ch22, "A", z, z, z)[1] == 0.0
 
     def test_user1_scalar(self):
-        assert private_rate_user1(scalar_ch(1, 1), [[3.0]]) == pytest.approx(1.0, abs=1e-12)
+        r1 = core(scalar_ch(1, 1), "A", [[0.0]], [[3.0]], [[0.0]])[1]
+        assert r1 == pytest.approx(1.0, abs=1e-12)
 
     def test_user1_diagonal(self):
         ch = ChannelPair(np.diag([2.0, 1.0]), np.eye(2))
-        got = private_rate_user1(ch, np.diag([0.875, 0.125]))
+        z = np.zeros((2, 2))
+        got = core(ch, "A", z, np.diag([0.875, 0.125]), z)[1]
         assert got == pytest.approx(0.5 * np.log2(4.5 * 1.125), abs=1e-12)
 
     def test_user2_zero(self, ch22):
         z = np.zeros((2, 2))
-        assert private_rate_user2(ch22, z, z) == 0.0
+        assert core(ch22, "A", z, z, z)[2] == 0.0
 
     def test_user2_no_interference(self):
-        assert private_rate_user2(scalar_ch(2, 1), [[0.0]], [[3.0]]) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        r2 = core(scalar_ch(2, 1), "A", [[0.0]], [[0.0]], [[3.0]])[2]
+        assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_user2_scalar_sinr(self):
-        assert private_rate_user2(scalar_ch(1, 1), [[1.0]], [[2.0]]) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        r2 = core(scalar_ch(1, 1), "A", [[0.0]], [[1.0]], [[2.0]])[2]
+        assert r2 == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_in_own_power(self):
         rng = np.random.default_rng(3)
         ch = ChannelPair(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+        z = np.zeros((2, 2))
         for _ in range(25):
             q1 = random_psd(rng, 2, 1.0)
             bump = random_psd(rng, 2, 0.5)
-            assert private_rate_user1(ch, q1 + bump) >= private_rate_user1(ch, q1) - 1e-12
+            assert core(ch, "A", z, q1 + bump, z)[1] >= core(ch, "A", z, q1, z)[1] - 1e-12
 
 
 class TestConfidentialRates:
+    """Scenario B protects user 1 from user 2; C also user 2 from user 1."""
+
     def test_user1_zero(self, ch22):
-        assert conf_rate_user1(ch22, np.zeros((2, 2))) == 0.0
+        z = np.zeros((2, 2))
+        assert core(ch22, "B", z, z, z)[1] == 0.0
 
     def test_user1_scalar(self):
-        got = conf_rate_user1(scalar_ch(2, 1), [[1.0]])
+        got = core(scalar_ch(2, 1), "B", [[0.0]], [[1.0]], [[0.0]])[1]
         assert got == pytest.approx(0.5 * np.log2(5.0 / 2.0), abs=1e-12)
 
     def test_user1_negative_when_leaky(self):
-        got = conf_rate_user1(scalar_ch(1, 2), [[1.0]])
+        got = core(scalar_ch(1, 2), "B", [[0.0]], [[1.0]], [[0.0]])[1]
         assert got == pytest.approx(0.5 * np.log2(2.0 / 5.0), abs=1e-12)
         assert got < 0
 
     def test_degradation_vs_private(self):
         rng = np.random.default_rng(4)
+        z = np.zeros((2, 2))
         for _ in range(25):
             ch = ChannelPair(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
             q1 = random_psd(rng, 2, 2.0)
-            assert conf_rate_user1(ch, q1) <= private_rate_user1(ch, q1) + 1e-12
+            assert core(ch, "B", z, q1, z)[1] <= core(ch, "A", z, q1, z)[1] + 1e-12
 
     def test_user2_zero(self, ch22):
         z = np.zeros((2, 2))
-        assert conf_rate_user2(ch22, z, z) == 0.0
+        assert core(ch22, "C", z, z, z)[2] == 0.0
 
     def test_user2_reduces_to_swapped_user1(self):
-        got = conf_rate_user2(scalar_ch(1, 2), [[0.0]], [[1.0]])
+        got = core(scalar_ch(1, 2), "C", [[0.0]], [[0.0]], [[1.0]])[2]
         assert got == pytest.approx(0.5 * np.log2(5.0 / 2.0), abs=1e-12)
 
     def test_identical_channels_cancel(self):
-        ch = scalar_ch(1, 1)
-        assert conf_rate_user2(ch, [[0.7]], [[1.3]]) == pytest.approx(0.0, abs=1e-12)
+        got = core(scalar_ch(1, 1), "C", [[0.0]], [[0.7]], [[1.3]])[2]
+        assert got == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEvaluateTriple:
@@ -237,6 +242,7 @@ class TestEvaluateStack:
         check_covariance_stacks((q0, q1, q2), p)
         got = evaluate_stack(ch, sc, q0, q1, q2, orders)
         assert got.shape == (len(orders), q0.shape[0], 3)
+        assert np.array_equal(got, np.maximum(rate_stack(ch, sc, q0, q1, q2, orders), 0.0))
         for n, order in enumerate(orders):
             for i in range(q0.shape[0]):
                 t = evaluate_triple(ch, sc, CovarianceTriple(q0[i], q1[i], q2[i], p), order)
@@ -307,9 +313,12 @@ class TestNumericalPaths:
             gauss_rate(ch22.h1, np.eye(3))
 
     def test_common_components_order(self, ch22):
+        # On a pair of equal links the shared message's rate is that link's
+        # component; on ch22 it is the worse of user 1's and user 2's.
         q0 = np.eye(2)
         z = np.zeros((2, 2))
-        cov = CovarianceTriple(q0, z, z, 2.0)
-        c1, c2 = common_rate_components(ch22, cov)
+        c1 = core(ChannelPair(ch22.h1, ch22.h1), "A", q0, z, z)[0]
+        c2 = core(ChannelPair(ch22.h2, ch22.h2), "A", q0, z, z)[0]
         assert c1 == pytest.approx(gauss_rate(ch22.h1, q0), abs=1e-12)
         assert c2 == pytest.approx(gauss_rate(ch22.h2, q0), abs=1e-12)
+        assert core(ch22, "A", q0, z, z)[0] == pytest.approx(min(c1, c2), abs=1e-12)

@@ -94,6 +94,11 @@ class TestRotationParam:
             RotationParam(np.zeros(1), [1.0, -0.5])
 
 
+def batched(objective):
+    """Stack version of a scalar objective, as the search's gradients need."""
+    return lambda qs: np.array([objective(q) for q in qs])
+
+
 class TestDriver:
     def test_feasible_by_construction(self):
         # whatever the objective does, iterates stay PSD within budget
@@ -104,22 +109,30 @@ class TestDriver:
             return -float(np.sum((q - 0.3) ** 2))
 
         q, _, _ = maximize_psd_objective(
-            spiky, 2, 1.5, SolverOptions(n_starts=3, max_iters=40)
+            spiky,
+            2,
+            1.5,
+            SolverOptions(n_starts=3, max_iters=40),
+            batch_search=batched(spiky),
         )
         for qq in seen + [q]:
             assert np.trace(qq) <= 1.5 + 1e-9
             assert np.linalg.eigvalsh(qq)[0] >= -1e-12
 
     def test_zero_budget(self):
-        q, val, conv = maximize_psd_objective(lambda q: float(np.trace(q)), 2, 0.0)
+        def obj(q):
+            return float(np.trace(q))
+
+        q, val, conv = maximize_psd_objective(obj, 2, 0.0, batch_search=batched(obj))
         assert np.array_equal(q, np.zeros((2, 2))) and val == 0.0 and conv
 
     def test_deterministic(self):
         def obj(q):
             return float(np.trace(q @ np.diag([1.0, 2.0])))
 
-        a = maximize_psd_objective(obj, 2, 1.0, SolverOptions(seed=5))
-        b = maximize_psd_objective(obj, 2, 1.0, SolverOptions(seed=5))
+        opts, search = SolverOptions(seed=5), batched(obj)
+        a = maximize_psd_objective(obj, 2, 1.0, opts, batch_search=search)
+        b = maximize_psd_objective(obj, 2, 1.0, opts, batch_search=search)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_concave_reference(self):
@@ -127,5 +140,7 @@ class TestDriver:
         def obj(q):
             return float(np.trace(q @ np.diag([1.0, 3.0])))
 
-        q, val, _ = maximize_psd_objective(obj, 2, 1.0, SolverOptions())
+        q, val, _ = maximize_psd_objective(
+            obj, 2, 1.0, SolverOptions(), batch_search=batched(obj)
+        )
         assert val == pytest.approx(3.0, abs=1e-5)

@@ -3,6 +3,7 @@ import pytest
 
 from secregion import (
     ChannelPair,
+    ConsistencyError,
     ORDER_12,
     ORDER_21,
     PowerSplit,
@@ -17,6 +18,7 @@ from secregion import (
     sweep_region,
     waterfill,
 )
+from secregion import splitting
 from secregion.splitting import _alpha_grid
 
 
@@ -65,6 +67,12 @@ class TestSolveSplit:
         res = solve_split(ch22, Scenario("C"), PowerSplit(0.2, 0.5, 0.3), 12.0)
         assert res.cov.trace_total() <= 12.0 * (1 + 1e-8)
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_non_finite_budget_rejected(self, ch22, budget):
+        sc = Scenario("A", common_enabled=False)
+        with pytest.raises(ValueError, match="finite"):
+            solve_split(ch22, sc, PowerSplit(0, 0.5, 0.5), budget)
+
 
 class TestAlphaGrid:
     def test_endpoints_exact(self):
@@ -82,6 +90,11 @@ class TestAlphaGrid:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_non_finite_budget_rejected(self, ch22, budget):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_points(ch22, Scenario("A"), budget, 0.5)
+
     def test_zero_power_region_is_origin(self, ch22):
         reg = sweep_region(ch22, Scenario("A"), 0.0, 0.5)
         assert len(reg.points) == 1
@@ -134,6 +147,55 @@ class TestSweep:
             assert region_contains(regs["B"], p, slack=1e-6)
         for p in regs["B"].points:
             assert region_contains(regs["A"], p, slack=1e-6)
+
+
+def planted(monkeypatch, name, hit=lambda *args: True):
+    """Make ``splitting``'s whitening transform ``name`` return its channels
+    scaled by 1.01 on the calls that ``hit`` selects."""
+    whiten = getattr(splitting, name)
+
+    def faulty(*args):
+        out = whiten(*args)
+        if not hit(*args):
+            return out
+        return tuple(1.01 * g for g in out) if isinstance(out, tuple) else 1.01 * out
+
+    monkeypatch.setattr(splitting, name, faulty)
+
+
+# (transform, scenario tag, common message on, split that runs that stage)
+_GATED_STAGES = [
+    ("whiten_p2p", "A", False, PowerSplit(0, 0.5, 0.5)),
+    ("whiten_wiretap", "C", False, PowerSplit(0, 0.5, 0.5)),
+    ("whiten_multicast", "A", True, PowerSplit(1, 0, 0)),
+]
+
+
+class TestConsistencyGate:
+    """A whitening transform that no longer preserves rates trips the gate."""
+
+    @pytest.mark.parametrize("name, tag, common, split", _GATED_STAGES)
+    def test_solve_split_gate_fires(self, ch22, monkeypatch, name, tag, common, split):
+        planted(monkeypatch, name)
+        with pytest.raises(ConsistencyError):
+            solve_split(ch22, Scenario(tag, common), split, 12.0)
+
+    @pytest.mark.parametrize("name, tag, common, split", _GATED_STAGES)
+    def test_sweep_points_gate_fires(self, ch22, monkeypatch, name, tag, common, split):
+        planted(monkeypatch, name)
+        with pytest.raises(ConsistencyError):
+            sweep_points(ch22, Scenario(tag, common), 12.0, 0.5)
+
+    def test_order_21_gate_fires(self, ch22, monkeypatch):
+        # Only the swapped pair's second stage is faulty: in order "21" the
+        # second-encoded user is user 1, whose rate the gate must compare.
+        sc = Scenario("A", common_enabled=False)
+        planted(monkeypatch, "whiten_p2p", lambda h, q: np.array_equal(h, ch22.h1))
+        solve_split(ch22, sc, PowerSplit(0, 0.5, 0.5), 12.0, order=ORDER_12)
+        with pytest.raises(ConsistencyError):
+            solve_split(ch22, sc, PowerSplit(0, 0.5, 0.5), 12.0, order=ORDER_21)
+        with pytest.raises(ConsistencyError):
+            sweep_points(ch22, sc, 12.0, 0.5)
 
 
 class TestHullPareto:

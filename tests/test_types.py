@@ -13,6 +13,7 @@ from secregion import (
     project_psd,
     validate_covariance,
 )
+from secregion.types import check_covariance_stacks
 
 
 class TestValidateCovariance:
@@ -112,6 +113,14 @@ class TestCovarianceTriple:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             CovarianceTriple(np.eye(2), np.eye(3), np.eye(2), 10.0)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        big = 100.0 * np.eye(2)
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceTriple(big, big, big, budget)
+        with pytest.raises(ValueError, match="finite"):
+            check_covariance_stacks([big[None]] * 3, budget)
 
 
 class TestPowerSplit:

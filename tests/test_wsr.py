@@ -17,9 +17,8 @@ from secregion import (
     waterfill,
     wsr_solve,
 )
-from secregion.rates import LN2
+from secregion.rates import LN2, rate_stack
 from secregion.wsr import (
-    _scenario_rates,
     coupling_term_a,
     coupling_term_b,
     coupling_term_c1,
@@ -230,6 +229,12 @@ class TestWsrSolve:
         assert used <= 12.0 * (1 + 1e-8)
         assert used >= 11.5  # binding constraint on this instance
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.0, 0.0)])
+    def test_non_finite_budget_rejected(self, ch22, budget, weights):
+        with pytest.raises(ValueError, match="finite"):
+            wsr_solve(ch22, Scenario("A", False), WsrConfig(*weights), budget)
+
     def test_zero_weights_shortcut(self, ch22):
         sol = wsr_solve(ch22, Scenario("A", False), WsrConfig(0.0, 0.0), 5.0)
         assert sol.rates.as_array().tolist() == [0.0, 0.0, 0.0]
@@ -248,7 +253,8 @@ class TestWsrSolve:
         sc = Scenario("B", False)
         sol = wsr_solve(ch22, sc, cfg, 12.0)
         used = float(np.trace(sol.q1) + np.trace(sol.q2))
-        r1, r2 = _scenario_rates(ch22, sc, sol.q1, sol.q2)
+        zero = np.zeros((1, 2, 2))
+        _, r1, r2 = rate_stack(ch22, sc, zero, sol.q1[None], sol.q2[None])[0, 0]
         primal = cfg.w1 * r1 + cfg.w2 * r2
         dual_lower = primal - sol.lam * (used - 12.0)
         assert dual_lower >= primal - 1e-12
