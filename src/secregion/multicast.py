@@ -6,6 +6,11 @@ optimal (cases 1 and 2).  Otherwise the max-min optimum equalizes the two
 rates and is found by the rotation-parameterized multi-start search on a
 smoothed minimum (case 3); the reported rate always re-evaluates the true
 minimum.
+
+The smoothed minimum is -log(exp(-k a) + exp(-k b)) / k, written out with
+the floating-point operations of scipy's ``logsumexp`` (1.17) in its order:
+it gives that function's values bit for bit without its per-call overhead,
+which on two numbers outweighs the arithmetic many times over.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rates import gauss_rate, link_rate_batch_fn, link_rate_fn
 from .rotation import SolverOptions, maximize_psd_objective
@@ -40,13 +44,20 @@ class MulticastResult:
     converged: bool
 
 
-def _softmin(values, sharpness: float = SOFTMIN_SHARPNESS) -> float:
-    return -float(logsumexp(-sharpness * np.asarray(values))) / sharpness
+def _softmin(a, b):
+    """Smoothed min(a, b), elementwise over scalars or equal-length rows.
 
-
-def _softmin_rows(a: np.ndarray, b: np.ndarray, sharpness: float = SOFTMIN_SHARPNESS):
-    stacked = -sharpness * np.stack([a, b])
-    return -logsumexp(stacked, axis=0) / sharpness
+    For x = -k (a, b) with hi = max(x): m counts the entries equal to hi
+    (2 on an exact tie), s = exp(lo - hi) or 0 on a tie, and the value is
+    -(log1p(s) + log(m) + hi) / k, exactly as ``logsumexp`` sums it.
+    """
+    xa = -SOFTMIN_SHARPNESS * np.asarray(a, dtype=float)
+    xb = -SOFTMIN_SHARPNESS * np.asarray(b, dtype=float)
+    hi = np.maximum(xa, xb)
+    tie = xa == xb
+    s = np.where(tie, 0.0, np.exp(np.minimum(xa, xb) - hi))
+    out = np.log1p(s) + np.log(np.where(tie, 2.0, 1.0)) + hi
+    return -out / SOFTMIN_SHARPNESS
 
 
 def _validated(h1w, h2w):
@@ -59,18 +70,26 @@ def _validated(h1w, h2w):
     return h1w, h2w
 
 
+def _classified(h1w, h2w, p0: float) -> tuple:
+    """``(case, q01, q02)``: the regime and the water-fillings it computed.
+
+    ``q02`` is None in case 1, which never needs user 2's optimum.
+    """
+    q01, _ = waterfill(h1w, p0)
+    if gauss_rate(h1w, q01) <= gauss_rate(h2w, q01) + _CASE_SLACK:
+        return CASE_USER1_BINDING, q01, None
+    q02, _ = waterfill(h2w, p0)
+    if gauss_rate(h1w, q02) >= gauss_rate(h2w, q02) - _CASE_SLACK:
+        return CASE_USER2_BINDING, q01, q02
+    return CASE_EQUALIZED, q01, q02
+
+
 def case_classify(h1w, h2w, p0: float) -> str:
     """Which regime the max-min design falls into for budget ``p0`` > 0."""
     h1w, h2w = _validated(h1w, h2w)
     if p0 <= 0:
         raise ValueError("classification needs a positive budget")
-    q01, _ = waterfill(h1w, p0)
-    if gauss_rate(h1w, q01) <= gauss_rate(h2w, q01) + _CASE_SLACK:
-        return CASE_USER1_BINDING
-    q02, _ = waterfill(h2w, p0)
-    if gauss_rate(h1w, q02) >= gauss_rate(h2w, q02) - _CASE_SLACK:
-        return CASE_USER2_BINDING
-    return CASE_EQUALIZED
+    return _classified(h1w, h2w, p0)[0]
 
 
 def solve_multicast(
@@ -87,9 +106,7 @@ def solve_multicast(
     def min_rate(q):
         return min(gauss_rate(h1w, q), gauss_rate(h2w, q))
 
-    case = case_classify(h1w, h2w, p0)
-    q01, _ = waterfill(h1w, p0)
-    q02, _ = waterfill(h2w, p0)
+    case, q01, q02 = _classified(h1w, h2w, p0)
     if case == CASE_USER1_BINDING:
         return MulticastResult(q01, min_rate(q01), case, True)
     if case == CASE_USER2_BINDING:
@@ -103,8 +120,8 @@ def solve_multicast(
         p0,
         opts=opts,
         warm_q=q01,
-        search_objective=lambda q: _softmin([f1(q), f2(q)]),
-        batch_search=lambda qs: _softmin_rows(b1(qs), b2(qs)),
+        search_objective=lambda q: float(_softmin(f1(q), f2(q))),
+        batch_search=lambda qs: _softmin(b1(qs), b2(qs)),
     )
     # Report through the stock evaluator; the other single-user optimum is
     # a candidate the search did not start from.

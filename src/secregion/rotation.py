@@ -187,10 +187,12 @@ def _decode_batch(xs: np.ndarray, nt: int, budget: float) -> np.ndarray:
     w = np.exp(z)
     w /= w.sum(axis=1, keepdims=True)
     loadings = budget * w[:, :nt]
-    v = np.broadcast_to(np.eye(nt), (k, nt, nt)).copy()
+    v = np.zeros((k, nt, nt))
+    v.reshape(k, nt * nt)[:, :: nt + 1] = 1.0
+    cos, sin = np.cos(xs[:, :m]), np.sin(xs[:, :m])
     for i, (p, q) in enumerate(rotation_pairs(nt)):
-        c = np.cos(xs[:, i])[:, None]
-        s = np.sin(xs[:, i])[:, None]
+        c = cos[:, i, None]
+        s = sin[:, i, None]
         vp = c * v[:, :, p] + s * v[:, :, q]
         vq = -s * v[:, :, p] + c * v[:, :, q]
         v[:, :, p] = vp
@@ -218,10 +220,13 @@ def _fd_points(x: np.ndarray) -> tuple:
     """Stacked x +- step*e_i rows for a central difference, plus the steps."""
     n = x.size
     steps = _FD_REL_STEP * np.maximum(1.0, np.abs(x))
-    pts = np.tile(x, (2 * n, 1))
-    idx = np.arange(n)
-    pts[2 * idx, idx] += steps
-    pts[2 * idx + 1, idx] -= steps
+    pts = np.empty((2 * n, n))
+    pts[:] = x
+    # Row 2i holds x + steps_i e_i, row 2i + 1 holds x - steps_i e_i; in the
+    # flattened rows those entries lie 2n + 1 apart.
+    flat = pts.reshape(-1)
+    flat[:: 2 * n + 1] = x + steps
+    flat[n :: 2 * n + 1] = x - steps
     return pts, steps
 
 

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from secregion import (
     case_classify,
     gauss_rate,
+    multicast,
     solve_multicast,
     waterfill,
     whiten_multicast,
 )
+from secregion.multicast import SOFTMIN_SHARPNESS, _softmin
 
 from conftest import random_psd
+
+# (a, a + gap) with exact ties and gaps up to 1.5e3/k, where exp(-k gap)
+# has long underflowed to zero.
+_PAIRS = st.tuples(
+    st.floats(0.0, 50.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.5e3 / SOFTMIN_SHARPNESS)),
+).map(lambda t: (t[0], t[0] + t[1]))
 
 
 class TestCaseClassify:
@@ -32,7 +44,54 @@ class TestCaseClassify:
             case_classify(np.eye(2), np.eye(2), 0.0)
 
 
+class TestSoftmin:
+    """The written-out softmin is the ``logsumexp`` reference bit for bit."""
+
+    @staticmethod
+    def reference(a, b):
+        k = SOFTMIN_SHARPNESS
+        return -logsumexp(-k * np.stack([np.asarray(a), np.asarray(b)]), axis=0) / k
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAIRS)
+    def test_scalar_matches_logsumexp(self, pair):
+        for a, b in (pair, pair[::-1]):
+            got = np.float64(_softmin(a, b))
+            assert got.tobytes() == np.float64(self.reference(a, b)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_PAIRS, min_size=1, max_size=20))
+    def test_rows_match_logsumexp(self, pairs):
+        a, b = (np.array(col) for col in zip(*pairs))
+        for x, y in ((a, b), (b, a)):
+            assert _softmin(x, y).tobytes() == self.reference(x, y).tobytes()
+
+    def test_tie_and_underflow(self):
+        k = SOFTMIN_SHARPNESS
+        assert _softmin(2.0, 2.0) == pytest.approx(2.0 - np.log(2.0) / k, abs=1e-15)
+        assert _softmin(1.0, 3.0) == 1.0
+
+
 class TestSolveMulticast:
+    @pytest.mark.parametrize(
+        "h1, h2, case, fills",
+        [
+            (np.array([[1.0]]), np.array([[10.0]]), "case1", 1),
+            (np.array([[10.0]]), np.array([[1.0]]), "case2", 2),
+            (np.diag([2.0, 0.5]), np.diag([0.5, 2.0]), "case3", 2),
+        ],
+    )
+    def test_waterfills_each_link_once(self, monkeypatch, h1, h2, case, fills):
+        calls = []
+
+        def counted(h, p):
+            calls.append(p)
+            return waterfill(h, p)
+
+        monkeypatch.setattr(multicast, "waterfill", counted)
+        assert solve_multicast(h1, h2, 4.0).case == case
+        assert len(calls) == fills
+
     def test_zero_budget(self):
         res = solve_multicast(np.eye(2), np.eye(2), 0.0)
         assert res.rate == 0.0 and res.case is None

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,34 @@ class TestSweep:
             assert region_contains(regs["B"], p, slack=1e-6)
         for p in regs["B"].points:
             assert region_contains(regs["A"], p, slack=1e-6)
+
+
+class TestSearchGolden:
+    # Pinned sweeps: ch22b A (common on) reaches case-3 multicast cells at
+    # both powers, ch22 C runs the wiretap searches.  A change to the search
+    # arithmetic must reproduce them bit for bit; JSON keeps every float in
+    # a form that reads back to the same bits, so the comparison is exact.
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "search_golden.json").read_text()
+    )
+
+    @pytest.mark.parametrize(
+        "name, instance, tag, common, power",
+        [
+            ("ch22b-A-on-p6", "ch22b", "A", True, 6.0),
+            ("ch22b-A-on-p12", "ch22b", "A", True, 12.0),
+            ("ch22-C-off-p12", "ch22", "C", False, 12.0),
+        ],
+    )
+    def test_sweep_golden(self, request, name, instance, tag, common, power):
+        ch = request.getfixturevalue(instance)
+        pts = sweep_points(ch, Scenario(tag, common), power, 0.5)
+        golden = self.GOLDEN[name]
+        assert [[sp.rates.r0, sp.rates.r1, sp.rates.r2] for sp in pts] == golden["rates"]
+        assert [list(sp.split.as_tuple()) for sp in pts] == golden["splits"]
+        assert [sp.order for sp in pts] == golden["orders"]
+        assert [sp.rates.order for sp in pts] == golden["orders"]
+        assert [sp.converged for sp in pts] == golden["converged"]
 
 
 def planted(monkeypatch, name, hit=lambda *args: True):
