@@ -12,13 +12,7 @@ from .baselines import oma_timeshare, random_search_region, tdma_region
 from .cli import ChannelParseError, RunConfig, load_channels, run, write_channels
 from .multicast import MulticastResult, case_classify, solve_multicast
 from .rates import evaluate_triple, gauss_rate, layered_rate
-from .rotation import (
-    RotationParam,
-    SolverOptions,
-    angles_from_rotation,
-    assemble_covariance,
-    build_rotation,
-)
+from .rotation import SolverOptions, build_rotation
 from .splitting import (
     SplitResult,
     SweepPoint,
@@ -82,7 +76,6 @@ __all__ = [
     "PowerSplit",
     "RateRegion",
     "RateTriple",
-    "RotationParam",
     "RunConfig",
     "Scenario",
     "SolverOptions",
@@ -91,8 +84,6 @@ __all__ = [
     "WiretapResult",
     "WsrConfig",
     "WsrSolution",
-    "angles_from_rotation",
-    "assemble_covariance",
     "bsmm_inner",
     "build_rotation",
     "case_classify",

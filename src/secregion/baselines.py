@@ -62,7 +62,7 @@ def _draw_block(
     shares = np.empty((n, n_active))
     gauss = np.empty((n, 3, nt, nt))
     vecs = np.empty((n, 3, nt))
-    rots = np.empty((n, 3, nt, nt))
+    angles = np.empty((n, 3, n_angles(nt)))
     loads = np.empty((n, 3, nt))
     share_alpha, load_alpha = np.ones(n_active), np.ones(nt)
     families = [_FAMILY_CYCLE[(first + j) % len(_FAMILY_CYCLE)] for j in range(n)]
@@ -74,7 +74,7 @@ def _draw_block(
             rng.standard_normal(out=vecs[j])
         else:
             for m in range(3):
-                rots[j, m] = build_rotation(rng.uniform(0.0, math.pi, n_angles(nt)), nt)
+                angles[j, m] = rng.uniform(0.0, math.pi, n_angles(nt))
                 loads[j, m] = rng.dirichlet(load_alpha)
     shapes = np.empty((n, 3, nt, nt))
     kind = np.array(families)
@@ -82,7 +82,7 @@ def _draw_block(
     g = gauss[full]
     shapes[full] = g @ g.swapaxes(-1, -2)
     shapes[rank1] = vecs[rank1][..., :, None] * vecs[rank1][..., None, :]
-    v = rots[rotdiag]
+    v = build_rotation(angles[rotdiag], nt)
     shapes[rotdiag] = (v * loads[rotdiag][..., None, :]) @ v.swapaxes(-1, -2)
     shapes = 0.5 * (shapes + shapes.swapaxes(-1, -2))
 

@@ -3,14 +3,12 @@
 The structure has three regimes.  If one user's single-link optimum
 already satisfies the other user, that water-filling matrix is globally
 optimal (cases 1 and 2).  Otherwise the max-min optimum equalizes the two
-rates and is found by the rotation-parameterized multi-start search on a
-smoothed minimum (case 3); the reported rate always re-evaluates the true
-minimum.
+rates and is found by the factor-parameterized multi-start search of
+``rotation`` on a smoothed minimum (case 3); the reported rate always
+re-evaluates the true minimum.
 
-The smoothed minimum is -log(exp(-k a) + exp(-k b)) / k, written out with
-the floating-point operations of scipy's ``logsumexp`` (1.17) in its order:
-it gives that function's values bit for bit without its per-call overhead,
-which on two numbers outweighs the arithmetic many times over.
+The smoothed minimum is -log(exp(-k a) + exp(-k b)) / k; its gradient is
+the softmax-weighted sum of the two rate gradients.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import gauss_rate, link_rate_batch_fn, link_rate_fn
+from .rates import gauss_rate, link_rate_grad
 from .rotation import SolverOptions, maximize_psd_objective
 from .types import DimensionError, as_matrix
 from .waterfill import waterfill
@@ -44,20 +42,13 @@ class MulticastResult:
     converged: bool
 
 
-def _softmin(a, b):
-    """Smoothed min(a, b), elementwise over scalars or equal-length rows.
-
-    For x = -k (a, b) with hi = max(x): m counts the entries equal to hi
-    (2 on an exact tie), s = exp(lo - hi) or 0 on a tie, and the value is
-    -(log1p(s) + log(m) + hi) / k, exactly as ``logsumexp`` sums it.
-    """
-    xa = -SOFTMIN_SHARPNESS * np.asarray(a, dtype=float)
-    xb = -SOFTMIN_SHARPNESS * np.asarray(b, dtype=float)
-    hi = np.maximum(xa, xb)
-    tie = xa == xb
-    s = np.where(tie, 0.0, np.exp(np.minimum(xa, xb) - hi))
-    out = np.log1p(s) + np.log(np.where(tie, 2.0, 1.0)) + hi
-    return -out / SOFTMIN_SHARPNESS
+def _softmin_grad(h1w, h2w, q) -> tuple:
+    """Smoothed min of the two link rates and its gradient in q, unchecked."""
+    r1, g1 = link_rate_grad(h1w, q)
+    r2, g2 = link_rate_grad(h2w, q)
+    a, b = -SOFTMIN_SHARPNESS * r1, -SOFTMIN_SHARPNESS * r2
+    lse = np.logaddexp(a, b)
+    return -lse / SOFTMIN_SHARPNESS, np.exp(a - lse) * g1 + np.exp(b - lse) * g2
 
 
 def _validated(h1w, h2w):
@@ -112,20 +103,16 @@ def solve_multicast(
     if case == CASE_USER2_BINDING:
         return MulticastResult(q02, min_rate(q02), case, True)
 
-    f1, f2 = link_rate_fn(h1w), link_rate_fn(h2w)
-    b1, b2 = link_rate_batch_fn(h1w), link_rate_batch_fn(h2w)
-    q, _, converged = maximize_psd_objective(
-        lambda q: min(f1(q), f2(q)),
+    q, rate, converged = maximize_psd_objective(
+        min_rate,
         nt,
         p0,
         opts=opts,
         warm_q=q01,
-        search_objective=lambda q: float(_softmin(f1(q), f2(q))),
-        batch_search=lambda qs: _softmin(b1(qs), b2(qs)),
+        search_objective=lambda q: _softmin_grad(h1w, h2w, q),
     )
-    # Report through the stock evaluator; the other single-user optimum is
-    # a candidate the search did not start from.
-    rate = min_rate(q)
+    # The other single-user optimum is a candidate the search did not
+    # start from.
     alt = min_rate(q02)
     if alt > rate:
         q, rate, converged = q02, alt, True

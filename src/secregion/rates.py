@@ -5,12 +5,13 @@ here, always against the original (untransformed) channels.  The
 scenario rules for the three messages live only in ``rate_stack``;
 ``evaluate_stack`` and ``evaluate_triple`` clamp its values for
 reporting.  ``gauss_rate`` and ``layered_rate`` are the single-link
-primitives of the subproblem solvers and the WSR coupling terms.  Log
-determinants go through a Cholesky factorization of I + PSD, which is
+primitives of the subproblem solvers and the WSR coupling terms, and
+``link_rate_grad`` gives a link rate with its gradient for the searches.
+Log determinants go through a Cholesky factorization of I + PSD, which is
 positive definite by construction; an eigenvalue sum is the fallback when
-round-off defeats the factorization.  Inverse-times-matrix expressions are
-rewritten as differences of log determinants, so no explicit inverse is
-ever formed.
+round-off defeats the factorization.  Inverse-times-matrix expressions in
+rates are rewritten as differences of log determinants; the only inverse
+formed is that of the Cholesky factor in ``resolvent``, for gradients.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ def logdet_pd(m: np.ndarray) -> float:
         return float(np.sum(np.log(np.maximum(w, np.finfo(float).tiny))))
 
 
+def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
+    """``(ln|M|, H^T M^{-1} H)`` for M = I + H Q H^T, from one Cholesky factor L.
+
+    With Y = L^{-1} H the Gram matrix is Y^T Y, symmetric by construction.
+    M must be positive definite, as it is for every PSD Q.
+    """
+    m = np.eye(h.shape[0]) + h @ q @ h.T
+    chol = np.linalg.cholesky(0.5 * (m + m.T))
+    y = np.linalg.inv(chol) @ h
+    return 2.0 * float(np.sum(np.log(np.diag(chol)))), y.T @ y
+
+
 def _half_logdet2_iplus(h: np.ndarray, q: np.ndarray) -> float:
     """0.5 * log2 det(I + H Q H^T) with the argument symmetrized first."""
     m = np.eye(h.shape[0]) + h @ q @ h.T
@@ -65,80 +78,15 @@ def gauss_rate(h, q) -> float:
     return _half_logdet2_iplus(h, q)
 
 
-def link_rate_fn(h):
-    """Fast evaluator q -> 0.5 * log2|I + H Q H^T| with the channel fixed.
+def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
+    """``(rate, gradient)`` of 0.5 * log2|I + H Q H^T| for a search's inner loop.
 
-    Validates the channel once and skips per-call argument checks, for use
-    inside optimizer inner loops; sizes up to 3 use the explicit
-    determinant.  Reported results must still go through ``gauss_rate``.
+    The gradient in Q is H^T (I + H Q H^T)^{-1} H / (2 ln 2).  Nothing is
+    validated, so reported results must still go through ``gauss_rate``,
+    whose value this reproduces.
     """
-    h = as_matrix(h, "channel")
-    n = h.shape[0]
-    eye = np.eye(n)
-    if n == 1:
-        hv = h[0]
-
-        def f1(q):
-            return 0.5 * math.log2(1.0 + float(hv @ q @ hv))
-
-        return f1
-    if n == 2:
-
-        def f2(q):
-            m = eye + h @ q @ h.T
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            return 0.5 * math.log2(det)
-
-        return f2
-    if n == 3:
-
-        def f3(q):
-            m = eye + h @ q @ h.T
-            det = (
-                m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-            )
-            return 0.5 * math.log2(det)
-
-        return f3
-
-    def fn(q):
-        return _half_logdet2_iplus(h, q)
-
-    return fn
-
-
-def link_rate_batch_fn(h):
-    """Vectorized companion of ``link_rate_fn`` over a stack of covariances.
-
-    Returns a callable mapping an array of shape (k, nt, nt) to the k link
-    rates.  Used by finite-difference gradients, where all perturbed
-    points can be evaluated in one shot.
-    """
-    h = as_matrix(h, "channel")
-    n = h.shape[0]
-    eye = np.eye(n)
-    tiny = np.finfo(float).tiny
-
-    def rates(qs):
-        m = eye + np.einsum("ij,kjl,ml->kim", h, qs, h)
-        if n == 1:
-            det = m[:, 0, 0]
-        elif n == 2:
-            det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        elif n == 3:
-            det = (
-                m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-                - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-                + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-            )
-        else:
-            _, logabs = np.linalg.slogdet(m)
-            return 0.5 * logabs / LN2
-        return 0.5 * np.log2(np.maximum(det, tiny))
-
-    return rates
+    logdet, gram = resolvent(h, q)
+    return 0.5 * logdet / LN2, gram / (2.0 * LN2)
 
 
 def layered_rate(h, q_signal, q_interference) -> float:

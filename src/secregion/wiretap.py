@@ -1,10 +1,11 @@
 """Secrecy-rate maximization over a legitimate/eavesdropper channel pair.
 
-The covariance is searched through the rotation-plus-loading
-parameterization with multi-start BFGS.  The water-filling matrix for the
-legitimate channel doubles as warm start and as a standing candidate, so
-the returned rate never falls below the warm start evaluated under the
-secrecy objective, nor below zero (the zero matrix is always a candidate).
+The covariance is searched through the factor parameterization of
+``rotation`` with multi-start BFGS on the analytic gradient of the rate
+difference.  The water-filling matrix for the legitimate channel doubles
+as warm start and as a standing candidate, so the returned rate never
+falls below the warm start evaluated under the secrecy objective, nor
+below zero (the zero matrix is always a candidate).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import gauss_rate, link_rate_batch_fn, link_rate_fn
+from .rates import gauss_rate, link_rate_grad
 from .rotation import SolverOptions, maximize_psd_objective
 from .types import DimensionError, as_matrix
 from .waterfill import DegenerateChannelWarning, waterfill
@@ -30,6 +31,13 @@ class WiretapResult:
 def secrecy_rate(hm, he, q) -> float:
     """0.5 * (log2|I + Hm Q Hm^T| - log2|I + He Q He^T|), unclamped."""
     return gauss_rate(hm, q) - gauss_rate(he, q)
+
+
+def _secrecy_rate_grad(hm, he, q) -> tuple:
+    """``secrecy_rate`` and its gradient in q, without argument checks."""
+    rm, gm = link_rate_grad(hm, q)
+    re, ge = link_rate_grad(he, q)
+    return rm - re, gm - ge
 
 
 def solve_wiretap(hm, he, p: float, opts: SolverOptions | None = None) -> WiretapResult:
@@ -55,15 +63,12 @@ def solve_wiretap(hm, he, p: float, opts: SolverOptions | None = None) -> Wireta
         warnings.simplefilter("ignore", DegenerateChannelWarning)
         warm_q, _ = waterfill(hm, p)
 
-    fm, fe = link_rate_fn(hm), link_rate_fn(he)
-    bm, be = link_rate_batch_fn(hm), link_rate_batch_fn(he)
-    q, _, converged = maximize_psd_objective(
-        lambda q: fm(q) - fe(q),
+    q, rate, converged = maximize_psd_objective(
+        lambda q: secrecy_rate(hm, he, q),
         nt,
         p,
         opts=opts,
         warm_q=warm_q,
-        batch_search=lambda qs: bm(qs) - be(qs),
+        search_objective=lambda q: _secrecy_rate_grad(hm, he, q),
     )
-    # Report through the stock evaluator, not the fast search path.
-    return WiretapResult(q, secrecy_rate(hm, he, q), converged)
+    return WiretapResult(q, rate, converged)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rates import LN2, evaluate_triple, gauss_rate, layered_rate, rate_stack
+from .rates import LN2, evaluate_triple, gauss_rate, layered_rate, rate_stack, resolvent
 from .splitting import hull_pareto
 from .types import (
     ORDER_12,
@@ -88,10 +88,8 @@ def bits_block_weight(w: float) -> float:
 
 
 def _gram(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H^T (I + H X H^T)^{-1} H via a linear solve, symmetrized."""
-    m = np.eye(h.shape[0]) + h @ x @ h.T
-    g = h.T @ np.linalg.solve(0.5 * (m + m.T), h)
-    return 0.5 * (g + g.T)
+    """H^T (I + H X H^T)^{-1} H."""
+    return resolvent(h, x)[1]
 
 
 # ---------------------------------------------------------------------------

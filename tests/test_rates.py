@@ -13,7 +13,7 @@ from secregion import (
     gauss_rate,
     layered_rate,
 )
-from secregion.rates import evaluate_stack, link_rate_fn, rate_stack
+from secregion.rates import evaluate_stack, link_rate_grad, rate_stack
 from secregion.types import check_covariance_stacks
 
 from conftest import random_psd
@@ -303,10 +303,10 @@ class TestNumericalPaths:
         rng = np.random.default_rng(13)
         for n in (1, 2, 3, 4):
             h = rng.standard_normal((n, 3))
-            f = link_rate_fn(h)
             for _ in range(20):
                 q = random_psd(rng, 3, float(rng.uniform(0.1, 8)))
-                assert f(q) == pytest.approx(gauss_rate(h, q), abs=1e-11)
+                rate = link_rate_grad(h, q)[0]
+                assert rate == pytest.approx(gauss_rate(h, q), abs=1e-11)
 
     def test_dimension_mismatch(self, ch22):
         with pytest.raises(DimensionError):
@@ -322,3 +322,37 @@ class TestNumericalPaths:
         assert c1 == pytest.approx(gauss_rate(ch22.h1, q0), abs=1e-12)
         assert c2 == pytest.approx(gauss_rate(ch22.h2, q0), abs=1e-12)
         assert core(ch22, "A", q0, z, z)[0] == pytest.approx(min(c1, c2), abs=1e-12)
+
+
+@st.composite
+def link_cases(draw):
+    """A channel (1-5 rows, nt 1-5), a PSD covariance of trace 1e-3 to 1e3
+    (rank 1 to nt) and a symmetric direction of unit norm."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nt, rows, rank = (draw(st.integers(1, 5)) for _ in range(3))
+    power = 10.0 ** draw(st.floats(-3.0, 3.0))
+    h = rng.standard_normal((rows, nt))
+    g = rng.standard_normal((nt, min(rank, nt)))
+    q = g @ g.T
+    q *= power / np.trace(q)
+    d = rng.standard_normal((nt, nt))
+    d = d + d.T
+    return h, q, d / np.linalg.norm(d)
+
+
+class TestLinkRateGrad:
+    @settings(max_examples=200, deadline=None)
+    @given(link_cases())
+    def test_value_is_gauss_rate(self, case):
+        h, q, _ = case
+        assert link_rate_grad(h, q)[0] == pytest.approx(gauss_rate(h, q), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(link_cases())
+    def test_gradient_matches_central_difference(self, case):
+        h, q, d = case
+        _, g = link_rate_grad(h, q)
+        assert np.allclose(g, g.T, rtol=0.0, atol=0.0)
+        t = 1e-5
+        fd = (gauss_rate(h, q + t * d) - gauss_rate(h, q - t * d)) / (2.0 * t)
+        assert np.tensordot(g, d) == pytest.approx(fd, rel=1e-6, abs=1e-7)

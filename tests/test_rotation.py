@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secregion import (
-    RotationParam,
-    SolverOptions,
-    angles_from_rotation,
-    assemble_covariance,
-    build_rotation,
+from secregion import SolverOptions, build_rotation
+from secregion.multicast import _softmin_grad
+from secregion.rotation import (
+    _decode,
+    _encode,
+    _factor_objective,
+    maximize_psd_objective,
+    n_angles,
 )
-from secregion.rotation import maximize_psd_objective, n_angles
+from secregion.wiretap import _secrecy_rate_grad
 
 
 class TestBuildRotation:
@@ -42,61 +46,95 @@ class TestBuildRotation:
         with pytest.raises(ValueError):
             build_rotation([0.1, 0.2], 2)
 
-
-class TestAnglesFromRotation:
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        for nt in (2, 3, 4):
-            for _ in range(20):
-                v = build_rotation(rng.uniform(-np.pi, np.pi, n_angles(nt)), nt)
-                if np.linalg.det(v) < 0:  # build always gives det +1
-                    pytest.fail("rotation product lost orientation")
-                rebuilt = build_rotation(angles_from_rotation(v), nt)
-                assert np.allclose(rebuilt, v, atol=1e-10)
-
-    def test_qr_basis_round_trip(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            if np.linalg.det(q) < 0:
-                q[:, 0] = -q[:, 0]
-            rebuilt = build_rotation(angles_from_rotation(q), 3)
-            assert np.allclose(rebuilt, q, atol=1e-9)
-
-    def test_reflection_rejected(self):
-        q = np.diag([1.0, -1.0])
-        with pytest.raises(ValueError):
-            angles_from_rotation(q)
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(4)
+        for nt in (1, 2, 3, 4):
+            rows = rng.uniform(0.0, np.pi, (7, 3, n_angles(nt)))
+            stack = build_rotation(rows, nt)
+            assert stack.shape == (7, 3, nt, nt)
+            for idx in np.ndindex(7, 3):
+                assert build_rotation(rows[idx], nt).tobytes() == stack[idx].tobytes()
 
 
-class TestRotationParam:
-    def test_assemble_diagonal(self):
-        rp = RotationParam(np.zeros(1), [2.0, 0.5])
-        assert np.allclose(assemble_covariance(rp), np.diag([2.0, 0.5]))
+class TestFactorParam:
+    def test_decode_diagonal(self):
+        x = np.array([2.0, 0.0, 0.0, 1.0, 0.0])
+        assert np.allclose(_decode(x, 2, 2.5), np.diag([2.0, 0.5]), atol=1e-15)
 
-    def test_assemble_rank_one(self):
-        rp = RotationParam([np.pi / 4], [2.0, 0.0])
-        assert np.allclose(assemble_covariance(rp), [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
+    def test_decode_rank_one(self):
+        x = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+        assert np.allclose(_decode(x, 2, 2.0), [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
-    def test_eigenvalues_are_loadings(self):
+    def test_feasible_for_every_vector(self):
         rng = np.random.default_rng(3)
-        loads = np.sort(rng.uniform(0, 2, 3))
-        rp = RotationParam(rng.uniform(-np.pi, np.pi, 3), loads)
-        w = np.linalg.eigvalsh(assemble_covariance(rp))
-        assert np.allclose(np.sort(w), loads, atol=1e-12)
+        for nt in (1, 2, 3, 4, 5):
+            for _ in range(50):
+                x = rng.standard_normal(nt * nt + 1) * 10.0 ** rng.uniform(-3, 3)
+                q = _decode(x, nt, 2.5)
+                assert np.array_equal(q, q.T)
+                assert np.trace(q) <= 2.5 * (1 + 1e-12)
+                assert np.linalg.eigvalsh(q)[0] >= -1e-12
 
-    def test_budget_checked(self):
-        with pytest.raises(ValueError):
-            RotationParam(np.zeros(1), [2.0, 1.0], budget=2.5)
+    def test_encode_round_trip(self):
+        rng = np.random.default_rng(1)
+        for nt in (1, 2, 3, 4, 5):
+            for share in (0.3, 1.0):
+                g = rng.standard_normal((nt, nt))
+                q = g @ g.T
+                q *= share * 4.0 / np.trace(q)
+                # full power keeps a slack of 1e-8 of the budget
+                assert np.allclose(_decode(_encode(q, nt, 4.0), nt, 4.0), q, atol=1e-7)
 
-    def test_negative_loading_rejected(self):
-        with pytest.raises(ValueError):
-            RotationParam(np.zeros(1), [1.0, -0.5])
+
+@st.composite
+def search_cases(draw):
+    """Two channels (1-5 rows, nt 1-5), a budget of 1e-3 to 1e3 and a
+    standard normal parameter vector."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nt = draw(st.integers(1, 5))
+    h1 = rng.standard_normal((draw(st.integers(1, 5)), nt))
+    h2 = rng.standard_normal((draw(st.integers(1, 5)), nt))
+    budget = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return h1, h2, budget, rng.standard_normal(nt * nt + 1)
 
 
-def batched(objective):
-    """Stack version of a scalar objective, as the search's gradients need."""
-    return lambda qs: np.array([objective(q) for q in qs])
+def assert_central_difference(search, x, nt, budget):
+    """The chain-rule gradient of ``search`` at ``_decode(x)`` against
+    central differences of its value, coordinate by coordinate."""
+    _, grad = _factor_objective(search, x, nt, budget)
+    for i in range(x.size):
+        t = 1e-6 * max(1.0, abs(x[i]))
+        up, down = x.copy(), x.copy()
+        up[i] += t
+        down[i] -= t
+        fd = (
+            _factor_objective(search, up, nt, budget)[0]
+            - _factor_objective(search, down, nt, budget)[0]
+        ) / (2.0 * t)
+        assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+class TestFactorGradient:
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_wiretap_difference(self, case):
+        h1, h2, budget, x = case
+        assert_central_difference(
+            lambda q: _secrecy_rate_grad(h1, h2, q), x, h1.shape[1], budget
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_multicast_softmin(self, case):
+        h1, h2, budget, x = case
+        assert_central_difference(
+            lambda q: _softmin_grad(h1, h2, q), x, h1.shape[1], budget
+        )
+
+
+def with_gradient(objective, gradient):
+    """Value-and-gradient callable, as the search follows."""
+    return lambda q: (objective(q), gradient(q))
 
 
 class TestDriver:
@@ -113,7 +151,7 @@ class TestDriver:
             2,
             1.5,
             SolverOptions(n_starts=3, max_iters=40),
-            batch_search=batched(spiky),
+            search_objective=with_gradient(spiky, lambda q: -2.0 * (q - 0.3)),
         )
         for qq in seen + [q]:
             assert np.trace(qq) <= 1.5 + 1e-9
@@ -123,16 +161,18 @@ class TestDriver:
         def obj(q):
             return float(np.trace(q))
 
-        q, val, conv = maximize_psd_objective(obj, 2, 0.0, batch_search=batched(obj))
+        search = with_gradient(obj, lambda q: np.eye(2))
+        q, val, conv = maximize_psd_objective(obj, 2, 0.0, search_objective=search)
         assert np.array_equal(q, np.zeros((2, 2))) and val == 0.0 and conv
 
     def test_deterministic(self):
         def obj(q):
             return float(np.trace(q @ np.diag([1.0, 2.0])))
 
-        opts, search = SolverOptions(seed=5), batched(obj)
-        a = maximize_psd_objective(obj, 2, 1.0, opts, batch_search=search)
-        b = maximize_psd_objective(obj, 2, 1.0, opts, batch_search=search)
+        opts = SolverOptions(seed=5)
+        search = with_gradient(obj, lambda q: np.diag([1.0, 2.0]))
+        a = maximize_psd_objective(obj, 2, 1.0, opts, search_objective=search)
+        b = maximize_psd_objective(obj, 2, 1.0, opts, search_objective=search)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_concave_reference(self):
@@ -140,7 +180,8 @@ class TestDriver:
         def obj(q):
             return float(np.trace(q @ np.diag([1.0, 3.0])))
 
+        search = with_gradient(obj, lambda q: np.diag([1.0, 3.0]))
         q, val, _ = maximize_psd_objective(
-            obj, 2, 1.0, SolverOptions(), batch_search=batched(obj)
+            obj, 2, 1.0, SolverOptions(), search_objective=search
         )
         assert val == pytest.approx(3.0, abs=1e-5)

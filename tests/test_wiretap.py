@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from secregion import SolverOptions, secrecy_rate, solve_wiretap, waterfill
 
@@ -79,3 +80,32 @@ class TestSolveWiretap:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             solve_wiretap([[1.0]], [[1.0]], -0.1)
+
+
+class TestWideArrays:
+    """nt = 4 and 5, beyond the two- and three-antenna published instances."""
+
+    @pytest.mark.parametrize("nt", [4, 5])
+    def test_reaches_rank_one_beam_bound(self, nt):
+        # A unit beam v at full power achieves 0.5 log2 of the ratio
+        # v^T (I + p Hm^T Hm) v / v^T (I + p He^T He) v, at best the top
+        # generalized eigenvalue of the pair.
+        rng = np.random.default_rng(20 + nt)
+        for _ in range(3):
+            hm = rng.standard_normal((int(rng.integers(1, 6)), nt))
+            he = rng.standard_normal((int(rng.integers(1, 6)), nt))
+            p = float(rng.uniform(0.5, 20))
+            top = eigh(
+                np.eye(nt) + p * hm.T @ hm, np.eye(nt) + p * he.T @ he, eigvals_only=True
+            )[-1]
+            bound = max(0.5 * np.log2(top), 0.0)
+            assert solve_wiretap(hm, he, p).rate >= bound - 1e-6
+
+    @pytest.mark.parametrize("nt", [4, 5])
+    def test_reduces_to_waterfilling_without_eavesdropper(self, nt):
+        rng = np.random.default_rng(30 + nt)
+        for rows in (1, 3, 5):
+            hm = rng.standard_normal((rows, nt))
+            p = float(rng.uniform(0.5, 20))
+            res = solve_wiretap(hm, np.zeros((1, nt)), p)
+            assert res.rate == pytest.approx(waterfill(hm, p)[1], abs=1e-6)
