@@ -8,11 +8,11 @@ solver for the case without a common message.  Random-search oracles and
 orthogonal baselines provide independent validation.
 """
 
-from .baselines import oma_timeshare, random_search_region, tdma_region
+from .baselines import build_rotation, oma_timeshare, random_search_region, tdma_region
 from .cli import ChannelParseError, RunConfig, load_channels, run, write_channels
 from .multicast import MulticastResult, case_classify, solve_multicast
 from .rates import evaluate_triple, gauss_rate, layered_rate
-from .rotation import SolverOptions, build_rotation
+from .rotation import SolverOptions
 from .splitting import (
     SplitResult,
     SweepPoint,
@@ -46,13 +46,10 @@ from .wsr import (
     BsmmState,
     WsrConfig,
     WsrSolution,
+    block_price,
     bsmm_inner,
     closed_form_block,
     kkt_residual,
-    price_matrix_a,
-    price_matrix_b,
-    price_matrix_c1,
-    price_matrix_c2,
     wsr_solve,
     wsr_sweep,
     wsr_sweep_points,
@@ -84,6 +81,7 @@ __all__ = [
     "WiretapResult",
     "WsrConfig",
     "WsrSolution",
+    "block_price",
     "bsmm_inner",
     "build_rotation",
     "case_classify",
@@ -96,10 +94,6 @@ __all__ = [
     "load_channels",
     "oma_timeshare",
     "pareto_filter",
-    "price_matrix_a",
-    "price_matrix_b",
-    "price_matrix_c1",
-    "price_matrix_c2",
     "project_psd",
     "random_search_region",
     "region_contains",

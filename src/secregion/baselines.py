@@ -3,20 +3,23 @@
 The random-search region approximates the optimal nonlinear-coding region
 on small instances by evaluating a large number of random covariance
 triples; every reported point is achievable because it passes through the
-shared rate evaluator with validated covariances.  The orthogonal
+shared rate evaluator with validated covariances; one of its sample
+families is a rotated diagonal, whose rotation ``build_rotation`` forms
+from plane-rotation angles.  The orthogonal
 baselines serve each message in its own time slot (equal-length TDMA) or
 time-share the two single-user optima (OMA).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .multicast import solve_multicast
 from .rates import evaluate_stack
-from .rotation import SolverOptions, build_rotation, n_angles
+from .rotation import SolverOptions
 from .splitting import hull_pareto
 from .types import (
     ORDER_12,
@@ -26,6 +29,7 @@ from .types import (
     RateRegion,
     RateTriple,
     Scenario,
+    _dominated_by,
     check_covariance_stacks,
 )
 from .waterfill import waterfill
@@ -40,10 +44,37 @@ _FAMILY_CYCLE = ("full", "full", "rank1", "rotdiag")
 # Samples drawn, validated and rated together.  Larger blocks amortize the
 # stacked calls further but widen the pairwise Pareto prefilter.
 _BLOCK = 256
-# Most point pairs the prefilter compares at once (a few bytes each): on a
-# single-antenna pair every sample can be Pareto-optimal, and the kept set
-# then grows with the sample count.
-_PAIR_CHUNK = 1 << 20
+
+
+def n_angles(nt: int) -> int:
+    return nt * (nt - 1) // 2
+
+
+def build_rotation(angles, nt: int) -> np.ndarray:
+    """Orthogonal matrix from plane-rotation angles.
+
+    The result is the product of the elementary rotations in increasing
+    lexicographic (p, q) order, p < q; each factor is an identity except
+    for the 2x2 rotation block in rows and columns p and q.  A stack of
+    angle rows, of shape (..., n_angles), gives the (..., nt, nt) stack of
+    their rotations, each built with the same arithmetic as a single row.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if angles.shape[-1] != n_angles(nt):
+        raise ValueError(
+            f"expected rows of {n_angles(nt)} angles for nt = {nt}, got {angles.shape}"
+        )
+    v = np.zeros(angles.shape[:-1] + (nt, nt))
+    v[..., range(nt), range(nt)] = 1.0
+    cos, sin = np.cos(angles), np.sin(angles)
+    for i, (p, q) in enumerate(itertools.combinations(range(nt), 2)):
+        c, s = cos[..., i, None], sin[..., i, None]
+        # Right-multiplying by the elementary factor touches columns p, q only.
+        vp = c * v[..., :, p] + s * v[..., :, q]
+        vq = -s * v[..., :, p] + c * v[..., :, q]
+        v[..., :, p] = vp
+        v[..., :, q] = vq
+    return v
 
 
 def _draw_block(
@@ -111,28 +142,6 @@ def _undominated(rows: np.ndarray, kept: int) -> np.ndarray:
         survivors, survivors, ties=np.tri(len(survivors), k=-1, dtype=bool)
     )
     return np.concatenate([~_dominated_by(old, survivors), fresh])
-
-
-def _dominated_by(points: np.ndarray, others: np.ndarray, ties=False) -> np.ndarray:
-    """Which ``points`` some row of ``others`` strictly dominates.
-
-    Where ``ties`` (a bool, or a (points, others) mask) is true, a row of
-    ``others`` equal to the point also counts.  Points are compared in
-    chunks of at most ``_PAIR_CHUNK`` pairs.
-    """
-    ties = np.broadcast_to(ties, (len(points), len(others)))
-    out = np.zeros(len(points), dtype=bool)
-    step = max(1, _PAIR_CHUNK // max(1, len(others)))
-    for i in range(0, len(points), step):
-        pts = points[i : i + step]
-        ge = np.ones((len(pts), len(others)), dtype=bool)
-        gt = ties[i : i + step].copy()
-        for c in range(points.shape[1]):
-            col, own = others[:, c], pts[:, c, None]
-            ge &= col >= own
-            gt |= col > own
-        out[i : i + step] = (ge & gt).any(axis=1)
-    return out
 
 
 def random_search_region(

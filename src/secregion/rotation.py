@@ -1,6 +1,5 @@
-"""Factor parameterization of trace-bounded PSD matrices, the multi-start
-quasi-Newton search built on it, and the plane-rotation product that the
-random-search oracle draws its rotated diagonals from.
+"""Factor parameterization of trace-bounded PSD matrices and the
+multi-start quasi-Newton search built on it.
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -9,6 +8,9 @@ absorbs unused power.  Every parameter vector x = (vec B, s) maps to a
 feasible matrix, so the optimizer can never leave the feasible set, and
 the gradient in x follows from the objective's gradient in Q by the chain
 rule; no finite differences are taken.
+
+The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
+``rotation.maximize_psd_objective`` by it.
 """
 
 from __future__ import annotations
@@ -43,42 +45,6 @@ class SolverOptions:
             raise ValueError("max_iters and n_starts must be positive")
         if self.gtol <= 0:
             raise ValueError("gtol must be positive")
-
-
-def rotation_pairs(nt: int) -> list:
-    """Lexicographic (p, q) index pairs, p < q, matching the angle ordering."""
-    return [(p, q) for p in range(nt - 1) for q in range(p + 1, nt)]
-
-
-def n_angles(nt: int) -> int:
-    return nt * (nt - 1) // 2
-
-
-def build_rotation(angles, nt: int) -> np.ndarray:
-    """Orthogonal matrix from plane-rotation angles.
-
-    The result is the product of the elementary rotations in increasing
-    (p, q) order; each factor is an identity except for the 2x2 rotation
-    block in rows and columns p and q.  A stack of angle rows, of shape
-    (..., n_angles), gives the (..., nt, nt) stack of their rotations, each
-    built with the same arithmetic as a single row.
-    """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.shape[-1] != n_angles(nt):
-        raise ValueError(
-            f"expected rows of {n_angles(nt)} angles for nt = {nt}, got {angles.shape}"
-        )
-    v = np.zeros(angles.shape[:-1] + (nt, nt))
-    v[..., range(nt), range(nt)] = 1.0
-    cos, sin = np.cos(angles), np.sin(angles)
-    for i, (p, q) in enumerate(rotation_pairs(nt)):
-        c, s = cos[..., i, None], sin[..., i, None]
-        # Right-multiplying by the elementary factor touches columns p, q only.
-        vp = c * v[..., :, p] + s * v[..., :, q]
-        vq = -s * v[..., :, p] + c * v[..., :, q]
-        v[..., :, p] = vp
-        v[..., :, q] = vq
-    return v
 
 
 def _decode(x: np.ndarray, nt: int, budget: float) -> np.ndarray:

@@ -46,7 +46,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # The method form skips numpy's function dispatch, which costs more than
+    # the test itself on the small matrices of the WSR inner loop.
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -283,11 +285,32 @@ class RateTriple:
         return np.array([self.r0, self.r1, self.r2], dtype=float)
 
 
-def _dominated_mask(arr: np.ndarray) -> np.ndarray:
-    """Boolean mask of points strictly dominated by another point in ``arr``."""
-    ge_all = (arr[None, :, :] >= arr[:, None, :]).all(axis=2)
-    gt_any = (arr[None, :, :] > arr[:, None, :]).any(axis=2)
-    return (ge_all & gt_any).any(axis=1)
+# Most point pairs ``_dominated_by`` compares at once (a few bytes each): on
+# a single-antenna pair every oracle sample can be Pareto-optimal, and the
+# kept set then grows with the sample count.
+_PAIR_CHUNK = 1 << 20
+
+
+def _dominated_by(points: np.ndarray, others: np.ndarray, ties=False) -> np.ndarray:
+    """Which ``points`` some row of ``others`` strictly dominates.
+
+    Where ``ties`` (a bool, or a (points, others) mask) is true, a row of
+    ``others`` equal to the point also counts.  Points are compared in
+    chunks of at most ``_PAIR_CHUNK`` pairs.
+    """
+    ties = np.broadcast_to(ties, (len(points), len(others)))
+    out = np.zeros(len(points), dtype=bool)
+    step = max(1, _PAIR_CHUNK // max(1, len(others)))
+    for i in range(0, len(points), step):
+        pts = points[i : i + step]
+        ge = np.ones((len(pts), len(others)), dtype=bool)
+        gt = ties[i : i + step].copy()
+        for c in range(points.shape[1]):
+            col, own = others[:, c], pts[:, c, None]
+            ge &= col >= own
+            gt |= col > own
+        out[i : i + step] = (ge & gt).any(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,7 +329,7 @@ class RateRegion:
             if not isinstance(p, RateTriple):
                 raise TypeError("region points must be RateTriple instances")
         arr = np.array([p.as_array() for p in pts])
-        if bool(_dominated_mask(arr).any()):
+        if bool(_dominated_by(arr, arr).any()):
             raise ValueError("region contains a dominated point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "p_total", float(self.p_total))

@@ -2,18 +2,20 @@
 
 The weighted sum of the two users' rates is maximized under the total
 power constraint by bisecting the Lagrange multiplier of the power term
-and, at each multiplier, running block-successive maximization: the
-coupled terms that are convex in the block being updated are replaced by
-their first-order expansion, whose negative gradient is the power price
-matrix, and each penalized block then has the exact closed-form solution
-of ``closed_form_block``.
+and, at each multiplier, running block-successive maximization: each
+block keeps its own concave rate term exactly, the rest of the objective,
+which is convex in that block, is replaced by its first-order expansion,
+whose negative gradient is the block's price matrix (``block_price``), and
+each penalized block then has the exact closed-form solution of
+``closed_form_block``.
 
 Sign and scale convention, fixed here once: every price matrix is the
-exact negative gradient, in bits, of the convexified part of the
+exact negative gradient, in bits, of the linearized part of the
 objective, and the block penalty is always lam*I + price.  This is the
 unique choice under which the linearization is a true minorizer, which in
 turn makes the Lagrangian ascent monotone; both properties are enforced
-by tests and the ascent is asserted at runtime.
+by tests, which check the prices by finite differences of
+``rates.rate_stack``, and the ascent is asserted at runtime.
 
 The closed-form block works in natural log, so bit-denominated block
 weights are passed through ``bits_block_weight``.
@@ -25,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rates import LN2, evaluate_triple, gauss_rate, layered_rate, rate_stack, resolvent
-from .splitting import hull_pareto
+from .rates import LN2, evaluate_triple, link_rate_grad, rate_stack
+from .splitting import _alpha_grid, hull_pareto
 from .types import (
     ORDER_12,
     ORDER_21,
@@ -87,70 +89,47 @@ def bits_block_weight(w: float) -> float:
     return w / (2.0 * LN2)
 
 
-def _gram(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H^T (I + H X H^T)^{-1} H."""
-    return resolvent(h, x)[1]
+def _block1_weight(scenario: Scenario, w1: float, w2: float) -> float:
+    """Weight of block 1's kept term 0.5*log2|I + H1 q1 H1^T|, in bits.
+
+    User 1's rate carries it with w1; when user 2 is confidential, user 2's
+    secrecy rate carries it too, through user 1's view of q1.
+    """
+    return w1 + (w2 if scenario.user2_confidential else 0.0)
 
 
-# ---------------------------------------------------------------------------
-# Convexified objective parts and their price matrices.  Each coupling_*
-# function is the exact piece of the objective, in bits, that gets
-# linearized in the named block; the matching price matrix is its negative
-# gradient, checked against finite differences by the test suite.
-# ---------------------------------------------------------------------------
+def block_price(
+    ch: ChannelPair,
+    scenario: Scenario,
+    q1,
+    q2,
+    w1: float,
+    w2: float,
+    block: int,
+) -> np.ndarray:
+    """Price matrix of one block: the negative gradient, in bits, of the part
+    of w1*R1 + w2*R2 (order "12", no shared message) that the block linearizes.
 
-
-def coupling_term_a(ch: ChannelPair, q1, q2, w2: float) -> float:
-    """Scenario A, first block: user 2's layered rate as a function of q1."""
-    return w2 * layered_rate(ch.h2, q2, q1)
-
-
-def price_matrix_a(ch: ChannelPair, q1, q2, w2: float) -> np.ndarray:
+    With g_u(X) = 0.5*log2|I + Hu X Hu^T|, and c_u = 1 when user u's
+    message is confidential and 0 otherwise, the objective is
+    w1*(g1(q1) - c1*g2(q1)) + w2*(g2(q1 + q2) - g2(q1) - c2*(g1(q1 + q2) - g1(q1))).
+    Block 1 keeps ``_block1_weight`` * g1(q1) and block 2 keeps user 2's
+    layered rate w2*(g2(q1 + q2) - g2(q1)); what is left is convex in the
+    block.  Block 2's price is therefore zero unless user 2 is confidential.
+    """
+    if block not in (1, 2):
+        raise ValueError(f"block must be 1 or 2, got {block!r}")
     q1 = as_matrix(q1, "q1")
     q2 = as_matrix(q2, "q2")
-    c = w2 / (2.0 * LN2)
-    return c * (_gram(ch.h2, q1) - _gram(ch.h2, q1 + q2))
-
-
-def coupling_term_b(ch: ChannelPair, q1, q2, w1: float, w2: float) -> float:
-    """Scenario B, first block: leakage penalty plus user 2's layered rate."""
-    return -w1 * gauss_rate(ch.h2, q1) + w2 * layered_rate(ch.h2, q2, q1)
-
-
-def price_matrix_b(ch: ChannelPair, q1, q2, w1: float, w2: float) -> np.ndarray:
-    q1 = as_matrix(q1, "q1")
-    q2 = as_matrix(q2, "q2")
-    return (w1 + w2) / (2.0 * LN2) * _gram(ch.h2, q1) - w2 / (2.0 * LN2) * _gram(
-        ch.h2, q1 + q2
-    )
-
-
-def coupling_term_c1(ch: ChannelPair, q1, q2, w1: float, w2: float) -> float:
-    """Scenario C, first block: both leakage terms as a function of q1."""
-    return (
-        -(w1 + w2) * gauss_rate(ch.h2, q1)
-        + w2 * gauss_rate(ch.h2, q1 + q2)
-        - w2 * gauss_rate(ch.h1, q1 + q2)
-    )
-
-
-def price_matrix_c1(ch: ChannelPair, q1, q2, w1: float, w2: float) -> np.ndarray:
-    q1 = as_matrix(q1, "q1")
-    q2 = as_matrix(q2, "q2")
-    return price_matrix_b(ch, q1, q2, w1, w2) + w2 / (2.0 * LN2) * _gram(
-        ch.h1, q1 + q2
-    )
-
-
-def coupling_term_c2(ch: ChannelPair, q1, q2, w2: float) -> float:
-    """Scenario C, second block: user 1's leakage as a function of q2."""
-    return -w2 * gauss_rate(ch.h1, q1 + q2)
-
-
-def price_matrix_c2(ch: ChannelPair, q1, q2, w2: float) -> np.ndarray:
-    q1 = as_matrix(q1, "q1")
-    q2 = as_matrix(q2, "q2")
-    return w2 / (2.0 * LN2) * _gram(ch.h1, q1 + q2)
+    q12 = q1 + q2
+    price = np.zeros((ch.nt, ch.nt))
+    if block == 1:
+        leak = w1 if scenario.user1_confidential else 0.0
+        price += (leak + w2) * link_rate_grad(ch.h2, q1)[1]
+        price -= w2 * link_rate_grad(ch.h2, q12)[1]
+    if scenario.user2_confidential:
+        price += w2 * link_rate_grad(ch.h1, q12)[1]
+    return price
 
 
 def closed_form_block(w: float, s, r, h) -> np.ndarray:
@@ -213,6 +192,7 @@ def bsmm_inner(
     q1 = (p / (2.0 * nt)) * eye
     q2 = q1.copy()
     w1, w2 = cfg.w1, cfg.w2
+    k1 = _block1_weight(scenario, w1, w2)
 
     zero = np.zeros((1, nt, nt))
 
@@ -230,36 +210,15 @@ def bsmm_inner(
     converged = False
     i = 0
     for i in range(1, cfg.max_inner + 1):
-        if scenario.tag == "A":
-            a = price_matrix_a(ch, q1, q2, w2)
-            q1 = closed_form_block(bits_block_weight(w1), lam * eye + a, eye1, ch.h1)
-            q2 = closed_form_block(
-                bits_block_weight(w2),
-                lam * eye,
-                np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T,
-                ch.h2,
-            )
-        elif scenario.tag == "B":
-            a = price_matrix_b(ch, q1, q2, w1, w2)
-            q1 = closed_form_block(bits_block_weight(w1), lam * eye + a, eye1, ch.h1)
-            q2 = closed_form_block(
-                bits_block_weight(w2),
-                lam * eye,
-                np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T,
-                ch.h2,
-            )
-        else:
-            a = price_matrix_c1(ch, q1, q2, w1, w2)
-            q1 = closed_form_block(
-                bits_block_weight(w1 + w2), lam * eye + a, eye1, ch.h1
-            )
-            a2 = price_matrix_c2(ch, q1, q2, w2)
-            q2 = closed_form_block(
-                bits_block_weight(w2),
-                lam * eye + a2,
-                np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T,
-                ch.h2,
-            )
+        price = block_price(ch, scenario, q1, q2, w1, w2, 1)
+        q1 = closed_form_block(bits_block_weight(k1), lam * eye + price, eye1, ch.h1)
+        price = block_price(ch, scenario, q1, q2, w1, w2, 2)
+        q2 = closed_form_block(
+            bits_block_weight(w2),
+            lam * eye + price,
+            np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T,
+            ch.h2,
+        )
         wsr = weighted_sum(q1, q2)
         lagr = lagrangian(q1, q2, wsr)
         if lagr < prev_lagr - _ASCENT_SLACK:
@@ -351,34 +310,6 @@ def _positive_part_norm(g: np.ndarray) -> float:
     return float(max(w[-1], 0.0))
 
 
-def _lagrangian_gradients(
-    ch: ChannelPair, scenario: Scenario, q1, q2, lam: float, w1: float, w2: float
-) -> tuple:
-    c1, c2 = bits_block_weight(w1), bits_block_weight(w2)
-    eye = np.eye(ch.nt)
-    if scenario.tag == "A":
-        g1 = c1 * _gram(ch.h1, q1) + c2 * (
-            _gram(ch.h2, q1 + q2) - _gram(ch.h2, q1)
-        ) - lam * eye
-        g2 = c2 * _gram(ch.h2, q1 + q2) - lam * eye
-    elif scenario.tag == "B":
-        g1 = (
-            c1 * _gram(ch.h1, q1)
-            - (c1 + c2) * _gram(ch.h2, q1)
-            + c2 * _gram(ch.h2, q1 + q2)
-            - lam * eye
-        )
-        g2 = c2 * _gram(ch.h2, q1 + q2) - lam * eye
-    else:
-        g1 = (
-            (c1 + c2) * (_gram(ch.h1, q1) - _gram(ch.h2, q1))
-            + c2 * (_gram(ch.h2, q1 + q2) - _gram(ch.h1, q1 + q2))
-            - lam * eye
-        )
-        g2 = c2 * (_gram(ch.h2, q1 + q2) - _gram(ch.h1, q1 + q2)) - lam * eye
-    return g1, g2
-
-
 def kkt_residual(
     ch: ChannelPair,
     scenario: Scenario,
@@ -398,7 +329,17 @@ def kkt_residual(
     """
     q1 = as_matrix(q1, "q1")
     q2 = as_matrix(q2, "q2")
-    g1, g2 = _lagrangian_gradients(ch, scenario, q1, q2, lam, w1, w2)
+    eye = np.eye(ch.nt)
+    g1 = (
+        _block1_weight(scenario, w1, w2) * link_rate_grad(ch.h1, q1)[1]
+        - block_price(ch, scenario, q1, q2, w1, w2, 1)
+        - lam * eye
+    )
+    g2 = (
+        w2 * link_rate_grad(ch.h2, q1 + q2)[1]
+        - block_price(ch, scenario, q1, q2, w1, w2, 2)
+        - lam * eye
+    )
     parts = [
         _positive_part_norm(g1),
         abs(float(np.tensordot(g1, q1))),
@@ -415,7 +356,6 @@ def wsr_sweep_points(
     scenario: Scenario,
     p: float,
     sigma: float = 0.05,
-    base: WsrConfig | None = None,
 ) -> list:
     """Every solve of the weight sweep (w, 1 - w), as (point, solution) pairs.
 
@@ -427,19 +367,9 @@ def wsr_sweep_points(
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
     scenario_off = Scenario(scenario.tag, common_enabled=False)
-    weights = []
-    w = 0.0
-    while w < 1.0 - 1e-12:
-        weights.append(w)
-        w += sigma
-    weights.append(1.0)
     solved = []
-    for w1 in weights:
-        cfg = (
-            replace(base, w1=w1, w2=1.0 - w1)
-            if base is not None
-            else WsrConfig(w1=w1, w2=1.0 - w1)
-        )
+    for w1 in _alpha_grid(sigma, 1.0):
+        cfg = WsrConfig(w1=w1, w2=1.0 - w1)
         sol = wsr_solve(ch, scenario_off, cfg, p)
         solved.append((sol.rates, sol))
         if scenario_off.allows_order_swap:
@@ -454,12 +384,11 @@ def wsr_sweep(
     scenario: Scenario,
     p: float,
     sigma: float = 0.05,
-    base: WsrConfig | None = None,
 ) -> RateRegion:
     """Frontier traced by sweeping the weight pair (w, 1 - w).
 
     The Pareto hull of the points of ``wsr_sweep_points``.
     """
-    solved = wsr_sweep_points(ch, scenario, p, sigma, base)
+    solved = wsr_sweep_points(ch, scenario, p, sigma)
     scenario_off = Scenario(scenario.tag, common_enabled=False)
     return RateRegion(tuple(hull_pareto([pt for pt, _ in solved])), scenario_off, p)

@@ -16,13 +16,10 @@ from secregion import (
     Scenario,
     SolverOptions,
     WsrConfig,
+    block_price,
     bsmm_inner,
     gauss_rate,
     layered_rate,
-    price_matrix_a,
-    price_matrix_b,
-    price_matrix_c1,
-    price_matrix_c2,
     random_search_region,
     region_contains,
     run,
@@ -39,14 +36,7 @@ from secregion import (
     wsr_sweep,
     write_channels,
 )
-from secregion.wsr import (
-    coupling_term_a,
-    coupling_term_b,
-    coupling_term_c1,
-    coupling_term_c2,
-)
-
-from conftest import random_psd
+from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
 
 def batched_link_rates(h, qs):
@@ -164,21 +154,8 @@ class TestAcceptance:
     def test_criterion_4_price_matrices(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(400)
-
-        def fd_gradient(f, q, eps=1e-6):
-            n = q.shape[0]
-            g = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    d = np.zeros((n, n))
-                    d[i, j] += 0.5
-                    d[j, i] += 0.5
-                    step = eps * max(1.0, abs(q[i, j]))
-                    g[i, j] = g[j, i] = (f(q + step * d) - f(q - step * d)) / (
-                        2.0 * step
-                    )
-            return g
-
+        # Each block price against finite differences of the rate_stack
+        # weighted sum less the block's kept term, for every scenario.
         worst = 0.0
         for _ in range(50):
             nt = int(rng.integers(1, 4))
@@ -190,25 +167,11 @@ class TestAcceptance:
             q2 = random_psd(rng, nt, float(rng.uniform(0.2, 4)))
             w1 = float(rng.uniform(0.1, 1))
             w2 = float(rng.uniform(0.1, 1))
-            checks = [
-                (
-                    price_matrix_a(ch, q1, q2, w2),
-                    fd_gradient(lambda x: coupling_term_a(ch, x, q2, w2), q1),
-                ),
-                (
-                    price_matrix_b(ch, q1, q2, w1, w2),
-                    fd_gradient(lambda x: coupling_term_b(ch, x, q2, w1, w2), q1),
-                ),
-                (
-                    price_matrix_c1(ch, q1, q2, w1, w2),
-                    fd_gradient(lambda x: coupling_term_c1(ch, x, q2, w1, w2), q1),
-                ),
-                (
-                    price_matrix_c2(ch, q1, q2, w2),
-                    fd_gradient(lambda x: coupling_term_c2(ch, q1, x, w2), q2),
-                ),
-            ]
-            for price, grad in checks:
+            for tag, block in WSR_PRICE_PAIRS.values():
+                sc = Scenario(tag, False)
+                price = block_price(ch, sc, q1, q2, w1, w2, block)
+                part = wsr_linearized_part(ch, sc, q1, q2, w1, w2, block)
+                grad = fd_gradient(part, q1 if block == 1 else q2)
                 rel = np.linalg.norm(price + grad) / max(1.0, np.linalg.norm(grad))
                 worst = max(worst, rel)
                 assert rel <= 1e-5
@@ -216,7 +179,7 @@ class TestAcceptance:
         assert elapsed < 60.0
         report(
             "criterion 4 price-matrix correctness",
-            f"max relative FD deviation {worst:.2e} over 50x4 instances",
+            f"max relative FD deviation {worst:.2e} over 50x6 (scenario, block) cases",
             elapsed,
         )
 

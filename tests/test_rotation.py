@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secregion import SolverOptions, build_rotation
+from secregion.baselines import n_angles
 from secregion.multicast import _softmin_grad
-from secregion.rotation import (
-    _decode,
-    _encode,
-    _factor_objective,
-    maximize_psd_objective,
-    n_angles,
-)
+from secregion.rotation import _decode, _encode, _factor_objective, maximize_psd_objective
 from secregion.wiretap import _secrecy_rate_grad
 
 

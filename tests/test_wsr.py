@@ -6,46 +6,17 @@ from secregion import (
     ConsistencyError,
     Scenario,
     WsrConfig,
+    block_price,
     bsmm_inner,
     closed_form_block,
     kkt_residual,
-    price_matrix_a,
-    price_matrix_b,
-    price_matrix_c1,
-    price_matrix_c2,
     solve_wiretap,
     waterfill,
     wsr_solve,
 )
 from secregion.rates import LN2, rate_stack
-from secregion.wsr import (
-    coupling_term_a,
-    coupling_term_b,
-    coupling_term_c1,
-    coupling_term_c2,
-)
 
-from conftest import random_psd
-
-
-def fd_gradient(f, q, eps=1e-6):
-    """Symmetric-basis central finite-difference matrix gradient of f at q."""
-    n = q.shape[0]
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            d = np.zeros((n, n))
-            d[i, j] += 0.5
-            d[j, i] += 0.5
-            step = eps * max(1.0, abs(q[i, j]))
-            hi = f(q + step * d)
-            lo = f(q - step * d)
-            deriv = (hi - lo) / (2.0 * step)  # equals tr(grad @ d)
-            if i == j:
-                g[i, i] = deriv
-            else:
-                g[i, j] = g[j, i] = deriv
-    return g
+from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
 
 def random_instance(rng, nt=2, n1=2, n2=2):
@@ -58,88 +29,71 @@ def random_instance(rng, nt=2, n1=2, n2=2):
 class TestPriceMatrices:
     def test_a_zero_when_q2_zero(self, ch22):
         q1 = random_psd(np.random.default_rng(0), 2, 2.0)
-        a = price_matrix_a(ch22, q1, np.zeros((2, 2)), 1.0)
+        a = block_price(ch22, Scenario("A", False), q1, np.zeros((2, 2)), 1.0, 1.0, 1)
         assert np.allclose(a, 0.0, atol=1e-12)
 
     def test_a_scalar_value(self):
         ch = ChannelPair([[1.0]], [[1.0]])
-        a = price_matrix_a(ch, [[0.0]], [[1.0]], 1.0)
+        a = block_price(ch, Scenario("A", False), [[0.0]], [[1.0]], 1.0, 1.0, 1)
         assert a[0, 0] == pytest.approx((1.0 - 0.5) / (2.0 * LN2), abs=1e-12)
 
     def test_b_scalar_value(self):
         ch = ChannelPair([[1.0]], [[1.0]])
-        a = price_matrix_b(ch, [[0.0]], [[0.0]], 1.0, 1.0)
+        a = block_price(ch, Scenario("B", False), [[0.0]], [[0.0]], 1.0, 1.0, 1)
         assert a[0, 0] == pytest.approx(1.0 / (2.0 * LN2), abs=1e-12)
 
     def test_b_pure_leakage_when_w2_zero(self, ch22):
         rng = np.random.default_rng(1)
         q1 = random_psd(rng, 2, 1.0)
         q2 = random_psd(rng, 2, 1.0)
-        a = price_matrix_b(ch22, q1, q2, 0.7, 0.0)
+        a = block_price(ch22, Scenario("B", False), q1, q2, 0.7, 0.0, 1)
         m = np.eye(2) + ch22.h2 @ q1 @ ch22.h2.T
         ref = 0.7 / (2 * LN2) * ch22.h2.T @ np.linalg.solve(m, ch22.h2)
         assert np.allclose(a, ref, atol=1e-12)
 
-    @pytest.mark.parametrize("which", ["a", "b", "c1", "c2"])
+    def test_bad_block_rejected(self, ch22):
+        with pytest.raises(ValueError, match="block"):
+            block_price(ch22, Scenario("A", False), np.eye(2), np.eye(2), 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("which", list(WSR_PRICE_PAIRS))
     def test_matches_finite_differences(self, which):
-        rng = np.random.default_rng(hash(which) % 2**32)
+        tag, block = WSR_PRICE_PAIRS[which]
+        sc = Scenario(tag, False)
+        rng = np.random.default_rng([ord(tag), block])
         for _ in range(10):
             ch, q1, q2 = random_instance(rng)
             w1, w2 = float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1))
-            if which == "a":
-                price = price_matrix_a(ch, q1, q2, w2)
-                grad = fd_gradient(lambda x: coupling_term_a(ch, x, q2, w2), q1)
-            elif which == "b":
-                price = price_matrix_b(ch, q1, q2, w1, w2)
-                grad = fd_gradient(lambda x: coupling_term_b(ch, x, q2, w1, w2), q1)
-            elif which == "c1":
-                price = price_matrix_c1(ch, q1, q2, w1, w2)
-                grad = fd_gradient(lambda x: coupling_term_c1(ch, x, q2, w1, w2), q1)
-            else:
-                price = price_matrix_c2(ch, q1, q2, w2)
-                grad = fd_gradient(lambda x: coupling_term_c2(ch, q1, x, w2), q2)
-            ref = -grad
+            price = block_price(ch, sc, q1, q2, w1, w2, block)
+            part = wsr_linearized_part(ch, sc, q1, q2, w1, w2, block)
+            ref = -fd_gradient(part, q1 if block == 1 else q2)
             assert np.linalg.norm(price - ref) <= 1e-5 * max(1.0, np.linalg.norm(ref))
 
     def test_prices_are_psd(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             ch, q1, q2 = random_instance(rng)
-            for a in (
-                price_matrix_a(ch, q1, q2, 0.8),
-                price_matrix_b(ch, q1, q2, 0.5, 0.8),
-                price_matrix_c1(ch, q1, q2, 0.5, 0.8),
-                price_matrix_c2(ch, q1, q2, 0.8),
-            ):
+            for tag, block in WSR_PRICE_PAIRS.values():
+                a = block_price(ch, Scenario(tag, False), q1, q2, 0.5, 0.8, block)
                 assert np.allclose(a, a.T, atol=1e-12)
                 assert np.linalg.eigvalsh(a)[0] >= -1e-10
 
     def test_minorizer_validity(self):
-        # convexity of the coupling terms means the linearization at any
+        # convexity of the linearized parts means the linearization at any
         # point lies below the function everywhere
         rng = np.random.default_rng(4)
         for _ in range(20):
             ch, q1, q2 = random_instance(rng)
             w1, w2 = 0.6, 0.9
-            for term, price in (
-                (
-                    lambda x: coupling_term_a(ch, x, q2, w2),
-                    price_matrix_a(ch, q1, q2, w2),
-                ),
-                (
-                    lambda x: coupling_term_b(ch, x, q2, w1, w2),
-                    price_matrix_b(ch, q1, q2, w1, w2),
-                ),
-                (
-                    lambda x: coupling_term_c1(ch, x, q2, w1, w2),
-                    price_matrix_c1(ch, q1, q2, w1, w2),
-                ),
-            ):
-                f0 = term(q1)
+            for tag, block in WSR_PRICE_PAIRS.values():
+                sc = Scenario(tag, False)
+                part = wsr_linearized_part(ch, sc, q1, q2, w1, w2, block)
+                price = block_price(ch, sc, q1, q2, w1, w2, block)
+                at = q1 if block == 1 else q2
+                f0 = part(at)
                 for _ in range(10):
                     x = random_psd(rng, 2, float(rng.uniform(0.1, 4)))
-                    bound = f0 - float(np.tensordot(price, x - q1))
-                    assert term(x) >= bound - 1e-9
+                    bound = f0 - float(np.tensordot(price, x - at))
+                    assert part(x) >= bound - 1e-9
 
 
 class TestClosedFormBlock:
@@ -285,9 +239,9 @@ class TestWsrSolve:
         # the monotone ascent assertion rather than silently converge
         import secregion.wsr as wsr_mod
 
-        orig = wsr_mod.price_matrix_a
+        orig = wsr_mod.block_price
         monkeypatch.setattr(
-            wsr_mod, "price_matrix_a", lambda ch, q1, q2, w2: 4.0 * orig(ch, q1, q2, w2)
+            wsr_mod, "block_price", lambda *args: 4.0 * orig(*args)
         )
         with pytest.raises(ConsistencyError):
             bsmm_inner(ch22, Scenario("A", False), WsrConfig(1.0, 1.0), 0.05, 12.0)
