@@ -3,7 +3,9 @@
 The consumers are plotting and diffing pipelines, so output is plain CSV
 with 17-significant-digit decimals (exact double round-trip) plus a
 human-readable key=value sidecar carrying every parameter, tolerance, the
-seed, wall time, and solver flags.  One process runs one
+seed, wall time, and solver flags; a ``wsr`` job's sidecar also sums the
+BSMM rounds (``bsmm_rounds``) and the inner solves that hit the round cap
+(``bsmm_capped``) over its solves.  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
 """
 
@@ -189,6 +191,7 @@ def run(cfg: RunConfig) -> int:
     opts = SolverOptions(seed=cfg.seed)
     start = time.perf_counter()
     n_unconverged = 0
+    bsmm = {}
     if cfg.method == "ps":
         rows, n_unconverged = _csv_rows_ps(ch, scenario, cfg, opts)
     else:
@@ -196,6 +199,10 @@ def run(cfg: RunConfig) -> int:
             solved = wsr_sweep_points(ch, scenario, cfg.power, sigma=cfg.sigma)
             points = hull_pareto([pt for pt, _ in solved])
             n_unconverged = sum(1 for _, sol in solved if not sol.converged)
+            bsmm = {
+                "bsmm_rounds": str(sum(sol.n_rounds for _, sol in solved)),
+                "bsmm_capped": str(sum(sol.n_capped for _, sol in solved)),
+            }
         elif cfg.method == "tdma":
             points = tdma_region(ch, scenario, cfg.power, opts).points
         elif cfg.method == "oma":
@@ -231,6 +238,7 @@ def run(cfg: RunConfig) -> int:
         "wsr_eps3": _fmt(WsrConfig(1.0, 0.0).eps3),
         "n_points": str(len(rows)),
         "n_unconverged_cells": str(n_unconverged),
+        **bsmm,
         "wall_time_s": f"{wall:.3f}",
     }
     with open(cfg.out + ".meta", "w", encoding="utf-8") as fh:

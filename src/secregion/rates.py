@@ -2,16 +2,21 @@
 
 Every achievable-rate formula used anywhere in the package is evaluated
 here, always against the original (untransformed) channels.  The
-scenario rules for the three messages live only in ``rate_stack``;
-``evaluate_stack`` and ``evaluate_triple`` clamp its values for
-reporting.  ``gauss_rate`` and ``layered_rate`` are the single-link
+scenario rules for the three messages live only in ``rate_rule``, which
+turns per-user link values 0.5 * log2|I + Hu Q Hu^T| into rate triples.
+``rate_stack`` is the batched log-determinants of a covariance stack plus
+that rule; ``evaluate_stack`` and ``evaluate_triple`` clamp its values for
+reporting, and the WSR inner loop feeds the rule the link values of its
+own factors.  ``gauss_rate`` and ``layered_rate`` are the single-link
 primitives of the subproblem solvers and the WSR coupling terms, and
 ``link_rate_grad`` gives a link rate with its gradient for the searches.
 Log determinants go through a Cholesky factorization of I + PSD, which is
 positive definite by construction; an eigenvalue sum is the fallback when
 round-off defeats the factorization.  Inverse-times-matrix expressions in
 rates are rewritten as differences of log determinants; the only inverse
-formed is that of the Cholesky factor in ``resolvent``, for gradients.
+formed is that of the Cholesky factor L in ``resolvent``, which gives the
+log-determinant, the whitened channel L^{-1} H and the Gram matrix
+H^T (I + H Q H^T)^{-1} H of one link from that one factor.
 """
 
 from __future__ import annotations
@@ -45,15 +50,19 @@ def logdet_pd(m: np.ndarray) -> float:
 
 
 def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
-    """``(ln|M|, H^T M^{-1} H)`` for M = I + H Q H^T, from one Cholesky factor L.
+    """``(ln|M|, Y, Y^T Y)`` for M = I + H Q H^T, from one Cholesky factor L.
 
-    With Y = L^{-1} H the Gram matrix is Y^T Y, symmetric by construction.
-    M must be positive definite, as it is for every PSD Q.
+    Y = L^{-1} H is the whitened channel, and Y^T Y = H^T M^{-1} H the Gram
+    matrix, symmetric by construction.  ``q`` may be one (nt, nt) matrix
+    or a (k, nt, nt) stack, which is factored in one batched call; the
+    log-determinant is then a (k,) array.  M must be positive definite,
+    as it is for every PSD Q.
     """
     m = np.eye(h.shape[0]) + h @ q @ h.T
-    chol = np.linalg.cholesky(0.5 * (m + m.T))
+    chol = np.linalg.cholesky(0.5 * (m + m.swapaxes(-1, -2)))
     y = np.linalg.inv(chol) @ h
-    return 2.0 * float(np.sum(np.log(np.diag(chol)))), y.T @ y
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return logdet, y, y.swapaxes(-1, -2) @ y
 
 
 def _half_logdet2_iplus(h: np.ndarray, q: np.ndarray) -> float:
@@ -85,7 +94,7 @@ def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
     validated, so reported results must still go through ``gauss_rate``,
     whose value this reproduces.
     """
-    logdet, gram = resolvent(h, q)
+    logdet, _, gram = resolvent(h, q)
     return 0.5 * logdet / LN2, gram / (2.0 * LN2)
 
 
@@ -129,27 +138,16 @@ def rate_stack(
 ) -> np.ndarray:
     """Unclamped rate triples of k covariance triples, for each encoding order.
 
-    The one place where the scenario rules are written out: which message
-    is confidential, and which layer interferes with which.  ``q0``,
-    ``q1`` and ``q2`` are (k, nt, nt) stacks of PSD covariances; nothing
-    else about them is checked here.  Returns an array of shape
+    ``q0``, ``q1`` and ``q2`` are (k, nt, nt) stacks of PSD covariances;
+    nothing else about them is checked here.  Returns an array of shape
     (len(orders), k, 3) holding (r0, r1, r2) per order and triple.
     Secrecy rates may be negative; solvers ascend these values, and
     ``evaluate_stack`` clamps them for reporting.
 
-    Order "21" exchanges the roles of the two users in the formulas (h1
-    with h2 and q1 with q2) and is rejected for scenario B, whose single
-    order is already optimal.  Both orders draw on the same eight
-    log-determinants, 0.5 * log2|I + Hu Q Hu^T| for each user u and
-    Q in {q0 + (q1 + q2), q1 + q2, q1, q2}; for instance user 2's view of
-    the first-encoded covariance enters both the first user's secrecy
-    term and the second user's interference term.
+    The eight link values 0.5 * log2|I + Hu Q Hu^T|, for each user u and
+    Q in {q0 + (q1 + q2), q1 + q2, q1, q2}, come from one batched Cholesky
+    factorization per user; ``rate_rule`` turns them into rates.
     """
-    for order in orders:
-        if order not in (ORDER_12, ORDER_21):
-            raise ValueError(f"order must be '12' or '21', got {order!r}")
-        if order == ORDER_21 and not scenario.allows_order_swap:
-            raise ValueError("scenario B supports only the '12' encoding order")
     if q0.shape[1:] != (ch.nt, ch.nt) or not q0.shape == q1.shape == q2.shape:
         raise DimensionError(
             f"covariance stacks of shapes {q0.shape}, {q1.shape}, {q2.shape} "
@@ -159,16 +157,41 @@ def rate_stack(
 
     q12 = q1 + q2
     stack = np.concatenate([q0 + q12, q12, q1, q2])
-    # logdet[u][j]: user u's link with the j-th covariance of the list above.
     logdet = (
         _half_logdet2_stack(ch.h1, stack).reshape(4, k),
         _half_logdet2_stack(ch.h2, stack).reshape(4, k),
     )
+    return rate_rule(scenario, logdet, orders)
+
+
+def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)) -> np.ndarray:
+    """The scenario rules: unclamped rate triples from per-user link values.
+
+    The one place where the scenario rules are written out: which message
+    is confidential, and which layer interferes with which.
+    ``logdet[u][j]`` is 0.5 * log2|I + Hu Q Hu^T| for user u (0 or 1) and
+    the j-th of q0 + (q1 + q2), q1 + q2, q1, q2; each entry is a float or
+    an array, all of one shape s.  Returns an array of shape
+    (len(orders),) + s + (3,) holding (r0, r1, r2).  Entries that no
+    requested order reads may be None: order "12" never reads the q2
+    entries, nor "21" the q1 entries.
+
+    Order "21" exchanges the roles of the two users in the formulas (h1
+    with h2 and q1 with q2) and is rejected for scenario B, whose single
+    order is already optimal.  Both orders draw on the same link values;
+    for instance user 2's view of the first-encoded covariance enters both
+    the first user's secrecy term and the second user's interference term.
+    """
+    for order in orders:
+        if order not in (ORDER_12, ORDER_21):
+            raise ValueError(f"order must be '12' or '21', got {order!r}")
+        if order == ORDER_21 and not scenario.allows_order_swap:
+            raise ValueError("scenario B supports only the '12' encoding order")
     # The shared message sees q1 + q2 as interference on both links, so its
     # rate does not depend on the order.
     r0 = np.minimum(*(ld[0] - ld[1] for ld in logdet))
 
-    out = np.empty((len(orders), k, 3))
+    out = np.empty((len(orders),) + np.shape(r0) + (3,))
     for n, order in enumerate(orders):
         # first, second: the users (0 or 1) encoded first and second; own:
         # where the first-encoded user's covariance sits in the list above.
@@ -183,9 +206,9 @@ def rate_stack(
         r_second = ls[1] - ls[own]
         if scenario.user2_confidential:
             r_second = r_second - (lf[1] - lf[own])
-        out[n, :, 0] = r0
-        out[n, :, 1 + first] = r_first
-        out[n, :, 1 + second] = r_second
+        out[n, ..., 0] = r0
+        out[n, ..., 1 + first] = r_first
+        out[n, ..., 1 + second] = r_second
     if not np.all(np.isfinite(out)):
         raise ValueError("rate evaluation produced non-finite values")
     return out

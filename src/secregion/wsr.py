@@ -19,15 +19,29 @@ by tests, which check the prices by finite differences of
 
 The closed-form block works in natural log, so bit-denominated block
 weights are passed through ``bits_block_weight``.
+
+One copy of each rule serves both the checked public functions and the
+inner loop.  ``block_price`` forms its Gram matrices with
+``rates.resolvent`` and hands them to the price core ``price_from_grams``;
+``closed_form_block`` validates and whitens its inputs and hands them to
+the mode-loading kernel ``load_modes``; the weighted sum is
+``rates.rate_rule`` applied to link values.  The inner loop calls the same
+three functions, but factors each link matrix I + Hu X Hu^T it needs once
+per round (a Cholesky factor L): the one factor gives the link's
+log-determinant for the weighted sum, its Gram matrix Y^T Y with
+Y = L^{-1} Hu for the next block price, and, for user 2 at the new q1,
+the whitened channel Y of block 2.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rates import LN2, evaluate_triple, link_rate_grad, rate_stack
+from .rates import LN2, evaluate_triple, link_rate_grad, rate_rule, resolvent
 from .splitting import _alpha_grid, hull_pareto
 from .types import (
     ORDER_12,
@@ -46,6 +60,7 @@ from .types import (
 _ASCENT_SLACK = 1e-9
 
 _S_JITTER = 1e-12
+_SIG_FLOOR = np.finfo(float).tiny ** 0.5
 
 
 class BracketError(RuntimeError):
@@ -58,7 +73,10 @@ class WsrConfig:
 
     ``lambda_max`` defaults to ten times the larger weight; the bracket is
     widened tenfold and retried once if it fails to straddle the power
-    constraint.
+    constraint.  Every field is checked here, once, and the solvers trust
+    it: the floats must be finite, the weights nonnegative,
+    0 < lambda_min < lambda_max, the tolerances positive and ``max_inner``
+    a positive integer.
     """
 
     w1: float
@@ -70,18 +88,26 @@ class WsrConfig:
     max_inner: int = 500
 
     def __post_init__(self):
+        for name in ("w1", "w2", "lambda_min", "lambda_max", "eps2", "eps3"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.w1 < 0 or self.w2 < 0:
             raise ValueError("weights must be nonnegative")
         if self.lambda_max is None:
             object.__setattr__(
                 self, "lambda_max", 10.0 * max(self.w1, self.w2, 0.1)
             )
+        if self.lambda_min <= 0:
+            raise ValueError("lambda_min must be positive")
         if not self.lambda_min < self.lambda_max:
             raise ValueError("lambda_min must be below lambda_max")
         if self.eps2 <= 0 or self.eps3 <= 0:
             raise ValueError("eps2 and eps3 must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be positive")
+        if not isinstance(self.max_inner, numbers.Integral) or self.max_inner < 1:
+            raise ValueError(
+                f"max_inner must be a positive integer, got {self.max_inner!r}"
+            )
 
 
 def bits_block_weight(w: float) -> float:
@@ -96,6 +122,26 @@ def _block1_weight(scenario: Scenario, w1: float, w2: float) -> float:
     secrecy rate carries it too, through user 1's view of q1.
     """
     return w1 + (w2 if scenario.user2_confidential else 0.0)
+
+
+def price_from_grams(
+    scenario: Scenario, w1: float, w2: float, block: int, g2_1, g2_12, g1_12
+):
+    """The price core: a block's price from the Gram matrices of the links.
+
+    ``g2_1``, ``g2_12`` and ``g1_12`` are H^T (I + H X H^T)^{-1} H, in
+    natural units, for user 2 at X = q1 and at q1 + q2 and for user 1 at
+    q1 + q2.  Block 1 reads all three; block 2 reads only ``g1_12``, and
+    only when user 2 is confidential.  Grams the block does not read may be
+    None.  Returns the price matrix, or 0.0 when the block has no price.
+    """
+    price = 0.0
+    if block == 1:
+        leak = w1 if scenario.user1_confidential else 0.0
+        price = (leak + w2) * g2_1 - w2 * g2_12
+    if scenario.user2_confidential:
+        price = price + w2 * g1_12
+    return price / (2.0 * LN2)
 
 
 def block_price(
@@ -116,47 +162,62 @@ def block_price(
     Block 1 keeps ``_block1_weight`` * g1(q1) and block 2 keeps user 2's
     layered rate w2*(g2(q1 + q2) - g2(q1)); what is left is convex in the
     block.  Block 2's price is therefore zero unless user 2 is confidential.
+    The Grams come from ``rates.resolvent`` and go through
+    ``price_from_grams``, the core that the inner loop calls too.
     """
     if block not in (1, 2):
         raise ValueError(f"block must be 1 or 2, got {block!r}")
     q1 = as_matrix(q1, "q1")
     q2 = as_matrix(q2, "q2")
     q12 = q1 + q2
-    price = np.zeros((ch.nt, ch.nt))
+    g2_1 = g2_12 = g1_12 = None
     if block == 1:
-        leak = w1 if scenario.user1_confidential else 0.0
-        price += (leak + w2) * link_rate_grad(ch.h2, q1)[1]
-        price -= w2 * link_rate_grad(ch.h2, q12)[1]
+        g2_1 = resolvent(ch.h2, q1)[2]
+        g2_12 = resolvent(ch.h2, q12)[2]
     if scenario.user2_confidential:
-        price += w2 * link_rate_grad(ch.h1, q12)[1]
-    return price
+        g1_12 = resolvent(ch.h1, q12)[2]
+    return np.zeros((ch.nt, ch.nt)) + price_from_grams(
+        scenario, w1, w2, block, g2_1, g2_12, g1_12
+    )
+
+
+def load_modes(w: float, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact maximizer of w*ln|I + Y Q Y^T| - tr(S Q) over PSD Q: the kernel.
+
+    ``y`` is an already whitened channel and ``s`` is symmetric positive
+    definite after a +1e-12*I jitter; nothing else is checked.  The
+    solution loads the singular modes of Y S^{-1/2} up to the level ``w``.
+    """
+    s = 0.5 * (s + s.T) + _S_JITTER * np.eye(s.shape[0])
+    ws, vs = np.linalg.eigh(s)
+    if ws[0] <= 0:
+        raise ValueError("penalty matrix is indefinite after regularization")
+    s_isqrt = (vs / np.sqrt(ws)) @ vs.T
+    _, sig, vt = np.linalg.svd(y @ s_isqrt)
+    # Modes at or below sqrt(tiny) load nothing: their 1/sig^2 stays finite
+    # and far above any weight.
+    lam = np.zeros(s.shape[0])
+    lam[: sig.size] = np.maximum(w - 1.0 / np.maximum(sig, _SIG_FLOOR) ** 2, 0.0)
+    q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
+    return 0.5 * (q + q.T)
 
 
 def closed_form_block(w: float, s, r, h) -> np.ndarray:
     """Exact maximizer of w*ln|I + R^{-1} H Q H^T| - tr(S Q) over PSD Q.
 
     ``s`` must be symmetric positive definite after a +1e-12*I jitter and
-    ``r`` symmetric positive definite.  The solution loads the singular
-    modes of R^{-1/2} H S^{-1/2} up to the level ``w``.
+    ``r`` symmetric positive definite.  With R = L L^T, the channel is
+    whitened to L^{-1} H, which leaves the objective unchanged, and
+    ``load_modes`` solves the whitened problem.
     """
     s = as_matrix(s, "s")
     r = as_matrix(r, "r")
     h = as_matrix(h, "h")
-    s = 0.5 * (s + s.T) + _S_JITTER * np.eye(s.shape[0])
-    ws, vs = np.linalg.eigh(s)
-    if ws[0] <= 0:
-        raise ValueError("penalty matrix is indefinite after regularization")
-    s_isqrt = (vs / np.sqrt(ws)) @ vs.T
-    wr, vr = np.linalg.eigh(0.5 * (r + r.T))
-    if wr[0] <= 0:
-        raise ValueError("noise matrix must be positive definite")
-    r_isqrt = (vr / np.sqrt(wr)) @ vr.T
-    _, sig, vt = np.linalg.svd(r_isqrt @ h @ s_isqrt)
-    lam = np.zeros(s.shape[0])
-    pos = sig > np.finfo(float).tiny ** 0.5
-    lam[: sig.size][pos] = np.maximum(w - 1.0 / sig[pos] ** 2, 0.0)
-    q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
-    return 0.5 * (q + q.T)
+    try:
+        chol = np.linalg.cholesky(0.5 * (r + r.T))
+    except np.linalg.LinAlgError:
+        raise ValueError("noise matrix must be positive definite") from None
+    return load_modes(w, s, np.linalg.inv(chol) @ h)
 
 
 @dataclass(frozen=True)
@@ -183,44 +244,55 @@ def bsmm_inner(
     rounds.  The Lagrangian is asserted nondecreasing each round; a
     violation beyond round-off signals a price-matrix bug and raises
     ``ConsistencyError``.
+
+    Each link matrix I + Hu X Hu^T a round needs is factored once, by
+    ``rates.resolvent``.  The factors at the round's end point give the
+    link values of the weighted sum (through ``rates.rate_rule``) and the
+    Grams of the next block-1 price; user 2's factor at the new q1 also
+    whitens block 2's channel.  The inputs are trusted: ``wsr_solve`` and
+    the ``WsrConfig`` and ``ChannelPair`` constructors check them.
     """
     if lam <= 0:
         raise ValueError("the multiplier must be positive")
     nt = ch.nt
+    h1, h2 = ch.h1, ch.h2
     eye = np.eye(nt)
-    eye1 = np.eye(ch.n1)
     q1 = (p / (2.0 * nt)) * eye
     q2 = q1.copy()
     w1, w2 = cfg.w1, cfg.w2
-    k1 = _block1_weight(scenario, w1, w2)
+    k1 = bits_block_weight(_block1_weight(scenario, w1, w2))
+    k2 = bits_block_weight(w2)
+    half = 0.5 / LN2
 
-    zero = np.zeros((1, nt, nt))
+    def end_point(q1, q2, ld2_1):
+        # The unclamped rates: the ascent runs on the true objective.  User
+        # 2's log-determinant at q1 is the caller's; the q2 entries are
+        # never read in order "12".
+        q12 = q1 + q2
+        ld1, _, g1 = resolvent(h1, np.array((q1, q12)))
+        ld2_12, _, g2_12 = resolvent(h2, q12)
+        l1_1, l1_12 = half * ld1
+        l2_1, l2_12 = half * ld2_1, half * ld2_12
+        links = ((l1_12, l1_12, l1_1, None), (l2_12, l2_12, l2_1, None))
+        _, r1, r2 = rate_rule(scenario, links)[0]
+        wsr = float(w1 * r1 + w2 * r2)
+        lagr = wsr - lam * (float(q1.trace() + q2.trace()) - p)
+        return wsr, lagr, g1[1], g2_12
 
-    def weighted_sum(q1, q2):
-        # The unclamped rates: the ascent runs on the true objective.
-        _, r1, r2 = rate_stack(ch, scenario, zero, q1[None], q2[None])[0, 0]
-        return float(w1 * r1 + w2 * r2)
-
-    def lagrangian(q1, q2, wsr):
-        return wsr - lam * (float(np.trace(q1) + np.trace(q2)) - p)
-
-    prev_lagr = lagrangian(q1, q2, weighted_sum(q1, q2))
+    ld2_1, _, g2_1 = resolvent(h2, q1)
+    _, prev_lagr, g1_12, g2_12 = end_point(q1, q2, ld2_1)
     prev_wsr = 0.0
     wsr = 0.0
     converged = False
     i = 0
     for i in range(1, cfg.max_inner + 1):
-        price = block_price(ch, scenario, q1, q2, w1, w2, 1)
-        q1 = closed_form_block(bits_block_weight(k1), lam * eye + price, eye1, ch.h1)
-        price = block_price(ch, scenario, q1, q2, w1, w2, 2)
-        q2 = closed_form_block(
-            bits_block_weight(w2),
-            lam * eye + price,
-            np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T,
-            ch.h2,
-        )
-        wsr = weighted_sum(q1, q2)
-        lagr = lagrangian(q1, q2, wsr)
+        price = price_from_grams(scenario, w1, w2, 1, g2_1, g2_12, g1_12)
+        q1 = load_modes(k1, lam * eye + price, h1)
+        ld2_1, y2, g2_1 = resolvent(h2, q1)
+        g1_mid = resolvent(h1, q1 + q2)[2] if scenario.user2_confidential else None
+        price = price_from_grams(scenario, w1, w2, 2, None, None, g1_mid)
+        q2 = load_modes(k2, lam * eye + price, y2)
+        wsr, lagr, g1_12, g2_12 = end_point(q1, q2, ld2_1)
         if lagr < prev_lagr - _ASCENT_SLACK:
             raise ConsistencyError(
                 f"Lagrangian fell from {prev_lagr} to {lagr}; price matrix is wrong"
@@ -235,12 +307,21 @@ def bsmm_inner(
 
 @dataclass(frozen=True)
 class WsrSolution:
+    """A weighted-sum-rate point and what its dual search did.
+
+    ``n_rounds`` sums the BSMM rounds of every inner solve of the search,
+    and ``n_capped`` counts the inner solves that stopped at
+    ``WsrConfig.max_inner`` rounds without converging.
+    """
+
     q1: np.ndarray
     q2: np.ndarray
     rates: RateTriple
     lam: float
     converged: bool
     n_bisect: int
+    n_rounds: int
+    n_capped: int
 
 
 def wsr_solve(
@@ -263,7 +344,16 @@ def wsr_solve(
         rates = evaluate_triple(
             ch, scenario, CovarianceTriple(zeros, zeros, zeros, p), ORDER_12
         )
-        return WsrSolution(zeros, zeros, rates, cfg.lambda_min, True, 0)
+        return WsrSolution(zeros, zeros, rates, cfg.lambda_min, True, 0, 0, 0)
+
+    n_rounds = n_capped = 0
+
+    def inner(lam: float):
+        nonlocal n_rounds, n_capped
+        state = bsmm_inner(ch, scenario, cfg, lam, p)
+        n_rounds += state.n_iters
+        n_capped += not state.converged
+        return state, float(np.trace(state.q1) + np.trace(state.q2))
 
     def attempt(lo: float, hi: float):
         feasible = None
@@ -271,16 +361,14 @@ def wsr_solve(
         while hi - lo > cfg.eps2:
             mid = 0.5 * (lo + hi)
             n += 1
-            state = bsmm_inner(ch, scenario, cfg, mid, p)
-            used = float(np.trace(state.q1) + np.trace(state.q2))
+            state, used = inner(mid)
             if used < p:
                 hi = mid
                 feasible = (state, mid)
             else:
                 lo = mid
         if feasible is None:
-            state = bsmm_inner(ch, scenario, cfg, hi, p)
-            used = float(np.trace(state.q1) + np.trace(state.q2))
+            state, used = inner(hi)
             if used <= p * (1.0 + 1e-8):
                 feasible = (state, hi)
         return feasible, n
@@ -302,7 +390,9 @@ def wsr_solve(
     rates = evaluate_triple(
         ch, scenario, CovarianceTriple(zeros, state.q1, state.q2, p), ORDER_12
     )
-    return WsrSolution(state.q1, state.q2, rates, lam, state.converged, n)
+    return WsrSolution(
+        state.q1, state.q2, rates, lam, state.converged, n, n_rounds, n_capped
+    )
 
 
 def _positive_part_norm(g: np.ndarray) -> float:

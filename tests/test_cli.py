@@ -170,6 +170,33 @@ class TestRun:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_wsr_sidecar_sums_bsmm_counts(self, ch22_file, tmp_path, monkeypatch):
+        solve = secregion.wsr.wsr_solve
+        sols = []
+
+        def recorded(*args):
+            sols.append(solve(*args))
+            return sols[-1]
+
+        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
+        out = tmp_path / "w.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="A",
+            method="wsr",
+            power=2.0,
+            out=str(out),
+            common=False,
+            sigma=0.5,
+        )
+        assert run(cfg) == 0
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
+        )
+        assert len(sols) == 6
+        assert int(meta["bsmm_rounds"]) == sum(sol.n_rounds for sol in sols) > 0
+        assert int(meta["bsmm_capped"]) == sum(sol.n_capped for sol in sols)
+
     def test_wsr_unconverged_count_from_solutions(self, ch22_file, tmp_path, monkeypatch):
         # Mark every other solve unconverged; the sidecar must count them.
         solve = secregion.wsr.wsr_solve

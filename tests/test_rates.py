@@ -13,7 +13,13 @@ from secregion import (
     gauss_rate,
     layered_rate,
 )
-from secregion.rates import evaluate_stack, link_rate_grad, rate_stack
+from secregion.rates import (
+    evaluate_stack,
+    link_rate_grad,
+    rate_rule,
+    rate_stack,
+    resolvent,
+)
 from secregion.types import check_covariance_stacks
 
 from conftest import random_psd
@@ -356,3 +362,42 @@ class TestLinkRateGrad:
         t = 1e-5
         fd = (gauss_rate(h, q + t * d) - gauss_rate(h, q - t * d)) / (2.0 * t)
         assert np.tensordot(g, d) == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+class TestSharedFactor:
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_cases())
+    def test_stacked_resolvent_matches_each_matrix(self, case):
+        ch, _, q0, q1, _ = case
+        stack = q0 + q1
+        ld, y, gram = resolvent(ch.h1, stack)
+        assert ld.shape == (stack.shape[0],)
+        for i, q in enumerate(stack):
+            ld_i, y_i, gram_i = resolvent(ch.h1, q)
+            assert ld[i] == pytest.approx(ld_i, abs=1e-12)
+            assert np.allclose(y[i], y_i, rtol=0.0, atol=1e-12)
+            assert np.allclose(gram[i], gram_i, rtol=0.0, atol=1e-12)
+            # Y is the whitened channel: Y^T Y = H^T M^{-1} H.
+            m = np.eye(ch.n1) + ch.h1 @ q @ ch.h1.T
+            assert np.allclose(gram_i, ch.h1.T @ np.linalg.solve(m, ch.h1), atol=1e-9)
+            assert ld_i == pytest.approx(np.linalg.slogdet(m)[1], abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_cases())
+    def test_rule_on_scalar_link_values(self, case):
+        # The rule reads only the link values an order needs; the rest may
+        # be None, as in the WSR inner loop.
+        ch, sc, q0, q1, q2 = case
+        orders = ("12", "21") if sc.allows_order_swap else ("12",)
+        want = rate_stack(ch, sc, q0, q1, q2, orders)
+        for i in range(q0.shape[0]):
+            qs = [q0[i] + q1[i] + q2[i], q1[i] + q2[i], q1[i], q2[i]]
+            links = [[gauss_rate(h, q) for q in qs] for h in (ch.h1, ch.h2)]
+            for n, order in enumerate(orders):
+                skip = 3 if order == "12" else 2
+                partial = [
+                    [None if j == skip else v for j, v in enumerate(u)] for u in links
+                ]
+                got = rate_rule(sc, partial, (order,))
+                assert got.shape == (1, 3)
+                assert got[0] == pytest.approx(want[n, i], abs=1e-12)

@@ -1,5 +1,11 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secregion import (
     ChannelPair,
@@ -15,6 +21,7 @@ from secregion import (
     wsr_solve,
 )
 from secregion.rates import LN2, rate_stack
+from secregion.wsr import wsr_sweep_points
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
@@ -192,6 +199,24 @@ class TestWsrSolve:
     def test_zero_weights_shortcut(self, ch22):
         sol = wsr_solve(ch22, Scenario("A", False), WsrConfig(0.0, 0.0), 5.0)
         assert sol.rates.as_array().tolist() == [0.0, 0.0, 0.0]
+        assert (sol.n_bisect, sol.n_rounds, sol.n_capped) == (0, 0, 0)
+
+    def test_counts_every_inner_solve(self, ch_row3, monkeypatch):
+        import secregion.wsr as wsr_mod
+
+        states = []
+        orig = wsr_mod.bsmm_inner
+
+        def recorded(*args):
+            states.append(orig(*args))
+            return states[-1]
+
+        monkeypatch.setattr(wsr_mod, "bsmm_inner", recorded)
+        cfg = WsrConfig(w1=0.5, w2=0.5, max_inner=20)
+        sol = wsr_solve(ch_row3, Scenario("C", False), cfg, 4.0)
+        assert sol.n_rounds == sum(state.n_iters for state in states)
+        assert sol.n_capped == sum(not state.converged for state in states) > 0
+        assert all(state.n_iters == 20 for state in states if not state.converged)
 
     def test_power_monotone_in_multiplier(self, ch22):
         cfg = WsrConfig(w1=0.5, w2=0.5)
@@ -236,15 +261,128 @@ class TestWsrSolve:
 
     def test_ascent_violation_detected(self, ch22, monkeypatch):
         # a deliberately mis-scaled price breaks the minorizer and must trip
-        # the monotone ascent assertion rather than silently converge
+        # the monotone ascent assertion rather than silently converge; the
+        # inner loop prices its blocks through the Gram-level core
         import secregion.wsr as wsr_mod
 
-        orig = wsr_mod.block_price
+        orig = wsr_mod.price_from_grams
         monkeypatch.setattr(
-            wsr_mod, "block_price", lambda *args: 4.0 * orig(*args)
+            wsr_mod, "price_from_grams", lambda *args: 4.0 * orig(*args)
         )
         with pytest.raises(ConsistencyError):
             bsmm_inner(ch22, Scenario("A", False), WsrConfig(1.0, 1.0), 0.05, 12.0)
+
+
+class TestWsrConfig:
+    @pytest.mark.parametrize(
+        "field", ["w1", "w2", "lambda_min", "lambda_max", "eps2", "eps3"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, field, value):
+        kwargs = {"w1": 1.0, "w2": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            WsrConfig(**kwargs)
+
+    @pytest.mark.parametrize("lambda_min", [0.0, -5.0])
+    def test_nonpositive_lambda_min_rejected(self, lambda_min):
+        # Such a bracket used to fail only inside the search, at the first
+        # nonpositive midpoint.
+        with pytest.raises(ValueError, match="lambda_min must be positive"):
+            WsrConfig(1.0, 1.0, lambda_min=lambda_min, lambda_max=1.0)
+
+    @pytest.mark.parametrize("max_inner", [0, 2.5])
+    def test_bad_max_inner_rejected(self, max_inner):
+        with pytest.raises(ValueError, match="max_inner must be a positive integer"):
+            WsrConfig(1.0, 1.0, max_inner=max_inner)
+
+    def test_default_lambda_max_accepted(self):
+        assert WsrConfig(1.0, 0.0).lambda_max == pytest.approx(10.0)
+
+
+# The no-common wsr solves of the benchmark: every (weight, order) solve of
+# wsr_sweep_points at sigma 0.5, recorded before the inner loop shared its
+# link factors; rates to 1e-12, everything else exactly.
+WSR_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "wsr_golden.json").read_text()
+)
+
+
+def test_wsr_golden(request):
+    total = 0
+    for key, want in WSR_GOLDEN["jobs"].items():
+        name, tag, power = key.split("-")
+        ch = request.getfixturevalue(name)
+        got = wsr_sweep_points(ch, Scenario(tag, False), float(power[1:]), sigma=0.5)
+        assert len(got) == len(want)
+        for (point, sol), ref in zip(got, want):
+            assert point.order == ref["order"]
+            assert np.abs(sol.rates.as_array() - ref["rates"]).max() <= 1e-12, key
+            assert (sol.n_bisect, sol.converged, sol.lam) == (
+                ref["n_bisect"],
+                ref["converged"],
+                ref["lam"],
+            ), key
+            counts = (sol.n_rounds, sol.n_capped)
+            assert counts == (ref["n_rounds"], ref["n_capped"]), key
+            total += sol.n_rounds
+    assert total == WSR_GOLDEN["total_rounds"] == 12378
+
+
+@st.composite
+def loop_cases(draw):
+    nt = draw(st.integers(1, 4))
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ch = ChannelPair(rng.standard_normal((n1, nt)), rng.standard_normal((n2, nt)))
+    sc = Scenario(draw(st.sampled_from("ABC")), False)
+    w1, w2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    lam = draw(st.floats(0.02, 2.0))
+    p = draw(st.floats(0.5, 10.0))
+    return ch, sc, WsrConfig(w1, w2, max_inner=25), lam, p
+
+
+class TestLoopAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(loop_cases())
+    def test_prices_and_weighted_sum(self, case):
+        # Record what the inner loop computes at every iterate, then replay
+        # the iterates through block_price and rate_stack.
+        import secregion.wsr as wsr_mod
+
+        ch, sc, cfg, lam, p = case
+        prices, covs, rules = [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            for name, log in (
+                ("price_from_grams", prices),
+                ("load_modes", covs),
+                ("rate_rule", rules),
+            ):
+                orig = getattr(wsr_mod, name)
+
+                def recorded(*args, orig=orig, log=log):
+                    log.append(orig(*args))
+                    return log[-1]
+
+                mp.setattr(wsr_mod, name, recorded)
+            state = bsmm_inner(ch, sc, cfg, lam, p)
+        assert len(prices) == len(covs) == 2 * state.n_iters
+        assert len(rules) == state.n_iters + 1
+
+        zero = np.zeros((1, ch.nt, ch.nt))
+        q1 = q2 = (p / (2.0 * ch.nt)) * np.eye(ch.nt)
+        for i, rule in enumerate(rules):
+            if i:
+                want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 1)
+                assert np.abs(prices[2 * i - 2] - want).max() <= 1e-12
+                q1 = covs[2 * i - 2]
+                want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 2)
+                assert np.abs(prices[2 * i - 1] - want).max() <= 1e-12
+                q2 = covs[2 * i - 1]
+            _, r1, r2 = rate_stack(ch, sc, zero, q1[None], q2[None])[0, 0]
+            _, l1, l2 = rule[0]
+            want = cfg.w1 * r1 + cfg.w2 * r2
+            assert abs((cfg.w1 * l1 + cfg.w2 * l2) - want) <= 1e-12
+        assert np.array_equal(q1, state.q1) and np.array_equal(q2, state.q2)
 
 
 class TestKktResidual:
