@@ -12,7 +12,6 @@ from .baselines import build_rotation, oma_timeshare, random_search_region, tdma
 from .cli import ChannelParseError, RunConfig, load_channels, run, write_channels
 from .multicast import MulticastResult, case_classify, solve_multicast
 from .rates import evaluate_triple, gauss_rate, layered_rate
-from .rotation import SolverOptions
 from .splitting import (
     SplitResult,
     SweepPoint,
@@ -36,8 +35,6 @@ from .types import (
     RateTriple,
     Scenario,
     pareto_filter,
-    project_psd,
-    validate_covariance,
 )
 from .waterfill import DegenerateChannelWarning, water_level, waterfill
 from .wiretap import WiretapResult, secrecy_rate, solve_wiretap
@@ -75,7 +72,6 @@ __all__ = [
     "RateTriple",
     "RunConfig",
     "Scenario",
-    "SolverOptions",
     "SplitResult",
     "SweepPoint",
     "WiretapResult",
@@ -94,7 +90,6 @@ __all__ = [
     "load_channels",
     "oma_timeshare",
     "pareto_filter",
-    "project_psd",
     "random_search_region",
     "region_contains",
     "run",
@@ -105,7 +100,6 @@ __all__ = [
     "sweep_points",
     "sweep_region",
     "tdma_region",
-    "validate_covariance",
     "water_level",
     "waterfill",
     "whiten_multicast",

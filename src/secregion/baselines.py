@@ -19,7 +19,6 @@ import numpy as np
 
 from .multicast import solve_multicast
 from .rates import evaluate_stack
-from .rotation import SolverOptions
 from .splitting import hull_pareto
 from .types import (
     ORDER_12,
@@ -30,6 +29,7 @@ from .types import (
     RateTriple,
     Scenario,
     _dominated_by,
+    check_budget,
     check_covariance_stacks,
 )
 from .waterfill import waterfill
@@ -165,8 +165,7 @@ def random_search_region(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
+    check_budget(p)
     rng = np.random.default_rng(seed)
     orders = (ORDER_12, ORDER_21) if scenario.allows_order_swap else (ORDER_12,)
     tags = (ORDER_NA,) + orders
@@ -187,43 +186,37 @@ def random_search_region(
     return RateRegion(tuple(hull_pareto(points)), scenario, p)
 
 
-def _slot_rates(
-    ch: ChannelPair, scenario: Scenario, p: float, opts: SolverOptions | None
-) -> tuple:
+def _slot_rates(ch: ChannelPair, scenario: Scenario, p: float, seed: int) -> tuple:
     """Full-power single-message optima for the three slots."""
-    if scenario.common_enabled:
-        r0 = solve_multicast(ch.h1, ch.h2, p, opts).rate if p > 0 else 0.0
-    else:
-        r0 = 0.0
+    r0 = solve_multicast(ch.h1, ch.h2, p, seed).rate if scenario.common_enabled else 0.0
     if scenario.user1_confidential:
-        r1 = solve_wiretap(ch.h1, ch.h2, p, opts).rate
+        r1 = solve_wiretap(ch.h1, ch.h2, p, seed).rate
     else:
         r1 = waterfill(ch.h1, p)[1]
     if scenario.user2_confidential:
-        r2 = solve_wiretap(ch.h2, ch.h1, p, opts).rate
+        r2 = solve_wiretap(ch.h2, ch.h1, p, seed).rate
     else:
         r2 = waterfill(ch.h2, p)[1]
     return r0, r1, r2
 
 
 def tdma_region(
-    ch: ChannelPair, scenario: Scenario, p: float, opts: SolverOptions | None = None
+    ch: ChannelPair, scenario: Scenario, p: float, seed: int = 0
 ) -> RateRegion:
     """Equal-length orthogonal slots, one message per slot at full power.
 
     Each message gets 1/3 of the time (1/2 without a common message), so
     the achieved point is the per-slot optimum scaled by the slot share.
     """
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
-    r0, r1, r2 = _slot_rates(ch, scenario, p, opts)
+    check_budget(p)
+    r0, r1, r2 = _slot_rates(ch, scenario, p, seed)
     n_slots = 3 if scenario.common_enabled else 2
     point = RateTriple(r0 / n_slots, r1 / n_slots, r2 / n_slots, ORDER_NA)
     return RateRegion(tuple(hull_pareto([point])), scenario, p)
 
 
 def oma_timeshare(
-    ch: ChannelPair, scenario: Scenario, p: float, opts: SolverOptions | None = None
+    ch: ChannelPair, scenario: Scenario, p: float, seed: int = 0
 ) -> RateRegion:
     """Segment between the two full-power single-user optima.
 
@@ -232,9 +225,8 @@ def oma_timeshare(
     """
     if scenario.common_enabled:
         raise ValueError("the time-share baseline is defined without a common message")
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
-    _, r1, r2 = _slot_rates(ch, scenario, p, opts)
+    check_budget(p)
+    _, r1, r2 = _slot_rates(ch, scenario, p, seed)
     endpoints = [
         RateTriple(0.0, r1, 0.0, ORDER_NA),
         RateTriple(0.0, 0.0, r2, ORDER_NA),

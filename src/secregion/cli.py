@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import oma_timeshare, random_search_region, tdma_region
-from .rotation import SolverOptions
+from .rotation import GTOL, MAX_ITERS, N_STARTS
 from .splitting import hull_pareto, sweep_points
 from .types import ChannelPair, Scenario
-from .wsr import WsrConfig, wsr_sweep_points
+from .wsr import EPS2, EPS3, wsr_sweep_points
 
 METHODS = ("ps", "wsr", "tdma", "oma", "oracle")
 
@@ -114,8 +114,8 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _csv_rows_ps(ch, scenario, cfg, opts):
-    pts = sweep_points(ch, scenario, cfg.power, cfg.eps1, opts)
+def _csv_rows_ps(ch, scenario, cfg):
+    pts = sweep_points(ch, scenario, cfg.power, cfg.eps1, cfg.seed)
     kept = hull_pareto([sp.rates for sp in pts])
     by_key = {}
     for sp in pts:
@@ -188,12 +188,11 @@ def run(cfg: RunConfig) -> int:
         print(f"error: cannot read channels: {exc}", file=sys.stderr)
         return 1
 
-    opts = SolverOptions(seed=cfg.seed)
     start = time.perf_counter()
     n_unconverged = 0
     bsmm = {}
     if cfg.method == "ps":
-        rows, n_unconverged = _csv_rows_ps(ch, scenario, cfg, opts)
+        rows, n_unconverged = _csv_rows_ps(ch, scenario, cfg)
     else:
         if cfg.method == "wsr":
             solved = wsr_sweep_points(ch, scenario, cfg.power, sigma=cfg.sigma)
@@ -204,9 +203,9 @@ def run(cfg: RunConfig) -> int:
                 "bsmm_capped": str(sum(sol.n_capped for _, sol in solved)),
             }
         elif cfg.method == "tdma":
-            points = tdma_region(ch, scenario, cfg.power, opts).points
+            points = tdma_region(ch, scenario, cfg.power, cfg.seed).points
         elif cfg.method == "oma":
-            points = oma_timeshare(ch, scenario, cfg.power, opts).points
+            points = oma_timeshare(ch, scenario, cfg.power, cfg.seed).points
         else:
             points = random_search_region(
                 ch, scenario, cfg.power, cfg.samples, seed=cfg.seed
@@ -231,11 +230,11 @@ def run(cfg: RunConfig) -> int:
         "sigma": _fmt(cfg.sigma),
         "samples": str(cfg.samples),
         "seed": str(cfg.seed),
-        "solver_max_iters": str(opts.max_iters),
-        "solver_n_starts": str(opts.n_starts),
-        "solver_gtol": _fmt(opts.gtol),
-        "wsr_eps2": _fmt(WsrConfig(1.0, 0.0).eps2),
-        "wsr_eps3": _fmt(WsrConfig(1.0, 0.0).eps3),
+        "solver_max_iters": str(MAX_ITERS),
+        "solver_n_starts": str(N_STARTS),
+        "solver_gtol": _fmt(GTOL),
+        "wsr_eps2": _fmt(EPS2),
+        "wsr_eps3": _fmt(EPS3),
         "n_points": str(len(rows)),
         "n_unconverged_cells": str(n_unconverged),
         **bsmm,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import SolverOptions, maximize_psd_objective
-from .types import DimensionError, as_matrix
+from .rotation import maximize_psd_objective
+from .types import DimensionError, as_matrix, check_budget
 from .waterfill import waterfill
 
 CASE_USER1_BINDING = "case1"
@@ -83,13 +83,10 @@ def case_classify(h1w, h2w, p0: float) -> str:
     return _classified(h1w, h2w, p0)[0]
 
 
-def solve_multicast(
-    h1w, h2w, p0: float, opts: SolverOptions | None = None
-) -> MulticastResult:
+def solve_multicast(h1w, h2w, p0: float, seed: int = 0) -> MulticastResult:
     """Covariance maximizing min of the two users' rates under trace <= p0."""
     h1w, h2w = _validated(h1w, h2w)
-    if p0 < 0:
-        raise ValueError("power budget must be nonnegative")
+    check_budget(p0)
     nt = h1w.shape[1]
     if p0 == 0:
         return MulticastResult(np.zeros((nt, nt)), 0.0, None, True)
@@ -107,7 +104,7 @@ def solve_multicast(
         min_rate,
         nt,
         p0,
-        opts=opts,
+        seed=seed,
         warm_q=q01,
         search_objective=lambda q: _softmin_grad(h1w, h2w, q),
     )

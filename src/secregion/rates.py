@@ -39,14 +39,25 @@ from .types import (
 LN2 = math.log(2.0)
 
 
-def logdet_pd(m: np.ndarray) -> float:
-    """Natural-log determinant of a symmetric positive-definite matrix."""
+def _half_logdet2(h: np.ndarray, q: np.ndarray):
+    """0.5 * log2|I + H Q H^T|, with the argument symmetrized first.
+
+    ``q`` may be one (nt, nt) matrix or a (k, nt, nt) stack, which is
+    factored in one batched Cholesky call; the result is then a (k,)
+    array.  If round-off defeats the factorization anywhere, the
+    log-determinants are eigenvalue sums instead, each eigenvalue floored
+    at the least positive double.
+    """
+    m = np.eye(h.shape[0]) + h @ q @ h.T
+    m = 0.5 * (m + m.swapaxes(-1, -2))
     try:
         chol = np.linalg.cholesky(m)
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
     except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(m)
-        return float(np.sum(np.log(np.maximum(w, np.finfo(float).tiny))))
+        w = np.maximum(np.linalg.eigvalsh(m), np.finfo(float).tiny)
+        ld = np.sum(np.log(w), axis=-1)
+    else:
+        ld = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return 0.5 * ld / LN2
 
 
 def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
@@ -65,12 +76,6 @@ def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     return logdet, y, y.swapaxes(-1, -2) @ y
 
 
-def _half_logdet2_iplus(h: np.ndarray, q: np.ndarray) -> float:
-    """0.5 * log2 det(I + H Q H^T) with the argument symmetrized first."""
-    m = np.eye(h.shape[0]) + h @ q @ h.T
-    return 0.5 * logdet_pd(0.5 * (m + m.T)) / LN2
-
-
 def _check_link(h, q, name: str) -> tuple:
     h = as_matrix(h, f"{name} channel")
     q = as_matrix(q, f"{name} covariance")
@@ -84,7 +89,7 @@ def _check_link(h, q, name: str) -> tuple:
 def gauss_rate(h, q) -> float:
     """Interference-free link rate 0.5 * log2|I + H Q H^T| in bits."""
     h, q = _check_link(h, q, "link")
-    return _half_logdet2_iplus(h, q)
+    return float(_half_logdet2(h, q))
 
 
 def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
@@ -108,24 +113,7 @@ def layered_rate(h, q_signal, q_interference) -> float:
     """
     h, qs = _check_link(h, q_signal, "signal")
     _, qi = _check_link(h, q_interference, "interference")
-    return _half_logdet2_iplus(h, qs + qi) - _half_logdet2_iplus(h, qi)
-
-
-def _half_logdet2_stack(h: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """0.5 * log2|I + H Q H^T| for each Q of a (k, nt, nt) stack.
-
-    One batched Cholesky factorization covers the stack; if round-off
-    defeats it anywhere, every matrix goes through ``logdet_pd`` instead.
-    """
-    m = np.eye(h.shape[0]) + h @ qs @ h.T
-    m = 0.5 * (m + m.swapaxes(-1, -2))
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        ld = np.array([logdet_pd(mi) for mi in m])
-    else:
-        ld = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return 0.5 * ld / LN2
+    return float(_half_logdet2(h, qs + qi) - _half_logdet2(h, qi))
 
 
 def rate_stack(
@@ -158,8 +146,8 @@ def rate_stack(
     q12 = q1 + q2
     stack = np.concatenate([q0 + q12, q12, q1, q2])
     logdet = (
-        _half_logdet2_stack(ch.h1, stack).reshape(4, k),
-        _half_logdet2_stack(ch.h2, stack).reshape(4, k),
+        _half_logdet2(ch.h1, stack).reshape(4, k),
+        _half_logdet2(ch.h2, stack).reshape(4, k),
     )
     return rate_rule(scenario, logdet, orders)
 

@@ -15,8 +15,6 @@ The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import minimize
 
@@ -24,27 +22,14 @@ from scipy.optimize import minimize
 # gradient in s vanishes and the start could never give power back.
 _SLACK_FLOOR = 1e-8
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the multi-start quasi-Newton searches.
-
-    ``n_starts`` counts the warm start plus the random restarts.  A start
-    stops at the gradient tolerance ``gtol``, when the line search can no
-    longer improve the objective, or at the ``max_iters`` cap; only
-    hitting the cap marks the winning start as not converged.
-    """
-
-    max_iters: int = 500
-    n_starts: int = 8
-    seed: int = 0
-    gtol: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.n_starts < 1:
-            raise ValueError("max_iters and n_starts must be positive")
-        if self.gtol <= 0:
-            raise ValueError("gtol must be positive")
+# Knobs of the multi-start quasi-Newton searches.  ``N_STARTS`` counts the warm
+# start plus the random restarts.  A start stops at the gradient tolerance
+# ``GTOL``, when the line search can no longer improve the objective, or at
+# the ``MAX_ITERS`` cap; only hitting the cap marks the winning start as
+# not converged.
+MAX_ITERS = 500
+N_STARTS = 8
+GTOL = 1e-7
 
 
 def _decode(x: np.ndarray, nt: int, budget: float) -> np.ndarray:
@@ -87,7 +72,7 @@ def maximize_psd_objective(
     objective,
     nt: int,
     budget: float,
-    opts: SolverOptions | None = None,
+    seed: int = 0,
     warm_q: np.ndarray | None = None,
     *,
     search_objective,
@@ -106,16 +91,15 @@ def maximize_psd_objective(
     Returns ``(q, value, converged)``.  Deterministic for a fixed seed;
     starts run sequentially in seed order.
     """
-    opts = opts or SolverOptions()
     zero = np.zeros((nt, nt))
     if budget <= 0:
         return zero, float(objective(zero)), True
 
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     starts = []
     if warm_q is not None:
         starts.append(_encode(warm_q, nt, budget))
-    while len(starts) < opts.n_starts:
+    while len(starts) < N_STARTS:
         starts.append(rng.standard_normal(nt * nt + 1))
 
     best_q = zero
@@ -136,7 +120,7 @@ def maximize_psd_objective(
             x0,
             jac=True,
             method="BFGS",
-            options={"maxiter": opts.max_iters, "gtol": opts.gtol},
+            options={"maxiter": MAX_ITERS, "gtol": GTOL},
         )
         q = _decode(res.x, nt, budget)
         val = float(objective(q))

@@ -28,7 +28,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .multicast import solve_multicast
 from .rates import evaluate_triple
-from .rotation import SolverOptions
 from .transforms import whiten_multicast, whiten_p2p, whiten_wiretap
 from .types import (
     ORDER_12,
@@ -41,6 +40,7 @@ from .types import (
     RateRegion,
     RateTriple,
     Scenario,
+    check_budget,
     pareto_filter,
 )
 from .waterfill import waterfill
@@ -72,38 +72,38 @@ def _effective(budget: float, p: float) -> float:
     return budget if budget > _BUDGET_FLOOR_REL * p else 0.0
 
 
-def _stage_first(work: ChannelPair, scenario: Scenario, p1: float, opts):
+def _stage_first(work: ChannelPair, scenario: Scenario, p1: float, seed: int):
     """First-encoded user's covariance on the working channel pair."""
     nt = work.nt
     if p1 == 0:
         return np.zeros((nt, nt)), True
     if scenario.user1_confidential:
-        res = solve_wiretap(work.h1, work.h2, p1, opts)
+        res = solve_wiretap(work.h1, work.h2, p1, seed)
         return res.q, res.converged
     q, _ = waterfill(work.h1, p1)
     return q, True
 
 
-def _stage_second(work: ChannelPair, scenario: Scenario, qa, p2: float, opts):
+def _stage_second(work: ChannelPair, scenario: Scenario, qa, p2: float, seed: int):
     """Second user's covariance given the first layer, via whitening."""
     nt = work.nt
     if p2 == 0:
         return np.zeros((nt, nt)), 0.0, True
     if scenario.user2_confidential:
         h1w, h2w = whiten_wiretap(work, qa)
-        res = solve_wiretap(h2w, h1w, p2, opts)
+        res = solve_wiretap(h2w, h1w, p2, seed)
         return res.q, res.rate, res.converged
     qb, rate = waterfill(whiten_p2p(work.h2, qa), p2)
     return qb, rate, True
 
 
-def _stage_common(work: ChannelPair, qa, qb, p0: float, opts):
+def _stage_common(work: ChannelPair, qa, qb, p0: float, seed: int):
     """Shared-message covariance on the residual-whitened channels."""
     nt = work.nt
     if p0 == 0:
         return np.zeros((nt, nt)), 0.0, True
     g1, g2 = whiten_multicast(work, qa, qb)
-    res = solve_multicast(g1, g2, p0, opts)
+    res = solve_multicast(g1, g2, p0, seed)
     return res.q, res.rate, res.converged
 
 
@@ -113,7 +113,7 @@ def _solve_cell(
     split: PowerSplit,
     p: float,
     order: str,
-    opts,
+    seed: int,
     first: tuple,
 ) -> SplitResult:
     """Finish one split from its first stage ``(qa, converged)``.
@@ -126,10 +126,10 @@ def _solve_cell(
     qa, conv1 = first
     work = ch.swapped() if order == ORDER_21 else ch
     qb, rate_b, conv2 = _stage_second(
-        work, scenario, qa, _effective(split.alpha2 * p, p), opts
+        work, scenario, qa, _effective(split.alpha2 * p, p), seed
     )
     q0, rate_0, conv0 = _stage_common(
-        work, qa, qb, _effective(split.alpha0 * p, p), opts
+        work, qa, qb, _effective(split.alpha0 * p, p), seed
     )
     q1, q2 = (qb, qa) if order == ORDER_21 else (qa, qb)
     cov = CovarianceTriple(q0, q1, q2, p)
@@ -147,31 +147,26 @@ def _solve_cell(
     return SplitResult(cov, rates, conv1 and conv2 and conv0)
 
 
-def _check_budget(p: float) -> None:
-    if not (np.isfinite(p) and p >= 0):
-        raise ValueError(f"power budget must be nonnegative and finite, got {p}")
-
-
 def solve_split(
     ch: ChannelPair,
     scenario: Scenario,
     split: PowerSplit,
     p: float,
     order: str = ORDER_12,
-    opts: SolverOptions | None = None,
+    seed: int = 0,
 ) -> SplitResult:
     """Solve one power split end to end and report original-channel rates."""
     if order not in (ORDER_12, ORDER_21):
         raise ValueError(f"order must be '12' or '21', got {order!r}")
     if order == ORDER_21 and not scenario.allows_order_swap:
         raise ValueError("scenario B supports only the '12' encoding order")
-    _check_budget(p)
+    check_budget(p)
     if not scenario.common_enabled and split.alpha0 * p > _BUDGET_FLOOR_REL * p:
         raise ValueError("alpha0 must be 0 when the common message is disabled")
 
     work = ch.swapped() if order == ORDER_21 else ch
-    first = _stage_first(work, scenario, _effective(split.alpha1 * p, p), opts)
-    return _solve_cell(ch, scenario, split, p, order, opts, first)
+    first = _stage_first(work, scenario, _effective(split.alpha1 * p, p), seed)
+    return _solve_cell(ch, scenario, split, p, order, seed, first)
 
 
 def _alpha_grid(eps1: float, upper: float) -> list:
@@ -192,7 +187,7 @@ def sweep_points(
     scenario: Scenario,
     p: float,
     eps1: float,
-    opts: SolverOptions | None = None,
+    seed: int = 0,
 ) -> list:
     """All grid splits solved for every applicable encoding order.
 
@@ -202,13 +197,13 @@ def sweep_points(
     """
     if not 0.0 < eps1 <= 0.5:
         raise ValueError("eps1 must lie in (0, 0.5]")
-    _check_budget(p)
+    check_budget(p)
     orders = (ORDER_12, ORDER_21) if scenario.allows_order_swap else (ORDER_12,)
     points = []
     for order in orders:
         work = ch.swapped() if order == ORDER_21 else ch
         for a1 in _alpha_grid(eps1, 1.0):
-            first = _stage_first(work, scenario, _effective(a1 * p, p), opts)
+            first = _stage_first(work, scenario, _effective(a1 * p, p), seed)
             a2_values = (
                 _alpha_grid(eps1, 1.0 - a1)
                 if scenario.common_enabled
@@ -216,7 +211,7 @@ def sweep_points(
             )
             for a2 in a2_values:
                 split = PowerSplit(max(1.0 - a1 - a2, 0.0), a1, a2)
-                res = _solve_cell(ch, scenario, split, p, order, opts, first)
+                res = _solve_cell(ch, scenario, split, p, order, seed, first)
                 points.append(SweepPoint(res.rates, split, order, res.converged))
     return points
 
@@ -226,10 +221,10 @@ def sweep_region(
     scenario: Scenario,
     p: float,
     eps1: float,
-    opts: SolverOptions | None = None,
+    seed: int = 0,
 ) -> RateRegion:
     """Achievable region: Pareto frontier of the hull of all swept splits."""
-    pts = sweep_points(ch, scenario, p, eps1, opts)
+    pts = sweep_points(ch, scenario, p, eps1, seed)
     return RateRegion(tuple(hull_pareto([sp.rates for sp in pts])), scenario, p)
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +21,6 @@ import numpy as np
 # the validation margins sit an order of magnitude above observed drift.
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
-PROJECTED_PSD_TOL = 1e-12
 TRACE_REL_SLACK = 1e-8
 SIMPLEX_TOL = 1e-12
 RATE_FLOOR = -1e-9
@@ -59,39 +59,10 @@ def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_covariance(q, tol: float = PSD_TOL) -> bool:
-    """Check that ``q`` is symmetric within ``tol`` with min eigenvalue >= -tol.
-
-    Raises ``DimensionError`` for non-square input; otherwise never raises.
-    """
-    arr = as_matrix(q, "covariance")
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"covariance must be square, got {arr.shape}")
-    if arr.size == 0:
-        return True
-    if float(np.max(np.abs(arr - arr.T))) > tol:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (arr + arr.T))
-    return bool(w[0] >= -tol)
-
-
-def project_psd(q) -> np.ndarray:
-    """Project a nominally symmetric matrix onto the PSD cone.
-
-    The symmetrized input is eigendecomposed, negative eigenvalues are
-    clamped to zero, and the matrix is reassembled.  Intended as numerical
-    hygiene after iterative updates; the input must already be symmetric
-    within 1e-6.
-    """
-    arr = as_matrix(q, "matrix")
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"matrix must be square, got {arr.shape}")
-    if arr.size and float(np.max(np.abs(arr - arr.T))) > 1e-6:
-        raise ValueError("input is not symmetric within 1e-6")
-    sym = 0.5 * (arr + arr.T)
-    w, v = np.linalg.eigh(sym)
-    out = (v * np.maximum(w, 0.0)) @ v.T
-    return 0.5 * (out + out.T)
+def check_budget(p: float) -> None:
+    """Reject a power budget that is negative, NaN or infinite."""
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError(f"power budget must be nonnegative and finite, got {p}")
 
 
 def check_covariance_stacks(stacks: Sequence[np.ndarray], p_total: float) -> None:

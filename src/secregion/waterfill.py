@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .types import as_matrix
+from .types import as_matrix, check_budget
 
 # Singular values below this fraction of the largest are treated as zero;
 # their inverse-square floors would otherwise overflow the level search.
@@ -33,7 +33,7 @@ def water_level(floors, p: float) -> float:
         Positive per-mode floors (inverse squared channel gains), sorted
         ascending.
     p : float
-        Nonnegative power budget.  With p == 0 the level equals the
+        Nonnegative, finite power budget.  With p == 0 the level equals the
         smallest floor and every mode gets zero power.
     """
     arr = np.asarray(floors, dtype=float)
@@ -43,8 +43,7 @@ def water_level(floors, p: float) -> float:
         raise ValueError("floors must be positive and finite")
     if np.any(np.diff(arr) < 0):
         raise ValueError("floors must be sorted ascending")
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
+    check_budget(p)
     csum = np.cumsum(arr)
     for k in range(arr.size, 0, -1):
         mu = (p + csum[k - 1]) / k
@@ -61,8 +60,7 @@ def waterfill(h, p: float) -> tuple:
     zero matrix with a ``DegenerateChannelWarning``.
     """
     h = as_matrix(h, "channel")
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
+    check_budget(p)
     nt = h.shape[1]
     if p == 0:
         return np.zeros((nt, nt)), 0.0

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import SolverOptions, maximize_psd_objective
-from .types import DimensionError, as_matrix
+from .rotation import maximize_psd_objective
+from .types import DimensionError, as_matrix, check_budget
 from .waterfill import DegenerateChannelWarning, waterfill
 
 
@@ -40,7 +40,7 @@ def _secrecy_rate_grad(hm, he, q) -> tuple:
     return rm - re, gm - ge
 
 
-def solve_wiretap(hm, he, p: float, opts: SolverOptions | None = None) -> WiretapResult:
+def solve_wiretap(hm, he, p: float, seed: int = 0) -> WiretapResult:
     """Best found covariance for the secrecy rate under a trace budget.
 
     Returns a PSD matrix with trace at most ``p`` plus the achieved rate.
@@ -53,8 +53,7 @@ def solve_wiretap(hm, he, p: float, opts: SolverOptions | None = None) -> Wireta
         raise DimensionError(
             f"channels must share the column count, got {hm.shape} and {he.shape}"
         )
-    if p < 0:
-        raise ValueError("power budget must be nonnegative")
+    check_budget(p)
     nt = hm.shape[1]
     if p == 0:
         return WiretapResult(np.zeros((nt, nt)), 0.0, True)
@@ -67,7 +66,7 @@ def solve_wiretap(hm, he, p: float, opts: SolverOptions | None = None) -> Wireta
         lambda q: secrecy_rate(hm, he, q),
         nt,
         p,
-        opts=opts,
+        seed=seed,
         warm_q=warm_q,
         search_objective=lambda q: _secrecy_rate_grad(hm, he, q),
     )

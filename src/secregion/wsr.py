@@ -36,8 +36,7 @@ the whitened channel Y of block 2.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,47 +66,34 @@ class BracketError(RuntimeError):
     """The multiplier bracket produced no power crossing."""
 
 
+# The dual search: the multiplier bracket starts at
+# [LAMBDA_MIN, 10 max(w1, w2, 0.1)] and is widened tenfold at both ends,
+# once, if it fails to straddle the power constraint; bisection stops when
+# the bracket is narrower than EPS2.  An inner solve stops when the
+# weighted sum moves by less than EPS3, or after MAX_INNER rounds.
+LAMBDA_MIN = 1e-6
+EPS2 = 1e-5
+EPS3 = 1e-9
+MAX_INNER = 500
+
+
 @dataclass(frozen=True)
 class WsrConfig:
-    """Weights, multiplier bracket, and tolerances for the dual search.
+    """The weights of the two users' rates, checked here once.
 
-    ``lambda_max`` defaults to ten times the larger weight; the bracket is
-    widened tenfold and retried once if it fails to straddle the power
-    constraint.  Every field is checked here, once, and the solvers trust
-    it: the floats must be finite, the weights nonnegative,
-    0 < lambda_min < lambda_max, the tolerances positive and ``max_inner``
-    a positive integer.
+    Both must be finite and nonnegative; the solvers trust them.
     """
 
     w1: float
     w2: float
-    lambda_min: float = 1e-6
-    lambda_max: float | None = None
-    eps2: float = 1e-5
-    eps3: float = 1e-9
-    max_inner: int = 500
 
     def __post_init__(self):
-        for name in ("w1", "w2", "lambda_min", "lambda_max", "eps2", "eps3"):
+        for name in ("w1", "w2"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.w1 < 0 or self.w2 < 0:
             raise ValueError("weights must be nonnegative")
-        if self.lambda_max is None:
-            object.__setattr__(
-                self, "lambda_max", 10.0 * max(self.w1, self.w2, 0.1)
-            )
-        if self.lambda_min <= 0:
-            raise ValueError("lambda_min must be positive")
-        if not self.lambda_min < self.lambda_max:
-            raise ValueError("lambda_min must be below lambda_max")
-        if self.eps2 <= 0 or self.eps3 <= 0:
-            raise ValueError("eps2 and eps3 must be positive")
-        if not isinstance(self.max_inner, numbers.Integral) or self.max_inner < 1:
-            raise ValueError(
-                f"max_inner must be a positive integer, got {self.max_inner!r}"
-            )
 
 
 def bits_block_weight(w: float) -> float:
@@ -240,10 +226,9 @@ def bsmm_inner(
     """Alternating closed-form block updates at a fixed multiplier.
 
     Starts from q1 = q2 = p/(2 nt) * I and stops when the weighted sum
-    rate moves by less than ``cfg.eps3`` or after ``cfg.max_inner``
-    rounds.  The Lagrangian is asserted nondecreasing each round; a
-    violation beyond round-off signals a price-matrix bug and raises
-    ``ConsistencyError``.
+    rate moves by less than ``EPS3`` or after ``MAX_INNER`` rounds.  The
+    Lagrangian is asserted nondecreasing each round; a violation beyond
+    round-off signals a price-matrix bug and raises ``ConsistencyError``.
 
     Each link matrix I + Hu X Hu^T a round needs is factored once, by
     ``rates.resolvent``.  The factors at the round's end point give the
@@ -285,7 +270,7 @@ def bsmm_inner(
     wsr = 0.0
     converged = False
     i = 0
-    for i in range(1, cfg.max_inner + 1):
+    for i in range(1, MAX_INNER + 1):
         price = price_from_grams(scenario, w1, w2, 1, g2_1, g2_12, g1_12)
         q1 = load_modes(k1, lam * eye + price, h1)
         ld2_1, y2, g2_1 = resolvent(h2, q1)
@@ -298,7 +283,7 @@ def bsmm_inner(
                 f"Lagrangian fell from {prev_lagr} to {lagr}; price matrix is wrong"
             )
         prev_lagr = lagr
-        if abs(wsr - prev_wsr) < cfg.eps3:
+        if abs(wsr - prev_wsr) < EPS3:
             converged = True
             break
         prev_wsr = wsr
@@ -311,7 +296,7 @@ class WsrSolution:
 
     ``n_rounds`` sums the BSMM rounds of every inner solve of the search,
     and ``n_capped`` counts the inner solves that stopped at
-    ``WsrConfig.max_inner`` rounds without converging.
+    ``MAX_INNER`` rounds without converging.
     """
 
     q1: np.ndarray
@@ -330,7 +315,7 @@ def wsr_solve(
     """Bisection on the power multiplier around the inner block solver.
 
     Power above the budget means the multiplier is too small and below
-    means too large; the bracket halves until narrower than ``cfg.eps2``.
+    means too large; the bracket halves until narrower than ``EPS2``.
     The returned point is the last one inside the budget, so its power
     sits within one bisection band of the budget unless the constraint is
     slack, in which case the multiplier rests at the bottom of the
@@ -344,7 +329,7 @@ def wsr_solve(
         rates = evaluate_triple(
             ch, scenario, CovarianceTriple(zeros, zeros, zeros, p), ORDER_12
         )
-        return WsrSolution(zeros, zeros, rates, cfg.lambda_min, True, 0, 0, 0)
+        return WsrSolution(zeros, zeros, rates, LAMBDA_MIN, True, 0, 0, 0)
 
     n_rounds = n_capped = 0
 
@@ -358,7 +343,7 @@ def wsr_solve(
     def attempt(lo: float, hi: float):
         feasible = None
         n = 0
-        while hi - lo > cfg.eps2:
+        while hi - lo > EPS2:
             mid = 0.5 * (lo + hi)
             n += 1
             state, used = inner(mid)
@@ -373,17 +358,15 @@ def wsr_solve(
                 feasible = (state, hi)
         return feasible, n
 
-    feasible, n = attempt(cfg.lambda_min, cfg.lambda_max)
+    lam_top = 10.0 * max(cfg.w1, cfg.w2, 0.1)
+    feasible, n = attempt(LAMBDA_MIN, lam_top)
     if feasible is None:
-        wide = replace(
-            cfg, lambda_min=cfg.lambda_min / 10.0, lambda_max=cfg.lambda_max * 10.0
-        )
-        feasible, n2 = attempt(wide.lambda_min, wide.lambda_max)
+        lo, hi = LAMBDA_MIN / 10.0, lam_top * 10.0
+        feasible, n2 = attempt(lo, hi)
         n += n2
         if feasible is None:
             raise BracketError(
-                f"no multiplier in [{wide.lambda_min}, {wide.lambda_max}] kept the "
-                f"power within {p}"
+                f"no multiplier in [{lo}, {hi}] kept the power within {p}"
             )
     state, lam = feasible
     zeros = np.zeros((nt, nt))

@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
+import secregion.wsr as wsr_mod
 from secregion import (
     ChannelPair,
     RunConfig,
     Scenario,
-    SolverOptions,
     WsrConfig,
     block_price,
     bsmm_inner,
@@ -130,7 +130,7 @@ class TestAcceptance:
             hm = rng.standard_normal((2, 2))
             he = rng.standard_normal((2, 2))
             p = float(rng.uniform(0.5, 8))
-            res = solve_wiretap(hm, he, p, SolverOptions(seed=0))
+            res = solve_wiretap(hm, he, p, seed=0)
             traces = rng.uniform(0, p, 20000)
             samples = random_psd_stack(rng, 2, 20000, traces)
             vals = batched_link_rates(hm, samples) - batched_link_rates(he, samples)
@@ -193,12 +193,14 @@ class TestAcceptance:
                         ch, Scenario(tag, False), WsrConfig(0.6, 0.4), lam, p
                     )
         # bisection termination at the pinned bracket tolerance, power in band
-        cfg = WsrConfig(0.5, 0.5, eps2=1e-3)
-        sol = wsr_solve(ch22, Scenario("B", False), cfg, 12.0)
+        cfg, eps2 = WsrConfig(0.5, 0.5), 1e-3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wsr_mod, "EPS2", eps2)
+            sol = wsr_solve(ch22, Scenario("B", False), cfg, 12.0)
         used = float(np.trace(sol.q1) + np.trace(sol.q2))
         assert used <= 12.0 * (1 + 1e-8)
-        if sol.lam > cfg.lambda_min + cfg.eps2:
-            below = bsmm_inner(ch22, Scenario("B", False), cfg, sol.lam - cfg.eps2, 12.0)
+        if sol.lam > wsr_mod.LAMBDA_MIN + eps2:
+            below = bsmm_inner(ch22, Scenario("B", False), cfg, sol.lam - eps2, 12.0)
             used_below = float(np.trace(below.q1) + np.trace(below.q2))
             assert used_below >= 12.0 - 1e-6  # the true budget sits in the band
         # degenerate-weight reductions on the published instances

@@ -16,6 +16,15 @@ from secregion import (
 )
 from secregion.cli import main
 
+# The solver settings every sidecar records, as the sidecar spells them.
+SOLVER_SETTINGS = {
+    "solver_max_iters": "500",
+    "solver_n_starts": "8",
+    "solver_gtol": "9.9999999999999995e-08",
+    "wsr_eps2": "1.0000000000000001e-05",
+    "wsr_eps3": "1.0000000000000001e-09",
+}
+
 
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
@@ -224,6 +233,26 @@ class TestRun:
         )
         assert len(flags) == 6  # weights 0, 0.5, 1 in both orders
         assert int(meta["n_unconverged_cells"]) == flags.count(False) >= 3
+
+    @pytest.mark.parametrize(
+        "method, extra", [("ps", {"eps1": 0.5}), ("wsr", {"sigma": 1.0})]
+    )
+    def test_sidecar_reports_solver_settings(self, ch22_file, tmp_path, method, extra):
+        out = tmp_path / "s.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="A",
+            method=method,
+            power=2.0,
+            out=str(out),
+            common=False,
+            **extra,
+        )
+        assert run(cfg) == 0
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "s.csv.meta").read_text().splitlines()
+        )
+        assert {key: meta[key] for key in SOLVER_SETTINGS} == SOLVER_SETTINGS
 
     @pytest.mark.parametrize(
         "method, extra",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secregion import SolverOptions, build_rotation
+from secregion import build_rotation
 from secregion.baselines import n_angles
 from secregion.multicast import _softmin_grad
 from secregion.rotation import _decode, _encode, _factor_objective, maximize_psd_objective
@@ -145,7 +145,6 @@ class TestDriver:
             spiky,
             2,
             1.5,
-            SolverOptions(n_starts=3, max_iters=40),
             search_objective=with_gradient(spiky, lambda q: -2.0 * (q - 0.3)),
         )
         for qq in seen + [q]:
@@ -164,10 +163,9 @@ class TestDriver:
         def obj(q):
             return float(np.trace(q @ np.diag([1.0, 2.0])))
 
-        opts = SolverOptions(seed=5)
         search = with_gradient(obj, lambda q: np.diag([1.0, 2.0]))
-        a = maximize_psd_objective(obj, 2, 1.0, opts, search_objective=search)
-        b = maximize_psd_objective(obj, 2, 1.0, opts, search_objective=search)
+        a = maximize_psd_objective(obj, 2, 1.0, seed=5, search_objective=search)
+        b = maximize_psd_objective(obj, 2, 1.0, seed=5, search_objective=search)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_concave_reference(self):
@@ -176,7 +174,5 @@ class TestDriver:
             return float(np.trace(q @ np.diag([1.0, 3.0])))
 
         search = with_gradient(obj, lambda q: np.diag([1.0, 3.0]))
-        q, val, _ = maximize_psd_objective(
-            obj, 2, 1.0, SolverOptions(), search_objective=search
-        )
+        q, val, _ = maximize_psd_objective(obj, 2, 1.0, search_objective=search)
         assert val == pytest.approx(3.0, abs=1e-5)

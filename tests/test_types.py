@@ -3,6 +3,13 @@ import pytest
 
 from secregion import (
     ChannelPair,
+    oma_timeshare,
+    random_search_region,
+    solve_multicast,
+    solve_wiretap,
+    tdma_region,
+    water_level,
+    waterfill,
     CovarianceTriple,
     DimensionError,
     PowerSplit,
@@ -10,54 +17,8 @@ from secregion import (
     RateTriple,
     Scenario,
     pareto_filter,
-    project_psd,
-    validate_covariance,
 )
 from secregion.types import check_covariance_stacks
-
-
-class TestValidateCovariance:
-    def test_identity_is_psd(self):
-        assert validate_covariance(np.eye(2), 1e-9)
-
-    def test_indefinite_rejected(self):
-        # eigenvalues 3 and -1
-        assert not validate_covariance([[1.0, 2.0], [2.0, 1.0]], 1e-9)
-
-    def test_asymmetry_beyond_tol_rejected(self):
-        assert not validate_covariance([[1.0, 0.999], [1.001, 1.0]], 1e-9)
-
-    def test_non_square_raises(self):
-        with pytest.raises(DimensionError):
-            validate_covariance(np.ones((2, 3)))
-
-
-class TestProjectPsd:
-    def test_identity_fixed_point(self):
-        assert np.array_equal(project_psd(np.eye(3)), np.eye(3))
-
-    def test_tiny_negative_clamped(self):
-        out = project_psd(np.diag([2.0, -1e-12]))
-        assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
-
-    def test_indefinite_projected(self):
-        # eigenpairs (3, (1,1)/sqrt2) and (-1, clamped): 1.5 * ones(2,2)
-        out = project_psd([[1.0, 2.0], [2.0, 1.0]])
-        assert np.allclose(out, [[1.5, 1.5], [1.5, 1.5]], atol=1e-12)
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError):
-            project_psd([[1.0, 0.5], [0.0, 1.0]])
-
-    def test_random_outputs_clean(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = rng.integers(1, 5)
-            m = rng.standard_normal((n, n))
-            out = project_psd(0.5 * (m + m.T))
-            assert np.array_equal(out, out.T)
-            assert np.linalg.eigvalsh(out)[0] >= -1e-12
-            assert validate_covariance(out, 1e-10)
 
 
 class TestChannelPair:
@@ -177,3 +138,24 @@ class TestRegionAndPareto:
             gt = (arr > arr[i]).any(axis=1)
             dominated = bool((ge & gt).any())
             assert (id(p) not in kept) == dominated
+
+
+_CH = ChannelPair(np.eye(2), np.diag([2.0, 1.0]))
+
+# Every entry point that takes a power budget from its caller, as p -> call.
+BUDGET_ENTRY_POINTS = {
+    "waterfill": lambda p: waterfill(_CH.h1, p),
+    "water_level": lambda p: water_level([1.0, 2.0], p),
+    "solve_wiretap": lambda p: solve_wiretap(_CH.h1, _CH.h2, p),
+    "solve_multicast": lambda p: solve_multicast(_CH.h1, _CH.h2, p),
+    "random_search_region": lambda p: random_search_region(_CH, Scenario("A"), p, 4),
+    "tdma_region": lambda p: tdma_region(_CH, Scenario("C"), p),
+    "oma_timeshare": lambda p: oma_timeshare(_CH, Scenario("C", False), p),
+}
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
+def test_bad_budget_rejected(entry, budget):
+    with pytest.raises(ValueError, match="power budget must be nonnegative and finite"):
+        BUDGET_ENTRY_POINTS[entry](budget)

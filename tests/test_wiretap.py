@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from secregion import SolverOptions, secrecy_rate, solve_wiretap, waterfill
+from secregion import secrecy_rate, solve_wiretap, waterfill
 
 from conftest import random_psd
 
@@ -73,8 +73,8 @@ class TestSolveWiretap:
         assert res.rate >= best - 1e-3
 
     def test_seeded_reproducibility(self, ch22):
-        a = solve_wiretap(ch22.h1, ch22.h2, 12.0, SolverOptions(seed=3))
-        b = solve_wiretap(ch22.h1, ch22.h2, 12.0, SolverOptions(seed=3))
+        a = solve_wiretap(ch22.h1, ch22.h2, 12.0, seed=3)
+        b = solve_wiretap(ch22.h1, ch22.h2, 12.0, seed=3)
         assert np.array_equal(a.q, b.q) and a.rate == b.rate
 
     def test_negative_power_rejected(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,7 +22,7 @@ from secregion import (
     wsr_solve,
 )
 from secregion.rates import LN2, rate_stack
-from secregion.wsr import wsr_sweep_points
+from secregion.wsr import LAMBDA_MIN, MAX_INNER, wsr_sweep_points
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
@@ -157,7 +158,7 @@ class TestBsmmInner:
             for tag in ("A", "B", "C"):
                 cfg = WsrConfig(w1=0.7, w2=0.3)
                 st = bsmm_inner(ch, Scenario(tag, False), cfg, 0.15, 10.0)
-                assert st.n_iters <= cfg.max_inner
+                assert st.n_iters <= MAX_INNER
 
     def test_wiretap_cross_agreement(self, ch22):
         cfg = WsrConfig(w1=1.0, w2=0.0)
@@ -166,8 +167,9 @@ class TestBsmmInner:
         assert sol.rates.r1 == pytest.approx(ref.rate, abs=1e-3)
 
     def test_mid_bracket_convergence(self, ch_row3):
+        # the middle of the first bracket, whose top is 10 * max(w1, w2)
         cfg = WsrConfig(w1=1.0, w2=1.0)
-        lam_mid = 0.5 * (cfg.lambda_min + cfg.lambda_max)
+        lam_mid = 0.5 * (LAMBDA_MIN + 10.0)
         st = bsmm_inner(ch_row3, Scenario("A", False), cfg, lam_mid, 10.0)
         assert st.converged and st.n_iters < 200
 
@@ -212,7 +214,8 @@ class TestWsrSolve:
             return states[-1]
 
         monkeypatch.setattr(wsr_mod, "bsmm_inner", recorded)
-        cfg = WsrConfig(w1=0.5, w2=0.5, max_inner=20)
+        monkeypatch.setattr(wsr_mod, "MAX_INNER", 20)
+        cfg = WsrConfig(w1=0.5, w2=0.5)
         sol = wsr_solve(ch_row3, Scenario("C", False), cfg, 4.0)
         assert sol.n_rounds == sum(state.n_iters for state in states)
         assert sol.n_capped == sum(not state.converged for state in states) > 0
@@ -274,29 +277,20 @@ class TestWsrSolve:
 
 
 class TestWsrConfig:
-    @pytest.mark.parametrize(
-        "field", ["w1", "w2", "lambda_min", "lambda_max", "eps2", "eps3"]
-    )
+    def test_fields_are_the_weights(self):
+        assert [f.name for f in dataclasses.fields(WsrConfig)] == ["w1", "w2"]
+
+    @pytest.mark.parametrize("field", ["w1", "w2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_named(self, field, value):
         kwargs = {"w1": 1.0, "w2": 0.5, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             WsrConfig(**kwargs)
 
-    @pytest.mark.parametrize("lambda_min", [0.0, -5.0])
-    def test_nonpositive_lambda_min_rejected(self, lambda_min):
-        # Such a bracket used to fail only inside the search, at the first
-        # nonpositive midpoint.
-        with pytest.raises(ValueError, match="lambda_min must be positive"):
-            WsrConfig(1.0, 1.0, lambda_min=lambda_min, lambda_max=1.0)
-
-    @pytest.mark.parametrize("max_inner", [0, 2.5])
-    def test_bad_max_inner_rejected(self, max_inner):
-        with pytest.raises(ValueError, match="max_inner must be a positive integer"):
-            WsrConfig(1.0, 1.0, max_inner=max_inner)
-
-    def test_default_lambda_max_accepted(self):
-        assert WsrConfig(1.0, 0.0).lambda_max == pytest.approx(10.0)
+    @pytest.mark.parametrize("field", ["w1", "w2"])
+    def test_negative_weight_rejected(self, field):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            WsrConfig(**{"w1": 1.0, "w2": 0.5, field: -0.1})
 
 
 # The no-common wsr solves of the benchmark: every (weight, order) solve of
@@ -338,7 +332,7 @@ def loop_cases(draw):
     w1, w2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     lam = draw(st.floats(0.02, 2.0))
     p = draw(st.floats(0.5, 10.0))
-    return ch, sc, WsrConfig(w1, w2, max_inner=25), lam, p
+    return ch, sc, WsrConfig(w1, w2), lam, p
 
 
 class TestLoopAgainstReference:
@@ -364,6 +358,7 @@ class TestLoopAgainstReference:
                     return log[-1]
 
                 mp.setattr(wsr_mod, name, recorded)
+            mp.setattr(wsr_mod, "MAX_INNER", 25)
             state = bsmm_inner(ch, sc, cfg, lam, p)
         assert len(prices) == len(covs) == 2 * state.n_iters
         assert len(rules) == state.n_iters + 1
