@@ -188,7 +188,7 @@ def random_search_region(
 
 def _slot_rates(ch: ChannelPair, scenario: Scenario, p: float, seed: int) -> tuple:
     """Full-power single-message optima for the three slots."""
-    r0 = solve_multicast(ch.h1, ch.h2, p, seed).rate if scenario.common_enabled else 0.0
+    r0 = solve_multicast(ch.h1, ch.h2, p).rate if scenario.common_enabled else 0.0
     if scenario.user1_confidential:
         r1 = solve_wiretap(ch.h1, ch.h2, p, seed).rate
     else:

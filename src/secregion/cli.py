@@ -277,7 +277,9 @@ def main(argv=None) -> int:
         default=100000,
         help="random-search sample count for the oracle method",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of wiretap restarts and oracle draws"
+    )
     parser.add_argument("--out", required=True, help="output CSV path")
     args = parser.parse_args(argv)
     cfg = RunConfig(

@@ -3,9 +3,11 @@
 The structure has three regimes.  If one user's single-link optimum
 already satisfies the other user, that water-filling matrix is globally
 optimal (cases 1 and 2).  Otherwise the max-min optimum equalizes the two
-rates and is found by the factor-parameterized multi-start search of
-``rotation`` on a smoothed minimum (case 3); the reported rate always
-re-evaluates the true minimum.
+rates (case 3).  Max-min is a concave program (Jindal & Luo, ISIT 2006),
+and so is its smoothed minimum, the softmin of two concave link rates, so
+case 3 runs one BFGS ascent of the softmin over the factor form of
+``rotation``, with no restarts.  The reported rate always re-evaluates the
+true minimum, and the two water-filling matrices stand as candidates.
 
 The smoothed minimum is -log(exp(-k a) + exp(-k b)) / k; its gradient is
 the softmax-weighted sum of the two rate gradients.
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import maximize_psd_objective
-from .types import DimensionError, as_matrix, check_budget
+from .rotation import ascend, encode
+from .types import as_channel_pair, check_budget
 from .waterfill import waterfill
 
 CASE_USER1_BINDING = "case1"
@@ -32,6 +34,12 @@ _CASE_SLACK = 1e-10
 # Sharpness of the smoothed minimum used for case-3 line searches; keeps
 # the gradient defined at the kink while matching min() away from it.
 SOFTMIN_SHARPNESS = 1e3
+
+# Share of the isotropic (p0/nt) I mixed into user 1's water-filling matrix
+# to start the case-3 ascent.  Water-filling is often rank-deficient, and
+# its factor then has exactly-zero columns, whose gradient is zero: the
+# ascent could never raise the rank.  The mix has full rank and trace p0.
+_ISOTROPIC_MIX = 1e-3
 
 
 @dataclass(frozen=True)
@@ -51,16 +59,6 @@ def _softmin_grad(h1w, h2w, q) -> tuple:
     return -lse / SOFTMIN_SHARPNESS, np.exp(a - lse) * g1 + np.exp(b - lse) * g2
 
 
-def _validated(h1w, h2w):
-    h1w = as_matrix(h1w, "h1w")
-    h2w = as_matrix(h2w, "h2w")
-    if h1w.shape[1] != h2w.shape[1]:
-        raise DimensionError(
-            f"channels must share the column count, got {h1w.shape} and {h2w.shape}"
-        )
-    return h1w, h2w
-
-
 def _classified(h1w, h2w, p0: float) -> tuple:
     """``(case, q01, q02)``: the regime and the water-fillings it computed.
 
@@ -77,15 +75,15 @@ def _classified(h1w, h2w, p0: float) -> tuple:
 
 def case_classify(h1w, h2w, p0: float) -> str:
     """Which regime the max-min design falls into for budget ``p0`` > 0."""
-    h1w, h2w = _validated(h1w, h2w)
+    h1w, h2w = as_channel_pair(h1w, h2w, "h1w", "h2w")
     if p0 <= 0:
         raise ValueError("classification needs a positive budget")
     return _classified(h1w, h2w, p0)[0]
 
 
-def solve_multicast(h1w, h2w, p0: float, seed: int = 0) -> MulticastResult:
+def solve_multicast(h1w, h2w, p0: float) -> MulticastResult:
     """Covariance maximizing min of the two users' rates under trace <= p0."""
-    h1w, h2w = _validated(h1w, h2w)
+    h1w, h2w = as_channel_pair(h1w, h2w, "h1w", "h2w")
     check_budget(p0)
     nt = h1w.shape[1]
     if p0 == 0:
@@ -100,17 +98,11 @@ def solve_multicast(h1w, h2w, p0: float, seed: int = 0) -> MulticastResult:
     if case == CASE_USER2_BINDING:
         return MulticastResult(q02, min_rate(q02), case, True)
 
-    q, rate, converged = maximize_psd_objective(
-        min_rate,
-        nt,
-        p0,
-        seed=seed,
-        warm_q=q01,
-        search_objective=lambda q: _softmin_grad(h1w, h2w, q),
+    start = (1.0 - _ISOTROPIC_MIX) * q01 + (_ISOTROPIC_MIX * p0 / nt) * np.eye(nt)
+    q, converged = ascend(
+        lambda q: _softmin_grad(h1w, h2w, q), encode(start, nt, p0), nt, p0
     )
-    # The other single-user optimum is a candidate the search did not
-    # start from.
-    alt = min_rate(q02)
-    if alt > rate:
-        q, rate, converged = q02, alt, True
-    return MulticastResult(q, rate, case, converged)
+    # The first of equals wins: the ascent, then the two water-fillings.
+    candidates = [(q, converged), (q01, True), (q02, True)]
+    q, converged = max(candidates, key=lambda c: min_rate(c[0]))
+    return MulticastResult(q, min_rate(q), case, converged)

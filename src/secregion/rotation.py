@@ -1,5 +1,6 @@
 """Factor parameterization of trace-bounded PSD matrices and the
-multi-start quasi-Newton search built on it.
+quasi-Newton searches built on it: one ascent (``ascend``) and the
+multi-start search that runs several (``maximize_psd_objective``).
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -22,11 +23,11 @@ from scipy.optimize import minimize
 # gradient in s vanishes and the start could never give power back.
 _SLACK_FLOOR = 1e-8
 
-# Knobs of the multi-start quasi-Newton searches.  ``N_STARTS`` counts the warm
-# start plus the random restarts.  A start stops at the gradient tolerance
-# ``GTOL``, when the line search can no longer improve the objective, or at
-# the ``MAX_ITERS`` cap; only hitting the cap marks the winning start as
-# not converged.
+# Knobs of the quasi-Newton searches.  ``N_STARTS`` counts the warm start
+# plus the random restarts that the nonconvex wiretap search needs.  An
+# ascent stops at the gradient tolerance ``GTOL``, when the line search can
+# no longer improve the objective, or at the ``MAX_ITERS`` cap; only
+# hitting the cap marks it as not converged.
 MAX_ITERS = 500
 N_STARTS = 8
 GTOL = 1e-7
@@ -38,7 +39,7 @@ def _decode(x: np.ndarray, nt: int, budget: float) -> np.ndarray:
     return (budget / (x @ x)) * (b @ b.T)
 
 
-def _encode(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
+def encode(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
     """A parameter vector that decodes to q (up to the slack floor).
 
     B is the scaled eigenbasis V diag(sqrt(w+ / budget)), and s takes up
@@ -68,6 +69,24 @@ def _factor_objective(search_objective, x: np.ndarray, nt: int, budget: float):
     return value, grad
 
 
+def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
+    """One BFGS ascent from parameter vector ``x0``; returns ``(q, converged)``.
+
+    ``search_objective`` maps a feasible matrix to ``(value, G)``, the value
+    to raise and its symmetric gradient G in the matrix.
+    """
+
+    def neg(x):
+        value, grad = _factor_objective(search_objective, x, nt, budget)
+        return -value, -grad
+
+    options = {"maxiter": MAX_ITERS, "gtol": GTOL}
+    res = minimize(neg, x0, jac=True, method="BFGS", options=options)
+    # status 1 is the iteration cap; a line-search stall (status 2) means
+    # no further improvement was possible and counts as a stop.
+    return _decode(res.x, nt, budget), res.status != 1
+
+
 def maximize_psd_objective(
     objective,
     nt: int,
@@ -80,13 +99,12 @@ def maximize_psd_objective(
     """Multi-start quasi-Newton maximization of a function of a PSD matrix.
 
     ``objective`` maps an nt x nt PSD matrix with trace <= budget to the
-    value being maximized and ranks the candidates.  ``search_objective``
-    maps the same matrix to ``(value, G)``, the value the line searches
-    follow (the objective itself or a smoothed surrogate) and its
-    symmetric gradient G in the matrix.  The zero matrix and ``warm_q``
-    are always evaluated as candidates, so the result can never fall
-    below either; ``warm_q`` also seeds the first start, and the others
-    are standard normal parameter vectors.
+    value being maximized and ranks the candidates.  Each start runs one
+    ``ascend`` of ``search_objective``, the objective itself or a smoothed
+    surrogate with its gradient.  The zero matrix and ``warm_q`` are
+    always evaluated as candidates, so the result can never fall below
+    either; ``warm_q`` also seeds the first start, and the others are
+    standard normal parameter vectors.
 
     Returns ``(q, value, converged)``.  Deterministic for a fixed seed;
     starts run sequentially in seed order.
@@ -96,9 +114,7 @@ def maximize_psd_objective(
         return zero, float(objective(zero)), True
 
     rng = np.random.default_rng(seed)
-    starts = []
-    if warm_q is not None:
-        starts.append(_encode(warm_q, nt, budget))
+    starts = [] if warm_q is None else [encode(warm_q, nt, budget)]
     while len(starts) < N_STARTS:
         starts.append(rng.standard_normal(nt * nt + 1))
 
@@ -110,23 +126,9 @@ def maximize_psd_objective(
         if v > best_val:
             best_q, best_val, best_converged = np.array(warm_q, copy=True), v, True
 
-    def neg(x):
-        value, grad = _factor_objective(search_objective, x, nt, budget)
-        return -value, -grad
-
     for x0 in starts:
-        res = minimize(
-            neg,
-            x0,
-            jac=True,
-            method="BFGS",
-            options={"maxiter": MAX_ITERS, "gtol": GTOL},
-        )
-        q = _decode(res.x, nt, budget)
+        q, converged = ascend(search_objective, x0, nt, budget)
         val = float(objective(q))
         if val > best_val:
-            best_q, best_val = q, val
-            # status 1 is the iteration cap; a line-search stall (status 2)
-            # means no further improvement was possible and counts as a stop.
-            best_converged = res.status != 1
+            best_q, best_val, best_converged = q, val, converged
     return best_q, best_val, best_converged

@@ -97,13 +97,13 @@ def _stage_second(work: ChannelPair, scenario: Scenario, qa, p2: float, seed: in
     return qb, rate, True
 
 
-def _stage_common(work: ChannelPair, qa, qb, p0: float, seed: int):
+def _stage_common(work: ChannelPair, qa, qb, p0: float):
     """Shared-message covariance on the residual-whitened channels."""
     nt = work.nt
     if p0 == 0:
         return np.zeros((nt, nt)), 0.0, True
     g1, g2 = whiten_multicast(work, qa, qb)
-    res = solve_multicast(g1, g2, p0, seed)
+    res = solve_multicast(g1, g2, p0)
     return res.q, res.rate, res.converged
 
 
@@ -128,9 +128,7 @@ def _solve_cell(
     qb, rate_b, conv2 = _stage_second(
         work, scenario, qa, _effective(split.alpha2 * p, p), seed
     )
-    q0, rate_0, conv0 = _stage_common(
-        work, qa, qb, _effective(split.alpha0 * p, p), seed
-    )
+    q0, rate_0, conv0 = _stage_common(work, qa, qb, _effective(split.alpha0 * p, p))
     q1, q2 = (qb, qa) if order == ORDER_21 else (qa, qb)
     cov = CovarianceTriple(q0, q1, q2, p)
     rates = evaluate_triple(ch, scenario, cov, order)

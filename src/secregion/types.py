@@ -53,6 +53,17 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def as_channel_pair(h1, h2, name1: str, name2: str) -> tuple:
+    """Two channels as matrices (see ``as_matrix``) sharing the column count."""
+    h1, h2 = as_matrix(h1, name1), as_matrix(h2, name2)
+    if h1.shape[1] != h2.shape[1]:
+        raise DimensionError(
+            f"{name1} and {name2} must share the column count, "
+            f"got {h1.shape} and {h2.shape}"
+        )
+    return h1, h2
+
+
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
@@ -112,14 +123,9 @@ class ChannelPair:
     h2: np.ndarray
 
     def __post_init__(self):
-        h1 = as_matrix(self.h1, "h1")
-        h2 = as_matrix(self.h2, "h2")
+        h1, h2 = as_channel_pair(self.h1, self.h2, "h1", "h2")
         if min(h1.shape) < 1 or min(h2.shape) < 1:
             raise DimensionError("channel matrices need at least one row and column")
-        if h1.shape[1] != h2.shape[1]:
-            raise DimensionError(
-                f"h1 and h2 must share the column count, got {h1.shape} and {h2.shape}"
-            )
         object.__setattr__(self, "h1", _frozen_copy(h1))
         object.__setattr__(self, "h2", _frozen_copy(h2))
 

@@ -2,10 +2,11 @@
 
 The covariance is searched through the factor parameterization of
 ``rotation`` with multi-start BFGS on the analytic gradient of the rate
-difference.  The water-filling matrix for the legitimate channel doubles
-as warm start and as a standing candidate, so the returned rate never
-falls below the warm start evaluated under the secrecy objective, nor
-below zero (the zero matrix is always a candidate).
+difference; the problem is nonconvex, so one ascent can stop at a local
+optimum that a restart escapes.  The water-filling matrix for the
+legitimate channel doubles as warm start and as a standing candidate, so
+the returned rate never falls below the warm start evaluated under the
+secrecy objective, nor below zero (the zero matrix is always a candidate).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
 from .rotation import maximize_psd_objective
-from .types import DimensionError, as_matrix, check_budget
+from .types import as_channel_pair, check_budget
 from .waterfill import DegenerateChannelWarning, waterfill
 
 
@@ -47,12 +48,7 @@ def solve_wiretap(hm, he, p: float, seed: int = 0) -> WiretapResult:
     With a zero budget, or whenever every positive-power direction leaks
     more than it carries, the zero matrix wins and the rate is 0.
     """
-    hm = as_matrix(hm, "legitimate channel")
-    he = as_matrix(he, "eavesdropper channel")
-    if hm.shape[1] != he.shape[1]:
-        raise DimensionError(
-            f"channels must share the column count, got {hm.shape} and {he.shape}"
-        )
+    hm, he = as_channel_pair(hm, he, "legitimate channel", "eavesdropper channel")
     check_budget(p)
     nt = hm.shape[1]
     if p == 0:

@@ -11,6 +11,7 @@ from secregion import (
 )
 from secregion.multicast import SOFTMIN_SHARPNESS, _softmin_grad
 from secregion.rates import link_rate_grad
+from secregion.rotation import encode
 
 from conftest import random_psd
 
@@ -128,6 +129,36 @@ class TestSolveMulticast:
         for _ in range(3000):
             q = random_psd(rng, 2, 2.0)
             assert res.rate >= min(gauss_rate(h1, q), gauss_rate(h2, q)) - 1e-12
+
+    # Case 3 with a rank-one water-filling matrix for user 1.  An ascent
+    # started from that matrix alone stops at 2.2652 bits; the eight-start
+    # search reached 2.4005293372310836.
+    TRAP = (np.array([[1.51, -1.25]]), np.array([[0.86, 0.49], [0.87, 1.88]]), 8.6)
+
+    def test_rank_deficient_start_escapes(self):
+        res = solve_multicast(*self.TRAP)
+        assert res.case == "case3" and res.converged
+        assert res.rate >= 2.4005293372310836 - 1e-8
+
+    def test_ascent_start_has_full_rank_factor(self, monkeypatch):
+        h1, h2, p = self.TRAP
+        starts = []
+
+        def recorded(search_objective, x0, nt, budget):
+            starts.append(x0)
+            return ascend(search_objective, x0, nt, budget)
+
+        ascend = multicast.ascend
+        monkeypatch.setattr(multicast, "ascend", recorded)
+        solve_multicast(h1, h2, p)
+        (x0,) = starts
+
+        def least_column_norm(x):
+            return np.linalg.norm(x[:-1].reshape(2, 2), axis=0).min()
+
+        # the unmixed water-filling start is the trap: a zero factor column
+        assert least_column_norm(encode(waterfill(h1, p)[0], 2, p)) == 0.0
+        assert least_column_norm(x0) > 0.0
 
     def test_monotone_in_budget(self, ch22b):
         rates = [solve_multicast(ch22b.h1, ch22b.h2, p).rate for p in (0.5, 1.0, 2.0, 4.0)]

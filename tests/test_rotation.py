@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from secregion import build_rotation
 from secregion.baselines import n_angles
 from secregion.multicast import _softmin_grad
-from secregion.rotation import _decode, _encode, _factor_objective, maximize_psd_objective
+from secregion.rotation import (
+    _decode,
+    _factor_objective,
+    ascend,
+    encode,
+    maximize_psd_objective,
+)
 from secregion.wiretap import _secrecy_rate_grad
 
 
@@ -78,7 +84,7 @@ class TestFactorParam:
                 q = g @ g.T
                 q *= share * 4.0 / np.trace(q)
                 # full power keeps a slack of 1e-8 of the budget
-                assert np.allclose(_decode(_encode(q, nt, 4.0), nt, 4.0), q, atol=1e-7)
+                assert np.allclose(_decode(encode(q, nt, 4.0), nt, 4.0), q, atol=1e-7)
 
 
 @st.composite
@@ -167,6 +173,14 @@ class TestDriver:
         a = maximize_psd_objective(obj, 2, 1.0, seed=5, search_objective=search)
         b = maximize_psd_objective(obj, 2, 1.0, seed=5, search_objective=search)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+    def test_single_ascent_reaches_concave_optimum(self):
+        # max tr(D q) with tr q <= 1 from the isotropic start
+        d = np.diag([1.0, 3.0])
+        x0 = encode(0.5 * np.eye(2), 2, 1.0)
+        q, converged = ascend(lambda q: (float(np.trace(q @ d)), d), x0, 2, 1.0)
+        assert converged
+        assert np.trace(q @ d) == pytest.approx(3.0, abs=1e-5)
 
     def test_concave_reference(self):
         # max tr(D q) with tr q <= 1 puts everything on the largest diagonal
