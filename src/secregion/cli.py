@@ -140,6 +140,8 @@ def _csv_rows_ps(ch, scenario, cfg):
 
 def _method_param_problem(cfg: RunConfig) -> str | None:
     """Why the chosen method cannot run with these parameters, or None."""
+    if cfg.seed < 0:
+        return f"--seed must be nonnegative, got {cfg.seed}"
     if cfg.method == "ps" and not 0.0 < cfg.eps1 <= 0.5:
         return f"--eps1 must lie in (0, 0.5], got {cfg.eps1}"
     if cfg.method == "wsr" and not 0.0 < cfg.sigma <= 1.0:

@@ -16,7 +16,11 @@ round-off defeats the factorization.  Inverse-times-matrix expressions in
 rates are rewritten as differences of log determinants; the only inverse
 formed is that of the Cholesky factor L in ``resolvent``, which gives the
 log-determinant, the whitened channel L^{-1} H and the Gram matrix
-H^T (I + H Q H^T)^{-1} H of one link from that one factor.
+H^T (I + H Q H^T)^{-1} H of one link from that one factor.  ``resolvent``
+runs in the inner loops of the searches and of the WSR solver on matrices
+of a few rows, so it calls the LAPACK routines behind ``np.linalg.cholesky``
+and ``np.linalg.inv`` (``dpotrf`` and ``dgesv``) directly, without numpy's
+per-call wrapper; the batched ``_half_logdet2`` keeps numpy's Cholesky.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dpotrf
 
 from .types import (
     ORDER_12,
@@ -64,16 +69,27 @@ def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     """``(ln|M|, Y, Y^T Y)`` for M = I + H Q H^T, from one Cholesky factor L.
 
     Y = L^{-1} H is the whitened channel, and Y^T Y = H^T M^{-1} H the Gram
-    matrix, symmetric by construction.  ``q`` may be one (nt, nt) matrix
-    or a (k, nt, nt) stack, which is factored in one batched call; the
-    log-determinant is then a (k,) array.  M must be positive definite,
-    as it is for every PSD Q.
+    matrix, symmetric by construction.  ``h`` and ``q`` are 2-D.  M must be
+    positive definite, as it is for every PSD Q; otherwise
+    ``np.linalg.LinAlgError`` is raised.  The factor comes from LAPACK's
+    ``dpotrf`` and L^{-1} from ``dgesv`` against the identity, the calls
+    ``np.linalg.cholesky`` and ``np.linalg.inv`` make, so the results match
+    that numpy expression bit for bit wherever numpy and scipy link the same
+    LAPACK build.  (``dtrtrs`` would be cheaper but rounds differently.)
     """
-    m = np.eye(h.shape[0]) + h @ q @ h.T
-    chol = np.linalg.cholesky(0.5 * (m + m.swapaxes(-1, -2)))
-    y = np.linalg.inv(chol) @ h
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return logdet, y, y.swapaxes(-1, -2) @ y
+    eye = np.eye(h.shape[0])
+    m = eye + h @ q @ h.T
+    chol, info = dpotrf(0.5 * (m + m.T), lower=1, clean=1)
+    if info:
+        raise np.linalg.LinAlgError("link matrix is not positive definite")
+    _, _, linv, info = dgesv(chol, eye)
+    if info:
+        raise np.linalg.LinAlgError("Cholesky factor is singular")
+    # LAPACK returns L^{-1} in Fortran order; numpy's inv returns C order,
+    # and the BLAS product below rounds differently for the two layouts.
+    y = np.ascontiguousarray(linv) @ h
+    logdet = 2.0 * np.log(chol.diagonal()).sum()
+    return logdet, y, y.T @ y
 
 
 def _check_link(h, q, name: str) -> tuple:
@@ -97,7 +113,7 @@ def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
 
     The gradient in Q is H^T (I + H Q H^T)^{-1} H / (2 ln 2).  Nothing is
     validated, so reported results must still go through ``gauss_rate``,
-    whose value this reproduces.
+    whose value this matches to round-off.
     """
     logdet, _, gram = resolvent(h, q)
     return 0.5 * logdet / LN2, gram / (2.0 * LN2)

@@ -30,7 +30,12 @@ three functions, but factors each link matrix I + Hu X Hu^T it needs once
 per round (a Cholesky factor L): the one factor gives the link's
 log-determinant for the weighted sum, its Gram matrix Y^T Y with
 Y = L^{-1} Hu for the next block price, and, for user 2 at the new q1,
-the whitened channel Y of block 2.
+the whitened channel Y of block 2.  Block 2's penalty is the scalar lam
+unless user 2 is confidential, and ``load_modes`` then skips the
+eigendecomposition of the penalty.  The factors and the mode loading call
+LAPACK directly (through ``rates.resolvent`` and in ``load_modes``), as
+the matrices have only a few rows and numpy's per-call wrappers would
+cost more than the routines.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd, dsyevd
 
 from .rates import LN2, evaluate_triple, link_rate_grad, rate_rule, resolvent
 from .splitting import _alpha_grid, hull_pareto
@@ -167,25 +173,52 @@ def block_price(
     )
 
 
-def load_modes(w: float, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+def load_modes(w: float, s, y: np.ndarray) -> np.ndarray:
     """Exact maximizer of w*ln|I + Y Q Y^T| - tr(S Q) over PSD Q: the kernel.
 
-    ``y`` is an already whitened channel and ``s`` is symmetric positive
-    definite after a +1e-12*I jitter; nothing else is checked.  The
-    solution loads the singular modes of Y S^{-1/2} up to the level ``w``.
+    ``y`` is an already whitened channel.  The penalty ``s`` is either a
+    symmetric matrix or a scalar c standing for S = c*I; it must be positive
+    definite after a +1e-12*I jitter, or ``ValueError`` is raised, and
+    nothing else is checked.  The solution loads the singular modes of
+    Y S^{-1/2} up to the level ``w``.  The scalar penalty needs no
+    eigendecomposition, and its result equals that of the matrix c*I bit
+    for bit when ``y`` holds no -0.0, as no product from
+    ``rates.resolvent`` does.  The eigendecomposition and the SVD are
+    LAPACK's ``dsyevd`` and ``dgesdd``, the routines behind
+    ``np.linalg.eigh`` and ``np.linalg.svd``.
     """
-    s = 0.5 * (s + s.T) + _S_JITTER * np.eye(s.shape[0])
-    ws, vs = np.linalg.eigh(s)
-    if ws[0] <= 0:
-        raise ValueError("penalty matrix is indefinite after regularization")
-    s_isqrt = (vs / np.sqrt(ws)) @ vs.T
-    _, sig, vt = np.linalg.svd(y @ s_isqrt)
+    nt = y.shape[1]
+    if np.ndim(s) == 0:
+        c = s + _S_JITTER
+        if c <= 0:
+            raise ValueError("penalty is not positive after regularization")
+        r = 1.0 / math.sqrt(c)
+        vt, lam = _mode_levels(w, y * r)
+        # The product order of the matrix case with S^{-1/2} = r*I.
+        q = ((vt.T * lam) * r) @ vt * r
+    else:
+        s = 0.5 * (s + s.T) + _S_JITTER * np.eye(nt)
+        ws, vs, info = dsyevd(s, lower=1)
+        if info:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        if ws[0] <= 0:
+            raise ValueError("penalty matrix is indefinite after regularization")
+        s_isqrt = (vs / np.sqrt(ws)) @ vs.T
+        vt, lam = _mode_levels(w, y @ s_isqrt)
+        q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
+    return 0.5 * (q + q.T)
+
+
+def _mode_levels(w: float, a: np.ndarray) -> tuple:
+    """Right singular vectors of ``a`` and the load of each mode at level ``w``."""
+    _, sig, vt, info = dgesdd(a, full_matrices=1)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
     # Modes at or below sqrt(tiny) load nothing: their 1/sig^2 stays finite
     # and far above any weight.
-    lam = np.zeros(s.shape[0])
+    lam = np.zeros(a.shape[1])
     lam[: sig.size] = np.maximum(w - 1.0 / np.maximum(sig, _SIG_FLOOR) ** 2, 0.0)
-    q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
-    return 0.5 * (q + q.T)
+    return vt, lam
 
 
 def closed_form_block(w: float, s, r, h) -> np.ndarray:
@@ -234,8 +267,11 @@ def bsmm_inner(
     ``rates.resolvent``.  The factors at the round's end point give the
     link values of the weighted sum (through ``rates.rate_rule``) and the
     Grams of the next block-1 price; user 2's factor at the new q1 also
-    whitens block 2's channel.  The inputs are trusted: ``wsr_solve`` and
-    the ``WsrConfig`` and ``ChannelPair`` constructors check them.
+    whitens block 2's channel.  Unless user 2 is confidential, block 2's
+    price is 0.0 and its penalty goes to ``load_modes`` as the scalar lam,
+    which needs no eigendecomposition.  The inputs are trusted:
+    ``wsr_solve`` and the ``WsrConfig`` and ``ChannelPair`` constructors
+    check them.
     """
     if lam <= 0:
         raise ValueError("the multiplier must be positive")
@@ -254,15 +290,16 @@ def bsmm_inner(
         # 2's log-determinant at q1 is the caller's; the q2 entries are
         # never read in order "12".
         q12 = q1 + q2
-        ld1, _, g1 = resolvent(h1, np.array((q1, q12)))
+        ld1_1 = resolvent(h1, q1)[0]
+        ld1_12, _, g1_12 = resolvent(h1, q12)
         ld2_12, _, g2_12 = resolvent(h2, q12)
-        l1_1, l1_12 = half * ld1
+        l1_1, l1_12 = half * ld1_1, half * ld1_12
         l2_1, l2_12 = half * ld2_1, half * ld2_12
         links = ((l1_12, l1_12, l1_1, None), (l2_12, l2_12, l2_1, None))
         _, r1, r2 = rate_rule(scenario, links)[0]
         wsr = float(w1 * r1 + w2 * r2)
         lagr = wsr - lam * (float(q1.trace() + q2.trace()) - p)
-        return wsr, lagr, g1[1], g2_12
+        return wsr, lagr, g1_12, g2_12
 
     ld2_1, _, g2_1 = resolvent(h2, q1)
     _, prev_lagr, g1_12, g2_12 = end_point(q1, q2, ld2_1)
@@ -276,7 +313,10 @@ def bsmm_inner(
         ld2_1, y2, g2_1 = resolvent(h2, q1)
         g1_mid = resolvent(h1, q1 + q2)[2] if scenario.user2_confidential else None
         price = price_from_grams(scenario, w1, w2, 2, None, None, g1_mid)
-        q2 = load_modes(k2, lam * eye + price, y2)
+        # Block 2's price is 0.0 unless user 2 is confidential; its penalty
+        # is then the scalar lam.
+        s2 = lam * eye + price if scenario.user2_confidential else lam
+        q2 = load_modes(k2, s2, y2)
         wsr, lagr, g1_12, g2_12 = end_point(q1, q2, ld2_1)
         if lagr < prev_lagr - _ASCENT_SLACK:
             raise ConsistencyError(

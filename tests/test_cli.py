@@ -263,6 +263,8 @@ class TestRun:
             ("wsr", ["--power", "0"]),
             ("ps", ["--power", "inf"]),
             ("tdma", ["--power", "nan"]),
+            ("oracle", ["--seed", "-1"]),
+            ("tdma", ["--seed", "-1"]),
         ],
     )
     def test_bad_parameter_is_usage_error(self, ch22_file, tmp_path, capsys, method, extra):

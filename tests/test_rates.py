@@ -364,23 +364,38 @@ class TestLinkRateGrad:
         assert np.tensordot(g, d) == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
+# The numpy and scipy wheels may bundle different OpenBLAS builds.  With
+# numpy 2.4.6 (OpenBLAS 0.3.31) and scipy 1.17.1 (OpenBLAS 0.3.30), the
+# 5x5 Cholesky factors of the two differ in the last bit of the last
+# diagonal entry in about one case in seven; up to 4 rows, the case of
+# every channel in the suite and the benchmark, they agree bit for bit.
+EXACT_ROWS = 4
+
+
 class TestSharedFactor:
-    @settings(max_examples=100, deadline=None)
-    @given(stacked_cases())
-    def test_stacked_resolvent_matches_each_matrix(self, case):
-        ch, _, q0, q1, _ = case
-        stack = q0 + q1
-        ld, y, gram = resolvent(ch.h1, stack)
-        assert ld.shape == (stack.shape[0],)
-        for i, q in enumerate(stack):
-            ld_i, y_i, gram_i = resolvent(ch.h1, q)
-            assert ld[i] == pytest.approx(ld_i, abs=1e-12)
-            assert np.allclose(y[i], y_i, rtol=0.0, atol=1e-12)
-            assert np.allclose(gram[i], gram_i, rtol=0.0, atol=1e-12)
-            # Y is the whitened channel: Y^T Y = H^T M^{-1} H.
-            m = np.eye(ch.n1) + ch.h1 @ q @ ch.h1.T
-            assert np.allclose(gram_i, ch.h1.T @ np.linalg.solve(m, ch.h1), atol=1e-9)
-            assert ld_i == pytest.approx(np.linalg.slogdet(m)[1], abs=1e-9)
+    @settings(max_examples=300, deadline=None)
+    @given(link_cases())
+    def test_resolvent_matches_numpy(self, case):
+        h, q, _ = case
+        ld, y, gram = resolvent(h, q)
+        m = np.eye(h.shape[0]) + h @ q @ h.T
+        chol = np.linalg.cholesky(0.5 * (m + m.T))
+        y_ref = np.linalg.inv(chol) @ h
+        want = (2.0 * np.sum(np.log(np.diagonal(chol))), y_ref, y_ref.T @ y_ref)
+        for got, ref in zip((ld, y, gram), want):
+            if h.shape[0] <= EXACT_ROWS:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+        assert np.shape(ld) == () and y.shape == h.shape
+        # Y is the whitened channel: Y^T Y = H^T M^{-1} H.
+        assert np.allclose(gram, h.T @ np.linalg.solve(m, h), atol=1e-9)
+        assert ld == pytest.approx(np.linalg.slogdet(m)[1], abs=1e-9)
+
+    def test_resolvent_rejects_indefinite_link(self):
+        h = np.array([[1.0, 0.5], [0.2, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            resolvent(h, -4.0 * np.eye(2))
 
     @settings(max_examples=100, deadline=None)
     @given(stacked_cases())

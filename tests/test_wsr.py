@@ -22,7 +22,7 @@ from secregion import (
     wsr_solve,
 )
 from secregion.rates import LN2, rate_stack
-from secregion.wsr import LAMBDA_MIN, MAX_INNER, wsr_sweep_points
+from secregion.wsr import LAMBDA_MIN, MAX_INNER, load_modes, wsr_sweep_points
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
@@ -142,6 +142,54 @@ class TestClosedFormBlock:
     def test_indefinite_penalty_rejected(self):
         with pytest.raises(ValueError):
             closed_form_block(1.0, [[-1.0]], [[1.0]], [[1.0]])
+
+
+@st.composite
+def mode_cases(draw):
+    """A weight, a whitened channel (1-5 rows, nt 1-5), a positive definite
+    penalty matrix and a positive scalar penalty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nt, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    w = draw(st.floats(0.0, 5.0))
+    s = random_psd(rng, nt, float(rng.uniform(0.1, 10))) + 0.05 * np.eye(nt)
+    c = 10.0 ** draw(st.floats(-6.0, 1.0))
+    return w, rng.standard_normal((rows, nt)), s, c
+
+
+def numpy_load_modes(w, s, y):
+    """The mode-loading kernel written with numpy.linalg, as a reference."""
+    s = 0.5 * (s + s.T) + 1e-12 * np.eye(s.shape[0])
+    ws, vs = np.linalg.eigh(s)
+    s_isqrt = (vs / np.sqrt(ws)) @ vs.T
+    _, sig, vt = np.linalg.svd(y @ s_isqrt)
+    lam = np.zeros(s.shape[0])
+    floor = np.finfo(float).tiny ** 0.5
+    lam[: sig.size] = np.maximum(w - 1.0 / np.maximum(sig, floor) ** 2, 0.0)
+    q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
+    return 0.5 * (q + q.T)
+
+
+class TestLoadModes:
+    @settings(max_examples=200, deadline=None)
+    @given(mode_cases())
+    def test_matches_numpy_reference(self, case):
+        w, y, s, _ = case
+        assert np.array_equal(load_modes(w, s, y), numpy_load_modes(w, s, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode_cases())
+    def test_scalar_penalty_is_scaled_identity(self, case):
+        w, y, _, c = case
+        nt = y.shape[1]
+        assert np.array_equal(load_modes(w, c, y), load_modes(w, c * np.eye(nt), y))
+
+    @pytest.mark.parametrize("c", [-1e-12, -1.0])
+    def test_nonpositive_scalar_penalty_rejected(self, c):
+        y = np.array([[1.0, 0.5]])
+        with pytest.raises(ValueError):
+            load_modes(1.0, c, y)
+        with pytest.raises(ValueError):
+            load_modes(1.0, c * np.eye(2), y)
 
 
 class TestBsmmInner:
