@@ -23,6 +23,7 @@ from .baselines import oma_timeshare, random_search_region, tdma_region
 from .rotation import GTOL, MAX_ITERS, N_STARTS
 from .splitting import hull_pareto, sweep_points
 from .types import ChannelPair, Scenario
+from .wiretap import GAP_TOL
 from .wsr import EPS2, EPS3, wsr_sweep_points
 
 METHODS = ("ps", "wsr", "tdma", "oma", "oracle")
@@ -235,6 +236,7 @@ def run(cfg: RunConfig) -> int:
         "solver_max_iters": str(MAX_ITERS),
         "solver_n_starts": str(N_STARTS),
         "solver_gtol": _fmt(GTOL),
+        "solver_gap_tol": _fmt(GAP_TOL),
         "wsr_eps2": _fmt(EPS2),
         "wsr_eps3": _fmt(EPS3),
         "n_points": str(len(rows)),
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
         help="random-search sample count for the oracle method",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed of wiretap restarts and oracle draws"
+        "--seed", type=int, default=0, help="seed of the wiretap fallback restarts and oracle draws"
     )
     parser.add_argument("--out", required=True, help="output CSV path")
     args = parser.parse_args(argv)

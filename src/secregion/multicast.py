@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import ascend, encode
+from .rotation import ascend, mixed_start
 from .types import as_channel_pair, check_budget
 from .waterfill import waterfill
 
@@ -34,12 +34,6 @@ _CASE_SLACK = 1e-10
 # Sharpness of the smoothed minimum used for case-3 line searches; keeps
 # the gradient defined at the kink while matching min() away from it.
 SOFTMIN_SHARPNESS = 1e3
-
-# Share of the isotropic (p0/nt) I mixed into user 1's water-filling matrix
-# to start the case-3 ascent.  Water-filling is often rank-deficient, and
-# its factor then has exactly-zero columns, whose gradient is zero: the
-# ascent could never raise the rank.  The mix has full rank and trace p0.
-_ISOTROPIC_MIX = 1e-3
 
 
 @dataclass(frozen=True)
@@ -98,9 +92,9 @@ def solve_multicast(h1w, h2w, p0: float) -> MulticastResult:
     if case == CASE_USER2_BINDING:
         return MulticastResult(q02, min_rate(q02), case, True)
 
-    start = (1.0 - _ISOTROPIC_MIX) * q01 + (_ISOTROPIC_MIX * p0 / nt) * np.eye(nt)
+    # Water-filling is often rank-deficient, so the start is mixed.
     q, converged = ascend(
-        lambda q: _softmin_grad(h1w, h2w, q), encode(start, nt, p0), nt, p0
+        lambda q: _softmin_grad(h1w, h2w, q), mixed_start(q01, nt, p0), nt, p0
     )
     # The first of equals wins: the ascent, then the two water-fillings.
     candidates = [(q, converged), (q01, True), (q02, True)]

@@ -65,6 +65,21 @@ def _half_logdet2(h: np.ndarray, q: np.ndarray):
     return 0.5 * ld / LN2
 
 
+def _link_factor(h: np.ndarray, q: np.ndarray) -> tuple:
+    """``(ln|M|, L)`` for M = I + H Q H^T = L L^T, from LAPACK's ``dpotrf``."""
+    m = np.eye(h.shape[0]) + h @ q @ h.T
+    chol, info = dpotrf(0.5 * (m + m.T), lower=1, clean=1)
+    if info:
+        raise np.linalg.LinAlgError("link matrix is not positive definite")
+    return 2.0 * np.log(chol.diagonal()).sum(), chol
+
+
+def link_logdet(h: np.ndarray, q: np.ndarray) -> float:
+    """ln|I + H Q H^T|, the first entry of ``resolvent`` bit for bit, from
+    the Cholesky factor alone."""
+    return _link_factor(h, q)[0]
+
+
 def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     """``(ln|M|, Y, Y^T Y)`` for M = I + H Q H^T, from one Cholesky factor L.
 
@@ -77,18 +92,13 @@ def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     that numpy expression bit for bit wherever numpy and scipy link the same
     LAPACK build.  (``dtrtrs`` would be cheaper but rounds differently.)
     """
-    eye = np.eye(h.shape[0])
-    m = eye + h @ q @ h.T
-    chol, info = dpotrf(0.5 * (m + m.T), lower=1, clean=1)
-    if info:
-        raise np.linalg.LinAlgError("link matrix is not positive definite")
-    _, _, linv, info = dgesv(chol, eye)
+    logdet, chol = _link_factor(h, q)
+    _, _, linv, info = dgesv(chol, np.eye(h.shape[0]))
     if info:
         raise np.linalg.LinAlgError("Cholesky factor is singular")
     # LAPACK returns L^{-1} in Fortran order; numpy's inv returns C order,
     # and the BLAS product below rounds differently for the two layouts.
     y = np.ascontiguousarray(linv) @ h
-    logdet = 2.0 * np.log(chol.diagonal()).sum()
     return logdet, y, y.T @ y
 
 

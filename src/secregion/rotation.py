@@ -1,6 +1,8 @@
 """Factor parameterization of trace-bounded PSD matrices and the
-quasi-Newton searches built on it: one ascent (``ascend``) and the
-multi-start search that runs several (``maximize_psd_objective``).
+quasi-Newton searches built on it: one ascent (``ascend``) from a start
+matrix (``mixed_start``), the multi-start search that runs several
+(``maximize_psd_objective``), and the Frank-Wolfe gap (``fw_gap``) that
+tells whether a result is stationary.
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -9,6 +11,11 @@ absorbs unused power.  Every parameter vector x = (vec B, s) maps to a
 feasible matrix, so the optimizer can never leave the feasible set, and
 the gradient in x follows from the objective's gradient in Q by the chain
 rule; no finite differences are taken.
+
+Over the set {Q PSD, tr Q <= budget} the Frank-Wolfe gap of an objective
+with gradient G at Q is max over S in the set of <G, S - Q>, which is
+budget * max(lambda_max(G), 0) - <G, Q>.  It is nonnegative and vanishes
+exactly at the first-order stationary points, global optima included.
 
 The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
 ``rotation.maximize_psd_objective`` by it.
@@ -23,11 +30,18 @@ from scipy.optimize import minimize
 # gradient in s vanishes and the start could never give power back.
 _SLACK_FLOOR = 1e-8
 
-# Knobs of the quasi-Newton searches.  ``N_STARTS`` counts the warm start
-# plus the random restarts that the nonconvex wiretap search needs.  An
-# ascent stops at the gradient tolerance ``GTOL``, when the line search can
-# no longer improve the objective, or at the ``MAX_ITERS`` cap; only
-# hitting the cap marks it as not converged.
+# Share of the isotropic (budget/nt) I mixed into a start matrix.  Start
+# matrices are often rank-deficient, and their factor then has exactly-zero
+# columns, whose gradient is zero: the ascent could never raise the rank.
+# The mix has full rank and keeps the trace.
+_ISOTROPIC_MIX = 1e-3
+
+# Knobs of the quasi-Newton searches.  ``N_STARTS`` caps the starts of the
+# multi-start search, the warm start plus random restarts, which the
+# wiretap solve runs only when its deterministic ascents end away from a
+# stationary point.  An ascent stops at the gradient tolerance ``GTOL``,
+# when the line search can no longer improve the objective, or at the
+# ``MAX_ITERS`` cap; only hitting the cap marks it as not converged.
 MAX_ITERS = 500
 N_STARTS = 8
 GTOL = 1e-7
@@ -49,6 +63,18 @@ def encode(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
     fracs = np.maximum(w, 0.0) / budget
     slack = np.sqrt(max(1.0 - fracs.sum(), _SLACK_FLOOR))
     return np.append((v * np.sqrt(fracs)).ravel(), slack)
+
+
+def mixed_start(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
+    """Parameter vector of q mixed with ``_ISOTROPIC_MIX`` of (budget/nt) I."""
+    start = (1.0 - _ISOTROPIC_MIX) * q + (_ISOTROPIC_MIX * budget / nt) * np.eye(nt)
+    return encode(start, nt, budget)
+
+
+def fw_gap(g: np.ndarray, q: np.ndarray, budget: float) -> float:
+    """Frank-Wolfe gap budget * max(lambda_max(G), 0) - <G, Q> at q."""
+    top = np.linalg.eigvalsh(g)[-1]
+    return float(budget * max(top, 0.0) - np.tensordot(g, q))
 
 
 def _factor_objective(search_objective, x: np.ndarray, nt: int, budget: float):
@@ -96,7 +122,9 @@ def maximize_psd_objective(
     *,
     search_objective,
 ) -> tuple:
-    """Multi-start quasi-Newton maximization of a function of a PSD matrix.
+    """Multi-start quasi-Newton maximization of a function of a PSD matrix,
+    the wiretap solve's fallback when its deterministic result is not
+    stationary.
 
     ``objective`` maps an nt x nt PSD matrix with trace <= budget to the
     value being maximized and ranks the candidates.  Each start runs one

@@ -46,7 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dsyevd
 
-from .rates import LN2, evaluate_triple, link_rate_grad, rate_rule, resolvent
+from .rates import (
+    LN2,
+    evaluate_triple,
+    link_logdet,
+    link_rate_grad,
+    rate_rule,
+    resolvent,
+)
 from .splitting import _alpha_grid, hull_pareto
 from .types import (
     ORDER_12,
@@ -290,7 +297,7 @@ def bsmm_inner(
         # 2's log-determinant at q1 is the caller's; the q2 entries are
         # never read in order "12".
         q12 = q1 + q2
-        ld1_1 = resolvent(h1, q1)[0]
+        ld1_1 = link_logdet(h1, q1)
         ld1_12, _, g1_12 = resolvent(h1, q12)
         ld2_12, _, g2_12 = resolvent(h2, q12)
         l1_1, l1_12 = half * ld1_1, half * ld1_12

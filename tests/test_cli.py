@@ -21,6 +21,7 @@ SOLVER_SETTINGS = {
     "solver_max_iters": "500",
     "solver_n_starts": "8",
     "solver_gtol": "9.9999999999999995e-08",
+    "solver_gap_tol": "9.9999999999999995e-08",
     "wsr_eps2": "1.0000000000000001e-05",
     "wsr_eps3": "1.0000000000000001e-09",
 }

@@ -15,6 +15,7 @@ from secregion import (
 )
 from secregion.rates import (
     evaluate_stack,
+    link_logdet,
     link_rate_grad,
     rate_rule,
     rate_stack,
@@ -392,10 +393,18 @@ class TestSharedFactor:
         assert np.allclose(gram, h.T @ np.linalg.solve(m, h), atol=1e-9)
         assert ld == pytest.approx(np.linalg.slogdet(m)[1], abs=1e-9)
 
+    @settings(max_examples=300, deadline=None)
+    @given(link_cases())
+    def test_logdet_alone_matches_resolvent(self, case):
+        h, q, _ = case
+        assert link_logdet(h, q) == resolvent(h, q)[0]
+
     def test_resolvent_rejects_indefinite_link(self):
         h = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             resolvent(h, -4.0 * np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            link_logdet(h, -4.0 * np.eye(2))
 
     @settings(max_examples=100, deadline=None)
     @given(stacked_cases())

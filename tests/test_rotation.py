@@ -11,7 +11,9 @@ from secregion.rotation import (
     _factor_objective,
     ascend,
     encode,
+    fw_gap,
     maximize_psd_objective,
+    mixed_start,
 )
 from secregion.wiretap import _secrecy_rate_grad
 
@@ -85,6 +87,28 @@ class TestFactorParam:
                 q *= share * 4.0 / np.trace(q)
                 # full power keeps a slack of 1e-8 of the budget
                 assert np.allclose(_decode(encode(q, nt, 4.0), nt, 4.0), q, atol=1e-7)
+
+
+    def test_mixed_start_full_rank_at_budget(self):
+        # A rank-one start keeps its trace and gains every direction.
+        q = np.diag([3.0, 0.0, 0.0])
+        mixed = _decode(mixed_start(q, 3, 3.0), 3, 3.0)
+        assert np.trace(mixed) == pytest.approx(3.0, rel=1e-7)
+        assert np.linalg.eigvalsh(mixed)[0] == pytest.approx(1e-3, rel=1e-6)
+
+
+class TestFrankWolfeGap:
+    def test_linear_objective(self):
+        # For tr(D q) the gap is the distance to the optimum p * max(D).
+        d = np.diag([1.0, 3.0])
+        for q in (np.zeros((2, 2)), np.diag([2.0, 0.0]), np.diag([0.5, 0.5])):
+            assert fw_gap(d, q, 2.0) == pytest.approx(6.0 - np.trace(d @ q), abs=1e-15)
+        assert fw_gap(d, np.diag([0.0, 2.0]), 2.0) == 0.0
+
+    def test_negative_gradient_stays_at_zero(self):
+        # No direction ascends, so zero power is stationary.
+        assert fw_gap(-np.eye(3), np.zeros((3, 3)), 5.0) == 0.0
+        assert fw_gap(-np.eye(3), np.eye(3), 5.0) == pytest.approx(3.0)
 
 
 @st.composite

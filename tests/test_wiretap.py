@@ -1,10 +1,32 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from secregion import secrecy_rate, solve_wiretap, waterfill
+from secregion import secrecy_rate, solve_wiretap, waterfill, wiretap
+from secregion.wiretap import GAP_TOL, _secrecy_rate_grad
 
 from conftest import random_psd
+
+
+def top_eigenvalue(hm, he, p):
+    """Largest generalized eigenvalue of (I + p Hm^T Hm, I + p He^T He)."""
+    nt = hm.shape[1]
+    return eigh(
+        np.eye(nt) + p * hm.T @ hm, np.eye(nt) + p * he.T @ he, eigvals_only=True
+    )[-1]
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("a search ran")
+
+
+def no_search(monkeypatch):
+    """Make every search entry point of ``wiretap`` fail if called."""
+    monkeypatch.setattr(wiretap, "ascend", fail)
+    monkeypatch.setattr(wiretap, "maximize_psd_objective", fail)
 
 
 class TestSecrecyRate:
@@ -95,11 +117,9 @@ class TestWideArrays:
             hm = rng.standard_normal((int(rng.integers(1, 6)), nt))
             he = rng.standard_normal((int(rng.integers(1, 6)), nt))
             p = float(rng.uniform(0.5, 20))
-            top = eigh(
-                np.eye(nt) + p * hm.T @ hm, np.eye(nt) + p * he.T @ he, eigvals_only=True
-            )[-1]
-            bound = max(0.5 * np.log2(top), 0.0)
-            assert solve_wiretap(hm, he, p).rate >= bound - 1e-6
+            bound = max(0.5 * np.log2(top_eigenvalue(hm, he, p)), 0.0)
+            # The beam is always a candidate.
+            assert solve_wiretap(hm, he, p).rate >= bound - 1e-12
 
     @pytest.mark.parametrize("nt", [4, 5])
     def test_reduces_to_waterfilling_without_eavesdropper(self, nt):
@@ -109,3 +129,67 @@ class TestWideArrays:
             p = float(rng.uniform(0.5, 20))
             res = solve_wiretap(hm, np.zeros((1, nt)), p)
             assert res.rate == pytest.approx(waterfill(hm, p)[1], abs=1e-6)
+
+
+class TestClosedForm:
+    """One legitimate receive row: the top generalized eigenvector at full
+    power (Khisti & Wornell, IEEE TIT 2010), or the zero matrix."""
+
+    @pytest.mark.parametrize("nt", [1, 2, 3, 4, 5])
+    def test_one_row_beam(self, nt, monkeypatch):
+        no_search(monkeypatch)
+        rng = np.random.default_rng(50 + nt)
+        for _ in range(10):
+            hm = rng.standard_normal((1, nt))
+            he = rng.standard_normal((int(rng.integers(1, 6)), nt))
+            p = float(10.0 ** rng.uniform(-2, 3))
+            top = top_eigenvalue(hm, he, p)
+            res = solve_wiretap(hm, he, p)
+            assert res.rate == pytest.approx(max(0.5 * np.log2(top), 0.0), abs=1e-12)
+            assert not res.restarted and res.converged
+            assert res.gap <= GAP_TOL
+            if top <= 1.0:
+                assert np.array_equal(res.q, np.zeros((nt, nt)))
+                continue
+            w = np.linalg.eigvalsh(res.q)
+            assert np.trace(res.q) == pytest.approx(p, rel=1e-12)
+            assert np.all(np.abs(w[:-1]) <= 1e-12 * p)
+
+
+class TestGate:
+    """Pinned instances rated by the eight-start search that ran on every
+    solve before the deterministic starts; see the file's "about" entry."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "wiretap_golden.json").read_text()
+    )["instances"]
+
+    def test_pinned_rates_and_gaps(self):
+        restarted_high = 0
+        for item in self.GOLDEN:
+            hm, he, p = np.array(item["hm"]), np.array(item["he"]), item["p"]
+            res = solve_wiretap(hm, he, p)
+            assert res.rate >= item["rate"] - 1e-9
+            g = _secrecy_rate_grad(hm, he, res.q)[1]
+            want = p * max(np.linalg.eigvalsh(g)[-1], 0.0) - np.trace(g @ res.q)
+            # Both sums round at the scale of p * lambda_max(G).
+            assert res.gap == pytest.approx(want, abs=1e-12 * max(p, 1.0))
+            if not res.restarted:
+                assert res.gap <= GAP_TOL
+            restarted_high += res.restarted and p > 1e3
+        # The gate fails at high power somewhere, so the restarts still run.
+        assert restarted_high >= 1
+
+    def test_stationary_result_skips_restarts(self, ch22, monkeypatch):
+        monkeypatch.setattr(wiretap, "maximize_psd_objective", fail)
+        res = solve_wiretap(ch22.h1, ch22.h2, 12.0)
+        assert not res.restarted and res.gap <= GAP_TOL
+
+    def test_restart_never_below_multistart(self, monkeypatch):
+        # Forcing the gate open returns the better of the two results.
+        item = self.GOLDEN[0]
+        hm, he, p = np.array(item["hm"]), np.array(item["he"]), item["p"]
+        monkeypatch.setattr(wiretap, "GAP_TOL", -1.0)
+        res = solve_wiretap(hm, he, p)
+        assert res.restarted
+        assert res.rate >= item["rate"]
