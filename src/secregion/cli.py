@@ -4,8 +4,9 @@ The consumers are plotting and diffing pipelines, so output is plain CSV
 with 17-significant-digit decimals (exact double round-trip) plus a
 human-readable key=value sidecar carrying every parameter, tolerance, the
 seed, wall time, and solver flags; a ``wsr`` job's sidecar also sums the
-BSMM rounds (``bsmm_rounds``) and the inner solves that hit the round cap
-(``bsmm_capped``) over its solves.  One process runs one
+BSMM rounds (``bsmm_rounds``), the inner solves that hit the round cap
+(``bsmm_capped``) and the multiplier bisection steps (``bsmm_bisect``)
+over its solves.  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
 """
 
@@ -204,6 +205,7 @@ def run(cfg: RunConfig) -> int:
             bsmm = {
                 "bsmm_rounds": str(sum(sol.n_rounds for _, sol in solved)),
                 "bsmm_capped": str(sum(sol.n_capped for _, sol in solved)),
+                "bsmm_bisect": str(sum(sol.n_bisect for _, sol in solved)),
             }
         elif cfg.method == "tdma":
             points = tdma_region(ch, scenario, cfg.power, cfg.seed).points

@@ -7,7 +7,8 @@ turns per-user link values 0.5 * log2|I + Hu Q Hu^T| into rate triples.
 ``rate_stack`` is the batched log-determinants of a covariance stack plus
 that rule; ``evaluate_stack`` and ``evaluate_triple`` clamp its values for
 reporting, and the WSR inner loop feeds the rule the link values of its
-own factors.  ``gauss_rate`` and ``layered_rate`` are the single-link
+own factors and mode loadings, as floats, which the rule handles without
+numpy.  ``gauss_rate`` and ``layered_rate`` are the single-link
 primitives of the subproblem solvers and the WSR coupling terms, and
 ``link_rate_grad`` gives a link rate with its gradient for the searches.
 Log determinants go through a Cholesky factorization of I + PSD, which is
@@ -20,12 +21,14 @@ H^T (I + H Q H^T)^{-1} H of one link from that one factor.  ``resolvent``
 runs in the inner loops of the searches and of the WSR solver on matrices
 of a few rows, so it calls the LAPACK routines behind ``np.linalg.cholesky``
 and ``np.linalg.inv`` (``dpotrf`` and ``dgesv``) directly, without numpy's
-per-call wrapper; the batched ``_half_logdet2`` keeps numpy's Cholesky.
+per-call wrapper, against identity matrices that ``identity`` builds once
+per size; the batched ``_half_logdet2`` keeps numpy's Cholesky.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
@@ -42,6 +45,14 @@ from .types import (
 )
 
 LN2 = math.log(2.0)
+
+
+@lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per size and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _half_logdet2(h: np.ndarray, q: np.ndarray):
@@ -67,7 +78,7 @@ def _half_logdet2(h: np.ndarray, q: np.ndarray):
 
 def _link_factor(h: np.ndarray, q: np.ndarray) -> tuple:
     """``(ln|M|, L)`` for M = I + H Q H^T = L L^T, from LAPACK's ``dpotrf``."""
-    m = np.eye(h.shape[0]) + h @ q @ h.T
+    m = identity(h.shape[0]) + h @ q @ h.T
     chol, info = dpotrf(0.5 * (m + m.T), lower=1, clean=1)
     if info:
         raise np.linalg.LinAlgError("link matrix is not positive definite")
@@ -93,7 +104,7 @@ def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     LAPACK build.  (``dtrtrs`` would be cheaper but rounds differently.)
     """
     logdet, chol = _link_factor(h, q)
-    _, _, linv, info = dgesv(chol, np.eye(h.shape[0]))
+    _, _, linv, info = dgesv(chol, identity(h.shape[0]))
     if info:
         raise np.linalg.LinAlgError("Cholesky factor is singular")
     # LAPACK returns L^{-1} in Fortran order; numpy's inv returns C order,
@@ -178,7 +189,7 @@ def rate_stack(
     return rate_rule(scenario, logdet, orders)
 
 
-def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)) -> np.ndarray:
+def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)):
     """The scenario rules: unclamped rate triples from per-user link values.
 
     The one place where the scenario rules are written out: which message
@@ -186,9 +197,11 @@ def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)) -> np.nda
     ``logdet[u][j]`` is 0.5 * log2|I + Hu Q Hu^T| for user u (0 or 1) and
     the j-th of q0 + (q1 + q2), q1 + q2, q1, q2; each entry is a float or
     an array, all of one shape s.  Returns an array of shape
-    (len(orders),) + s + (3,) holding (r0, r1, r2).  Entries that no
-    requested order reads may be None: order "12" never reads the q2
-    entries, nor "21" the q1 entries.
+    (len(orders),) + s + (3,) holding (r0, r1, r2); for float entries it
+    returns the same values without numpy, as a tuple of one (r0, r1, r2)
+    tuple per order.  Entries that no requested order reads may be None:
+    order "12" never reads the q2 entries, nor "21" the q1 entries.  Both
+    users' q0 + (q1 + q2) entries may be None when q0 = 0; r0 is then 0.
 
     Order "21" exchanges the roles of the two users in the formulas (h1
     with h2 and q1 with q2) and is rejected for scenario B, whose single
@@ -196,6 +209,8 @@ def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)) -> np.nda
     for instance user 2's view of the first-encoded covariance enters both
     the first user's secrecy term and the second user's interference term.
     """
+    if not orders:
+        raise ValueError("at least one encoding order is required")
     for order in orders:
         if order not in (ORDER_12, ORDER_21):
             raise ValueError(f"order must be '12' or '21', got {order!r}")
@@ -203,10 +218,13 @@ def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)) -> np.nda
             raise ValueError("scenario B supports only the '12' encoding order")
     # The shared message sees q1 + q2 as interference on both links, so its
     # rate does not depend on the order.
-    r0 = np.minimum(*(ld[0] - ld[1] for ld in logdet))
+    if logdet[0][0] is None:
+        r0 = 0.0
+    else:
+        r0 = np.minimum(*(ld[0] - ld[1] for ld in logdet))
 
-    out = np.empty((len(orders),) + np.shape(r0) + (3,))
-    for n, order in enumerate(orders):
+    rows = []
+    for order in orders:
         # first, second: the users (0 or 1) encoded first and second; own:
         # where the first-encoded user's covariance sits in the list above.
         # The scenario's user-1 and user-2 rules apply to the first- and
@@ -220,9 +238,15 @@ def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)) -> np.nda
         r_second = ls[1] - ls[own]
         if scenario.user2_confidential:
             r_second = r_second - (lf[1] - lf[own])
-        out[n, ..., 0] = r0
-        out[n, ..., 1 + first] = r_first
-        out[n, ..., 1 + second] = r_second
+        rows.append((r0, r_first, r_second) if first == 0 else (r0, r_second, r_first))
+    if isinstance(r_first, float):
+        if not all(math.isfinite(r) for row in rows for r in row):
+            raise ValueError("rate evaluation produced non-finite values")
+        return tuple(rows)
+    out = np.empty((len(orders),) + np.shape(r_first) + (3,))
+    for n, row in enumerate(rows):
+        for m, r in enumerate(row):
+            out[n, ..., m] = r
     if not np.all(np.isfinite(out)):
         raise ValueError("rate evaluation produced non-finite values")
     return out

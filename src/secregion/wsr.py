@@ -26,22 +26,28 @@ inner loop.  ``block_price`` forms its Gram matrices with
 ``closed_form_block`` validates and whitens its inputs and hands them to
 the mode-loading kernel ``load_modes``; the weighted sum is
 ``rates.rate_rule`` applied to link values.  The inner loop calls the same
-three functions, but factors each link matrix I + Hu X Hu^T it needs once
-per round (a Cholesky factor L): the one factor gives the link's
-log-determinant for the weighted sum, its Gram matrix Y^T Y with
-Y = L^{-1} Hu for the next block price, and, for user 2 at the new q1,
+three functions and computes each link value it reads once per round.
+The kernel returns, besides the block, the log-determinant of its link
+and, for a scalar penalty, the link's Gram matrix, both from the SVD that
+loads the modes.  So block 1 gives user 1's link at q1, and one Cholesky
+factor L of user 2's link matrix I + H2 q1 H2^T gives its log-determinant,
+the Gram matrix Y^T Y with Y = L^{-1} H2 for the next block-1 price, and
 the whitened channel Y of block 2.  Block 2's penalty is the scalar lam
-unless user 2 is confidential, and ``load_modes`` then skips the
-eigendecomposition of the penalty.  The factors and the mode loading call
-LAPACK directly (through ``rates.resolvent`` and in ``load_modes``), as
-the matrices have only a few rows and numpy's per-call wrappers would
-cost more than the routines.
+unless user 2 is confidential; ``load_modes`` then skips the
+eigendecomposition of the penalty, and block 2 gives user 2's link at
+q1 + q2, so a round factors one link matrix.  When user 2 is confidential
+the round factors four: user 1 for block 2's price and both users at the
+round's end point.  The factors and the mode loading call LAPACK directly
+(through ``rates.resolvent`` and in ``load_modes``), as the matrices have
+only a few rows and numpy's per-call wrappers would cost more than the
+routines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dsyevd
@@ -49,6 +55,7 @@ from scipy.linalg.lapack import dgesdd, dsyevd
 from .rates import (
     LN2,
     evaluate_triple,
+    identity,
     link_logdet,
     link_rate_grad,
     rate_rule,
@@ -72,7 +79,7 @@ from .types import (
 _ASCENT_SLACK = 1e-9
 
 _S_JITTER = 1e-12
-_SIG_FLOOR = np.finfo(float).tiny ** 0.5
+_SIG_FLOOR = float(np.finfo(float).tiny ** 0.5)
 
 
 class BracketError(RuntimeError):
@@ -180,52 +187,80 @@ def block_price(
     )
 
 
-def load_modes(w: float, s, y: np.ndarray) -> np.ndarray:
+def load_modes(w: float, s, y: np.ndarray) -> tuple:
     """Exact maximizer of w*ln|I + Y Q Y^T| - tr(S Q) over PSD Q: the kernel.
 
-    ``y`` is an already whitened channel.  The penalty ``s`` is either a
-    symmetric matrix or a scalar c standing for S = c*I; it must be positive
-    definite after a +1e-12*I jitter, or ``ValueError`` is raised, and
-    nothing else is checked.  The solution loads the singular modes of
-    Y S^{-1/2} up to the level ``w``.  The scalar penalty needs no
-    eigendecomposition, and its result equals that of the matrix c*I bit
-    for bit when ``y`` holds no -0.0, as no product from
-    ``rates.resolvent`` does.  The eigendecomposition and the SVD are
-    LAPACK's ``dsyevd`` and ``dgesdd``, the routines behind
+    Returns ``(q, ln|I + Y Q Y^T|, gram)``.  ``y`` is an already whitened
+    channel.  The penalty ``s`` is either a symmetric matrix or a scalar c
+    standing for S = c*I; it must be positive definite after a +1e-12*I
+    jitter, or ``ValueError`` is raised, and nothing else is checked.  The
+    solution loads the singular modes of Y S^{-1/2} = U diag(sig) V^T with
+    lam_i = (w - 1/sig_i^2)+, so Q = S^{-1/2} V diag(lam) V^T S^{-1/2}, and
+    the log-determinant is sum_i ln(1 + sig_i^2 lam_i) from the same SVD.
+    For a scalar penalty ``gram`` is Y^T (I + Y Q Y^T)^{-1} Y =
+    V diag(c sig_i^2 / (1 + sig_i^2 lam_i)) V^T, the Gram matrix that
+    ``rates.resolvent`` would give at the returned q; for a matrix penalty
+    it is None.  The scalar penalty needs no eigendecomposition, and its q
+    equals that of the matrix c*I bit for bit when ``y`` holds no -0.0, as
+    no product from ``rates.resolvent`` does.  The eigendecomposition and
+    the SVD are LAPACK's ``dsyevd`` and ``dgesdd``, the routines behind
     ``np.linalg.eigh`` and ``np.linalg.svd``.
     """
-    nt = y.shape[1]
     if np.ndim(s) == 0:
         c = s + _S_JITTER
         if c <= 0:
             raise ValueError("penalty is not positive after regularization")
         r = 1.0 / math.sqrt(c)
-        vt, lam = _mode_levels(w, y * r)
+        vt, lam, sig2, logdet = _mode_levels(w, y * r)
         # The product order of the matrix case with S^{-1/2} = r*I.
         q = ((vt.T * lam) * r) @ vt * r
+        # The Gram as Z Z^T, which numpy forms exactly symmetric.
+        z = vt.T * [math.sqrt(c * g / (1.0 + g * x)) for g, x in zip(sig2, lam)]
+        gram = z @ z.T
     else:
-        s = 0.5 * (s + s.T) + _S_JITTER * np.eye(nt)
+        s = 0.5 * (s + s.T) + _jitter(y.shape[1])
         ws, vs, info = dsyevd(s, lower=1)
         if info:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         if ws[0] <= 0:
             raise ValueError("penalty matrix is indefinite after regularization")
         s_isqrt = (vs / np.sqrt(ws)) @ vs.T
-        vt, lam = _mode_levels(w, y @ s_isqrt)
+        vt, lam, _, logdet = _mode_levels(w, y @ s_isqrt)
         q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
-    return 0.5 * (q + q.T)
+        gram = None
+    return 0.5 * (q + q.T), logdet, gram
+
+
+@lru_cache(maxsize=None)
+def _jitter(nt: int) -> np.ndarray:
+    """The penalty jitter _S_JITTER * I, built once per size and read-only."""
+    jitter = _S_JITTER * identity(nt)
+    jitter.flags.writeable = False
+    return jitter
 
 
 def _mode_levels(w: float, a: np.ndarray) -> tuple:
-    """Right singular vectors of ``a`` and the load of each mode at level ``w``."""
+    """``(V^T, lam, sig^2, sum ln(1 + sig^2 lam))`` of ``a`` at level ``w``.
+
+    V^T holds the right singular vectors of ``a``; the lists lam and sig^2
+    hold the load of each mode and its squared singular value, zero past
+    the rows of ``a``.  The few singular values are looped over as floats,
+    as numpy's per-call cost exceeds the arithmetic on arrays this small.
+    """
     _, sig, vt, info = dgesdd(a, full_matrices=1)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
-    # Modes at or below sqrt(tiny) load nothing: their 1/sig^2 stays finite
-    # and far above any weight.
-    lam = np.zeros(a.shape[1])
-    lam[: sig.size] = np.maximum(w - 1.0 / np.maximum(sig, _SIG_FLOOR) ** 2, 0.0)
-    return vt, lam
+    lam = [0.0] * a.shape[1]
+    sig2 = lam.copy()
+    logdet = 0.0
+    for i, x in enumerate(sig.tolist()):
+        # Modes at or below sqrt(tiny) load nothing: their 1/sig^2 stays
+        # finite and far above any weight.
+        floor = max(x, _SIG_FLOOR)
+        lam[i] = max(w - 1.0 / (floor * floor), 0.0)
+        sig2[i] = x * x
+        logdet += math.log1p(sig2[i] * lam[i])
+    return vt, lam, sig2, logdet
 
 
 def closed_form_block(w: float, s, r, h) -> np.ndarray:
@@ -243,7 +278,7 @@ def closed_form_block(w: float, s, r, h) -> np.ndarray:
         chol = np.linalg.cholesky(0.5 * (r + r.T))
     except np.linalg.LinAlgError:
         raise ValueError("noise matrix must be positive definite") from None
-    return load_modes(w, s, np.linalg.inv(chol) @ h)
+    return load_modes(w, s, np.linalg.inv(chol) @ h)[0]
 
 
 @dataclass(frozen=True)
@@ -270,13 +305,18 @@ def bsmm_inner(
     Lagrangian is asserted nondecreasing each round; a violation beyond
     round-off signals a price-matrix bug and raises ``ConsistencyError``.
 
-    Each link matrix I + Hu X Hu^T a round needs is factored once, by
-    ``rates.resolvent``.  The factors at the round's end point give the
-    link values of the weighted sum (through ``rates.rate_rule``) and the
-    Grams of the next block-1 price; user 2's factor at the new q1 also
-    whitens block 2's channel.  Unless user 2 is confidential, block 2's
-    price is 0.0 and its penalty goes to ``load_modes`` as the scalar lam,
-    which needs no eigendecomposition.  The inputs are trusted:
+    A round computes only the link values it reads, each once, and the
+    weighted sum is ``rates.rate_rule`` on them.  Block 1's mode loading
+    gives user 1's log-determinant at q1.  One ``rates.resolvent`` factor
+    of user 2 at the new q1 gives its log-determinant and the Gram of the
+    next block-1 price, and whitens block 2's channel.  Unless user 2 is
+    confidential, block 2's price is zero and its penalty goes to
+    ``load_modes`` as the scalar lam; its modes then give user 2's link at
+    q1 + q2, as |M2(q1 + q2)| = |M2(q1)| |I + Y2 q2 Y2^T| with
+    M2(X) = I + H2 X H2^T, and the Gram of the next block-1 price, so the
+    round factors nothing else.  When user 2 is confidential, block 2's
+    price needs user 1's Gram at (new q1, old q2), and the end point factors
+    both users at q1 + q2: four factors a round.  The inputs are trusted:
     ``wsr_solve`` and the ``WsrConfig`` and ``ChannelPair`` constructors
     check them.
     """
@@ -284,47 +324,57 @@ def bsmm_inner(
         raise ValueError("the multiplier must be positive")
     nt = ch.nt
     h1, h2 = ch.h1, ch.h2
-    eye = np.eye(nt)
-    q1 = (p / (2.0 * nt)) * eye
+    lam_eye = lam * identity(nt)
+    q1 = (p / (2.0 * nt)) * identity(nt)
     q2 = q1.copy()
     w1, w2 = cfg.w1, cfg.w2
     k1 = bits_block_weight(_block1_weight(scenario, w1, w2))
     k2 = bits_block_weight(w2)
     half = 0.5 / LN2
+    user2_confidential = scenario.user2_confidential
 
-    def end_point(q1, q2, ld2_1):
-        # The unclamped rates: the ascent runs on the true objective.  User
-        # 2's log-determinant at q1 is the caller's; the q2 entries are
-        # never read in order "12".
-        q12 = q1 + q2
-        ld1_1 = link_logdet(h1, q1)
-        ld1_12, _, g1_12 = resolvent(h1, q12)
-        ld2_12, _, g2_12 = resolvent(h2, q12)
-        l1_1, l1_12 = half * ld1_1, half * ld1_12
-        l2_1, l2_12 = half * ld2_1, half * ld2_12
-        links = ((l1_12, l1_12, l1_1, None), (l2_12, l2_12, l2_1, None))
+    def end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12):
+        # The unclamped rates: the ascent runs on the true objective.  With
+        # q0 = 0 the shared entries are None and r0 is not computed; order
+        # "12" never reads the q2 entries, nor user 1's at q1 + q2 (None
+        # here) unless user 2 is confidential.
+        l1_12 = None if ld1_12 is None else half * ld1_12
+        links = (
+            (None, l1_12, half * ld1_1, None),
+            (None, half * ld2_12, half * ld2_1, None),
+        )
         _, r1, r2 = rate_rule(scenario, links)[0]
         wsr = float(w1 * r1 + w2 * r2)
-        lagr = wsr - lam * (float(q1.trace() + q2.trace()) - p)
-        return wsr, lagr, g1_12, g2_12
+        return wsr, wsr - lam * (float(q1.trace() + q2.trace()) - p)
 
+    q12 = q1 + q2
     ld2_1, _, g2_1 = resolvent(h2, q1)
-    _, prev_lagr, g1_12, g2_12 = end_point(q1, q2, ld2_1)
+    ld2_12, _, g2_12 = resolvent(h2, q12)
+    ld1_12 = g1_12 = None
+    if user2_confidential:
+        ld1_12, _, g1_12 = resolvent(h1, q12)
+    _, prev_lagr = end_point(q1, q2, link_logdet(h1, q1), ld1_12, ld2_1, ld2_12)
     prev_wsr = 0.0
     wsr = 0.0
     converged = False
     i = 0
     for i in range(1, MAX_INNER + 1):
         price = price_from_grams(scenario, w1, w2, 1, g2_1, g2_12, g1_12)
-        q1 = load_modes(k1, lam * eye + price, h1)
+        q1, ld1_1, _ = load_modes(k1, lam_eye + price, h1)
         ld2_1, y2, g2_1 = resolvent(h2, q1)
-        g1_mid = resolvent(h1, q1 + q2)[2] if scenario.user2_confidential else None
-        price = price_from_grams(scenario, w1, w2, 2, None, None, g1_mid)
-        # Block 2's price is 0.0 unless user 2 is confidential; its penalty
-        # is then the scalar lam.
-        s2 = lam * eye + price if scenario.user2_confidential else lam
-        q2 = load_modes(k2, s2, y2)
-        wsr, lagr, g1_12, g2_12 = end_point(q1, q2, ld2_1)
+        if user2_confidential:
+            g1_mid = resolvent(h1, q1 + q2)[2]
+            price = price_from_grams(scenario, w1, w2, 2, None, None, g1_mid)
+            q2 = load_modes(k2, lam_eye + price, y2)[0]
+            q12 = q1 + q2
+            ld1_12, _, g1_12 = resolvent(h1, q12)
+            ld2_12, _, g2_12 = resolvent(h2, q12)
+        else:
+            # No price: the scalar penalty lam, whose modes give user 2's
+            # link at q1 + q2 relative to q1, and the Gram there.
+            q2, ld2_2, g2_12 = load_modes(k2, lam, y2)
+            ld2_12 = ld2_1 + ld2_2
+        wsr, lagr = end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12)
         if lagr < prev_lagr - _ASCENT_SLACK:
             raise ConsistencyError(
                 f"Lagrangian fell from {prev_lagr} to {lagr}; price matrix is wrong"

@@ -206,6 +206,7 @@ class TestRun:
         assert len(sols) == 6
         assert int(meta["bsmm_rounds"]) == sum(sol.n_rounds for sol in sols) > 0
         assert int(meta["bsmm_capped"]) == sum(sol.n_capped for sol in sols)
+        assert int(meta["bsmm_bisect"]) == sum(sol.n_bisect for sol in sols) > 0
 
     def test_wsr_unconverged_count_from_solutions(self, ch22_file, tmp_path, monkeypatch):
         # Mark every other solve unconverged; the sidecar must count them.

@@ -15,6 +15,7 @@ from secregion import (
 )
 from secregion.rates import (
     evaluate_stack,
+    identity,
     link_logdet,
     link_rate_grad,
     rate_rule,
@@ -399,6 +400,12 @@ class TestSharedFactor:
         h, q, _ = case
         assert link_logdet(h, q) == resolvent(h, q)[0]
 
+    def test_identity_is_cached_read_only(self):
+        assert identity(3) is identity(3)
+        assert np.array_equal(identity(3), np.eye(3))
+        with pytest.raises(ValueError):
+            identity(3)[0, 0] = 2.0
+
     def test_resolvent_rejects_indefinite_link(self):
         h = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
@@ -423,5 +430,5 @@ class TestSharedFactor:
                     [None if j == skip else v for j, v in enumerate(u)] for u in links
                 ]
                 got = rate_rule(sc, partial, (order,))
-                assert got.shape == (1, 3)
+                assert np.shape(got) == (1, 3)
                 assert got[0] == pytest.approx(want[n, i], abs=1e-12)

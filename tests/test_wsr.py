@@ -16,12 +16,13 @@ from secregion import (
     block_price,
     bsmm_inner,
     closed_form_block,
+    gauss_rate,
     kkt_residual,
     solve_wiretap,
     waterfill,
     wsr_solve,
 )
-from secregion.rates import LN2, rate_stack
+from secregion.rates import LN2, rate_stack, resolvent
 from secregion.wsr import LAMBDA_MIN, MAX_INNER, load_modes, wsr_sweep_points
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
@@ -174,14 +175,48 @@ class TestLoadModes:
     @given(mode_cases())
     def test_matches_numpy_reference(self, case):
         w, y, s, _ = case
-        assert np.array_equal(load_modes(w, s, y), numpy_load_modes(w, s, y))
+        assert np.array_equal(load_modes(w, s, y)[0], numpy_load_modes(w, s, y))
 
     @settings(max_examples=200, deadline=None)
     @given(mode_cases())
     def test_scalar_penalty_is_scaled_identity(self, case):
         w, y, _, c = case
         nt = y.shape[1]
-        assert np.array_equal(load_modes(w, c, y), load_modes(w, c * np.eye(nt), y))
+        q, logdet, _ = load_modes(w, c, y)
+        q_eye, logdet_eye, _ = load_modes(w, c * np.eye(nt), y)
+        assert np.array_equal(q, q_eye)
+        assert logdet == logdet_eye
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mode_cases(),
+        st.sampled_from(["scalar", "matrix"]),
+        st.sampled_from(["drawn", "zero weight", "no mode loaded"]),
+    )
+    def test_link_values_match_resolvent(self, case, penalty, level):
+        # The log-determinant and the Gram that the kernel reads off its SVD
+        # are those of rates.resolvent at the returned q.
+        w, y, s, c = case
+        if level == "zero weight":
+            w = 0.0
+        elif level == "no mode loaded":
+            # Every mode's 1/sig^2 exceeds w once the penalty is at least
+            # w * sig_max(Y)^2 times the identity.
+            floor = 2.0 * w * np.linalg.norm(y, 2) ** 2 + 1.0
+            s, c = s + floor * np.eye(y.shape[1]), c + floor
+        q, logdet, gram = load_modes(w, c if penalty == "scalar" else s, y)
+        want_logdet, _, want_gram = resolvent(y, q)
+        if level != "drawn":
+            assert not q.any() and logdet == 0.0
+        # resolvent forms M = I + Y Q Y^T, whose entries round to about
+        # eps * |M|; the kernel never forms M.
+        m_norm = np.linalg.norm(np.eye(y.shape[0]) + y @ q @ y.T, 2)
+        assert abs(logdet - want_logdet) <= 1e-12 + 1e-14 * m_norm
+        if penalty == "matrix":
+            assert gram is None
+        else:
+            assert np.array_equal(gram, gram.T)
+            assert np.abs(gram - want_gram).max() <= 1e-12
 
     @pytest.mark.parametrize("c", [-1e-12, -1.0])
     def test_nonpositive_scalar_penalty_rejected(self, c):
@@ -220,6 +255,28 @@ class TestBsmmInner:
         lam_mid = 0.5 * (LAMBDA_MIN + 10.0)
         st = bsmm_inner(ch_row3, Scenario("A", False), cfg, lam_mid, 10.0)
         assert st.converged and st.n_iters < 200
+
+    @pytest.mark.parametrize("tag, first, per_round", [("A", 2, 1), ("B", 2, 1), ("C", 3, 4)])
+    def test_factors_only_what_it_reads(self, ch22, monkeypatch, tag, first, per_round):
+        # Scenarios A and B factor user 2 at the new q1 and nothing else in a
+        # round; C also factors user 1 for block 2's price and both users at
+        # the end point.  Only the starting point calls link_logdet.
+        import secregion.wsr as wsr_mod
+
+        calls = {"resolvent": 0, "link_logdet": 0}
+        for name in calls:
+
+            def counted(*args, name=name, orig=getattr(wsr_mod, name)):
+                calls[name] += 1
+                return orig(*args)
+
+            monkeypatch.setattr(wsr_mod, name, counted)
+        for rounds in (3, 4):
+            monkeypatch.setattr(wsr_mod, "MAX_INNER", rounds)
+            calls.update(resolvent=0, link_logdet=0)
+            st = bsmm_inner(ch22, Scenario(tag, False), WsrConfig(0.5, 0.5), 0.1, 12.0)
+            assert st.n_iters == rounds and not st.converged
+            assert calls == {"resolvent": first + per_round * rounds, "link_logdet": 1}
 
     def test_bad_multiplier_rejected(self, ch22):
         with pytest.raises(ValueError):
@@ -388,7 +445,7 @@ class TestLoopAgainstReference:
     @given(loop_cases())
     def test_prices_and_weighted_sum(self, case):
         # Record what the inner loop computes at every iterate, then replay
-        # the iterates through block_price and rate_stack.
+        # the iterates through block_price, gauss_rate and rate_stack.
         import secregion.wsr as wsr_mod
 
         ch, sc, cfg, lam, p = case
@@ -402,29 +459,44 @@ class TestLoopAgainstReference:
                 orig = getattr(wsr_mod, name)
 
                 def recorded(*args, orig=orig, log=log):
-                    log.append(orig(*args))
-                    return log[-1]
+                    log.append((args, orig(*args)))
+                    return log[-1][1]
 
                 mp.setattr(wsr_mod, name, recorded)
             mp.setattr(wsr_mod, "MAX_INNER", 25)
             state = bsmm_inner(ch, sc, cfg, lam, p)
-        assert len(prices) == len(covs) == 2 * state.n_iters
+        # Block 2 has a price only when user 2 is confidential.
+        priced2 = sc.user2_confidential
+        assert len(prices) == (1 + priced2) * state.n_iters
+        assert len(covs) == 2 * state.n_iters
         assert len(rules) == state.n_iters + 1
 
+        prices = iter(price for _, price in prices)
         zero = np.zeros((1, ch.nt, ch.nt))
         q1 = q2 = (p / (2.0 * ch.nt)) * np.eye(ch.nt)
-        for i, rule in enumerate(rules):
+        for i, ((_, links, *_), rule) in enumerate(rules):
             if i:
                 want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 1)
-                assert np.abs(prices[2 * i - 2] - want).max() <= 1e-12
-                q1 = covs[2 * i - 2]
+                assert np.abs(next(prices) - want).max() <= 1e-12
+                q1 = covs[2 * i - 2][1][0]
                 want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 2)
-                assert np.abs(prices[2 * i - 1] - want).max() <= 1e-12
-                q2 = covs[2 * i - 1]
+                if priced2:
+                    assert np.abs(next(prices) - want).max() <= 1e-12
+                else:
+                    assert not want.any()
+                q2 = covs[2 * i - 1][1][0]
+            # Every link value the loop computed, at the link's covariance
+            # (q0 = 0).
+            for h, values in zip((ch.h1, ch.h2), links):
+                for x, value in zip((q1 + q2, q1 + q2, q1, q2), values):
+                    if value is not None:
+                        assert abs(value - gauss_rate(h, x)) <= 1e-12
             _, r1, r2 = rate_stack(ch, sc, zero, q1[None], q2[None])[0, 0]
             _, l1, l2 = rule[0]
+            assert abs(l1 - r1) <= 1e-12 and abs(l2 - r2) <= 1e-12
             want = cfg.w1 * r1 + cfg.w2 * r2
             assert abs((cfg.w1 * l1 + cfg.w2 * l2) - want) <= 1e-12
+        assert next(prices, None) is None
         assert np.array_equal(q1, state.q1) and np.array_equal(q2, state.q2)
 
 
