@@ -186,38 +186,34 @@ def random_search_region(
     return RateRegion(tuple(hull_pareto(points)), scenario, p)
 
 
-def _slot_rates(ch: ChannelPair, scenario: Scenario, p: float, seed: int) -> tuple:
+def _slot_rates(ch: ChannelPair, scenario: Scenario, p: float) -> tuple:
     """Full-power single-message optima for the three slots."""
     r0 = solve_multicast(ch.h1, ch.h2, p).rate if scenario.common_enabled else 0.0
     if scenario.user1_confidential:
-        r1 = solve_wiretap(ch.h1, ch.h2, p, seed).rate
+        r1 = solve_wiretap(ch.h1, ch.h2, p).rate
     else:
         r1 = waterfill(ch.h1, p)[1]
     if scenario.user2_confidential:
-        r2 = solve_wiretap(ch.h2, ch.h1, p, seed).rate
+        r2 = solve_wiretap(ch.h2, ch.h1, p).rate
     else:
         r2 = waterfill(ch.h2, p)[1]
     return r0, r1, r2
 
 
-def tdma_region(
-    ch: ChannelPair, scenario: Scenario, p: float, seed: int = 0
-) -> RateRegion:
+def tdma_region(ch: ChannelPair, scenario: Scenario, p: float) -> RateRegion:
     """Equal-length orthogonal slots, one message per slot at full power.
 
     Each message gets 1/3 of the time (1/2 without a common message), so
     the achieved point is the per-slot optimum scaled by the slot share.
     """
     check_budget(p)
-    r0, r1, r2 = _slot_rates(ch, scenario, p, seed)
+    r0, r1, r2 = _slot_rates(ch, scenario, p)
     n_slots = 3 if scenario.common_enabled else 2
     point = RateTriple(r0 / n_slots, r1 / n_slots, r2 / n_slots, ORDER_NA)
     return RateRegion(tuple(hull_pareto([point])), scenario, p)
 
 
-def oma_timeshare(
-    ch: ChannelPair, scenario: Scenario, p: float, seed: int = 0
-) -> RateRegion:
+def oma_timeshare(ch: ChannelPair, scenario: Scenario, p: float) -> RateRegion:
     """Segment between the two full-power single-user optima.
 
     Defined for the two-message case only; the common message must be
@@ -226,7 +222,7 @@ def oma_timeshare(
     if scenario.common_enabled:
         raise ValueError("the time-share baseline is defined without a common message")
     check_budget(p)
-    _, r1, r2 = _slot_rates(ch, scenario, p, seed)
+    _, r1, r2 = _slot_rates(ch, scenario, p)
     endpoints = [
         RateTriple(0.0, r1, 0.0, ORDER_NA),
         RateTriple(0.0, 0.0, r2, ORDER_NA),

@@ -3,10 +3,11 @@
 The consumers are plotting and diffing pipelines, so output is plain CSV
 with 17-significant-digit decimals (exact double round-trip) plus a
 human-readable key=value sidecar carrying every parameter, tolerance, the
-seed, wall time, and solver flags; a ``wsr`` job's sidecar also sums the
-BSMM rounds (``bsmm_rounds``), the inner solves that hit the round cap
-(``bsmm_capped``) and the multiplier bisection steps (``bsmm_bisect``)
-over its solves.  One process runs one
+seed, wall time, and solver flags.  The seed reaches only the ``oracle``
+draws; every other method gives the same output for every seed.  A
+``wsr`` job's sidecar also sums the BSMM rounds (``bsmm_rounds``), the
+inner solves that hit the round cap (``bsmm_capped``) and the multiplier
+bisection steps (``bsmm_bisect``) over its solves.  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
 """
 
@@ -16,7 +17,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .wsr import EPS2, EPS3, wsr_sweep_points
 METHODS = ("ps", "wsr", "tdma", "oma", "oracle")
 
 CSV_HEADER = "r0,r1,r2,order,alpha0,alpha1,alpha2"
+
+# Methods defined only without a common message -> their name in messages.
+_COMMON_OFF_ONLY = {"wsr": "weighted-sum-rate method", "oma": "time-share baseline"}
 
 
 class ChannelParseError(ValueError):
@@ -52,6 +56,11 @@ class RunConfig:
     sigma: float = 0.05
     samples: int = 100000
     seed: int = 0
+
+
+# Field name -> default of the optional ``RunConfig`` fields, which the
+# command-line flags share.
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def load_channels(path: str) -> ChannelPair:
@@ -117,7 +126,7 @@ def _fmt(x: float) -> str:
 
 
 def _csv_rows_ps(ch, scenario, cfg):
-    pts = sweep_points(ch, scenario, cfg.power, cfg.eps1, cfg.seed)
+    pts = sweep_points(ch, scenario, cfg.power, cfg.eps1)
     kept = hull_pareto([sp.rates for sp in pts])
     by_key = {}
     for sp in pts:
@@ -141,7 +150,23 @@ def _csv_rows_ps(ch, scenario, cfg):
 
 
 def _method_param_problem(cfg: RunConfig) -> str | None:
-    """Why the chosen method cannot run with these parameters, or None."""
+    """Why the job cannot run with these parameters, or None.
+
+    The checks run in a fixed order and the first failing one is reported.
+    """
+    if cfg.method not in METHODS:
+        return f"unknown method {cfg.method!r}"
+    if cfg.common and cfg.method in _COMMON_OFF_ONLY:
+        return (
+            f"the {_COMMON_OFF_ONLY[cfg.method]} is defined only without a "
+            "common message; rerun with --common off"
+        )
+    try:
+        Scenario(cfg.scenario)
+    except ValueError as exc:
+        return str(exc)
+    if not 0 <= cfg.power < math.inf:
+        return "power must be nonnegative and finite"
     if cfg.seed < 0:
         return f"--seed must be nonnegative, got {cfg.seed}"
     if cfg.method == "ps" and not 0.0 < cfg.eps1 <= 0.5:
@@ -157,35 +182,11 @@ def _method_param_problem(cfg: RunConfig) -> str | None:
 
 def run(cfg: RunConfig) -> int:
     """Execute one job; returns the process exit code."""
-    if cfg.method not in METHODS:
-        print(f"error: unknown method {cfg.method!r}", file=sys.stderr)
-        return 2
-    if cfg.method == "wsr" and cfg.common:
-        print(
-            "error: the weighted-sum-rate method is defined only without a "
-            "common message; rerun with --common off",
-            file=sys.stderr,
-        )
-        return 2
-    if cfg.method == "oma" and cfg.common:
-        print(
-            "error: the time-share baseline is defined only without a common "
-            "message; rerun with --common off",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        scenario = Scenario(cfg.scenario, common_enabled=cfg.common)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not 0 <= cfg.power < math.inf:
-        print("error: power must be nonnegative and finite", file=sys.stderr)
-        return 2
     problem = _method_param_problem(cfg)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
+    scenario = Scenario(cfg.scenario, common_enabled=cfg.common)
     try:
         ch = load_channels(cfg.channels)
     except (OSError, ChannelParseError) as exc:
@@ -208,22 +209,15 @@ def run(cfg: RunConfig) -> int:
                 "bsmm_bisect": str(sum(sol.n_bisect for _, sol in solved)),
             }
         elif cfg.method == "tdma":
-            points = tdma_region(ch, scenario, cfg.power, cfg.seed).points
+            points = tdma_region(ch, scenario, cfg.power).points
         elif cfg.method == "oma":
-            points = oma_timeshare(ch, scenario, cfg.power, cfg.seed).points
+            points = oma_timeshare(ch, scenario, cfg.power).points
         else:
             points = random_search_region(
                 ch, scenario, cfg.power, cfg.samples, seed=cfg.seed
             ).points
         rows = [(t, "", "", "") for t in points]
     wall = time.perf_counter() - start
-
-    with open(cfg.out, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for t, a0, a1, a2 in rows:
-            fh.write(
-                f"{_fmt(t.r0)},{_fmt(t.r1)},{_fmt(t.r2)},{t.order},{a0},{a1},{a2}\n"
-            )
 
     meta = {
         "channels": cfg.channels,
@@ -246,9 +240,19 @@ def run(cfg: RunConfig) -> int:
         **bsmm,
         "wall_time_s": f"{wall:.3f}",
     }
-    with open(cfg.out + ".meta", "w", encoding="utf-8") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
+    try:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for t, a0, a1, a2 in rows:
+                fh.write(
+                    f"{_fmt(t.r0)},{_fmt(t.r1)},{_fmt(t.r2)},{t.order},{a0},{a1},{a2}\n"
+                )
+        with open(cfg.out + ".meta", "w", encoding="utf-8") as fh:
+            for key, value in meta.items():
+                fh.write(f"{key}={value}\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -270,21 +274,25 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--common",
         choices=("on", "off"),
-        default="on",
+        default="on" if _DEFAULTS["common"] else "off",
         help="whether a common (multicast) message is carried",
     )
     parser.add_argument("--method", required=True, choices=METHODS)
     parser.add_argument("--power", required=True, type=float, help="total power budget")
-    parser.add_argument("--eps1", type=float, default=0.05, help="power-split grid step")
-    parser.add_argument("--sigma", type=float, default=0.05, help="weight sweep step")
+    parser.add_argument(
+        "--eps1", type=float, default=_DEFAULTS["eps1"], help="power-split grid step"
+    )
+    parser.add_argument(
+        "--sigma", type=float, default=_DEFAULTS["sigma"], help="weight sweep step"
+    )
     parser.add_argument(
         "--samples",
         type=int,
-        default=100000,
+        default=_DEFAULTS["samples"],
         help="random-search sample count for the oracle method",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed of the wiretap fallback restarts and oracle draws"
+        "--seed", type=int, default=_DEFAULTS["seed"], help="seed of the oracle draws"
     )
     parser.add_argument("--out", required=True, help="output CSV path")
     args = parser.parse_args(argv)

@@ -117,7 +117,6 @@ def maximize_psd_objective(
     objective,
     nt: int,
     budget: float,
-    seed: int = 0,
     warm_q: np.ndarray | None = None,
     *,
     search_objective,
@@ -131,17 +130,18 @@ def maximize_psd_objective(
     ``ascend`` of ``search_objective``, the objective itself or a smoothed
     surrogate with its gradient.  The zero matrix and ``warm_q`` are
     always evaluated as candidates, so the result can never fall below
-    either; ``warm_q`` also seeds the first start, and the others are
-    standard normal parameter vectors.
+    either; ``warm_q`` is also the first start, and the others are
+    standard normal parameter vectors from one fixed stream,
+    ``default_rng(0)``.
 
-    Returns ``(q, value, converged)``.  Deterministic for a fixed seed;
-    starts run sequentially in seed order.
+    Returns ``(q, value, converged)``, the same on every call with the
+    same arguments; starts run sequentially.
     """
     zero = np.zeros((nt, nt))
     if budget <= 0:
         return zero, float(objective(zero)), True
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [] if warm_q is None else [encode(warm_q, nt, budget)]
     while len(starts) < N_STARTS:
         starts.append(rng.standard_normal(nt * nt + 1))

@@ -72,26 +72,26 @@ def _effective(budget: float, p: float) -> float:
     return budget if budget > _BUDGET_FLOOR_REL * p else 0.0
 
 
-def _stage_first(work: ChannelPair, scenario: Scenario, p1: float, seed: int):
+def _stage_first(work: ChannelPair, scenario: Scenario, p1: float):
     """First-encoded user's covariance on the working channel pair."""
     nt = work.nt
     if p1 == 0:
         return np.zeros((nt, nt)), True
     if scenario.user1_confidential:
-        res = solve_wiretap(work.h1, work.h2, p1, seed)
+        res = solve_wiretap(work.h1, work.h2, p1)
         return res.q, res.converged
     q, _ = waterfill(work.h1, p1)
     return q, True
 
 
-def _stage_second(work: ChannelPair, scenario: Scenario, qa, p2: float, seed: int):
+def _stage_second(work: ChannelPair, scenario: Scenario, qa, p2: float):
     """Second user's covariance given the first layer, via whitening."""
     nt = work.nt
     if p2 == 0:
         return np.zeros((nt, nt)), 0.0, True
     if scenario.user2_confidential:
         h1w, h2w = whiten_wiretap(work, qa)
-        res = solve_wiretap(h2w, h1w, p2, seed)
+        res = solve_wiretap(h2w, h1w, p2)
         return res.q, res.rate, res.converged
     qb, rate = waterfill(whiten_p2p(work.h2, qa), p2)
     return qb, rate, True
@@ -113,7 +113,6 @@ def _solve_cell(
     split: PowerSplit,
     p: float,
     order: str,
-    seed: int,
     first: tuple,
 ) -> SplitResult:
     """Finish one split from its first stage ``(qa, converged)``.
@@ -125,9 +124,7 @@ def _solve_cell(
     """
     qa, conv1 = first
     work = ch.swapped() if order == ORDER_21 else ch
-    qb, rate_b, conv2 = _stage_second(
-        work, scenario, qa, _effective(split.alpha2 * p, p), seed
-    )
+    qb, rate_b, conv2 = _stage_second(work, scenario, qa, _effective(split.alpha2 * p, p))
     q0, rate_0, conv0 = _stage_common(work, qa, qb, _effective(split.alpha0 * p, p))
     q1, q2 = (qb, qa) if order == ORDER_21 else (qa, qb)
     cov = CovarianceTriple(q0, q1, q2, p)
@@ -151,7 +148,6 @@ def solve_split(
     split: PowerSplit,
     p: float,
     order: str = ORDER_12,
-    seed: int = 0,
 ) -> SplitResult:
     """Solve one power split end to end and report original-channel rates."""
     if order not in (ORDER_12, ORDER_21):
@@ -163,8 +159,8 @@ def solve_split(
         raise ValueError("alpha0 must be 0 when the common message is disabled")
 
     work = ch.swapped() if order == ORDER_21 else ch
-    first = _stage_first(work, scenario, _effective(split.alpha1 * p, p), seed)
-    return _solve_cell(ch, scenario, split, p, order, seed, first)
+    first = _stage_first(work, scenario, _effective(split.alpha1 * p, p))
+    return _solve_cell(ch, scenario, split, p, order, first)
 
 
 def _alpha_grid(eps1: float, upper: float) -> list:
@@ -180,18 +176,12 @@ def _alpha_grid(eps1: float, upper: float) -> list:
     return vals
 
 
-def sweep_points(
-    ch: ChannelPair,
-    scenario: Scenario,
-    p: float,
-    eps1: float,
-    seed: int = 0,
-) -> list:
+def sweep_points(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> list:
     """All grid splits solved for every applicable encoding order.
 
     The first-stage solution depends only on its own budget, so it is
-    cached per (order, alpha1) cell; cells are visited in a fixed order
-    and the output is deterministic for a fixed seed.
+    cached per (order, alpha1) cell; cells are visited in a fixed order,
+    so the same problem always gives the same points.
     """
     if not 0.0 < eps1 <= 0.5:
         raise ValueError("eps1 must lie in (0, 0.5]")
@@ -201,7 +191,7 @@ def sweep_points(
     for order in orders:
         work = ch.swapped() if order == ORDER_21 else ch
         for a1 in _alpha_grid(eps1, 1.0):
-            first = _stage_first(work, scenario, _effective(a1 * p, p), seed)
+            first = _stage_first(work, scenario, _effective(a1 * p, p))
             a2_values = (
                 _alpha_grid(eps1, 1.0 - a1)
                 if scenario.common_enabled
@@ -209,20 +199,14 @@ def sweep_points(
             )
             for a2 in a2_values:
                 split = PowerSplit(max(1.0 - a1 - a2, 0.0), a1, a2)
-                res = _solve_cell(ch, scenario, split, p, order, seed, first)
+                res = _solve_cell(ch, scenario, split, p, order, first)
                 points.append(SweepPoint(res.rates, split, order, res.converged))
     return points
 
 
-def sweep_region(
-    ch: ChannelPair,
-    scenario: Scenario,
-    p: float,
-    eps1: float,
-    seed: int = 0,
-) -> RateRegion:
+def sweep_region(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> RateRegion:
     """Achievable region: Pareto frontier of the hull of all swept splits."""
-    pts = sweep_points(ch, scenario, p, eps1, seed)
+    pts = sweep_points(ch, scenario, p, eps1)
     return RateRegion(tuple(hull_pareto([sp.rates for sp in pts])), scenario, p)
 
 

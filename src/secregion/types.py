@@ -19,6 +19,9 @@ import numpy as np
 
 # Double-precision eigensolvers drift at roughly 1e-13 per operation;
 # the validation margins sit an order of magnitude above observed drift.
+# The symmetry and PSD margins are per unit of power: a check under a
+# budget p_total > 1 scales them by p_total, since the round-off of
+# ``eigvalsh`` grows with the matrix norm (about eps * ||Q||).
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
 TRACE_REL_SLACK = 1e-8
@@ -80,8 +83,9 @@ def check_covariance_stacks(stacks: Sequence[np.ndarray], p_total: float) -> Non
     """Validate k covariance triples given as q0, q1, q2 stacks of shape (k, nt, nt).
 
     Triple i passes when each of its matrices is symmetric within
-    ``SYMMETRY_TOL`` with least eigenvalue at least ``-PSD_TOL``, and its
-    trace sum fits ``p_total`` up to ``TRACE_REL_SLACK``.  The first failing
+    ``SYMMETRY_TOL`` with least eigenvalue at least ``-PSD_TOL``, both
+    scaled by max(1, ``p_total``), and its trace sum fits ``p_total`` up
+    to ``TRACE_REL_SLACK``.  The first failing
     triple raises the ``ValueError`` that ``CovarianceTriple`` gives it; a
     NaN or infinite ``p_total`` is rejected before any triple is checked.
     The stacks must already be finite float arrays of one shape.
@@ -89,10 +93,12 @@ def check_covariance_stacks(stacks: Sequence[np.ndarray], p_total: float) -> Non
     p = float(p_total)
     if not np.isfinite(p):
         raise ValueError(f"p_total must be finite, got {p}")
+    scale = max(1.0, p)
+    sym_tol, psd_tol = SYMMETRY_TOL * scale, PSD_TOL * scale
     qs = np.stack(stacks)
     qt = qs.swapaxes(-1, -2)
-    asym = np.max(np.abs(qs - qt), axis=(-2, -1)) > SYMMETRY_TOL
-    indefinite = np.linalg.eigvalsh(0.5 * (qs + qt))[..., 0] < -PSD_TOL
+    asym = np.max(np.abs(qs - qt), axis=(-2, -1)) > sym_tol
+    indefinite = np.linalg.eigvalsh(0.5 * (qs + qt))[..., 0] < -psd_tol
     traces = np.trace(qs, axis1=-2, axis2=-1)
     total = traces[0] + traces[1] + traces[2]
     over = (p < 0) | (total > p * (1.0 + TRACE_REL_SLACK) + 1e-12)
@@ -102,9 +108,9 @@ def check_covariance_stacks(stacks: Sequence[np.ndarray], p_total: float) -> Non
     i = int(np.argmax(bad))
     for j, name in enumerate(("q0", "q1", "q2")):
         if asym[j, i]:
-            raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL}")
+            raise ValueError(f"{name} is not symmetric within {sym_tol}")
         if indefinite[j, i]:
-            raise ValueError(f"{name} fails the PSD check at tolerance {PSD_TOL}")
+            raise ValueError(f"{name} fails the PSD check at tolerance {psd_tol}")
     if p < 0:
         raise ValueError("p_total must be nonnegative")
     raise ValueError(f"trace sum {float(total[i])} exceeds budget {p}")
@@ -321,24 +327,9 @@ class RateRegion:
 def pareto_filter(points: Sequence[RateTriple]) -> list:
     """Drop every point strictly dominated by another point in the list.
 
-    Points are swept in lexicographic descending order, where any dominator
-    precedes what it dominates, so each candidate only needs comparing
-    against the kept set; memory stays linear in the input.
+    Equal points are all kept, and the survivors keep their input order.
     """
     if not points:
         return []
     arr = np.array([p.as_array() for p in points])
-    order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))[::-1]
-    kept_arr = np.empty_like(arr)
-    kept_idx = []
-    for i in order:
-        p = arr[i]
-        kept = kept_arr[: len(kept_idx)]
-        ge = (kept >= p).all(axis=1)
-        gt = (kept > p).any(axis=1)
-        if bool((ge & gt).any()):
-            continue
-        kept_arr[len(kept_idx)] = p
-        kept_idx.append(i)
-    kept_idx.sort()
-    return [points[i] for i in kept_idx]
+    return [p for p, dominated in zip(points, _dominated_by(arr, arr)) if not dominated]

@@ -13,10 +13,11 @@ water-filling matrix stay candidates, so the rate never falls below
 theirs, nor below zero.
 
 The best candidate is accepted when its Frank-Wolfe gap is at most
-``GAP_TOL`` bits, that is when it is stationary.  Otherwise the seeded
+``GAP_TOL`` bits, that is when it is stationary.  Otherwise the
 multi-start search of ``rotation.maximize_psd_objective`` runs (the
-water-filling warm start plus random restarts), and the better of the two
-results is returned.
+water-filling warm start plus restarts from a fixed random stream), and
+the better of the two results is returned.  So the same problem always
+gives the same result.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class WiretapResult:
     """A secrecy-rate covariance and what the solve did.
 
     ``gap`` is the Frank-Wolfe gap of ``q`` in bits, and ``restarted``
-    tells whether the seeded multi-start search ran.
+    tells whether the multi-start search ran.
     """
 
     q: np.ndarray
@@ -64,13 +65,12 @@ def _secrecy_rate_grad(hm, he, q) -> tuple:
     return rm - re, gm - ge
 
 
-def solve_wiretap(hm, he, p: float, seed: int = 0) -> WiretapResult:
+def solve_wiretap(hm, he, p: float) -> WiretapResult:
     """Best found covariance for the secrecy rate under a trace budget.
 
     Returns a PSD matrix with trace at most ``p`` plus the achieved rate.
     With a zero budget, or whenever every positive-power direction leaks
     more than it carries, the zero matrix wins and the rate is 0.
-    ``seed`` reaches only the random restarts.
     """
     hm, he = as_channel_pair(hm, he, "legitimate channel", "eavesdropper channel")
     check_budget(p)
@@ -108,7 +108,7 @@ def solve_wiretap(hm, he, p: float, seed: int = 0) -> WiretapResult:
         return WiretapResult(q, best, converged, gap, False)
 
     q2, rate2, converged2 = maximize_psd_objective(
-        rate, nt, p, seed=seed, warm_q=warm_q, search_objective=search
+        rate, nt, p, warm_q=warm_q, search_objective=search
     )
     if rate2 > best:
         q, best, converged = q2, rate2, converged2

@@ -130,7 +130,7 @@ class TestAcceptance:
             hm = rng.standard_normal((2, 2))
             he = rng.standard_normal((2, 2))
             p = float(rng.uniform(0.5, 8))
-            res = solve_wiretap(hm, he, p, seed=0)
+            res = solve_wiretap(hm, he, p)
             traces = rng.uniform(0, p, 20000)
             samples = random_psd_stack(rng, 2, 20000, traces)
             vals = batched_link_rates(hm, samples) - batched_link_rates(he, samples)

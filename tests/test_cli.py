@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,30 @@ SOLVER_SETTINGS = {
     "solver_gap_tol": "9.9999999999999995e-08",
     "wsr_eps2": "1.0000000000000001e-05",
     "wsr_eps3": "1.0000000000000001e-09",
+}
+
+
+# wiretap_golden.json instance 40 (hm 5x4, he 4x4, p 2.13e5), on whose
+# wiretap solves the multi-start search runs, and the scenario C
+# (common off) CSVs of two jobs on it, pinned from the solver that drew
+# its restarts from the CLI seed, at seed 0.
+GOLDEN_40 = json.loads(
+    (Path(__file__).parent / "data" / "wiretap_golden.json").read_text()
+)["instances"][40]
+SEED_FREE_JOBS = {
+    "tdma": (
+        {},
+        "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
+        "0,3.1182184324888986,1.1912328197336555,na,,,\n",
+    ),
+    "ps": (
+        {"eps1": 0.5},
+        "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
+        "0,0,2.3824656394673109,12,0,0,1\n"
+        "0,6.2360202875002351,2.3824536409914181,12,0,0.5,0.5\n"
+        "0,6.2360421441078735,2.3824529981962836,21,0,0.5,0.5\n"
+        "0,6.2364368649777973,0,12,0,1,0\n",
+    ),
 }
 
 
@@ -126,6 +152,65 @@ class TestRun:
         )
         assert run(cfg) == 2
         assert "common" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", sorted(SEED_FREE_JOBS))
+    def test_output_ignores_seed(self, tmp_path, method):
+        hm, he, p = GOLDEN_40["hm"], GOLDEN_40["he"], GOLDEN_40["p"]
+        assert solve_wiretap(hm, he, p).restarted
+        chfile = tmp_path / "g40.txt"
+        write_channels(ChannelPair(hm, he), str(chfile))
+        extra, want = SEED_FREE_JOBS[method]
+        for seed in (0, 1):
+            out = tmp_path / f"{method}_{seed}.csv"
+            cfg = RunConfig(
+                channels=str(chfile),
+                scenario="C",
+                method=method,
+                power=p,
+                out=str(out),
+                common=False,
+                seed=seed,
+                **extra,
+            )
+            assert run(cfg) == 0
+            assert out.read_text() == want
+
+    @pytest.mark.parametrize("scenario", ["A", "C"])
+    @pytest.mark.parametrize(
+        "method, extra", [("oracle", {"samples": 2000}), ("ps", {"eps1": 0.25})]
+    )
+    def test_high_power_covariances_pass_validation(
+        self, tmp_path, scenario, method, extra
+    ):
+        # At p 1e8 eigvalsh rounds PSD-by-construction covariances to least
+        # eigenvalues below -1e-9; the validation margins scale with p.
+        chfile = tmp_path / "hp.txt"
+        write_text(chfile, "1 1 2\n1 0.5\n0.3 1\n")
+        out = tmp_path / "hp.csv"
+        cfg = RunConfig(
+            channels=str(chfile),
+            scenario=scenario,
+            method=method,
+            power=1e8,
+            out=str(out),
+            **extra,
+        )
+        assert run(cfg) == 0
+        assert len(out.read_text().splitlines()) > 1
+
+    def test_unwritable_out_is_io_error(self, ch22_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="A",
+            method="tdma",
+            power=1.0,
+            out=str(out),
+        )
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         cfg = RunConfig(

@@ -71,6 +71,23 @@ class TestCovarianceTriple:
         with pytest.raises(ValueError):
             CovarianceTriple([[1.0, 2.0], [2.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2)), 9.0)
 
+    def test_margins_scale_with_budget(self):
+        # eigvalsh rounds at about eps * ||Q||: at p 1e8 exactly-PSD beams can
+        # read a least eigenvalue below -1e-9, which a margin that does not
+        # scale with p would reject.
+        p, z = 1e8, np.zeros((3, 3))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            u = rng.standard_normal(3)
+            CovarianceTriple(z, (p / (u @ u)) * np.outer(u, u), z, p)
+        bent = np.diag([0.5 * p, 0.0, -1e-8 * p])
+        with pytest.raises(ValueError, match="PSD check at tolerance 0.1$"):
+            CovarianceTriple(z, bent, z, p)
+        skew = np.diag([0.5 * p, 0.0, 0.0])
+        skew[0, 1] = 1e-9 * p
+        with pytest.raises(ValueError, match="not symmetric within 0.01$"):
+            CovarianceTriple(z, skew, z, p)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             CovarianceTriple(np.eye(2), np.eye(3), np.eye(2), 10.0)
