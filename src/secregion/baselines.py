@@ -77,47 +77,64 @@ def build_rotation(angles, nt: int) -> np.ndarray:
     return v
 
 
+def _dirichlet_ones(e: np.ndarray) -> np.ndarray:
+    """Flat-Dirichlet rows from rows of standard exponential draws.
+
+    ``Generator.dirichlet(np.ones(k))`` draws k standard exponentials (its
+    gamma draws of unit shape), sums them left to right and multiplies each
+    by the reciprocal of the sum; this is that arithmetic, bit for bit.
+    """
+    total = e[..., 0]
+    for i in range(1, e.shape[-1]):
+        total = total + e[..., i]
+    return e * (1.0 / total)[..., None]
+
+
 def _draw_block(
     rng: np.random.Generator, nt: int, first: int, n: int, p: float, common: bool
 ) -> np.ndarray:
     """Covariances of samples first, ..., first + n - 1 as an (n, 3, nt, nt) array.
 
-    The generator is called sample by sample, each sample drawing its
-    Dirichlet power shares and then its three shapes, so a seed gives the
-    same covariances at any block size; the arithmetic that turns the
-    draws into covariances runs on the whole block.
+    The generator is called sample by sample for raw draws only, in a
+    fixed order: the standard exponentials of the power shares, then the
+    shape draws (standard normals, or for a rotated diagonal, per shape,
+    uniform angle draws and then standard exponential loads).  So a seed
+    gives the same covariances at any block size.  The rest runs once on
+    the whole block: the Dirichlet and angle arithmetic, which matches
+    ``Generator.dirichlet(np.ones(k))`` and ``uniform(0, pi)`` bit for bit,
+    and the arithmetic that turns the draws into covariances.
     Shape families: a Gram matrix of a square Gaussian, an outer product of
     a Gaussian vector, or a rotated diagonal with Dirichlet loadings.
     """
     n_active = 3 if common else 2
-    shares = np.empty((n, n_active))
+    share_draws = np.empty((n, n_active))
     gauss = np.empty((n, 3, nt, nt))
     vecs = np.empty((n, 3, nt))
-    angles = np.empty((n, 3, n_angles(nt)))
-    loads = np.empty((n, 3, nt))
-    share_alpha, load_alpha = np.ones(n_active), np.ones(nt)
+    unit_angles = np.empty((n, 3, n_angles(nt)))
+    load_draws = np.empty((n, 3, nt))
     families = [_FAMILY_CYCLE[(first + j) % len(_FAMILY_CYCLE)] for j in range(n)]
     for j, family in enumerate(families):
-        shares[j] = rng.dirichlet(share_alpha)
+        rng.standard_exponential(out=share_draws[j])
         if family == "full":
             rng.standard_normal(out=gauss[j])
         elif family == "rank1":
             rng.standard_normal(out=vecs[j])
         else:
             for m in range(3):
-                angles[j, m] = rng.uniform(0.0, math.pi, n_angles(nt))
-                loads[j, m] = rng.dirichlet(load_alpha)
+                rng.random(out=unit_angles[j, m])
+                rng.standard_exponential(out=load_draws[j, m])
     shapes = np.empty((n, 3, nt, nt))
     kind = np.array(families)
     full, rank1, rotdiag = kind == "full", kind == "rank1", kind == "rotdiag"
     g = gauss[full]
     shapes[full] = g @ g.swapaxes(-1, -2)
     shapes[rank1] = vecs[rank1][..., :, None] * vecs[rank1][..., None, :]
-    v = build_rotation(angles[rotdiag], nt)
-    shapes[rotdiag] = (v * loads[rotdiag][..., None, :]) @ v.swapaxes(-1, -2)
+    v = build_rotation(math.pi * unit_angles[rotdiag], nt)
+    loads = _dirichlet_ones(load_draws[rotdiag])
+    shapes[rotdiag] = (v * loads[..., None, :]) @ v.swapaxes(-1, -2)
     shapes = 0.5 * (shapes + shapes.swapaxes(-1, -2))
 
-    traces = shares * p
+    traces = _dirichlet_ones(share_draws) * p
     if not common:
         traces = np.concatenate([np.zeros((n, 1)), traces], axis=1)
     t = np.trace(shapes, axis1=-2, axis2=-1)

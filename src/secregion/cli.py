@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import oma_timeshare, random_search_region, tdma_region
 from .rotation import GTOL, MAX_ITERS, N_STARTS
 from .splitting import hull_pareto, sweep_points
-from .types import ChannelPair, Scenario
+from .types import ChannelPair, ConsistencyError, Scenario
 from .wiretap import GAP_TOL
 from .wsr import EPS2, EPS3, wsr_sweep_points
 
@@ -180,20 +180,8 @@ def _method_param_problem(cfg: RunConfig) -> str | None:
     return None
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one job; returns the process exit code."""
-    problem = _method_param_problem(cfg)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    scenario = Scenario(cfg.scenario, common_enabled=cfg.common)
-    try:
-        ch = load_channels(cfg.channels)
-    except (OSError, ChannelParseError) as exc:
-        print(f"error: cannot read channels: {exc}", file=sys.stderr)
-        return 1
-
-    start = time.perf_counter()
+def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
+    """CSV rows, unconverged-solve count and BSMM sidecar lines of one job."""
     n_unconverged = 0
     bsmm = {}
     if cfg.method == "ps":
@@ -217,6 +205,28 @@ def run(cfg: RunConfig) -> int:
                 ch, scenario, cfg.power, cfg.samples, seed=cfg.seed
             ).points
         rows = [(t, "", "", "") for t in points]
+    return rows, n_unconverged, bsmm
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute one job; returns the process exit code."""
+    problem = _method_param_problem(cfg)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
+    scenario = Scenario(cfg.scenario, common_enabled=cfg.common)
+    try:
+        ch = load_channels(cfg.channels)
+    except (OSError, ChannelParseError) as exc:
+        print(f"error: cannot read channels: {exc}", file=sys.stderr)
+        return 1
+
+    start = time.perf_counter()
+    try:
+        rows, n_unconverged, bsmm = _solve(ch, scenario, cfg)
+    except ConsistencyError as exc:
+        print(f"error: numerical consistency check failed: {exc}", file=sys.stderr)
+        return 3
     wall = time.perf_counter() - start
 
     meta = {

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,70 @@ from secregion import (
     tdma_region,
     waterfill,
 )
-from secregion.baselines import _undominated
+from secregion import baselines
+from secregion.baselines import (
+    _FAMILY_CYCLE,
+    _draw_block,
+    _undominated,
+    build_rotation,
+    n_angles,
+)
+
+
+def per_sample_draw_block(rng, nt, first, n, p, common):
+    """The oracle's sampler with numpy's own Dirichlet and uniform draws per
+    sample, as a reference for the block arithmetic of ``_draw_block``."""
+    n_active = 3 if common else 2
+    shares = np.empty((n, n_active))
+    gauss = np.empty((n, 3, nt, nt))
+    vecs = np.empty((n, 3, nt))
+    angles = np.empty((n, 3, n_angles(nt)))
+    loads = np.empty((n, 3, nt))
+    share_alpha, load_alpha = np.ones(n_active), np.ones(nt)
+    families = [_FAMILY_CYCLE[(first + j) % len(_FAMILY_CYCLE)] for j in range(n)]
+    for j, family in enumerate(families):
+        shares[j] = rng.dirichlet(share_alpha)
+        if family == "full":
+            rng.standard_normal(out=gauss[j])
+        elif family == "rank1":
+            rng.standard_normal(out=vecs[j])
+        else:
+            for m in range(3):
+                angles[j, m] = rng.uniform(0.0, math.pi, n_angles(nt))
+                loads[j, m] = rng.dirichlet(load_alpha)
+    shapes = np.empty((n, 3, nt, nt))
+    kind = np.array(families)
+    full, rank1, rotdiag = kind == "full", kind == "rank1", kind == "rotdiag"
+    g = gauss[full]
+    shapes[full] = g @ g.swapaxes(-1, -2)
+    shapes[rank1] = vecs[rank1][..., :, None] * vecs[rank1][..., None, :]
+    v = build_rotation(angles[rotdiag], nt)
+    shapes[rotdiag] = (v * loads[rotdiag][..., None, :]) @ v.swapaxes(-1, -2)
+    shapes = 0.5 * (shapes + shapes.swapaxes(-1, -2))
+
+    traces = shares * p
+    if not common:
+        traces = np.concatenate([np.zeros((n, 1)), traces], axis=1)
+    t = np.trace(shapes, axis1=-2, axis2=-1)
+    live = (traces > 0) & (t > 0)
+    scale = traces / np.where(live, t, 1.0)
+    return np.where(live[..., None, None], shapes * scale[..., None, None], 0.0)
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("nt", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("common", [True, False])
+    @pytest.mark.parametrize("first", [0, 1, 2, 3, 6])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_matches_numpy_dirichlet_and_uniform(self, nt, common, first, n):
+        # The block arithmetic on raw draws must give numpy's Dirichlet and
+        # uniform draws bit for bit, and leave the generator in the same state.
+        seed = 100 * nt + 10 * first + n
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_block(rng, nt, first, n, 3.5, common)
+        want = per_sample_draw_block(ref_rng, nt, first, n, 3.5, common)
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()
 
 
 class TestRandomSearchRegion:
@@ -89,6 +153,22 @@ class TestRandomSearchRegion:
         reg = random_search_region(ch, Scenario(tag, common), power, 2000, seed=0)
         assert [[t.r0, t.r1, t.r2] for t in reg.points] == self.GOLDEN[name]["points"]
         assert [t.order for t in reg.points] == self.GOLDEN[name]["orders"]
+
+    @pytest.mark.parametrize(
+        "instance, tag, common, power",
+        [("ch22", "A", True, 6.0), ("ch_row3", "C", False, 4.0)],
+    )
+    def test_same_region_at_any_block_size(
+        self, request, monkeypatch, instance, tag, common, power
+    ):
+        ch = request.getfixturevalue(instance)
+        regions = []
+        for block in (1, 7, 256):
+            monkeypatch.setattr(baselines, "_BLOCK", block)
+            reg = random_search_region(ch, Scenario(tag, common), power, 600, seed=4)
+            regions.append([(t.r0, t.r1, t.r2, t.order) for t in reg.points])
+        assert len(regions[0]) > 1
+        assert regions[0] == regions[1] == regions[2]
 
 
 class TestTdmaRegion:

@@ -212,6 +212,20 @@ class TestRun:
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
         assert not out.parent.exists()
 
+    def test_consistency_failure_is_one_line_exit_3(self, tmp_path, capsys):
+        # At this power the scenario C second stage misses the 1e-9
+        # whitening consistency gate; the run reports it without a traceback.
+        path = tmp_path / "hp.txt"
+        write_text(path, "1 1 2\n1 0.5\n0.3 1\n")
+        out = tmp_path / "o.csv"
+        argv = ["--channels", str(path), "--scenario", "C", "--common", "on"]
+        argv += ["--method", "ps", "--power", "1e10", "--eps1", "0.25", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical consistency check failed: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         cfg = RunConfig(
             channels=str(tmp_path / "nope.txt"),
