@@ -19,12 +19,19 @@ exactly at the first-order stationary points, global optima included.
 
 The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
 ``rotation.maximize_psd_objective`` by it.
+
+``ascend`` imports ``scipy.optimize`` when it is first called, not with
+the module.  Every CLI job imports this module, but only the jobs that run
+an ascent need the optimizer: the equalized (case 3) multicast solves of
+``ps``, and the wiretap solves of ``ps``, ``tdma`` and ``oma`` whose
+legitimate receiver has more than one row.  ``scipy.optimize`` also loads
+``scipy.sparse``, ``scipy.special`` and ``scipy.spatial``, and importing
+it takes about as long as importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 # Least s^2 of a warm start: at full power s would be 0, where the search
 # gradient in s vanishes and the start could never give power back.
@@ -101,6 +108,8 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     ``search_objective`` maps a feasible matrix to ``(value, G)``, the value
     to raise and its symmetric gradient G in the matrix.
     """
+
+    from scipy.optimize import minimize
 
     def neg(x):
         value, grad = _factor_objective(search_objective, x, nt, budget)

@@ -15,6 +15,13 @@ second and common stages found on their whitened channels must match
 that call's rates for the same messages; a disagreement beyond 1e-9
 raises ``ConsistencyError``, keeping the transform identities
 load-bearing.
+
+The hulls of regions without a common message are 2-D, over (r1, r2),
+and Andrew's monotone chain builds them here.  ``scipy.spatial`` (Qhull)
+builds only the 3-D hulls, and ``scipy.optimize`` serves only
+``region_contains``; both are imported where they are called.  Loading
+them with the module took about 40% of the time a fresh process needs
+to import ``secregion.cli``, and most CLI jobs never call them.
 """
 
 from __future__ import annotations
@@ -23,8 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .multicast import solve_multicast
 from .rates import evaluate_triple
@@ -51,6 +56,14 @@ _BUDGET_FLOOR_REL = 1e-12
 
 # Whitened-solver rates must match original-channel rates to this bound.
 _EQUIV_TOL = 1e-9
+
+# The 2-D hull keeps a point a between o and b only when a lies left of
+# the line o -> b by more than this share of the largest coordinate, so
+# that points within rounding of an edge are not vertices, as in Qhull's
+# hull (whose margin is about 3e-15 of the largest coordinate).  A margin
+# relative to |a - o| instead would keep rounding noise at a point close
+# to o.
+_COLLINEAR_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -210,12 +223,48 @@ def sweep_region(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> 
     return RateRegion(tuple(hull_pareto([sp.rates for sp in pts])), scenario, p)
 
 
+def _chain(xy: list, idx, tol: float) -> list:
+    """One monotone chain: the indices ``idx`` of ``xy`` kept by left turns.
+
+    A turn o -> a -> b counts as left when the cross product of a - o and
+    b - o exceeds ``tol`` times the 1-norm of b - o, that is, when a lies
+    left of the line o -> b by more than about ``tol``.
+    """
+    kept = []
+    for i in idx:
+        bx, by = xy[i]
+        while len(kept) >= 2:
+            ox, oy = xy[kept[-2]]
+            ax, ay = xy[kept[-1]]
+            vx, vy = bx - ox, by - oy
+            if (ax - ox) * vy - (ay - oy) * vx > tol * (abs(vx) + abs(vy)):
+                break
+            kept.pop()
+        kept.append(i)
+    return kept
+
+
+def _hull_2d(pts: np.ndarray) -> np.ndarray:
+    """Vertex indices of the convex hull of 2-D points, counterclockwise.
+
+    Andrew's monotone chain: the lower hull over the points sorted by
+    (x, y), then the upper hull over them in reverse.
+    """
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    xy = pts[order].tolist()
+    tol = _COLLINEAR_REL * float(np.abs(pts).max())
+    lower = _chain(xy, range(len(xy)), tol)
+    upper = _chain(xy, range(len(xy) - 1, -1, -1), tol)
+    return order[lower[:-1] + upper[:-1]]
+
+
 def _hull_vertex_indices(arr: np.ndarray) -> np.ndarray:
     """Indices of hull vertices of the rows of ``arr``, robust to degeneracy.
 
     The hull is built in 2-D over (r1, r2) when every r0 vanishes and in
     3-D otherwise; rank-deficient or tiny inputs fall back to keeping all
-    rows (the Pareto filter still runs afterwards).
+    rows (the Pareto filter still runs afterwards).  Only the 3-D hull
+    loads ``scipy.spatial``.
     """
     uniq, first_idx = np.unique(arr, axis=0, return_index=True)
     if np.ptp(arr[:, 0]) <= 1e-12:
@@ -229,6 +278,10 @@ def _hull_vertex_indices(arr: np.ndarray) -> np.ndarray:
     rank = np.linalg.matrix_rank(centered, tol=1e-12)
     if rank < dim:
         return first_idx
+    if dim == 2:
+        return first_idx[_hull_2d(pts)]
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(pts)
     except QhullError:
@@ -274,8 +327,11 @@ def region_contains(region, target, slack: float = 0.0) -> bool:
     True when some convex combination of the region's points (and the
     origin) dominates ``target - slack`` componentwise.  Rate regions are
     downward comprehensive, so domination rather than equality is the
-    right notion of membership.
+    right notion of membership.  It solves a feasibility linear program
+    with ``scipy.optimize.linprog``.
     """
+    from scipy.optimize import linprog
+
     pts = np.vstack([_points_as_array(region), np.zeros(3)])
     t = (
         target.as_array() if isinstance(target, RateTriple) else np.asarray(target, float)

@@ -206,7 +206,8 @@ def load_modes(w: float, s, y: np.ndarray) -> tuple:
     the SVD are LAPACK's ``dsyevd`` and ``dgesdd``, the routines behind
     ``np.linalg.eigh`` and ``np.linalg.svd``.
     """
-    if np.ndim(s) == 0:
+    # A Python float (np.float64 included) skips np.ndim's ~2 us.
+    if isinstance(s, float) or np.ndim(s) == 0:
         c = s + _S_JITTER
         if c <= 0:
             raise ValueError("penalty is not positive after regularization")

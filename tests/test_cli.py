@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -396,3 +400,66 @@ class TestRun:
         )
         assert code == 0
         assert out.exists()
+
+
+# Run in a fresh interpreter: imports the package, then runs the jobs in
+# argv[2:] (method:scenario:common) one after another in-process on the
+# channel file argv[1], and prints which deferred scipy subpackages are in
+# sys.modules after the import and after each job.
+_DEFERRED_IMPORT_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    from secregion.cli import RunConfig, run
+
+    def loaded():
+        return [m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules]
+
+    report = [("import", loaded())]
+    for job in sys.argv[2:]:
+        method, scenario, common = job.split(":")
+        cfg = RunConfig(
+            channels=sys.argv[1],
+            scenario=scenario,
+            method=method,
+            power=12.0,
+            out=sys.argv[1] + "." + method + ".csv",
+            common=common == "on",
+            eps1=0.5,
+            sigma=0.5,
+            samples=200,
+        )
+        if run(cfg) != 0:
+            sys.exit("job " + job + " failed")
+        report.append((job, loaded()))
+    print(json.dumps(report))
+    """
+)
+
+
+def test_scipy_optimize_and_spatial_load_only_when_called(ch22_file):
+    # scipy.optimize serves only the BFGS ascents and scipy.spatial only the
+    # 3-D hulls of common-on regions: jobs that need neither must not pay
+    # for importing them.  A common-on oracle needs only the 3-D hull, and
+    # a common-on ps in scenario C needs the ascent too (scipy.optimize
+    # itself imports scipy.spatial).
+    src = str(Path(secregion.wsr.__file__).resolve().parents[1])
+    jobs = ["oracle:A:off", "wsr:C:off", "tdma:A:off", "oracle:A:on", "ps:C:on"]
+    done = subprocess.run(
+        [sys.executable, "-c", _DEFERRED_IMPORT_SCRIPT, ch22_file, *jobs],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report == [
+        ["import", []],
+        ["oracle:A:off", []],
+        ["wsr:C:off", []],
+        ["tdma:A:off", []],
+        ["oracle:A:on", ["scipy.spatial"]],
+        ["ps:C:on", ["scipy.optimize", "scipy.spatial"]],
+    ]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from secregion import (
     ChannelPair,
@@ -229,6 +230,24 @@ class TestConsistencyGate:
             sweep_points(ch22, sc, 12.0, 0.5)
 
 
+def _hull_cloud(rng, kind):
+    n = int(rng.integers(4, 60))
+    if kind == "random":
+        return rng.random((n, 2)) * rng.uniform(0.1, 10.0)
+    if kind == "grid":
+        return rng.integers(0, 5, (n, 2)).astype(float)
+    if kind == "arc":
+        t = rng.random(n) * (np.pi / 2)
+        return rng.uniform(0.5, 8.0) * np.column_stack([np.cos(t), np.sin(t)])
+    # A segment's points, each within rounding of the line through its
+    # ends and half of them 1e-6 to 1e-3 of its length from an end, plus
+    # its ends and three points off it.
+    a, b = rng.random(2) * 5.0, rng.random(2) * 5.0
+    t = np.concatenate([rng.random(n - n // 2), 10.0 ** rng.uniform(-6.0, -3.0, n // 2)])
+    t = t[:, None]
+    return np.vstack([t * a + (1.0 - t) * b, a, b, rng.random((3, 2)) * 5.0])
+
+
 class TestHullPareto:
     def test_single_point(self):
         pt = RateTriple(1.0, 2.0, 3.0)
@@ -262,6 +281,24 @@ class TestHullPareto:
             i, j = rng.integers(0, len(pts), 2)
             mid = 0.5 * (pts[i].as_array() + pts[j].as_array())
             assert region_contains(reg, mid, slack=1e-9)
+
+    @pytest.mark.parametrize("kind", ["random", "grid", "arc", "segment"])
+    def test_2d_hull_matches_qhull(self, kind):
+        # Qhull stays the reference for the monotone chain.  On segment clouds
+        # an exact sign test would keep points within rounding of an edge that
+        # Qhull drops, and so would a margin relative to |a - o| at the points
+        # close to an end.
+        rng = np.random.default_rng(7)
+        compared = 0
+        for _ in range(1000):
+            pts = np.unique(_hull_cloud(rng, kind), axis=0)
+            if len(pts) < 4 or np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-12) < 2:
+                continue
+            want = np.unique(pts[ConvexHull(pts).vertices], axis=0)
+            got = np.unique(pts[splitting._hull_2d(pts)], axis=0)
+            assert np.array_equal(got, want), pts.tolist()
+            compared += 1
+        assert compared >= 900
 
 
 class TestRegionContains:

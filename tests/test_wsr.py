@@ -23,7 +23,7 @@ from secregion import (
     wsr_solve,
 )
 from secregion.rates import LN2, rate_stack, resolvent
-from secregion.wsr import LAMBDA_MIN, MAX_INNER, load_modes, wsr_sweep_points
+from secregion.wsr import LAMBDA_MIN, MAX_INNER, load_modes, wsr_sweep, wsr_sweep_points
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
@@ -182,10 +182,15 @@ class TestLoadModes:
     def test_scalar_penalty_is_scaled_identity(self, case):
         w, y, _, c = case
         nt = y.shape[1]
-        q, logdet, _ = load_modes(w, c, y)
+        q, logdet, gram = load_modes(w, c, y)
         q_eye, logdet_eye, _ = load_modes(w, c * np.eye(nt), y)
         assert np.array_equal(q, q_eye)
         assert logdet == logdet_eye
+        # A numpy scalar or a 0-d array takes the same scalar branch.
+        for scalar in (np.float64(c), np.array(c)):
+            q_s, logdet_s, gram_s = load_modes(w, scalar, y)
+            assert np.array_equal(q_s, q) and logdet_s == logdet
+            assert gram_s is not None and np.array_equal(gram_s, gram)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -438,6 +443,20 @@ def loop_cases(draw):
     lam = draw(st.floats(0.02, 2.0))
     p = draw(st.floats(0.5, 10.0))
     return ch, sc, WsrConfig(w1, w2), lam, p
+
+
+@pytest.mark.parametrize("tag", ["A", "C"])
+def test_swapping_users_mirrors_sweep(ch_row3, tag):
+    # The weight grid is symmetric and each weight is solved in both
+    # roles, so exchanging the users exchanges r1 and r2 and the order
+    # tags, exactly.
+    scenario = Scenario(tag, common_enabled=False)
+    mirror = {"12": "21", "21": "12"}
+    region = wsr_sweep(ch_row3, scenario, 4.0, 0.5)
+    swapped = wsr_sweep(ch_row3.swapped(), scenario, 4.0, 0.5)
+    assert sorted((t.r1, t.r2, t.order) for t in region.points) == sorted(
+        (t.r2, t.r1, mirror[t.order]) for t in swapped.points
+    )
 
 
 class TestLoopAgainstReference:
