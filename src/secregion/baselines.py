@@ -21,16 +21,14 @@ from .multicast import solve_multicast
 from .rates import evaluate_stack
 from .splitting import hull_pareto
 from .types import (
-    ORDER_12,
-    ORDER_21,
     ORDER_NA,
     ChannelPair,
     RateRegion,
     RateTriple,
     Scenario,
-    _dominated_by,
     check_budget,
     check_covariance_stacks,
+    pareto_mask,
 )
 from .waterfill import waterfill
 from .wiretap import solve_wiretap
@@ -42,7 +40,7 @@ _FAMILY_CYCLE = ("full", "full", "rank1", "rotdiag")
 
 
 # Samples drawn, validated and rated together.  Larger blocks amortize the
-# stacked calls further but widen the pairwise Pareto prefilter.
+# stacked calls further, but hold more rows before the Pareto filter.
 _BLOCK = 256
 
 
@@ -143,24 +141,6 @@ def _draw_block(
     return np.where(live[..., None, None], shapes * scale[..., None, None], 0.0)
 
 
-def _undominated(rows: np.ndarray, kept: int) -> np.ndarray:
-    """Mask of the rows that no other row strictly dominates or repeats earlier.
-
-    The first ``kept`` rows must already be mutually undominated and
-    distinct.  Of several equal rows only the first stays: the hull in
-    ``hull_pareto`` keeps only the first of equal points anyway, and the
-    kept set cannot grow with repeats (as at zero power, where every
-    sample rates (0, 0, 0)).
-    """
-    old, new = rows[:kept], rows[kept:]
-    fresh = ~_dominated_by(new, old, ties=True)
-    survivors = new[fresh]
-    fresh[fresh] = ~_dominated_by(
-        survivors, survivors, ties=np.tri(len(survivors), k=-1, dtype=bool)
-    )
-    return np.concatenate([~_dominated_by(old, survivors), fresh])
-
-
 def random_search_region(
     ch: ChannelPair,
     scenario: Scenario,
@@ -174,32 +154,35 @@ def random_search_region(
     returns the origin.  Both encoding orders are evaluated when the
     scenario permits a swap.  Deterministic for a fixed seed.
 
-    Samples are drawn, validated and rated ``_BLOCK`` at a time.  After
-    each block the points that another point strictly dominates, and
-    repeats of an earlier point, are dropped, keeping sample order (order
-    "12" before "21" within a sample); only the survivors become
-    ``RateTriple`` points for the hull.
+    Samples are drawn, validated and rated ``_BLOCK`` at a time, and each
+    block keeps only its rows that no other row of the block strictly
+    dominates.  One more Pareto filter over the union of those survivors
+    (dominance is transitive, so it drops what the whole cloud dominates)
+    and the first of each set of equal rows in sample order (order "12"
+    before "21" within a sample) become ``RateTriple`` points for the hull.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     check_budget(p)
     rng = np.random.default_rng(seed)
-    orders = (ORDER_12, ORDER_21) if scenario.allows_order_swap else (ORDER_12,)
-    tags = (ORDER_NA,) + orders
-    rows = np.zeros((1, 3))
-    codes = np.zeros(1, dtype=int)
+    tags = (ORDER_NA,) + scenario.orders
+    rows = [np.zeros((1, 3))]
+    codes = [np.zeros(1, dtype=int)]
     for first in range(0, n_samples - 1, _BLOCK):
         n = min(_BLOCK, n_samples - 1 - first)
         q = _draw_block(rng, ch.nt, first, n, p, scenario.common_enabled)
         stacks = (q[:, 0], q[:, 1], q[:, 2])
         check_covariance_stacks(stacks, p)
-        rates = evaluate_stack(ch, scenario, *stacks, orders)
-        kept = len(rows)
-        rows = np.concatenate([rows, rates.transpose(1, 0, 2).reshape(-1, 3)])
-        codes = np.concatenate([codes, np.tile(np.arange(1, len(tags)), n)])
-        mask = _undominated(rows, kept)
-        rows, codes = rows[mask], codes[mask]
-    points = [RateTriple(*map(float, r), tags[c]) for r, c in zip(rows, codes)]
+        rates = evaluate_stack(ch, scenario, *stacks, scenario.orders)
+        rates = rates.transpose(1, 0, 2).reshape(-1, 3)
+        kept = pareto_mask(rates)
+        rows.append(rates[kept])
+        codes.append(np.tile(np.arange(1, len(tags)), n)[kept])
+    rows, codes = np.concatenate(rows), np.concatenate(codes)
+    kept = pareto_mask(rows)
+    rows, codes = rows[kept], codes[kept]
+    kept = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    points = [RateTriple(*map(float, r), tags[c]) for r, c in zip(rows[kept], codes[kept])]
     return RateRegion(tuple(hull_pareto(points)), scenario, p)
 
 

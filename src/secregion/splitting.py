@@ -199,9 +199,8 @@ def sweep_points(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> 
     if not 0.0 < eps1 <= 0.5:
         raise ValueError("eps1 must lie in (0, 0.5]")
     check_budget(p)
-    orders = (ORDER_12, ORDER_21) if scenario.allows_order_swap else (ORDER_12,)
     points = []
-    for order in orders:
+    for order in scenario.orders:
         work = ch.swapped() if order == ORDER_21 else ch
         for a1 in _alpha_grid(eps1, 1.0):
             first = _stage_first(work, scenario, _effective(a1 * p, p))

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -183,6 +184,11 @@ class Scenario:
         # For B the single encoding order is already optimal; swapping is an error.
         return self.tag != "B"
 
+    @property
+    def orders(self) -> tuple:
+        """The encoding orders a region of this scenario is built from."""
+        return (ORDER_12, ORDER_21) if self.allows_order_swap else (ORDER_12,)
+
 
 @dataclass(frozen=True)
 class CovarianceTriple:
@@ -268,32 +274,34 @@ class RateTriple:
         return np.array([self.r0, self.r1, self.r2], dtype=float)
 
 
-# Most point pairs ``_dominated_by`` compares at once (a few bytes each): on
-# a single-antenna pair every oracle sample can be Pareto-optimal, and the
-# kept set then grows with the sample count.
-_PAIR_CHUNK = 1 << 20
+def pareto_mask(rows) -> np.ndarray:
+    """Mask of the rows of an (n, 3) array that no row strictly dominates.
 
-
-def _dominated_by(points: np.ndarray, others: np.ndarray, ties=False) -> np.ndarray:
-    """Which ``points`` some row of ``others`` strictly dominates.
-
-    Where ``ties`` (a bool, or a (points, others) mask) is true, a row of
-    ``others`` equal to the point also counts.  Points are compared in
-    chunks of at most ``_PAIR_CHUNK`` pairs.
+    Equal rows share one verdict.  The rows are sorted in descending
+    lexicographic order, which puts every strict dominator of a row before
+    it; the first row of each run of equal rows is then checked against a
+    staircase of the (r1, r2) maxima seen so far (Kung, Luccio and
+    Preparata, J. ACM 1975), in O(n log n) comparisons.
     """
-    ties = np.broadcast_to(ties, (len(points), len(others)))
-    out = np.zeros(len(points), dtype=bool)
-    step = max(1, _PAIR_CHUNK // max(1, len(others)))
-    for i in range(0, len(points), step):
-        pts = points[i : i + step]
-        ge = np.ones((len(pts), len(others)), dtype=bool)
-        gt = ties[i : i + step].copy()
-        for c in range(points.shape[1]):
-            col, own = others[:, c], pts[:, c, None]
-            ge &= col >= own
-            gt |= col > own
-        out[i : i + step] = (ge & gt).any(axis=1)
-    return out
+    rows = np.asarray(rows, dtype=float)
+    order = np.lexsort(rows.T[::-1])[::-1]
+    ranked = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    # The staircase: r1 ascending and -r2 ascending, both strictly.  The
+    # memoryviews hand out one Python float at a time, so the sweep builds
+    # no list of all the rows.
+    s1, s2 = [], []
+    keep = []
+    for r1, t2 in zip(memoryview(ranked[head, 1]), memoryview(-ranked[head, 2])):
+        k = bisect.bisect_left(s1, r1)
+        keep.append(k == len(s1) or s2[k] > t2)
+        if keep[-1]:
+            lo, hi = bisect.bisect_left(s2, t2), bisect.bisect_right(s1, r1)
+            s1[lo:hi], s2[lo:hi] = [r1], [t2]
+    mask = np.empty(len(rows), dtype=bool)
+    mask[order] = np.array(keep, dtype=bool)[np.cumsum(head) - 1]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -312,7 +320,7 @@ class RateRegion:
             if not isinstance(p, RateTriple):
                 raise TypeError("region points must be RateTriple instances")
         arr = np.array([p.as_array() for p in pts])
-        if bool(_dominated_by(arr, arr).any()):
+        if not pareto_mask(arr).all():
             raise ValueError("region contains a dominated point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "p_total", float(self.p_total))
@@ -332,4 +340,4 @@ def pareto_filter(points: Sequence[RateTriple]) -> list:
     if not points:
         return []
     arr = np.array([p.as_array() for p in points])
-    return [p for p, dominated in zip(points, _dominated_by(arr, arr)) if not dominated]
+    return [p for p, kept in zip(points, pareto_mask(arr)) if kept]

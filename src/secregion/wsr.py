@@ -75,7 +75,8 @@ from .types import (
 )
 
 # Ascent of the Lagrangian is exact in the algebra; this slack absorbs
-# eigensolver round-off only.
+# eigensolver round-off only.  The Lagrangian grows like lambda * p, so
+# the check also allows a few ulps of its value.
 _ASCENT_SLACK = 1e-9
 
 _S_JITTER = 1e-12
@@ -376,7 +377,7 @@ def bsmm_inner(
             q2, ld2_2, g2_12 = load_modes(k2, lam, y2)
             ld2_12 = ld2_1 + ld2_2
         wsr, lagr = end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12)
-        if lagr < prev_lagr - _ASCENT_SLACK:
+        if lagr < prev_lagr - _ASCENT_SLACK - 16 * math.ulp(prev_lagr):
             raise ConsistencyError(
                 f"Lagrangian fell from {prev_lagr} to {lagr}; price matrix is wrong"
             )

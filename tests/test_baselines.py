@@ -21,10 +21,10 @@ from secregion import baselines
 from secregion.baselines import (
     _FAMILY_CYCLE,
     _draw_block,
-    _undominated,
     build_rotation,
     n_angles,
 )
+from secregion.types import pareto_mask
 
 
 def per_sample_draw_block(rng, nt, first, n, p, common):
@@ -114,16 +114,18 @@ class TestRandomSearchRegion:
         reg = random_search_region(ch22, Scenario("A", True), 6.0, 2000, seed=5)
         assert reg.max_rate(0) > 0.0
 
-    def test_prefilter_matches_pareto_filter(self):
-        # Integer coordinates give many ties and exact repeats; filtering in
-        # two blocks must keep the first of each distinct point that
-        # pareto_filter keeps, in input order.
+    def test_blockwise_filter_matches_one_filter(self):
+        # Integer coordinates give many ties and exact repeats.  Filtering
+        # uneven blocks, then the union of their survivors, must keep the
+        # rows that pareto_filter keeps over the whole cloud; of equal rows
+        # the first then stays, in input order.
         rng = np.random.default_rng(0)
         for _ in range(50):
             rows = rng.integers(0, 4, size=(60, 3)).astype(float)
-            first = rows[:25][_undominated(rows[:25], 0)]
-            both = np.concatenate([first, rows[25:]])
-            got = both[_undominated(both, len(first))]
+            blocks = np.split(rows, np.sort(rng.choice(np.arange(1, 60), 4, replace=False)))
+            union = np.concatenate([b[pareto_mask(b)] for b in blocks])
+            kept = union[pareto_mask(union)]
+            got = kept[np.sort(np.unique(kept, axis=0, return_index=True)[1])]
             ref = [t.as_array().tolist() for t in pareto_filter([RateTriple(*r) for r in rows])]
             assert got.tolist() == [r for i, r in enumerate(ref) if r not in ref[:i]]
 

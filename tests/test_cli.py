@@ -202,6 +202,25 @@ class TestRun:
         assert run(cfg) == 0
         assert len(out.read_text().splitlines()) > 1
 
+    @pytest.mark.parametrize("scenario, power", [("A", 1e8), ("C", 1e8), ("A", 1e12)])
+    def test_high_power_wsr_passes_ascent_check(self, tmp_path, scenario, power):
+        # The Lagrangian grows like lambda * p; at these powers round-off
+        # moves it by an ulp between rounds, which the ascent check allows.
+        chfile = tmp_path / "hp.txt"
+        write_text(chfile, "1 1 2\n1 0.5\n0.3 1\n")
+        out = tmp_path / "hp.csv"
+        cfg = RunConfig(
+            channels=str(chfile),
+            scenario=scenario,
+            method="wsr",
+            power=power,
+            out=str(out),
+            common=False,
+            sigma=0.5,
+        )
+        assert run(cfg) == 0
+        assert len(out.read_text().splitlines()) > 1
+
     def test_unwritable_out_is_io_error(self, ch22_file, tmp_path, capsys):
         out = tmp_path / "missing" / "o.csv"
         cfg = RunConfig(

@@ -245,7 +245,7 @@ class TestEvaluateStack:
     @given(stacked_cases())
     def test_matches_per_triple_and_slogdet(self, case):
         ch, sc, q0, q1, q2 = case
-        orders = ("12", "21") if sc.allows_order_swap else ("12",)
+        orders = sc.orders
         p = float(np.trace(q0 + q1 + q2, axis1=1, axis2=2).max())
         check_covariance_stacks((q0, q1, q2), p)
         got = evaluate_stack(ch, sc, q0, q1, q2, orders)
@@ -419,7 +419,7 @@ class TestSharedFactor:
         # The rule reads only the link values an order needs; the rest may
         # be None, as in the WSR inner loop.
         ch, sc, q0, q1, q2 = case
-        orders = ("12", "21") if sc.allows_order_swap else ("12",)
+        orders = sc.orders
         want = rate_stack(ch, sc, q0, q1, q2, orders)
         for i in range(q0.shape[0]):
             qs = [q0[i] + q1[i] + q2[i], q1[i] + q2[i], q1[i], q2[i]]

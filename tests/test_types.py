@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secregion import (
     ChannelPair,
@@ -18,7 +20,7 @@ from secregion import (
     Scenario,
     pareto_filter,
 )
-from secregion.types import check_covariance_stacks
+from secregion.types import check_covariance_stacks, pareto_mask
 
 
 class TestChannelPair:
@@ -53,6 +55,11 @@ class TestScenario:
         assert Scenario("A").allows_order_swap
         assert not Scenario("B").allows_order_swap
         assert Scenario("C").allows_order_swap
+
+    def test_orders(self):
+        assert Scenario("A").orders == ("12", "21")
+        assert Scenario("B", False).orders == ("12",)
+        assert Scenario("C").orders == ("12", "21")
 
     def test_bad_tag(self):
         with pytest.raises(ValueError):
@@ -155,6 +162,47 @@ class TestRegionAndPareto:
             gt = (arr > arr[i]).any(axis=1)
             dominated = bool((ge & gt).any())
             assert (id(p) not in kept) == dominated
+
+
+def brute_pareto_mask(rows):
+    """O(n^2) reference: a row stays unless another is >= everywhere, > somewhere."""
+    return np.array(
+        [not any((b >= a).all() and (b > a).any() for b in rows) for a in rows],
+        dtype=bool,
+    )
+
+
+# Small integers give ties and exact repeats, and 0.0 and -0.0 are equal
+# rows that differ in their bits; a few general floats mix in.
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(0, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(0, 30))
+    rows = draw(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=n, max_size=n))
+    arr = np.array(rows, dtype=float).reshape(n, 3)
+    if draw(st.booleans()):
+        # A constant r0 column, as with the common message off: a 2-D problem.
+        arr[:, 0] = draw(st.sampled_from([0.0, -0.0, 1.0]))
+    return arr
+
+
+class TestParetoMask:
+    @settings(max_examples=400, deadline=None)
+    @given(clouds())
+    def test_matches_brute_force(self, rows):
+        got = pareto_mask(rows)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        assert got.tolist() == brute_pareto_mask(rows).tolist()
+
+    def test_empty_and_one_row(self):
+        assert pareto_mask(np.empty((0, 3))).tolist() == []
+        assert pareto_mask(np.array([[-0.0, 2.0, 1.0]])).tolist() == [True]
 
 
 _CH = ChannelPair(np.eye(2), np.diag([2.0, 1.0]))
