@@ -6,8 +6,10 @@ optimal (cases 1 and 2).  Otherwise the max-min optimum equalizes the two
 rates (case 3).  Max-min is a concave program (Jindal & Luo, ISIT 2006),
 and so is its smoothed minimum, the softmin of two concave link rates, so
 case 3 runs one BFGS ascent of the softmin over the factor form of
-``rotation``, with no restarts.  The reported rate always re-evaluates the
-true minimum, and the two water-filling matrices stand as candidates.
+``rotation``, with no restarts, through the search driver
+``rotation.maximize_psd_objective``.  The two water-filling matrices stand
+as candidates, and the driver ranks them and the ascent by the true
+minimum, which is also the reported rate.
 
 The smoothed minimum is -log(exp(-k a) + exp(-k b)) / k; its gradient is
 the softmax-weighted sum of the two rate gradients.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import ascend, mixed_start
+from .rotation import maximize_psd_objective, mixed_start
 from .types import as_channel_pair, check_budget
 from .waterfill import waterfill
 
@@ -93,10 +95,12 @@ def solve_multicast(h1w, h2w, p0: float) -> MulticastResult:
         return MulticastResult(q02, min_rate(q02), case, True)
 
     # Water-filling is often rank-deficient, so the start is mixed.
-    q, converged = ascend(
-        lambda q: _softmin_grad(h1w, h2w, q), mixed_start(q01, nt, p0), nt, p0
+    q, rate, converged = maximize_psd_objective(
+        min_rate,
+        nt,
+        p0,
+        [(q01, True), (q02, True)],
+        [mixed_start(q01, nt, p0)],
+        search_objective=lambda q: _softmin_grad(h1w, h2w, q),
     )
-    # The first of equals wins: the ascent, then the two water-fillings.
-    candidates = [(q, converged), (q01, True), (q02, True)]
-    q, converged = max(candidates, key=lambda c: min_rate(c[0]))
-    return MulticastResult(q, min_rate(q), case, converged)
+    return MulticastResult(q, rate, case, converged)

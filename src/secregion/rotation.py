@@ -1,8 +1,9 @@
 """Factor parameterization of trace-bounded PSD matrices and the
 quasi-Newton searches built on it: one ascent (``ascend``) from a start
-matrix (``mixed_start``), the multi-start search that runs several
-(``maximize_psd_objective``), and the Frank-Wolfe gap (``fw_gap``) that
-tells whether a result is stationary.
+matrix (``mixed_start``), the one search driver that ranks ready
+candidates and ascents by the true objective (``maximize_psd_objective``),
+and the Frank-Wolfe gap (``fw_gap``) that tells whether a result is
+stationary.  Every wiretap and multicast search runs through the driver.
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -43,9 +44,9 @@ _SLACK_FLOOR = 1e-8
 # The mix has full rank and keeps the trace.
 _ISOTROPIC_MIX = 1e-3
 
-# Knobs of the quasi-Newton searches.  ``N_STARTS`` caps the starts of the
-# multi-start search, the warm start plus random restarts, which the
-# wiretap solve runs only when its deterministic ascents end away from a
+# Knobs of the quasi-Newton searches.  ``N_STARTS`` counts the starts of
+# the wiretap solve's restarts, the water-filling start plus random draws,
+# which run only when its deterministic ascents end away from a
 # stationary point.  An ascent stops at the gradient tolerance ``GTOL``,
 # when the line search can no longer improve the objective, or at the
 # ``MAX_ITERS`` cap; only hitting the cap marks it as not converged.
@@ -123,49 +124,20 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
 
 
 def maximize_psd_objective(
-    objective,
-    nt: int,
-    budget: float,
-    warm_q: np.ndarray | None = None,
-    *,
-    search_objective,
+    objective, nt: int, budget: float, candidates, starts, *, search_objective
 ) -> tuple:
-    """Multi-start quasi-Newton maximization of a function of a PSD matrix,
-    the wiretap solve's fallback when its deterministic result is not
-    stationary.
+    """The one search driver: the best of ready candidates and of ascents.
 
-    ``objective`` maps an nt x nt PSD matrix with trace <= budget to the
-    value being maximized and ranks the candidates.  Each start runs one
-    ``ascend`` of ``search_objective``, the objective itself or a smoothed
-    surrogate with its gradient.  The zero matrix and ``warm_q`` are
-    always evaluated as candidates, so the result can never fall below
-    either; ``warm_q`` is also the first start, and the others are
-    standard normal parameter vectors from one fixed stream,
-    ``default_rng(0)``.
-
-    Returns ``(q, value, converged)``, the same on every call with the
-    same arguments; starts run sequentially.
+    ``candidates`` are ``(q, converged)`` pairs taken as they are, and each
+    parameter vector in ``starts`` runs one ``ascend`` of
+    ``search_objective``, the objective itself or a smoothed surrogate,
+    mapping a matrix to ``(value, G)``.  ``objective`` maps an nt x nt PSD
+    matrix with trace <= budget to the true value, and ranks the
+    candidates and then the ascent results; the first of equals wins, as
+    with ``max``.  Returns ``(q, value, converged)`` of the winner.
     """
-    zero = np.zeros((nt, nt))
-    if budget <= 0:
-        return zero, float(objective(zero)), True
-
-    rng = np.random.default_rng(0)
-    starts = [] if warm_q is None else [encode(warm_q, nt, budget)]
-    while len(starts) < N_STARTS:
-        starts.append(rng.standard_normal(nt * nt + 1))
-
-    best_q = zero
-    best_val = float(objective(zero))
-    best_converged = True
-    if warm_q is not None:
-        v = float(objective(warm_q))
-        if v > best_val:
-            best_q, best_val, best_converged = np.array(warm_q, copy=True), v, True
-
-    for x0 in starts:
-        q, converged = ascend(search_objective, x0, nt, budget)
-        val = float(objective(q))
-        if val > best_val:
-            best_q, best_val, best_converged = q, val, converged
-    return best_q, best_val, best_converged
+    results = [*candidates, *(ascend(search_objective, x0, nt, budget) for x0 in starts)]
+    values = [float(objective(q)) for q, _ in results]
+    best = max(range(len(results)), key=values.__getitem__)
+    q, converged = results[best]
+    return q, values[best], converged

@@ -10,14 +10,14 @@ the beam, and a second from the span of the eigenvectors with lambda > 1
 when there are two or more, each mixed with a little of the isotropic
 matrix.  The zero matrix, the beam and the legitimate channel's
 water-filling matrix stay candidates, so the rate never falls below
-theirs, nor below zero.
+theirs, nor below zero.  The search driver
+``rotation.maximize_psd_objective`` runs the ascents and ranks everything.
 
-The best candidate is accepted when its Frank-Wolfe gap is at most
-``GAP_TOL`` bits, that is when it is stationary.  Otherwise the
-multi-start search of ``rotation.maximize_psd_objective`` runs (the
-water-filling warm start plus restarts from a fixed random stream), and
-the better of the two results is returned.  So the same problem always
-gives the same result.
+The best result is accepted when its Frank-Wolfe gap is at most
+``GAP_TOL`` bits, that is when it is stationary.  Otherwise the driver runs
+again with that result as the only candidate and ``N_STARTS`` restarts:
+the water-filling start plus draws from a fixed random stream.  So the
+same problem always gives the same result.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import ascend, fw_gap, maximize_psd_objective, mixed_start
+from .rotation import N_STARTS, encode, fw_gap, maximize_psd_objective, mixed_start
 from .types import as_channel_pair, check_budget
 from .waterfill import DegenerateChannelWarning, waterfill
 
@@ -43,7 +43,7 @@ class WiretapResult:
     """A secrecy-rate covariance and what the solve did.
 
     ``gap`` is the Frank-Wolfe gap of ``q`` in bits, and ``restarted``
-    tells whether the multi-start search ran.
+    tells whether the restarts ran.
     """
 
     q: np.ndarray
@@ -88,29 +88,29 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
     lam, vecs = eigh(eye + p * hm.T @ hm, eye + p * he.T @ he)
     top = vecs[:, -1]
     beam = (p / (top @ top)) * np.outer(top, top)
-    # The first of equals wins: zero, beam, water-filling, then the ascents.
     candidates = [(np.zeros((nt, nt)), True), (beam, True)]
+    starts = []
     if hm.shape[0] > 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateChannelWarning)
             warm_q, _ = waterfill(hm, p)
         candidates.append((warm_q, True))
-        starts = [beam]
+        starts.append(mixed_start(beam, nt, p))
         lifted = vecs[:, lam > 1.0]
         if lifted.shape[1] > 1:
             span = lifted @ lifted.T
-            starts.append((p / np.trace(span)) * span)
-        candidates += [ascend(search, mixed_start(s, nt, p), nt, p) for s in starts]
-    q, converged = max(candidates, key=lambda c: rate(c[0]))
-    best = rate(q)
+            starts.append(mixed_start((p / np.trace(span)) * span, nt, p))
+    q, best, converged = maximize_psd_objective(
+        rate, nt, p, candidates, starts, search_objective=search
+    )
     gap = fw_gap(search(q)[1], q, p)
     if hm.shape[0] == 1 or gap <= GAP_TOL:
         return WiretapResult(q, best, converged, gap, False)
 
-    q2, rate2, converged2 = maximize_psd_objective(
-        rate, nt, p, warm_q=warm_q, search_objective=search
+    rng = np.random.default_rng(0)
+    restarts = [encode(warm_q, nt, p)]
+    restarts += [rng.standard_normal(nt * nt + 1) for _ in range(N_STARTS - 1)]
+    q, best, converged = maximize_psd_objective(
+        rate, nt, p, [(q, converged)], restarts, search_objective=search
     )
-    if rate2 > best:
-        q, best, converged = q2, rate2, converged2
-        gap = fw_gap(search(q)[1], q, p)
-    return WiretapResult(q, best, converged, gap, True)
+    return WiretapResult(q, best, converged, fw_gap(search(q)[1], q, p), True)

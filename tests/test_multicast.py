@@ -5,6 +5,7 @@ from secregion import (
     case_classify,
     gauss_rate,
     multicast,
+    rotation,
     solve_multicast,
     waterfill,
     whiten_multicast,
@@ -148,8 +149,8 @@ class TestSolveMulticast:
             starts.append(x0)
             return ascend(search_objective, x0, nt, budget)
 
-        ascend = multicast.ascend
-        monkeypatch.setattr(multicast, "ascend", recorded)
+        ascend = rotation.ascend
+        monkeypatch.setattr(rotation, "ascend", recorded)
         solve_multicast(h1, h2, p)
         (x0,) = starts
 

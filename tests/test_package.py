@@ -31,3 +31,17 @@ def test_scenario_rules_only_in_types():
         if _TAG_RULE.search(line)
     ]
     assert not offenders, "scenario tag compared to a letter:\n" + "\n".join(offenders)
+
+
+def test_ascend_only_in_driver():
+    # Every ascent runs through `rotation.maximize_psd_objective`, the one
+    # search driver, so that a tracer wrapping it sees every search.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "rotation.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bascend\(", line)
+    ]
+    assert not offenders, "ascend called outside the driver:\n" + "\n".join(offenders)

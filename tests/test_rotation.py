@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secregion import build_rotation
+from secregion import build_rotation, rotation
 from secregion.baselines import n_angles
 from secregion.multicast import _softmin_grad
 from secregion.rotation import (
@@ -162,7 +162,19 @@ def with_gradient(objective, gradient):
     return lambda q: (objective(q), gradient(q))
 
 
+def fail(*args, **kwargs):
+    raise AssertionError("an ascent ran")
+
+
 class TestDriver:
+    D = np.diag([1.0, 3.0])
+
+    def linear(self, q):
+        return float(np.trace(q @ self.D))
+
+    def linear_search(self, q):
+        return self.linear(q), self.D
+
     def test_feasible_by_construction(self):
         # whatever the objective does, iterates stay PSD within budget
         seen = []
@@ -171,46 +183,85 @@ class TestDriver:
             seen.append(q)
             return -float(np.sum((q - 0.3) ** 2))
 
+        rng = np.random.default_rng(0)
         q, _, _ = maximize_psd_objective(
             spiky,
             2,
             1.5,
+            [(np.zeros((2, 2)), True)],
+            [rng.standard_normal(5) for _ in range(4)],
             search_objective=with_gradient(spiky, lambda q: -2.0 * (q - 0.3)),
         )
+        assert len(seen) > 5
         for qq in seen + [q]:
             assert np.trace(qq) <= 1.5 + 1e-9
             assert np.linalg.eigvalsh(qq)[0] >= -1e-12
 
-    def test_zero_budget(self):
-        def obj(q):
-            return float(np.trace(q))
-
-        search = with_gradient(obj, lambda q: np.eye(2))
-        q, val, conv = maximize_psd_objective(obj, 2, 0.0, search_objective=search)
-        assert np.array_equal(q, np.zeros((2, 2))) and val == 0.0 and conv
-
     def test_deterministic(self):
-        def obj(q):
-            return float(np.trace(q @ np.diag([1.0, 2.0])))
-
-        search = with_gradient(obj, lambda q: np.diag([1.0, 2.0]))
-        a = maximize_psd_objective(obj, 2, 1.0, search_objective=search)
-        b = maximize_psd_objective(obj, 2, 1.0, search_objective=search)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        rng = np.random.default_rng(0)
+        starts = [rng.standard_normal(5) for _ in range(3)]
+        a = maximize_psd_objective(
+            self.linear, 2, 1.0, [], starts, search_objective=self.linear_search
+        )
+        b = maximize_psd_objective(
+            self.linear, 2, 1.0, [], starts, search_objective=self.linear_search
+        )
+        assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
 
     def test_single_ascent_reaches_concave_optimum(self):
         # max tr(D q) with tr q <= 1 from the isotropic start
-        d = np.diag([1.0, 3.0])
         x0 = encode(0.5 * np.eye(2), 2, 1.0)
-        q, converged = ascend(lambda q: (float(np.trace(q @ d)), d), x0, 2, 1.0)
+        q, converged = ascend(self.linear_search, x0, 2, 1.0)
         assert converged
-        assert np.trace(q @ d) == pytest.approx(3.0, abs=1e-5)
+        assert np.trace(q @ self.D) == pytest.approx(3.0, abs=1e-5)
 
     def test_concave_reference(self):
         # max tr(D q) with tr q <= 1 puts everything on the largest diagonal
-        def obj(q):
-            return float(np.trace(q @ np.diag([1.0, 3.0])))
+        q, val, converged = maximize_psd_objective(
+            self.linear,
+            2,
+            1.0,
+            [(np.zeros((2, 2)), True), (np.diag([1.0, 0.0]), True)],
+            [encode(0.5 * np.eye(2), 2, 1.0)],
+            search_objective=self.linear_search,
+        )
+        assert converged
+        assert val == pytest.approx(3.0, abs=1e-5) and val == self.linear(q)
 
-        search = with_gradient(obj, lambda q: np.diag([1.0, 3.0]))
-        q, val, _ = maximize_psd_objective(obj, 2, 1.0, search_objective=search)
-        assert val == pytest.approx(3.0, abs=1e-5)
+    def test_candidate_beats_equal_ascent(self, monkeypatch):
+        # An ascent that ends on a candidate's value does not displace it.
+        best = np.diag([0.0, 1.0])
+        monkeypatch.setattr(rotation, "ascend", lambda *args: (best.copy(), False))
+        q, val, converged = maximize_psd_objective(
+            self.linear,
+            2,
+            1.0,
+            [(np.zeros((2, 2)), True), (best, True)],
+            [np.ones(5)],
+            search_objective=self.linear_search,
+        )
+        assert q is best and val == 3.0 and converged
+
+    def test_first_of_equal_candidates_wins(self):
+        first, second = np.diag([0.0, 1.0]), np.diag([0.0, 1.0])
+        q, _, converged = maximize_psd_objective(
+            self.linear,
+            2,
+            1.0,
+            [(first, False), (second, True)],
+            [],
+            search_objective=self.linear_search,
+        )
+        assert q is first and not converged
+
+    def test_empty_starts_run_no_ascent(self, monkeypatch):
+        monkeypatch.setattr(rotation, "ascend", fail)
+        q, val, _ = maximize_psd_objective(
+            self.linear,
+            2,
+            1.0,
+            [(np.zeros((2, 2)), True), (np.diag([1.0, 0.0]), True)],
+            [],
+            search_objective=self.linear_search,
+        )
+        assert np.array_equal(q, np.diag([1.0, 0.0])) and val == 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from secregion import secrecy_rate, solve_wiretap, waterfill, wiretap
+from secregion import rotation, secrecy_rate, solve_wiretap, waterfill, wiretap
 from secregion.wiretap import GAP_TOL, _secrecy_rate_grad
 
 from conftest import random_psd
@@ -24,9 +24,8 @@ def fail(*args, **kwargs):
 
 
 def no_search(monkeypatch):
-    """Make every search entry point of ``wiretap`` fail if called."""
-    monkeypatch.setattr(wiretap, "ascend", fail)
-    monkeypatch.setattr(wiretap, "maximize_psd_objective", fail)
+    """Make every ascent of the search driver fail if run."""
+    monkeypatch.setattr(rotation, "ascend", fail)
 
 
 class TestSecrecyRate:
@@ -181,9 +180,17 @@ class TestGate:
         assert restarted_high >= 1
 
     def test_stationary_result_skips_restarts(self, ch22, monkeypatch):
-        monkeypatch.setattr(wiretap, "maximize_psd_objective", fail)
+        searches = []
+
+        def recorded(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        search = wiretap.maximize_psd_objective
+        monkeypatch.setattr(wiretap, "maximize_psd_objective", recorded)
         res = solve_wiretap(ch22.h1, ch22.h2, 12.0)
         assert not res.restarted and res.gap <= GAP_TOL
+        assert len(searches) == 1
 
     def test_restart_never_below_multistart(self, monkeypatch):
         # Forcing the gate open returns the better of the two results.
