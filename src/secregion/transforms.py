@@ -1,36 +1,27 @@
 """Interference-whitening channel transforms.
 
-Each transform eigendecomposes an interference-plus-noise matrix of the
-form I + H X H^T and absorbs its inverse square root into the channel, so
-the downstream subproblem takes a standard interference-free shape
-(point-to-point, wiretap, or multicast).  The defining contract, tested to
-1e-12: rates computed on the transformed channels equal the corresponding
-layered-rate expressions on the original channels for every PSD input.
-
-The eigendecomposition is applied unconditionally, even when the matrix is
-nearly the identity; a branchless path keeps the equivalence test uniform.
+Each transform factors an interference-plus-noise matrix M = I + H X H^T
+as L L^T (Cholesky) and absorbs L^{-1} into the channel, so the downstream
+subproblem takes a standard interference-free shape (point-to-point,
+wiretap, or multicast).  The defining contract, tested to 1e-12: rates
+computed on the transformed channels equal the corresponding
+layered-rate expressions on the original channels for every PSD input,
+since (L^{-1} H)^T (L^{-1} H) = H^T M^{-1} H.  The factor is the one
+``rates.resolvent`` takes for the link rates, so whitening and rate
+evaluation round the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .rates import resolvent
 from .types import ChannelPair, as_matrix
-
-# Eigenvalues of I + PSD are analytically >= 1; flooring strips round-off.
-_UNIT_EIG_FLOOR = 1e-14
-
-
-def _whitener(m: np.ndarray) -> np.ndarray:
-    """G^{-1/2} F^T for the eigendecomposition F G F^T of ``m``."""
-    w, f = np.linalg.eigh(0.5 * (m + m.T))
-    w = np.where(w < 1.0 + _UNIT_EIG_FLOOR, 1.0, w)
-    return f.T / np.sqrt(w)[:, None]
 
 
 def _whiten_single(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = np.eye(h.shape[0]) + h @ x @ h.T
-    return _whitener(m) @ h
+    """Y = L^{-1} H for the Cholesky factor L of I + H X H^T."""
+    return resolvent(h, x)[1]
 
 
 def whiten_p2p(h2, q1) -> np.ndarray:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import secregion.splitting
 import secregion.wsr
 
 from secregion import (
@@ -34,9 +35,11 @@ SOLVER_SETTINGS = {
 
 
 # wiretap_golden.json instance 40 (hm 5x4, he 4x4, p 2.13e5), on whose
-# wiretap solves the multi-start search runs, and the scenario C
-# (common off) CSVs of two jobs on it, pinned from the solver that drew
-# its restarts from the CLI seed, at seed 0.
+# wiretap solves the restarts run, and the scenario C (common off) CSVs of
+# two jobs on it, pinned from the solver that drew its restarts from the
+# CLI seed, at seed 0.  The ps CSV was re-pinned when whitening moved to
+# the links' Cholesky factor, which moved two of its rates by 1.8e-14 and
+# -7.5e-12 bits.
 GOLDEN_40 = json.loads(
     (Path(__file__).parent / "data" / "wiretap_golden.json").read_text()
 )["instances"][40]
@@ -50,8 +53,8 @@ SEED_FREE_JOBS = {
         {"eps1": 0.5},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
         "0,0,2.3824656394673109,12,0,0,1\n"
-        "0,6.2360202875002351,2.3824536409914181,12,0,0.5,0.5\n"
-        "0,6.2360421441078735,2.3824529981962836,21,0,0.5,0.5\n"
+        "0,6.2360202875002351,2.3824536409914359,12,0,0.5,0.5\n"
+        "0,6.2360421441003524,2.3824529981962836,21,0,0.5,0.5\n"
         "0,6.2364368649777973,0,12,0,1,0\n",
     ),
 }
@@ -235,19 +238,36 @@ class TestRun:
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
         assert not out.parent.exists()
 
-    def test_consistency_failure_is_one_line_exit_3(self, tmp_path, capsys):
-        # At this power the scenario C second stage misses the 1e-9
-        # whitening consistency gate; the run reports it without a traceback.
-        path = tmp_path / "hp.txt"
-        write_text(path, "1 1 2\n1 0.5\n0.3 1\n")
+    def test_consistency_failure_is_one_line_exit_3(
+        self, ch22_file, tmp_path, capsys, monkeypatch
+    ):
+        # A whitening transform that no longer preserves rates trips the
+        # 1e-9 consistency gate; the run reports it without a traceback.
+        whiten = secregion.splitting.whiten_p2p
+        monkeypatch.setattr(
+            secregion.splitting, "whiten_p2p", lambda *args: 1.01 * whiten(*args)
+        )
         out = tmp_path / "o.csv"
-        argv = ["--channels", str(path), "--scenario", "C", "--common", "on"]
-        argv += ["--method", "ps", "--power", "1e10", "--eps1", "0.25", "--out", str(out)]
+        argv = ["--channels", ch22_file, "--scenario", "A", "--common", "off"]
+        argv += ["--method", "ps", "--power", "12", "--eps1", "0.5", "--out", str(out)]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: numerical consistency check failed: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("power", ["1e10", "1e12"])
+    def test_high_power_scenario_c_passes_consistency_gate(self, tmp_path, power):
+        # Whitening with the links' Cholesky factor rounds as the rate
+        # evaluation does, so the second stage agrees with the original
+        # channels within 1e-9 here.
+        path = tmp_path / "hp.txt"
+        write_text(path, "1 1 2\n1 0.5\n0.3 1\n")
+        out = tmp_path / "o.csv"
+        argv = ["--channels", str(path), "--scenario", "C", "--common", "on"]
+        argv += ["--method", "ps", "--power", power, "--eps1", "0.25", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         cfg = RunConfig(

@@ -80,8 +80,8 @@ class TestWhitenMulticast:
 
 class TestBasisInvariance:
     def test_left_orthogonal_factor_changes_nothing(self):
-        # A different eigenbasis of the same whitening matrix must give the
-        # same rates even though the transformed channel differs.
+        # A rotation of the receive side must give the same rates even
+        # though the whitened channel differs.
         rng = np.random.default_rng(4)
         h = rng.standard_normal((3, 3))
         q1 = random_psd(rng, 3, 2.0)
