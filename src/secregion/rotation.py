@@ -19,7 +19,9 @@ budget * max(lambda_max(G), 0) - <G, Q>.  It is nonnegative and vanishes
 exactly at the first-order stationary points, global optima included.
 
 The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
-``rotation.maximize_psd_objective`` by it.
+``rotation.maximize_psd_objective`` by it, binds the driver's ``objective``,
+``nt`` and ``search_objective`` arguments by name, and reads the value as
+``[1]`` of its result.
 
 ``ascend`` imports ``scipy.optimize`` when it is first called, not with
 the module.  Every CLI job imports this module, but only the jobs that run

@@ -93,8 +93,8 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
     if hm.shape[0] > 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateChannelWarning)
-            warm_q, _ = waterfill(hm, p)
-        candidates.append((warm_q, True))
+            q_wf, _ = waterfill(hm, p)
+        candidates.append((q_wf, True))
         starts.append(mixed_start(beam, nt, p))
         lifted = vecs[:, lam > 1.0]
         if lifted.shape[1] > 1:
@@ -108,7 +108,7 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
         return WiretapResult(q, best, converged, gap, False)
 
     rng = np.random.default_rng(0)
-    restarts = [encode(warm_q, nt, p)]
+    restarts = [encode(q_wf, nt, p)]
     restarts += [rng.standard_normal(nt * nt + 1) for _ in range(N_STARTS - 1)]
     q, best, converged = maximize_psd_objective(
         rate, nt, p, [(q, converged)], restarts, search_objective=search

@@ -287,8 +287,6 @@ def closed_form_block(w: float, s, r, h) -> np.ndarray:
 class BsmmState:
     q1: np.ndarray
     q2: np.ndarray
-    wsr: float
-    lagrangian: float
     n_iters: int
     converged: bool
 
@@ -357,7 +355,6 @@ def bsmm_inner(
         ld1_12, _, g1_12 = resolvent(h1, q12)
     _, prev_lagr = end_point(q1, q2, link_logdet(h1, q1), ld1_12, ld2_1, ld2_12)
     prev_wsr = 0.0
-    wsr = 0.0
     converged = False
     i = 0
     for i in range(1, MAX_INNER + 1):
@@ -386,7 +383,7 @@ def bsmm_inner(
             converged = True
             break
         prev_wsr = wsr
-    return BsmmState(q1, q2, wsr, prev_lagr, i, converged)
+    return BsmmState(q1, q2, i, converged)
 
 
 @dataclass(frozen=True)
