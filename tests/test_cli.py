@@ -36,10 +36,7 @@ SOLVER_SETTINGS = {
 
 # wiretap_golden.json instance 40 (hm 5x4, he 4x4, p 2.13e5), on whose
 # wiretap solves the restarts run, and the scenario C (common off) CSVs of
-# two jobs on it, pinned from the solver that drew its restarts from the
-# CLI seed, at seed 0.  The ps CSV was re-pinned when whitening moved to
-# the links' Cholesky factor, which moved two of its rates by 1.8e-14 and
-# -7.5e-12 bits.
+# two jobs on it, pinned at seed 0.
 GOLDEN_40 = json.loads(
     (Path(__file__).parent / "data" / "wiretap_golden.json").read_text()
 )["instances"][40]
