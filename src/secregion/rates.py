@@ -19,19 +19,23 @@ formed is that of the Cholesky factor L in ``resolvent``, which gives the
 log-determinant, the whitened channel L^{-1} H and the Gram matrix
 H^T (I + H Q H^T)^{-1} H of one link from that one factor.  ``resolvent``
 runs in the inner loops of the searches and of the WSR solver on matrices
-of a few rows, so it calls the LAPACK routines behind ``np.linalg.cholesky``
-and ``np.linalg.inv`` (``dpotrf`` and ``dgesv``) directly, without numpy's
-per-call wrapper, against identity matrices that ``identity`` builds once
-per size; the batched ``_half_logdet2`` keeps numpy's Cholesky.
+of a few rows, so it calls the LAPACK gufuncs behind ``np.linalg.cholesky``
+and ``np.linalg.inv`` (``cholesky_lo`` and ``inv`` of
+``numpy.linalg._umath_linalg``) directly, without numpy's per-call
+wrapper; the batched ``_half_logdet2`` keeps numpy's Cholesky.  The
+package thus takes its small dense linear algebra from numpy, and scipy
+loads only when a solve needs it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf
+from numpy.linalg._umath_linalg import cholesky_lo, inv
 
 from .types import (
     ORDER_12,
@@ -76,13 +80,33 @@ def _half_logdet2(h: np.ndarray, q: np.ndarray):
     return 0.5 * ld / LN2
 
 
+class _QuietContext(threading.local):
+    """Per thread, a context whose numpy error state ignores invalid values.
+
+    numpy's gufuncs flag a failed factorization as an invalid value, which
+    numpy reports as a ``RuntimeWarning``, but the callers raise
+    ``np.linalg.LinAlgError`` instead.  ``Context.run`` in a context made
+    once costs far less than entering ``np.errstate`` on every call; each
+    thread has its own, as two threads cannot enter one context at once.
+    """
+
+    def __init__(self):
+        with np.errstate(invalid="ignore"):
+            self.context = contextvars.copy_context()
+
+
+_QUIET = _QuietContext()
+
+
 def _link_factor(h: np.ndarray, q: np.ndarray) -> tuple:
-    """``(ln|M|, L)`` for M = I + H Q H^T = L L^T, from LAPACK's ``dpotrf``."""
+    """``(ln|M|, L)`` for M = I + H Q H^T = L L^T, from numpy's ``cholesky_lo``."""
     m = identity(h.shape[0]) + h @ q @ h.T
-    chol, info = dpotrf(0.5 * (m + m.T), lower=1, clean=1)
-    if info:
+    chol = _QUIET.context.run(cholesky_lo, 0.5 * (m + m.T))
+    logdet = 2.0 * np.log(chol.diagonal()).sum()
+    # The gufunc returns NaN throughout when M is not positive definite.
+    if logdet != logdet:
         raise np.linalg.LinAlgError("link matrix is not positive definite")
-    return 2.0 * np.log(chol.diagonal()).sum(), chol
+    return logdet, chol
 
 
 def link_logdet(h: np.ndarray, q: np.ndarray) -> float:
@@ -97,19 +121,14 @@ def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     Y = L^{-1} H is the whitened channel, and Y^T Y = H^T M^{-1} H the Gram
     matrix, symmetric by construction.  ``h`` and ``q`` are 2-D.  M must be
     positive definite, as it is for every PSD Q; otherwise
-    ``np.linalg.LinAlgError`` is raised.  The factor comes from LAPACK's
-    ``dpotrf`` and L^{-1} from ``dgesv`` against the identity, the calls
-    ``np.linalg.cholesky`` and ``np.linalg.inv`` make, so the results match
-    that numpy expression bit for bit wherever numpy and scipy link the same
-    LAPACK build.  (``dtrtrs`` would be cheaper but rounds differently.)
+    ``np.linalg.LinAlgError`` is raised, with no warning.  The factor and
+    L^{-1} come from numpy's ``cholesky_lo`` and ``inv`` gufuncs, the ones
+    ``np.linalg.cholesky`` and ``np.linalg.inv`` call, so the results equal
+    that numpy expression bit for bit.  (``dtrtrs`` would be cheaper but
+    rounds differently.)
     """
     logdet, chol = _link_factor(h, q)
-    _, _, linv, info = dgesv(chol, identity(h.shape[0]))
-    if info:
-        raise np.linalg.LinAlgError("Cholesky factor is singular")
-    # LAPACK returns L^{-1} in Fortran order; numpy's inv returns C order,
-    # and the BLAS product below rounds differently for the two layouts.
-    y = np.ascontiguousarray(linv) @ h
+    y = inv(chol) @ h
     return logdet, y, y.T @ y
 
 

@@ -28,8 +28,11 @@ the module.  Every CLI job imports this module, but only the jobs that run
 an ascent need the optimizer: the equalized (case 3) multicast solves of
 ``ps``, and the wiretap solves of ``ps``, ``tdma`` and ``oma`` whose
 legitimate receiver has more than one row.  ``scipy.optimize`` also loads
-``scipy.sparse``, ``scipy.special`` and ``scipy.spatial``, and importing
-it takes about as long as importing ``scipy.linalg``.
+``scipy.linalg``, ``scipy.sparse``, ``scipy.special`` and
+``scipy.spatial``.  No module of the package imports scipy when it is
+loaded, as the small dense linear algebra comes from numpy's LAPACK
+gufuncs, so a job that runs no ascent, no 3-D hull and no wiretap solve
+loads no scipy at all.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .rates import gauss_rate, link_rate_grad
 from .rotation import N_STARTS, encode, fw_gap, maximize_psd_objective, mixed_start
@@ -83,6 +82,11 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
 
     def search(q):
         return _secrecy_rate_grad(hm, he, q)
+
+    # scipy's generalized eigh (LAPACK dsygvd): numpy has none, and a
+    # reduction through numpy's Cholesky rounds differently.  Imported here
+    # so that jobs without a wiretap solve never load scipy.
+    from scipy.linalg import eigh
 
     eye = np.eye(nt)
     lam, vecs = eigh(eye + p * hm.T @ hm, eye + p * he.T @ he)

@@ -37,10 +37,10 @@ unless user 2 is confidential; ``load_modes`` then skips the
 eigendecomposition of the penalty, and block 2 gives user 2's link at
 q1 + q2, so a round factors one link matrix.  When user 2 is confidential
 the round factors four: user 1 for block 2's price and both users at the
-round's end point.  The factors and the mode loading call LAPACK directly
-(through ``rates.resolvent`` and in ``load_modes``), as the matrices have
-only a few rows and numpy's per-call wrappers would cost more than the
-routines.
+round's end point.  The factors and the mode loading call numpy's LAPACK
+gufuncs directly (through ``rates.resolvent`` and in ``load_modes``), as
+the matrices have only a few rows and numpy's per-call wrappers would cost
+more than the routines.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dsyevd
+from numpy.linalg._umath_linalg import eigh_lo, svd_f
 
 from .rates import (
     LN2,
@@ -192,10 +192,11 @@ def load_modes(w: float, s, y: np.ndarray) -> tuple:
     """Exact maximizer of w*ln|I + Y Q Y^T| - tr(S Q) over PSD Q: the kernel.
 
     Returns ``(q, ln|I + Y Q Y^T|, gram)``.  ``y`` is an already whitened
-    channel.  The penalty ``s`` is either a symmetric matrix or a scalar c
-    standing for S = c*I; it must be positive definite after a +1e-12*I
-    jitter, or ``ValueError`` is raised, and nothing else is checked.  The
-    solution loads the singular modes of Y S^{-1/2} = U diag(sig) V^T with
+    channel.  The penalty ``s`` is either a symmetric matrix, of which only
+    the lower triangle is read, or a scalar c standing for S = c*I; it must
+    be positive definite after a +1e-12*I jitter, or ``ValueError`` is
+    raised, and nothing else is checked.  The solution loads the singular
+    modes of Y S^{-1/2} = U diag(sig) V^T with
     lam_i = (w - 1/sig_i^2)+, so Q = S^{-1/2} V diag(lam) V^T S^{-1/2}, and
     the log-determinant is sum_i ln(1 + sig_i^2 lam_i) from the same SVD.
     For a scalar penalty ``gram`` is Y^T (I + Y Q Y^T)^{-1} Y =
@@ -204,8 +205,9 @@ def load_modes(w: float, s, y: np.ndarray) -> tuple:
     it is None.  The scalar penalty needs no eigendecomposition, and its q
     equals that of the matrix c*I bit for bit when ``y`` holds no -0.0, as
     no product from ``rates.resolvent`` does.  The eigendecomposition and
-    the SVD are LAPACK's ``dsyevd`` and ``dgesdd``, the routines behind
-    ``np.linalg.eigh`` and ``np.linalg.svd``.
+    the SVD are numpy's ``eigh_lo`` and ``svd_f`` gufuncs, the ones
+    ``np.linalg.eigh`` and ``np.linalg.svd`` call, without numpy's
+    per-call wrapper.
     """
     # A Python float (np.float64 included) skips np.ndim's ~2 us.
     if isinstance(s, float) or np.ndim(s) == 0:
@@ -220,9 +222,10 @@ def load_modes(w: float, s, y: np.ndarray) -> tuple:
         z = vt.T * [math.sqrt(c * g / (1.0 + g * x)) for g, x in zip(sig2, lam)]
         gram = z @ z.T
     else:
-        s = 0.5 * (s + s.T) + _jitter(y.shape[1])
-        ws, vs, info = dsyevd(s, lower=1)
-        if info:
+        s = s + _jitter(y.shape[1])
+        ws, vs = eigh_lo(s)
+        # The gufunc returns NaN throughout when it does not converge.
+        if ws[0] != ws[0]:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         if ws[0] <= 0:
             raise ValueError("penalty matrix is indefinite after regularization")
@@ -249,13 +252,15 @@ def _mode_levels(w: float, a: np.ndarray) -> tuple:
     the rows of ``a``.  The few singular values are looped over as floats,
     as numpy's per-call cost exceeds the arithmetic on arrays this small.
     """
-    _, sig, vt, info = dgesdd(a, full_matrices=1)
-    if info:
+    _, sig, vt = svd_f(a)
+    sig = sig.tolist()
+    # The gufunc returns NaN throughout when it does not converge.
+    if sig[0] != sig[0]:
         raise np.linalg.LinAlgError("SVD did not converge")
     lam = [0.0] * a.shape[1]
     sig2 = lam.copy()
     logdet = 0.0
-    for i, x in enumerate(sig.tolist()):
+    for i, x in enumerate(sig):
         # Modes at or below sqrt(tiny) load nothing: their 1/sig^2 stays
         # finite and far above any weight.
         floor = max(x, _SIG_FLOOR)
@@ -268,12 +273,13 @@ def _mode_levels(w: float, a: np.ndarray) -> tuple:
 def closed_form_block(w: float, s, r, h) -> np.ndarray:
     """Exact maximizer of w*ln|I + R^{-1} H Q H^T| - tr(S Q) over PSD Q.
 
-    ``s`` must be symmetric positive definite after a +1e-12*I jitter and
-    ``r`` symmetric positive definite.  With R = L L^T, the channel is
-    whitened to L^{-1} H, which leaves the objective unchanged, and
-    ``load_modes`` solves the whitened problem.
+    ``s`` must be positive definite after a +1e-12*I jitter and ``r``
+    positive definite; both are symmetrized first.  With R = L L^T, the
+    channel is whitened to L^{-1} H, which leaves the objective unchanged,
+    and ``load_modes`` solves the whitened problem.
     """
     s = as_matrix(s, "s")
+    s = 0.5 * (s + s.T)
     r = as_matrix(r, "r")
     h = as_matrix(h, "h")
     try:
@@ -345,7 +351,10 @@ def bsmm_inner(
         )
         _, r1, r2 = rate_rule(scenario, links)[0]
         wsr = float(w1 * r1 + w2 * r2)
-        return wsr, wsr - lam * (float(q1.trace() + q2.trace()) - p)
+        # The power as a float sum of each diagonal, which adds in the order
+        # of ndarray.trace at a fraction of its per-call cost.
+        used = sum(q1.diagonal().tolist()) + sum(q2.diagonal().tolist())
+        return wsr, wsr - lam * (used - p)
 
     q12 = q1 + q2
     ld2_1, _, g2_1 = resolvent(h2, q1)

@@ -34,25 +34,25 @@ SOLVER_SETTINGS = {
 }
 
 
-# wiretap_golden.json instance 40 (hm 5x4, he 4x4, p 2.13e5), on whose
+# wiretap_golden.json instance 42 (hm 2x4, he 3x4, p 3.07e5), on whose
 # wiretap solves the restarts run, and the scenario C (common off) CSVs of
 # two jobs on it, pinned at seed 0.
-GOLDEN_40 = json.loads(
+GOLDEN_42 = json.loads(
     (Path(__file__).parent / "data" / "wiretap_golden.json").read_text()
-)["instances"][40]
+)["instances"][42]
 SEED_FREE_JOBS = {
     "tdma": (
         {},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
-        "0,3.1182184324888986,1.1912328197336555,na,,,\n",
+        "0,5.1105873763777474,9.4899396739648498,na,,,\n",
     ),
     "ps": (
         {"eps1": 0.5},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
-        "0,0,2.3824656394673109,12,0,0,1\n"
-        "0,6.2360202875002351,2.3824536409914359,12,0,0.5,0.5\n"
-        "0,6.2360421441003524,2.3824529981962836,21,0,0.5,0.5\n"
-        "0,6.2364368649777973,0,12,0,1,0\n",
+        "0,0,18.9798793479297,12,0,0,1\n"
+        "0,9.720510123489035,18.125419571199096,12,0,0.5,0.5\n"
+        "0,9.7893369220217785,17.979885990781849,21,0,0.5,0.5\n"
+        "0,10.221174752755495,0,12,0,1,0\n",
     ),
 }
 
@@ -159,9 +159,9 @@ class TestRun:
 
     @pytest.mark.parametrize("method", sorted(SEED_FREE_JOBS))
     def test_output_ignores_seed(self, tmp_path, method):
-        hm, he, p = GOLDEN_40["hm"], GOLDEN_40["he"], GOLDEN_40["p"]
+        hm, he, p = GOLDEN_42["hm"], GOLDEN_42["he"], GOLDEN_42["p"]
         assert solve_wiretap(hm, he, p).restarted
-        chfile = tmp_path / "g40.txt"
+        chfile = tmp_path / "g42.txt"
         write_channels(ChannelPair(hm, he), str(chfile))
         extra, want = SEED_FREE_JOBS[method]
         for seed in (0, 1):
@@ -440,8 +440,8 @@ class TestRun:
 
 # Run in a fresh interpreter: imports the package, then runs the jobs in
 # argv[2:] (method:scenario:common) one after another in-process on the
-# channel file argv[1], and prints which deferred scipy subpackages are in
-# sys.modules after the import and after each job.
+# channel file argv[1], and prints which of scipy and its deferred
+# subpackages are in sys.modules after the import and after each job.
 _DEFERRED_IMPORT_SCRIPT = textwrap.dedent(
     """
     import json
@@ -450,7 +450,8 @@ _DEFERRED_IMPORT_SCRIPT = textwrap.dedent(
     from secregion.cli import RunConfig, run
 
     def loaded():
-        return [m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules]
+        tracked = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.spatial")
+        return [m for m in tracked if m in sys.modules]
 
     report = [("import", loaded())]
     for job in sys.argv[2:]:
@@ -475,11 +476,12 @@ _DEFERRED_IMPORT_SCRIPT = textwrap.dedent(
 
 
 def test_scipy_optimize_and_spatial_load_only_when_called(ch22_file):
-    # scipy.optimize serves only the BFGS ascents and scipy.spatial only the
-    # 3-D hulls of common-on regions: jobs that need neither must not pay
-    # for importing them.  A common-on oracle needs only the 3-D hull, and
-    # a common-on ps in scenario C needs the ascent too (scipy.optimize
-    # itself imports scipy.spatial).
+    # scipy.optimize serves only the BFGS ascents, scipy.spatial only the
+    # 3-D hulls of common-on regions and scipy.linalg only the generalized
+    # eigenproblem of a wiretap solve: jobs that need none of them load no
+    # scipy at all.  A common-on oracle needs only the 3-D hull (scipy.spatial
+    # itself imports scipy.linalg), and a common-on ps in scenario C needs
+    # the ascent too (scipy.optimize itself imports scipy.spatial).
     src = str(Path(secregion.wsr.__file__).resolve().parents[1])
     jobs = ["oracle:A:off", "wsr:C:off", "tdma:A:off", "oracle:A:on", "ps:C:on"]
     done = subprocess.run(
@@ -496,6 +498,6 @@ def test_scipy_optimize_and_spatial_load_only_when_called(ch22_file):
         ["oracle:A:off", []],
         ["wsr:C:off", []],
         ["tdma:A:off", []],
-        ["oracle:A:on", ["scipy.spatial"]],
-        ["ps:C:on", ["scipy.optimize", "scipy.spatial"]],
+        ["oracle:A:on", ["scipy", "scipy.linalg", "scipy.spatial"]],
+        ["ps:C:on", ["scipy", "scipy.linalg", "scipy.optimize", "scipy.spatial"]],
     ]

@@ -1,3 +1,7 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,14 +370,6 @@ class TestLinkRateGrad:
         assert np.tensordot(g, d) == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
-# The numpy and scipy wheels may bundle different OpenBLAS builds.  With
-# numpy 2.4.6 (OpenBLAS 0.3.31) and scipy 1.17.1 (OpenBLAS 0.3.30), the
-# 5x5 Cholesky factors of the two differ in the last bit of the last
-# diagonal entry in about one case in seven; up to 4 rows, the case of
-# every channel in the suite and the benchmark, they agree bit for bit.
-EXACT_ROWS = 4
-
-
 class TestSharedFactor:
     @settings(max_examples=300, deadline=None)
     @given(link_cases())
@@ -384,11 +380,9 @@ class TestSharedFactor:
         chol = np.linalg.cholesky(0.5 * (m + m.T))
         y_ref = np.linalg.inv(chol) @ h
         want = (2.0 * np.sum(np.log(np.diagonal(chol))), y_ref, y_ref.T @ y_ref)
+        # resolvent calls the gufuncs behind these numpy functions.
         for got, ref in zip((ld, y, gram), want):
-            if h.shape[0] <= EXACT_ROWS:
-                assert np.array_equal(got, ref)
-            else:
-                assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(got, ref)
         assert np.shape(ld) == () and y.shape == h.shape
         # Y is the whitened channel: Y^T Y = H^T M^{-1} H.
         assert np.allclose(gram, h.T @ np.linalg.solve(m, h), atol=1e-9)
@@ -407,11 +401,46 @@ class TestSharedFactor:
             identity(3)[0, 0] = 2.0
 
     def test_resolvent_rejects_indefinite_link(self):
+        # The failed factorization raises, and numpy reports no invalid value.
         h = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            resolvent(h, -4.0 * np.eye(2))
-        with pytest.raises(np.linalg.LinAlgError):
-            link_logdet(h, -4.0 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError):
+                resolvent(h, -4.0 * np.eye(2))
+            with pytest.raises(np.linalg.LinAlgError):
+                link_logdet(h, -4.0 * np.eye(2))
+
+    def test_resolvent_in_concurrent_threads(self):
+        # The gufunc releases the interpreter lock, so factorizations in
+        # several threads overlap (the 200-row links make that likely); each
+        # must run in a context of its own.
+        rng = np.random.default_rng(3)
+        cases = [(rng.standard_normal((200, 3)), random_psd(rng, 3, 2.0)) for _ in range(4)]
+        want = [resolvent(h, q)[1] for h, q in cases]
+        errors = []
+
+        def work():
+            try:
+                for _ in range(5):
+                    for (h, q), y in zip(cases, want):
+                        # A threaded BLAS may split the work otherwise
+                        # when called from several threads at once.
+                        assert np.allclose(resolvent(h, q)[1], y, rtol=1e-12, atol=0.0)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     @settings(max_examples=100, deadline=None)
     @given(stacked_cases())
