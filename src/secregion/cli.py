@@ -133,19 +133,10 @@ def _csv_rows_ps(ch, scenario, cfg):
         by_key.setdefault((sp.rates.r0, sp.rates.r1, sp.rates.r2, sp.rates.order), sp)
     rows = []
     n_unconverged = sum(1 for sp in pts if not sp.converged)
+    # hull_pareto returns only points of its input, so every key is there.
     for t in kept:
-        sp = by_key.get((t.r0, t.r1, t.r2, t.order))
-        if sp is None:
-            rows.append((t, "", "", ""))  # the origin point carries no split
-        else:
-            rows.append(
-                (
-                    t,
-                    _fmt(sp.split.alpha0),
-                    _fmt(sp.split.alpha1),
-                    _fmt(sp.split.alpha2),
-                )
-            )
+        split = by_key[(t.r0, t.r1, t.r2, t.order)].split
+        rows.append((t, _fmt(split.alpha0), _fmt(split.alpha1), _fmt(split.alpha2)))
     return rows, n_unconverged
 
 

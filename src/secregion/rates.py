@@ -11,20 +11,23 @@ own factors and mode loadings, as floats, which the rule handles without
 numpy.  ``gauss_rate`` and ``layered_rate`` are the single-link
 primitives of the subproblem solvers and the WSR coupling terms, and
 ``link_rate_grad`` gives a link rate with its gradient for the searches.
-Log determinants go through a Cholesky factorization of I + PSD, which is
-positive definite by construction; an eigenvalue sum is the fallback when
-round-off defeats the factorization.  Inverse-times-matrix expressions in
-rates are rewritten as differences of log determinants; the only inverse
-formed is that of the Cholesky factor L in ``resolvent``, which gives the
-log-determinant, the whitened channel L^{-1} H and the Gram matrix
-H^T (I + H Q H^T)^{-1} H of one link from that one factor.  ``resolvent``
-runs in the inner loops of the searches and of the WSR solver on matrices
-of a few rows, so it calls the LAPACK gufuncs behind ``np.linalg.cholesky``
-and ``np.linalg.inv`` (``cholesky_lo`` and ``inv`` of
-``numpy.linalg._umath_linalg``) directly, without numpy's per-call
-wrapper; the batched ``_half_logdet2`` keeps numpy's Cholesky.  The
-package thus takes its small dense linear algebra from numpy, and scipy
-loads only when a solve needs it.
+Log determinants go through a Cholesky factorization of I + PSD, which
+is positive definite by construction.  ``_factor`` is the package's one
+Cholesky routine, for one matrix or a stack: the rate functions here,
+``resolvent`` and ``wsr.closed_form_block`` take their factors from it.
+On a stack an eigenvalue sum is the fallback when round-off defeats the
+factorization; one matrix that fails raises.  Inverse-times-matrix
+expressions in rates are rewritten as differences of log determinants;
+the only inverse formed is that of the Cholesky factor L in
+``resolvent``, which gives the log-determinant, the whitened channel
+L^{-1} H and the Gram matrix H^T (I + H Q H^T)^{-1} H of one link from
+that one factor.  ``resolvent`` runs in the inner loops of the searches
+and of the WSR solver on matrices of a few rows, so the factor and
+L^{-1} come from the LAPACK gufuncs behind ``np.linalg.cholesky`` and
+``np.linalg.inv`` (``cholesky_lo`` and ``inv`` of
+``numpy.linalg._umath_linalg``), called directly, without numpy's
+per-call wrapper.  The package thus takes its small dense linear algebra
+from numpy, and scipy loads only when a solve needs it.
 """
 
 from __future__ import annotations
@@ -59,27 +62,6 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
-def _half_logdet2(h: np.ndarray, q: np.ndarray):
-    """0.5 * log2|I + H Q H^T|, with the argument symmetrized first.
-
-    ``q`` may be one (nt, nt) matrix or a (k, nt, nt) stack, which is
-    factored in one batched Cholesky call; the result is then a (k,)
-    array.  If round-off defeats the factorization anywhere, the
-    log-determinants are eigenvalue sums instead, each eigenvalue floored
-    at the least positive double.
-    """
-    m = np.eye(h.shape[0]) + h @ q @ h.T
-    m = 0.5 * (m + m.swapaxes(-1, -2))
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        w = np.maximum(np.linalg.eigvalsh(m), np.finfo(float).tiny)
-        ld = np.sum(np.log(w), axis=-1)
-    else:
-        ld = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return 0.5 * ld / LN2
-
-
 class _QuietContext(threading.local):
     """Per thread, a context whose numpy error state ignores invalid values.
 
@@ -98,21 +80,41 @@ class _QuietContext(threading.local):
 _QUIET = _QuietContext()
 
 
-def _link_factor(h: np.ndarray, q: np.ndarray) -> tuple:
-    """``(ln|M|, L)`` for M = I + H Q H^T = L L^T, from numpy's ``cholesky_lo``."""
-    m = identity(h.shape[0]) + h @ q @ h.T
-    chol = _QUIET.context.run(cholesky_lo, 0.5 * (m + m.T))
-    logdet = 2.0 * np.log(chol.diagonal()).sum()
-    # The gufunc returns NaN throughout when M is not positive definite.
-    if logdet != logdet:
-        raise np.linalg.LinAlgError("link matrix is not positive definite")
+def _factor(m: np.ndarray) -> tuple:
+    """``(ln|M|, L)`` for M = L L^T, the symmetrized ``m``.
+
+    The package's one Cholesky factorization: numpy's ``cholesky_lo``
+    gufunc, without numpy's per-call wrapper, in the ``_QUIET`` context.
+    ``m`` is one (n, n) matrix or a (k, n, n) stack.  One matrix that is
+    not positive definite raises ``np.linalg.LinAlgError``, with no
+    warning.  If round-off defeats the factorization anywhere in a stack,
+    the log-determinants of the whole stack are eigenvalue sums instead,
+    each eigenvalue floored at the least positive double; L then holds NaN
+    where it failed.
+    """
+    m = 0.5 * (m + m.mT)
+    chol = _QUIET.context.run(cholesky_lo, m)
+    # The gufunc returns NaN throughout a matrix that is not positive definite.
+    if m.ndim == 2:
+        logdet = 2.0 * np.log(chol.diagonal()).sum()
+        if logdet != logdet:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+    else:
+        logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
+        if np.isnan(logdet).any():
+            w = np.maximum(np.linalg.eigvalsh(m), np.finfo(float).tiny)
+            logdet = np.log(w).sum(-1)
     return logdet, chol
 
 
-def link_logdet(h: np.ndarray, q: np.ndarray) -> float:
-    """ln|I + H Q H^T|, the first entry of ``resolvent`` bit for bit, from
-    the Cholesky factor alone."""
-    return _link_factor(h, q)[0]
+def link_logdet(h: np.ndarray, q: np.ndarray):
+    """ln|I + H Q H^T|, from the Cholesky factor alone.
+
+    For one (nt, nt) Q this is the first entry of ``resolvent`` bit for
+    bit; a (k, nt, nt) stack of Q gives a (k,) array, with the eigenvalue
+    fallback of ``_factor``.
+    """
+    return _factor(identity(len(h)) + h @ q @ h.T)[0]
 
 
 def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
@@ -127,7 +129,7 @@ def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     that numpy expression bit for bit.  (``dtrtrs`` would be cheaper but
     rounds differently.)
     """
-    logdet, chol = _link_factor(h, q)
+    logdet, chol = _factor(identity(len(h)) + h @ q @ h.T)
     y = inv(chol) @ h
     return logdet, y, y.T @ y
 
@@ -145,7 +147,8 @@ def _check_link(h, q, name: str) -> tuple:
 def gauss_rate(h, q) -> float:
     """Interference-free link rate 0.5 * log2|I + H Q H^T| in bits."""
     h, q = _check_link(h, q, "link")
-    return float(_half_logdet2(h, q))
+    # A stack of one, so that a failed factor falls back to eigenvalues.
+    return float(0.5 * link_logdet(h, q[None])[0] / LN2)
 
 
 def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
@@ -153,7 +156,7 @@ def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
 
     The gradient in Q is H^T (I + H Q H^T)^{-1} H / (2 ln 2).  Nothing is
     validated, so reported results must still go through ``gauss_rate``,
-    whose value this matches to round-off.
+    whose value this equals bit for bit.
     """
     logdet, _, gram = resolvent(h, q)
     return 0.5 * logdet / LN2, gram / (2.0 * LN2)
@@ -169,7 +172,7 @@ def layered_rate(h, q_signal, q_interference) -> float:
     """
     h, qs = _check_link(h, q_signal, "signal")
     _, qi = _check_link(h, q_interference, "interference")
-    return float(_half_logdet2(h, qs + qi) - _half_logdet2(h, qi))
+    return gauss_rate(h, qs + qi) - gauss_rate(h, qi)
 
 
 def rate_stack(
@@ -201,9 +204,8 @@ def rate_stack(
 
     q12 = q1 + q2
     stack = np.concatenate([q0 + q12, q12, q1, q2])
-    logdet = (
-        _half_logdet2(ch.h1, stack).reshape(4, k),
-        _half_logdet2(ch.h2, stack).reshape(4, k),
+    logdet = tuple(
+        (0.5 * link_logdet(h, stack) / LN2).reshape(4, k) for h in (ch.h1, ch.h2)
     )
     return rate_rule(scenario, logdet, orders)
 

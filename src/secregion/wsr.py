@@ -50,10 +50,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo, svd_f
+from numpy.linalg._umath_linalg import eigh_lo, inv, svd_f
 
 from .rates import (
     LN2,
+    _factor,
     evaluate_triple,
     identity,
     link_logdet,
@@ -275,18 +276,19 @@ def closed_form_block(w: float, s, r, h) -> np.ndarray:
 
     ``s`` must be positive definite after a +1e-12*I jitter and ``r``
     positive definite; both are symmetrized first.  With R = L L^T, the
-    channel is whitened to L^{-1} H, which leaves the objective unchanged,
-    and ``load_modes`` solves the whitened problem.
+    Cholesky factor from ``rates._factor``, the channel is whitened to
+    L^{-1} H, which leaves the objective unchanged, and ``load_modes``
+    solves the whitened problem.
     """
     s = as_matrix(s, "s")
     s = 0.5 * (s + s.T)
     r = as_matrix(r, "r")
     h = as_matrix(h, "h")
     try:
-        chol = np.linalg.cholesky(0.5 * (r + r.T))
+        chol = _factor(r)[1]
     except np.linalg.LinAlgError:
         raise ValueError("noise matrix must be positive definite") from None
-    return load_modes(w, s, np.linalg.inv(chol) @ h)[0]
+    return load_modes(w, s, inv(chol) @ h)[0]
 
 
 @dataclass(frozen=True)

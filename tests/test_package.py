@@ -1,4 +1,6 @@
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import secregion
@@ -45,3 +47,18 @@ def test_ascend_only_in_driver():
         if re.search(r"\bascend\(", line)
     ]
     assert not offenders, "ascend called outside the driver:\n" + "\n".join(offenders)
+
+
+def test_cholesky_only_in_rates():
+    # `rates._factor` is the one Cholesky routine, so every factor shares its
+    # symmetrization, its failure handling and its rounding.  Comments and
+    # strings may name the factorization; code elsewhere may not call it.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "rates.py"
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and "cholesky" in tok.string.lower()
+    ]
+    assert not offenders, "Cholesky factorization outside rates:\n" + "\n".join(offenders)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,15 @@ class TestClosedFormBlock:
     def test_indefinite_penalty_rejected(self):
         with pytest.raises(ValueError):
             closed_form_block(1.0, [[-1.0]], [[1.0]], [[1.0]])
+
+    @pytest.mark.parametrize("r", [[[-1.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    def test_noise_not_positive_definite_rejected(self, r):
+        # The failed factorization raises, and numpy reports no invalid value.
+        n = len(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="noise matrix must be positive definite"):
+                closed_form_block(1.0, np.eye(n), r, np.eye(n))
 
 
 @st.composite
