@@ -14,7 +14,6 @@ from .multicast import MulticastResult, case_classify, solve_multicast
 from .rates import evaluate_triple, gauss_rate, layered_rate
 from .splitting import (
     SplitResult,
-    SweepPoint,
     hull_pareto,
     region_contains,
     solve_split,
@@ -39,7 +38,6 @@ from .types import (
 from .waterfill import DegenerateChannelWarning, water_level, waterfill
 from .wiretap import WiretapResult, secrecy_rate, solve_wiretap
 from .wsr import (
-    BracketError,
     BsmmState,
     WsrConfig,
     WsrSolution,
@@ -55,7 +53,6 @@ from .wsr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError",
     "BsmmState",
     "ChannelPair",
     "ChannelParseError",
@@ -73,7 +70,6 @@ __all__ = [
     "RunConfig",
     "Scenario",
     "SplitResult",
-    "SweepPoint",
     "WiretapResult",
     "WsrConfig",
     "WsrSolution",

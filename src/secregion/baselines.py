@@ -156,10 +156,11 @@ def random_search_region(
 
     Samples are drawn, validated and rated ``_BLOCK`` at a time, and each
     block keeps only its rows that no other row of the block strictly
-    dominates.  One more Pareto filter over the union of those survivors
-    (dominance is transitive, so it drops what the whole cloud dominates)
-    and the first of each set of equal rows in sample order (order "12"
-    before "21" within a sample) become ``RateTriple`` points for the hull.
+    dominates.  The rows that survive one more Pareto filter over the union
+    of those (dominance is transitive, so it drops what the whole cloud
+    dominates) become ``RateTriple`` points in sample order, order "12"
+    before "21" within a sample.  ``hull_pareto`` keeps the first of each
+    set of equal points in that order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -180,8 +181,6 @@ def random_search_region(
         codes.append(np.tile(np.arange(1, len(tags)), n)[kept])
     rows, codes = np.concatenate(rows), np.concatenate(codes)
     kept = pareto_mask(rows)
-    rows, codes = rows[kept], codes[kept]
-    kept = np.sort(np.unique(rows, axis=0, return_index=True)[1])
     points = [RateTriple(*map(float, r), tags[c]) for r, c in zip(rows[kept], codes[kept])]
     return RateRegion(tuple(hull_pareto(points)), scenario, p)
 

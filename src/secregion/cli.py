@@ -127,17 +127,14 @@ def _fmt(x: float) -> str:
 
 def _csv_rows_ps(ch, scenario, cfg):
     pts = sweep_points(ch, scenario, cfg.power, cfg.eps1)
-    kept = hull_pareto([sp.rates for sp in pts])
-    by_key = {}
-    for sp in pts:
-        by_key.setdefault((sp.rates.r0, sp.rates.r1, sp.rates.r2, sp.rates.order), sp)
-    rows = []
-    n_unconverged = sum(1 for sp in pts if not sp.converged)
-    # hull_pareto returns only points of its input, so every key is there.
-    for t in kept:
-        split = by_key[(t.r0, t.r1, t.r2, t.order)].split
-        rows.append((t, _fmt(split.alpha0), _fmt(split.alpha1), _fmt(split.alpha2)))
-    return rows, n_unconverged
+    # hull_pareto returns only objects of its input (the origin it appends
+    # never survives), so each kept point is the rates of one solved split.
+    split_of = {id(sp.rates): sp.split for sp in pts}
+    rows = [
+        (t, *map(_fmt, split_of[id(t)].as_tuple()))
+        for t in hull_pareto([sp.rates for sp in pts])
+    ]
+    return rows, sum(1 for sp in pts if not sp.converged)
 
 
 def _method_param_problem(cfg: RunConfig) -> str | None:
@@ -297,19 +294,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", required=True, help="output CSV path")
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        channels=args.channels,
-        scenario=args.scenario,
-        method=args.method,
-        power=args.power,
-        out=args.out,
-        common=args.common == "on",
-        eps1=args.eps1,
-        sigma=args.sigma,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    return run(cfg)
+    return run(RunConfig(**{**vars(args), "common": args.common == "on"}))
 
 
 if __name__ == "__main__":

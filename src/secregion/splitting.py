@@ -7,8 +7,9 @@ the first message (water-filling or wiretap search by scenario), a design
 on the interference-whitened channel for the second, and a max-min design
 on the residual-whitened channels for the shared message.
 
-``solve_split`` and ``sweep_points`` share one per-split pipeline; the
-sweep only caches the first stage, which depends on its own budget alone.
+``solve_split`` and ``sweep_points`` share one per-split pipeline and
+return its record, ``SplitResult``; the sweep only caches the first
+stage, which depends on its own budget alone.
 Each split's covariance triple is rated by a single ``evaluate_triple``
 call on the original channels, the reported truth.  The rates that the
 second and common stages found on their whitened channels must match
@@ -68,16 +69,11 @@ _COLLINEAR_REL = 1e-13
 
 @dataclass(frozen=True)
 class SplitResult:
+    """One solved split; its encoding order is ``rates.order``."""
+
+    split: PowerSplit
     cov: CovarianceTriple
     rates: RateTriple
-    converged: bool
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    rates: RateTriple
-    split: PowerSplit
-    order: str
     converged: bool
 
 
@@ -152,7 +148,7 @@ def _solve_cell(
                 f"whitened {stage} rate {whitened} disagrees with the "
                 f"original-channel rate {original} beyond {_EQUIV_TOL}"
             )
-    return SplitResult(cov, rates, conv1 and conv2 and conv0)
+    return SplitResult(split, cov, rates, conv1 and conv2 and conv0)
 
 
 def solve_split(
@@ -190,7 +186,7 @@ def _alpha_grid(eps1: float, upper: float) -> list:
 
 
 def sweep_points(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> list:
-    """All grid splits solved for every applicable encoding order.
+    """``SplitResult``s of all grid splits in every applicable encoding order.
 
     The first-stage solution depends only on its own budget, so it is
     cached per (order, alpha1) cell; cells are visited in a fixed order,
@@ -211,8 +207,7 @@ def sweep_points(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> 
             )
             for a2 in a2_values:
                 split = PowerSplit(max(1.0 - a1 - a2, 0.0), a1, a2)
-                res = _solve_cell(ch, scenario, split, p, order, first)
-                points.append(SweepPoint(res.rates, split, order, res.converged))
+                points.append(_solve_cell(ch, scenario, split, p, order, first))
     return points
 
 
@@ -294,7 +289,8 @@ def hull_pareto(points: Sequence[RateTriple]) -> list:
     Time-sharing between any two returned points lies on or under the
     returned surface.  Dominated points are swept out before the hull is
     built, which keeps the hull input small even for oracle-sized clouds.
-    The output is sorted by coordinates for reproducible downstream files.
+    It returns objects of its input only, of equal points the first in
+    input order, sorted by coordinates for reproducible downstream files.
     """
     pts = list(points)
     if not pts:

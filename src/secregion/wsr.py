@@ -69,6 +69,7 @@ from .types import (
     ChannelPair,
     ConsistencyError,
     CovarianceTriple,
+    DimensionError,
     RateRegion,
     RateTriple,
     Scenario,
@@ -84,13 +85,9 @@ _S_JITTER = 1e-12
 _SIG_FLOOR = float(np.finfo(float).tiny ** 0.5)
 
 
-class BracketError(RuntimeError):
-    """The multiplier bracket produced no power crossing."""
-
-
 # The dual search: the multiplier bracket starts at
-# [LAMBDA_MIN, 10 max(w1, w2, 0.1)] and is widened tenfold at both ends,
-# once, if it fails to straddle the power constraint; bisection stops when
+# [LAMBDA_MIN, 10 max(w1, w2, 0.1)] and is widened, once, if it fails to
+# straddle the power constraint (see ``wsr_solve``); bisection stops when
 # the bracket is narrower than EPS2.  An inner solve stops when the
 # weighted sum moves by less than EPS3, or after MAX_INNER rounds.
 LAMBDA_MIN = 1e-6
@@ -274,16 +271,23 @@ def _mode_levels(w: float, a: np.ndarray) -> tuple:
 def closed_form_block(w: float, s, r, h) -> np.ndarray:
     """Exact maximizer of w*ln|I + R^{-1} H Q H^T| - tr(S Q) over PSD Q.
 
-    ``s`` must be positive definite after a +1e-12*I jitter and ``r``
-    positive definite; both are symmetrized first.  With R = L L^T, the
-    Cholesky factor from ``rates._factor``, the channel is whitened to
-    L^{-1} H, which leaves the objective unchanged, and ``load_modes``
-    solves the whitened problem.
+    ``r`` must be square with ``h``'s rows and ``s`` square with its
+    columns, or ``DimensionError`` is raised.  ``s`` must be positive
+    definite after a +1e-12*I jitter and ``r`` positive definite; both are
+    symmetrized first.  With R = L L^T, the Cholesky factor from
+    ``rates._factor``, the channel is whitened to L^{-1} H, which leaves
+    the objective unchanged, and ``load_modes`` solves the whitened
+    problem.
     """
     s = as_matrix(s, "s")
-    s = 0.5 * (s + s.T)
     r = as_matrix(r, "r")
     h = as_matrix(h, "h")
+    nr, nt = h.shape
+    if r.shape != (nr, nr):
+        raise DimensionError(f"r must be {nr} x {nr} to match h, got shape {r.shape}")
+    if s.shape != (nt, nt):
+        raise DimensionError(f"s must be {nt} x {nt} to match h, got shape {s.shape}")
+    s = 0.5 * (s + s.T)
     try:
         chol = _factor(r)[1]
     except np.linalg.LinAlgError:
@@ -427,6 +431,15 @@ def wsr_solve(
     sits within one bisection band of the budget unless the constraint is
     slack, in which case the multiplier rests at the bottom of the
     bracket.
+
+    If no multiplier of [LAMBDA_MIN, 10 max(w1, w2, 0.1)] keeps the power
+    within the budget, the search runs once more over
+    [LAMBDA_MIN / 10, max(100 max(w1, w2, 0.1), 2 idle)], with
+    idle = max(k1 ||H1||^2, k2 ||H2||^2) over the blocks' natural-log
+    weights k and spectral norms.  Every block penalty is lam*I plus a PSD
+    price, and block 2's whitened channel is no larger than H2, so at
+    lam >= idle no mode loads power: the top of the second bracket uses
+    none, and a point within the budget is always found.
     """
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"power budget must be positive and finite, got {p}")
@@ -468,13 +481,13 @@ def wsr_solve(
     lam_top = 10.0 * max(cfg.w1, cfg.w2, 0.1)
     feasible, n = attempt(LAMBDA_MIN, lam_top)
     if feasible is None:
-        lo, hi = LAMBDA_MIN / 10.0, lam_top * 10.0
-        feasible, n2 = attempt(lo, hi)
+        k1 = bits_block_weight(_block1_weight(scenario, cfg.w1, cfg.w2))
+        k2 = bits_block_weight(cfg.w2)
+        idle = max(
+            k1 * np.linalg.norm(ch.h1, 2) ** 2, k2 * np.linalg.norm(ch.h2, 2) ** 2
+        )
+        feasible, n2 = attempt(LAMBDA_MIN / 10.0, max(lam_top * 10.0, 2.0 * idle))
         n += n2
-        if feasible is None:
-            raise BracketError(
-                f"no multiplier in [{lo}, {hi}] kept the power within {p}"
-            )
     state, lam = feasible
     zeros = np.zeros((nt, nt))
     rates = evaluate_triple(

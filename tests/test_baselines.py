@@ -9,8 +9,8 @@ from secregion import (
     ChannelPair,
     RateTriple,
     Scenario,
+    hull_pareto,
     oma_timeshare,
-    pareto_filter,
     random_search_region,
     region_contains,
     solve_wiretap,
@@ -115,19 +115,25 @@ class TestRandomSearchRegion:
         assert reg.max_rate(0) > 0.0
 
     def test_blockwise_filter_matches_one_filter(self):
-        # Integer coordinates give many ties and exact repeats.  Filtering
-        # uneven blocks, then the union of their survivors, must keep the
-        # rows that pareto_filter keeps over the whole cloud; of equal rows
-        # the first then stays, in input order.
+        # Integer coordinates give many ties and exact repeats, and random
+        # tags tell equal rows apart.  The hull of the union of the blocks'
+        # survivors, after one more filter, must keep the points and tags
+        # that the hull of the whole cloud keeps: of equal rows the first in
+        # input order stays in both.
         rng = np.random.default_rng(0)
         for _ in range(50):
             rows = rng.integers(0, 4, size=(60, 3)).astype(float)
-            blocks = np.split(rows, np.sort(rng.choice(np.arange(1, 60), 4, replace=False)))
-            union = np.concatenate([b[pareto_mask(b)] for b in blocks])
-            kept = union[pareto_mask(union)]
-            got = kept[np.sort(np.unique(kept, axis=0, return_index=True)[1])]
-            ref = [t.as_array().tolist() for t in pareto_filter([RateTriple(*r) for r in rows])]
-            assert got.tolist() == [r for i, r in enumerate(ref) if r not in ref[:i]]
+            tags = rng.choice(["12", "21"], size=60)
+            cuts = np.sort(rng.choice(np.arange(1, 60), 4, replace=False))
+            blocks = np.split(np.arange(60), cuts)
+            kept = np.concatenate([b[pareto_mask(rows[b])] for b in blocks])
+            kept = kept[pareto_mask(rows[kept])]
+
+            def hull(idx):
+                pts = hull_pareto([RateTriple(*rows[i], tags[i]) for i in idx])
+                return [(t.r0, t.r1, t.r2, t.order) for t in pts]
+
+            assert hull(kept) == hull(range(60))
 
     def test_zero_power_keeps_one_point(self, ch22):
         reg = random_search_region(ch22, Scenario("A", True), 0.0, 3000, seed=0)

@@ -15,9 +15,12 @@ import secregion.wsr
 from secregion import (
     ChannelPair,
     ChannelParseError,
+    PowerSplit,
     RunConfig,
+    Scenario,
     load_channels,
     run,
+    solve_split,
     solve_wiretap,
     write_channels,
 )
@@ -430,12 +433,85 @@ class TestRun:
                 "oma",
                 "--power",
                 "2.0",
+                "--eps1",
+                "0.25",
+                "--sigma",
+                "0.5",
+                "--samples",
+                "7",
+                "--seed",
+                "3",
                 "--out",
                 str(out),
             ]
         )
         assert code == 0
         assert out.exists()
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "m.csv.meta").read_text().splitlines()
+        )
+        assert meta["channels"] == ch22_file and meta["method"] == "oma"
+        assert (meta["scenario"], meta["common"], meta["power"]) == ("A", "off", "2")
+        assert (meta["eps1"], meta["sigma"], meta["samples"], meta["seed"]) == (
+            "0.25",
+            "0.5",
+            "7",
+            "3",
+        )
+
+    @pytest.mark.parametrize("power", [1e-3, 1e-9])
+    @pytest.mark.parametrize("tag", ["A", "B", "C"])
+    def test_wsr_small_budget_on_strong_channels(self, tmp_path, monkeypatch, tag, power):
+        # At these budgets no multiplier of the first two brackets used to
+        # keep the power within the budget on this pair.
+        path = tmp_path / "strong.txt"
+        write_text(path, "1 1 2\n20 5\n4 30\n")
+        solve = secregion.wsr.wsr_solve
+        sols = []
+
+        def recorded(*args):
+            sols.append(solve(*args))
+            return sols[-1]
+
+        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
+        argv = ["--channels", str(path), "--scenario", tag, "--common", "off"]
+        argv += ["--method", "wsr", "--power", repr(power), "--sigma", "0.25"]
+        assert main(argv + ["--out", str(tmp_path / "w.csv")]) == 0
+        assert sols
+        for sol in sols:
+            assert float(np.trace(sol.q1) + np.trace(sol.q2)) <= power
+
+    @pytest.mark.parametrize(
+        "instance, tag, common, power",
+        [("ch22", "C", False, 12.0), ("ch22b", "A", True, 10.0)],
+    )
+    def test_ps_rows_carry_their_splits(
+        self, request, tmp_path, instance, tag, common, power
+    ):
+        # Each CSV row's alphas and order, solved again alone, give the
+        # row's rates bit for bit.
+        path = str(tmp_path / "ch.txt")
+        write_channels(request.getfixturevalue(instance), path)
+        out = tmp_path / "ps.csv"
+        cfg = RunConfig(
+            channels=path,
+            scenario=tag,
+            method="ps",
+            power=power,
+            out=str(out),
+            common=common,
+            eps1=0.25,
+        )
+        assert run(cfg) == 0
+        ch, scenario = load_channels(path), Scenario(tag, common)
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) > 2
+        for row in rows:
+            r0, r1, r2, order, a0, a1, a2 = row.split(",")
+            split = PowerSplit(float(a0), float(a1), float(a2))
+            res = solve_split(ch, scenario, split, power, order)
+            got = (res.rates.r0, res.rates.r1, res.rates.r2, res.rates.order)
+            assert got == (float(r0), float(r1), float(r2), order)
 
 
 # Run in a fresh interpreter: imports the package, then runs the jobs in

@@ -62,3 +62,17 @@ def test_cholesky_only_in_rates():
         if tok.type == tokenize.NAME and "cholesky" in tok.string.lower()
     ]
     assert not offenders, "Cholesky factorization outside rates:\n" + "\n".join(offenders)
+
+
+def test_equal_rows_resolved_only_in_splitting():
+    # `hull_pareto` alone decides which of equal rate points stays (the
+    # first in input order), so no other module deduplicates rows itself.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "splitting.py"
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string == "unique"
+    ]
+    assert not offenders, "np.unique outside splitting:\n" + "\n".join(offenders)

@@ -115,10 +115,10 @@ class TestSweep:
     def test_orders_swept(self, ch22):
         sc = Scenario("C", common_enabled=False)
         pts = sweep_points(ch22, sc, 4.0, 0.5)
-        assert {sp.order for sp in pts} == {ORDER_12, ORDER_21}
+        assert {sp.rates.order for sp in pts} == {ORDER_12, ORDER_21}
         scb = Scenario("B", common_enabled=False)
         ptsb = sweep_points(ch22, scb, 4.0, 0.5)
-        assert {sp.order for sp in ptsb} == {ORDER_12}
+        assert {sp.rates.order for sp in ptsb} == {ORDER_12}
 
     def test_grid_refinement_never_shrinks(self, ch22):
         sc = Scenario("A", common_enabled=False)
@@ -176,7 +176,6 @@ class TestSearchGolden:
         golden = self.GOLDEN[name]
         assert [[sp.rates.r0, sp.rates.r1, sp.rates.r2] for sp in pts] == golden["rates"]
         assert [list(sp.split.as_tuple()) for sp in pts] == golden["splits"]
-        assert [sp.order for sp in pts] == golden["orders"]
         assert [sp.rates.order for sp in pts] == golden["orders"]
         assert [sp.converged for sp in pts] == golden["converged"]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from secregion import (
     ChannelPair,
     ConsistencyError,
+    DimensionError,
     Scenario,
     WsrConfig,
     block_price,
@@ -153,6 +154,21 @@ class TestClosedFormBlock:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="noise matrix must be positive definite"):
                 closed_form_block(1.0, np.eye(n), r, np.eye(n))
+
+    @pytest.mark.parametrize(
+        "s, r, h",
+        [
+            (np.eye(2), np.ones((1, 2)), np.eye(2)),
+            (np.eye(2), np.ones((2, 3)), np.eye(2)),
+            (np.eye(2), np.eye(2), np.ones((3, 2))),
+            (np.eye(3), np.eye(2), np.eye(2)),
+            (np.ones((2, 3)), np.eye(2), np.eye(2)),
+        ],
+        ids=["r-row", "r-2x3", "h-3x2", "s-3x3", "s-2x3"],
+    )
+    def test_mismatched_shapes_rejected(self, s, r, h):
+        with pytest.raises(DimensionError):
+            closed_form_block(1.0, s, r, h)
 
 
 @st.composite
