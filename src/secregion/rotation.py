@@ -23,16 +23,16 @@ The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
 ``nt`` and ``search_objective`` arguments by name, and reads the value as
 ``[1]`` of its result.
 
-``ascend`` imports ``scipy.optimize`` when it is first called, not with
-the module.  Every CLI job imports this module, but only the jobs that run
-an ascent need the optimizer: the equalized (case 3) multicast solves of
-``ps``, and the wiretap solves of ``ps``, ``tdma`` and ``oma`` whose
-legitimate receiver has more than one row.  ``scipy.optimize`` also loads
-``scipy.linalg``, ``scipy.sparse``, ``scipy.special`` and
-``scipy.spatial``.  No module of the package imports scipy when it is
-loaded, as the small dense linear algebra comes from numpy's LAPACK
-gufuncs, so a job that runs no ascent, no 3-D hull and no wiretap solve
-loads no scipy at all.
+``ascend`` is a BFGS ascent of the package's own (Nocedal & Wright,
+"Numerical Optimization", 2nd ed.: the inverse update of eq. 6.17 and the
+strong-Wolfe line search of Alg. 3.5/3.6), written in numpy over the
+factor vector x of nt^2 + 1 entries (26 at nt 5).  On vectors this small
+the general-purpose ``scipy.optimize.minimize`` spent more time in its own
+bookkeeping than in the objective.  No module of the package imports
+scipy when it is loaded, and no search loads it: the wiretap solve loads
+``scipy.linalg`` for its generalized eigenproblem, and ``splitting`` loads
+``scipy.spatial`` and ``scipy.optimize`` for its 3-D hulls and
+``region_contains``.
 """
 
 from __future__ import annotations
@@ -52,12 +52,21 @@ _ISOTROPIC_MIX = 1e-3
 # Knobs of the quasi-Newton searches.  ``N_STARTS`` counts the starts of
 # the wiretap solve's restarts, the water-filling start plus random draws,
 # which run only when its deterministic ascents end away from a
-# stationary point.  An ascent stops at the gradient tolerance ``GTOL``,
-# when the line search can no longer improve the objective, or at the
-# ``MAX_ITERS`` cap; only hitting the cap marks it as not converged.
+# stationary point.  An ascent stops when the largest entry of its
+# gradient in x is at most ``GTOL``, when the line search finds no
+# acceptable step, or at the ``MAX_ITERS`` cap; only hitting the cap
+# marks it as not converged.
 MAX_ITERS = 500
 N_STARTS = 8
 GTOL = 1e-7
+
+# Strong Wolfe constants of the line search (sufficient decrease c1 and
+# curvature c2, Nocedal & Wright's choice for quasi-Newton steps), and its
+# cap on the trial steps of each of its two phases.
+_C1 = 1e-4
+_C2 = 0.9
+_MAX_TRIALS = 20
+_EPS = np.finfo(float).eps
 
 
 def _decode(x: np.ndarray, nt: int, budget: float) -> np.ndarray:
@@ -87,7 +96,7 @@ def mixed_start(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
 def fw_gap(g: np.ndarray, q: np.ndarray, budget: float) -> float:
     """Frank-Wolfe gap budget * max(lambda_max(G), 0) - <G, Q> at q."""
     top = np.linalg.eigvalsh(g)[-1]
-    return float(budget * max(top, 0.0) - np.tensordot(g, q))
+    return float(budget * max(top, 0.0) - np.vdot(g, q))
 
 
 def _factor_objective(search_objective, x: np.ndarray, nt: int, budget: float):
@@ -101,31 +110,131 @@ def _factor_objective(search_objective, x: np.ndarray, nt: int, budget: float):
     value, g = search_objective(q)
     c = x @ x
     b = x[:-1].reshape(nt, nt)
-    gq = np.tensordot(g, q)
+    gq = np.vdot(g, q)
     grad = np.empty_like(x)
     grad[:-1] = ((2.0 / c) * (budget * (g @ b) - gq * b)).ravel()
     grad[-1] = -2.0 * gq * x[-1] / c
     return value, grad
 
 
+def _cubic_step(a, fa, da, b, fb, db):
+    """Minimizer of the cubic through (a, fa, da) and (b, fb, db), clipped
+    to the middle 80% of the interval; the midpoint when the cubic has no
+    minimizer (Nocedal & Wright, eq. 3.59)."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:
+        return 0.5 * (a + b)
+    d2 = np.copysign(np.sqrt(disc), b - a)
+    denom = db - da + 2.0 * d2
+    if denom == 0.0:
+        return 0.5 * (a + b)
+    t = b - (b - a) * (db + d2 - d1) / denom
+    lo, hi = min(a, b), max(a, b)
+    pad = 0.1 * (hi - lo)
+    return min(max(t, lo + pad), hi - pad)
+
+
+def _wolfe_step(fun, x, f0, g0, p, step):
+    """A step along ``p`` that meets the strong Wolfe conditions for
+    minimizing ``fun``, as ``(x, f, g)`` there; None when none is found.
+
+    Bracketing (Nocedal & Wright, Alg. 3.5) triples the trial ``step`` until
+    it passes a minimizer along the line, and zoom (Alg. 3.6) shrinks the
+    bracket by cubic interpolation.  Each trial costs one ``fun`` call,
+    which gives the slope along ``p`` too.  The zoom gives up once the
+    bracket is so short that the decrease it could still show is below
+    the rounding of ``f0``.
+    """
+    d0 = g0 @ p
+    if not d0 < 0.0:
+        return None
+
+    def trial(a):
+        """(step, value, slope along p, point, gradient) at step a."""
+        xa = x + a * p
+        fa, ga = fun(xa)
+        return a, fa, ga @ p, xa, ga
+
+    def decreases(t, best):
+        """Sufficient decrease at t, and a value below the best so far."""
+        return t[1] <= f0 + _C1 * t[0] * d0 and t[1] < best[1]
+
+    def flat(t):
+        """Strong curvature condition: the slope has flattened enough."""
+        return abs(t[2]) <= -_C2 * d0
+
+    prev = (0.0, f0, d0, x, g0)
+    for _ in range(_MAX_TRIALS):
+        t = trial(step)
+        if not decreases(t, prev):
+            lo, hi = prev, t
+            break
+        if flat(t):
+            return t[3], t[1], t[4]
+        if t[2] >= 0.0:
+            lo, hi = t, prev
+            break
+        prev, step = t, 3.0 * step
+    else:
+        return None
+    for _ in range(_MAX_TRIALS):
+        if abs(hi[0] - lo[0]) * -d0 <= _EPS * abs(f0):
+            return None
+        t = trial(_cubic_step(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]))
+        if not decreases(t, lo):
+            hi = t
+        elif flat(t):
+            return t[3], t[1], t[4]
+        else:
+            if t[2] * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = t
+    return None
+
+
 def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     """One BFGS ascent from parameter vector ``x0``; returns ``(q, converged)``.
 
     ``search_objective`` maps a feasible matrix to ``(value, G)``, the value
-    to raise and its symmetric gradient G in the matrix.
+    to raise and its symmetric gradient G in the matrix.  The ascent
+    minimizes the negated value over x.  Its inverse Hessian estimate
+    starts as the identity and takes the BFGS update after every step
+    whose curvature s.y is positive (Nocedal & Wright, eq. 6.17); steps
+    come from ``_wolfe_step``, so the value never falls.  ``converged``
+    is False only when the ascent reached ``MAX_ITERS`` steps with the
+    gradient still above ``GTOL``; a line search that finds no step ends
+    it as converged, since no further improvement was found.
     """
-
-    from scipy.optimize import minimize
 
     def neg(x):
         value, grad = _factor_objective(search_objective, x, nt, budget)
         return -value, -grad
 
-    options = {"maxiter": MAX_ITERS, "gtol": GTOL}
-    res = minimize(neg, x0, jac=True, method="BFGS", options=options)
-    # status 1 is the iteration cap; a line-search stall (status 2) means
-    # no further improvement was possible and counts as a stop.
-    return _decode(res.x, nt, budget), res.status != 1
+    x = np.asarray(x0, dtype=float)
+    f, g = neg(x)
+    h = np.eye(x.size)
+    for k in range(MAX_ITERS + 1):
+        if np.max(np.abs(g)) <= GTOL:
+            break
+        if k == MAX_ITERS:
+            return _decode(x, nt, budget), False
+        # The first trial moves x by a length of 1; later ones try the full
+        # quasi-Newton step first.
+        step = 1.0 if k else 1.0 / np.linalg.norm(g)
+        found = _wolfe_step(neg, x, f, g, -(h @ g), step)
+        if found is None:
+            break
+        x_new, f, g_new = found
+        s, y = x_new - x, g_new - g
+        x, g = x_new, g_new
+        sy = s @ y
+        if sy > 0.0:
+            # H + a s s^T - (H y s^T + s y^T H) / sy, a = (sy + y.Hy) / sy^2
+            hy = h @ y
+            m = np.outer(s, (0.5 * (sy + y @ hy) / sy**2) * s - hy / sy)
+            h += m + m.T
+    return _decode(x, nt, budget), True
 
 
 def maximize_psd_objective(

@@ -20,9 +20,10 @@ load-bearing.
 The hulls of regions without a common message are 2-D, over (r1, r2),
 and Andrew's monotone chain builds them here.  ``scipy.spatial`` (Qhull)
 builds only the 3-D hulls, and ``scipy.optimize`` serves only
-``region_contains``; both are imported where they are called.  Loading
-them with the module took about 40% of the time a fresh process needs
-to import ``secregion.cli``, and most CLI jobs never call them.
+``region_contains``, its one user in the package (the searches run the
+package's own BFGS ascent); both are imported where they are called.
+Loading them with the module took about 40% of the time a fresh process
+needs to import ``secregion.cli``, and most CLI jobs never call them.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Every solve starts from the generalized eigenvectors of the pair
 beam rate 0.5 log2 lambda_max, and with one legitimate receive row that
 beam (or the zero matrix, when lambda_max <= 1) is optimal (Khisti &
 Wornell, IEEE TIT 2010), so no search runs.  With more rows the problem is
-nonconvex: one BFGS ascent over the factor form of ``rotation`` starts from
+nonconvex: one BFGS ascent (``rotation.ascend``, the package's own, with a
+strong-Wolfe line search) over the factor form of ``rotation`` starts from
 the beam, and a second from the span of the eigenvectors with lambda > 1
 when there are two or more, each mixed with a little of the isotropic
 matrix.  The zero matrix, the beam and the legitimate channel's

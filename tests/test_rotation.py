@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from secregion import build_rotation, rotation
 from secregion.baselines import n_angles
 from secregion.multicast import _softmin_grad
+from secregion.rates import gauss_rate, link_rate_grad
 from secregion.rotation import (
     _decode,
     _factor_objective,
@@ -15,6 +16,7 @@ from secregion.rotation import (
     maximize_psd_objective,
     mixed_start,
 )
+from secregion.waterfill import waterfill
 from secregion.wiretap import _secrecy_rate_grad
 
 
@@ -265,3 +267,55 @@ class TestDriver:
             search_objective=self.linear_search,
         )
         assert np.array_equal(q, np.diag([1.0, 0.0])) and val == 1.0
+
+
+class TestAscent:
+    """The package's BFGS ascent with its strong-Wolfe line search."""
+
+    @pytest.mark.parametrize(
+        "h, budget",
+        [
+            ([[0.3, 2.5], [2.2, 1.8]], 12.0),
+            ([[0.1560, -0.6372, -0.4055], [-1.1450, -0.1417, 0.0708]], 4.0),
+            ([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.1]], 0.5),
+        ],
+    )
+    def test_single_link_reaches_waterfilling(self, h, budget):
+        # The log-det objective is concave, and water-filling is its optimum.
+        h = np.array(h)
+        nt = h.shape[1]
+        x0 = mixed_start(np.diag(np.arange(1.0, nt + 1)) * budget / nt, nt, budget)
+        q, converged = ascend(lambda q: link_rate_grad(h, q), x0, nt, budget)
+        assert converged
+        assert gauss_rate(h, q) == pytest.approx(waterfill(h, budget)[1], abs=1e-10)
+        assert fw_gap(link_rate_grad(h, q)[1], q, budget) <= 1e-7
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_value_never_below_start(self, case):
+        h1, h2, budget, x = case
+        nt = h1.shape[1]
+
+        def search(q):
+            return _secrecy_rate_grad(h1, h2, q)
+
+        q, _ = ascend(search, x, nt, budget)
+        assert search(q)[0] >= search(_decode(x, nt, budget))[0]
+
+    def test_iteration_cap_marks_unconverged(self, ch22, monkeypatch):
+        monkeypatch.setattr(rotation, "MAX_ITERS", 2)
+        x0 = np.random.default_rng(0).standard_normal(5)
+        q, converged = ascend(
+            lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q), x0, 2, 12.0
+        )
+        assert not converged
+        assert np.trace(q) <= 12.0 * (1 + 1e-12)
+
+    def test_flat_line_stops_converged(self):
+        # The gradient asks for more power, but the value never changes: no
+        # step gives a sufficient decrease, so the ascent stops where it began.
+        x0 = encode(np.diag([1.0, 0.5]), 2, 3.0)
+        with np.errstate(all="raise"):
+            q, converged = ascend(lambda q: (1.0, np.eye(2)), x0, 2, 3.0)
+        assert converged
+        assert np.array_equal(q, _decode(x0, 2, 3.0))
