@@ -54,8 +54,8 @@ _ISOTROPIC_MIX = 1e-3
 # which run only when its deterministic ascents end away from a
 # stationary point.  An ascent stops when the largest entry of its
 # gradient in x is at most ``GTOL``, when the line search finds no
-# acceptable step, or at the ``MAX_ITERS`` cap; only hitting the cap
-# marks it as not converged.
+# acceptable step along the gradient, or at the ``MAX_ITERS`` cap; only
+# hitting the cap marks it as not converged.
 MAX_ITERS = 500
 N_STARTS = 8
 GTOL = 1e-7
@@ -201,10 +201,13 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     minimizes the negated value over x.  Its inverse Hessian estimate
     starts as the identity and takes the BFGS update after every step
     whose curvature s.y is positive (Nocedal & Wright, eq. 6.17); steps
-    come from ``_wolfe_step``, so the value never falls.  ``converged``
-    is False only when the ascent reached ``MAX_ITERS`` steps with the
-    gradient still above ``GTOL``; a line search that finds no step ends
-    it as converged, since no further improvement was found.
+    come from ``_wolfe_step``, so the value never falls.  When the line
+    search finds no step along the quasi-Newton direction, the estimate
+    is reset to the identity and the search retried along the gradient.
+    ``converged`` is False only when the ascent reached ``MAX_ITERS``
+    iterations with the gradient still above ``GTOL``; a line search that
+    finds no step along the gradient ends it as converged, since no
+    further improvement was found.
     """
 
     def neg(x):
@@ -214,17 +217,24 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     x = np.asarray(x0, dtype=float)
     f, g = neg(x)
     h = np.eye(x.size)
+    fresh = True
     for k in range(MAX_ITERS + 1):
         if np.max(np.abs(g)) <= GTOL:
             break
         if k == MAX_ITERS:
             return _decode(x, nt, budget), False
-        # The first trial moves x by a length of 1; later ones try the full
-        # quasi-Newton step first.
-        step = 1.0 if k else 1.0 / np.linalg.norm(g)
+        # A step along the gradient (H the identity) first moves x by a
+        # length of 1; a quasi-Newton step first tries its full length.
+        step = 1.0 / np.linalg.norm(g) if fresh else 1.0
         found = _wolfe_step(neg, x, f, g, -(h @ g), step)
         if found is None:
-            break
+            if fresh:
+                break
+            # A badly scaled H can fail where the gradient would not: retry
+            # from the identity before stopping.
+            h, fresh = np.eye(x.size), True
+            continue
+        fresh = False
         x_new, f, g_new = found
         s, y = x_new - x, g_new - g
         x, g = x_new, g_new

@@ -53,8 +53,8 @@ SEED_FREE_JOBS = {
         {"eps1": 0.5},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
         "0,0,18.979879347884857,12,0,0,1\n"
-        "0,9.7205101235393485,18.12541957214156,12,0,0.5,0.5\n"
-        "0,9.7893369027178174,17.979885990749395,21,0,0.5,0.5\n"
+        "0,9.7205101235393485,18.125419572141908,12,0,0.5,0.5\n"
+        "0,9.7893369274964002,17.979885990779611,21,0,0.5,0.5\n"
         "0,10.22117475269021,0,12,0,1,0\n",
     ),
 }

@@ -1,4 +1,3 @@
-import ast
 import io
 import re
 import tokenize
@@ -79,27 +78,15 @@ def test_equal_rows_resolved_only_in_splitting():
     assert not offenders, "np.unique outside splitting:\n" + "\n".join(offenders)
 
 
-def test_scipy_optimize_only_in_region_contains():
+def test_scipy_optimize_only_in_splitting():
     # The wiretap and multicast searches run the package's own ascent, so
-    # the one import of scipy.optimize is the linprog of region_contains.
+    # scipy.optimize serves only the linprog of `splitting.region_contains`.
     package = Path(secregion.__file__).parent
-    found = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        # innermost enclosing function of every node; ast.walk goes outside in
-        owner = {
-            id(node): func.name
-            for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef)
-            for node in ast.walk(func)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.startswith("scipy.optimize") for name in names):
-                found.append((path.name, owner.get(id(node))))
-    assert found == [("splitting.py", "region_contains")]
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "splitting.py"
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string == "optimize"
+    ]
+    assert not offenders, "scipy.optimize outside splitting:\n" + "\n".join(offenders)

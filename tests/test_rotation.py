@@ -311,6 +311,24 @@ class TestAscent:
         assert not converged
         assert np.trace(q) <= 12.0 * (1 + 1e-12)
 
+    def test_failed_quasi_newton_search_retries_along_gradient(self, monkeypatch):
+        # The second line search (the first along a quasi-Newton direction)
+        # fails; the ascent retries along the gradient and still converges.
+        found = rotation._wolfe_step
+        along_gradient = []
+
+        def fail_second(fun, x, f0, g0, p, step):
+            along_gradient.append(np.array_equal(p, -g0))
+            return None if len(along_gradient) == 2 else found(fun, x, f0, g0, p, step)
+
+        monkeypatch.setattr(rotation, "_wolfe_step", fail_second)
+        h = np.array([[0.3, 2.5], [2.2, 1.8]])
+        x0 = mixed_start(np.diag([8.0, 4.0]), 2, 12.0)
+        q, converged = ascend(lambda q: link_rate_grad(h, q), x0, 2, 12.0)
+        assert along_gradient[:3] == [True, False, True]
+        assert converged
+        assert gauss_rate(h, q) == pytest.approx(waterfill(h, 12.0)[1], abs=1e-10)
+
     def test_flat_line_stops_converged(self):
         # The gradient asks for more power, but the value never changes: no
         # step gives a sufficient decrease, so the ascent stops where it began.

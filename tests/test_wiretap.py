@@ -179,6 +179,18 @@ class TestGate:
         # The gate fails at high power somewhere, so the restarts still run.
         assert restarted_high >= 1
 
+    def test_few_results_above_gap_tolerance(self):
+        # Only restarted solves may end above GAP_TOL; on this set three do
+        # (instances 20, 40 and 42, at p 852 to 3.1e5).  A change to the
+        # ascent that leaves more of them short of stationary must say so.
+        above = [
+            k
+            for k, item in enumerate(self.GOLDEN)
+            if solve_wiretap(np.array(item["hm"]), np.array(item["he"]), item["p"]).gap
+            > GAP_TOL
+        ]
+        assert len(above) <= 3, above
+
     def test_stationary_result_skips_restarts(self, ch22, monkeypatch):
         searches = []
 
