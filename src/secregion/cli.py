@@ -212,7 +212,7 @@ def run(cfg: RunConfig) -> int:
     start = time.perf_counter()
     try:
         rows, n_unconverged, bsmm = _solve(ch, scenario, cfg)
-    except ConsistencyError as exc:
+    except (ConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical consistency check failed: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - start

@@ -5,14 +5,18 @@ diagonal in the right singular basis of H, with per-mode powers filled up
 to a common water level above the inverse squared singular values.  The
 water level is found by an exact active-set descent over the sorted
 floors, not by bisection, so no iteration tolerance enters the system.
+Its mode loading, ``singular_modes`` and ``load_level``, serves ``wsr`` too.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_f
 
+from .rates import LN2
 from .types import as_matrix, check_budget
 
 # Singular values below this fraction of the largest are treated as zero;
@@ -22,6 +26,37 @@ SV_CUTOFF_REL = 1e-12
 
 class DegenerateChannelWarning(RuntimeWarning):
     """The channel has no usable singular mode; the zero covariance is returned."""
+
+
+def singular_modes(a: np.ndarray) -> tuple:
+    """``(V^T, sig, k)`` from one ``svd_f`` gufunc call: the right singular
+    vectors of ``a``, a float per column of ``a`` for its singular values,
+    descending, and the count k of those above ``SV_CUTOFF_REL`` times the
+    largest (compared squared, so each kept square is positive).
+    """
+    _, sig, vt = svd_f(a)
+    sig = sig.tolist() + [0.0] * (a.shape[1] - len(sig))
+    if sig[0] != sig[0]:  # the gufunc's NaN when it does not converge
+        raise np.linalg.LinAlgError("SVD did not converge")
+    cut = SV_CUTOFF_REL * sig[0]
+    k = len(sig)
+    while k and sig[k - 1] * sig[k - 1] <= cut * cut:
+        k -= 1
+    return vt, sig, k
+
+
+def load_level(w: float, sig: list, k: int) -> tuple:
+    """``(lam, sum ln(1 + sig^2 lam))``: the first k modes of ``sig`` load
+    max(w - 1/sig^2, 0), the rest nothing; looped over as floats, as
+    numpy's per-call cost exceeds the arithmetic on so few modes.
+    """
+    lam = [0.0] * len(sig)
+    logdet = 0.0
+    for i in range(k):
+        g = sig[i] * sig[i]
+        lam[i] = load = max(w - 1.0 / g, 0.0)
+        logdet += math.log1p(g * load)
+    return lam, logdet
 
 
 def water_level(floors, p: float) -> float:
@@ -62,20 +97,11 @@ def waterfill(h, p: float) -> tuple:
     h = as_matrix(h, "channel")
     check_budget(p)
     nt = h.shape[1]
-    if p == 0:
+    if p == 0 or not h.any():
+        if p:
+            warnings.warn("channel has no nonzero singular value", DegenerateChannelWarning)
         return np.zeros((nt, nt)), 0.0
-    _, s, vt = np.linalg.svd(h)
-    if s.size == 0 or s[0] <= 0.0:
-        warnings.warn("channel has no nonzero singular value", DegenerateChannelWarning)
-        return np.zeros((nt, nt)), 0.0
-    keep = s > SV_CUTOFF_REL * s[0]
-    s_act = s[keep]
-    basis = vt[: s_act.size]
-    gains = s_act**2
-    floors = 1.0 / gains  # ascending because singular values come sorted descending
-    mu = water_level(floors, p)
-    loads = np.maximum(mu - floors, 0.0)
-    q = (basis.T * loads) @ basis
-    q = 0.5 * (q + q.T)
-    rate = 0.5 * float(np.sum(np.log2(1.0 + gains * loads)))
-    return q, rate
+    vt, sig, k = singular_modes(h)
+    lam, logdet = load_level(water_level([1.0 / (x * x) for x in sig[:k]], p), sig, k)
+    q = (vt.T * lam) @ vt
+    return 0.5 * (q + q.T), 0.5 * logdet / LN2

@@ -24,10 +24,10 @@ One copy of each rule serves both the checked public functions and the
 inner loop.  ``block_price`` forms its Gram matrices with
 ``rates.resolvent`` and hands them to the price core ``price_from_grams``;
 ``closed_form_block`` validates and whitens its inputs and hands them to
-the mode-loading kernel ``load_modes``; the weighted sum is
+``load_modes``, built on the kernel of ``waterfill``; the weighted sum is
 ``rates.rate_rule`` applied to link values.  The inner loop calls the same
 three functions and computes each link value it reads once per round.
-The kernel returns, besides the block, the log-determinant of its link
+``load_modes`` returns, besides the block, the log-determinant of its link
 and, for a scalar penalty, the link's Gram matrix, both from the SVD that
 loads the modes.  So block 1 gives user 1's link at q1, and one Cholesky
 factor L of user 2's link matrix I + H2 q1 H2^T gives its log-determinant,
@@ -38,9 +38,8 @@ eigendecomposition of the penalty, and block 2 gives user 2's link at
 q1 + q2, so a round factors one link matrix.  When user 2 is confidential
 the round factors four: user 1 for block 2's price and both users at the
 round's end point.  The factors and the mode loading call numpy's LAPACK
-gufuncs directly (through ``rates.resolvent`` and in ``load_modes``), as
-the matrices have only a few rows and numpy's per-call wrappers would cost
-more than the routines.
+gufuncs directly, as the matrices have only a few rows and numpy's
+per-call wrappers would cost more than the routines.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo, inv, svd_f
+from numpy.linalg._umath_linalg import eigh_lo, inv
 
 from .rates import (
     LN2,
@@ -75,6 +74,7 @@ from .types import (
     Scenario,
     as_matrix,
 )
+from .waterfill import load_level, singular_modes
 
 # Ascent of the Lagrangian is exact in the algebra; this slack absorbs
 # eigensolver round-off only.  The Lagrangian grows like lambda * p, so
@@ -82,7 +82,6 @@ from .types import (
 _ASCENT_SLACK = 1e-9
 
 _S_JITTER = 1e-12
-_SIG_FLOOR = float(np.finfo(float).tiny ** 0.5)
 
 
 # The dual search: the multiplier bracket starts at
@@ -187,25 +186,23 @@ def block_price(
 
 
 def load_modes(w: float, s, y: np.ndarray) -> tuple:
-    """Exact maximizer of w*ln|I + Y Q Y^T| - tr(S Q) over PSD Q: the kernel.
+    """Exact maximizer of w*ln|I + Y Q Y^T| - tr(S Q) over PSD Q.
 
     Returns ``(q, ln|I + Y Q Y^T|, gram)``.  ``y`` is an already whitened
     channel.  The penalty ``s`` is either a symmetric matrix, of which only
     the lower triangle is read, or a scalar c standing for S = c*I; it must
     be positive definite after a +1e-12*I jitter, or ``ValueError`` is
-    raised, and nothing else is checked.  The solution loads the singular
-    modes of Y S^{-1/2} = U diag(sig) V^T with
-    lam_i = (w - 1/sig_i^2)+, so Q = S^{-1/2} V diag(lam) V^T S^{-1/2}, and
-    the log-determinant is sum_i ln(1 + sig_i^2 lam_i) from the same SVD.
+    raised, and nothing else is checked.  Water-filling's kernel
+    (``waterfill.singular_modes``, ``load_level``) loads the kept modes of
+    Y S^{-1/2} = U diag(sig) V^T with lam_i = (w - 1/sig_i^2)+, so
+    Q = S^{-1/2} V diag(lam) V^T S^{-1/2}, and gives the log-determinant
+    sum_i ln(1 + sig_i^2 lam_i) from the same SVD.
     For a scalar penalty ``gram`` is Y^T (I + Y Q Y^T)^{-1} Y =
     V diag(c sig_i^2 / (1 + sig_i^2 lam_i)) V^T, the Gram matrix that
     ``rates.resolvent`` would give at the returned q; for a matrix penalty
     it is None.  The scalar penalty needs no eigendecomposition, and its q
     equals that of the matrix c*I bit for bit when ``y`` holds no -0.0, as
-    no product from ``rates.resolvent`` does.  The eigendecomposition and
-    the SVD are numpy's ``eigh_lo`` and ``svd_f`` gufuncs, the ones
-    ``np.linalg.eigh`` and ``np.linalg.svd`` call, without numpy's
-    per-call wrapper.
+    no product from ``rates.resolvent`` does.
     """
     # A Python float (np.float64 included) skips np.ndim's ~2 us.
     if isinstance(s, float) or np.ndim(s) == 0:
@@ -213,11 +210,12 @@ def load_modes(w: float, s, y: np.ndarray) -> tuple:
         if c <= 0:
             raise ValueError("penalty is not positive after regularization")
         r = 1.0 / math.sqrt(c)
-        vt, lam, sig2, logdet = _mode_levels(w, y * r)
+        vt, sig, k = singular_modes(y * r)
+        lam, logdet = load_level(w, sig, k)
         # The product order of the matrix case with S^{-1/2} = r*I.
         q = ((vt.T * lam) * r) @ vt * r
         # The Gram as Z Z^T, which numpy forms exactly symmetric.
-        z = vt.T * [math.sqrt(c * g / (1.0 + g * x)) for g, x in zip(sig2, lam)]
+        z = vt.T * [math.sqrt(c * (v * v) / (1.0 + v * v * x)) for v, x in zip(sig, lam)]
         gram = z @ z.T
     else:
         s = s + _jitter(y.shape[1])
@@ -228,7 +226,8 @@ def load_modes(w: float, s, y: np.ndarray) -> tuple:
         if ws[0] <= 0:
             raise ValueError("penalty matrix is indefinite after regularization")
         s_isqrt = (vs / np.sqrt(ws)) @ vs.T
-        vt, lam, _, logdet = _mode_levels(w, y @ s_isqrt)
+        vt, sig, k = singular_modes(y @ s_isqrt)
+        lam, logdet = load_level(w, sig, k)
         q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
         gram = None
     return 0.5 * (q + q.T), logdet, gram
@@ -240,32 +239,6 @@ def _jitter(nt: int) -> np.ndarray:
     jitter = _S_JITTER * identity(nt)
     jitter.flags.writeable = False
     return jitter
-
-
-def _mode_levels(w: float, a: np.ndarray) -> tuple:
-    """``(V^T, lam, sig^2, sum ln(1 + sig^2 lam))`` of ``a`` at level ``w``.
-
-    V^T holds the right singular vectors of ``a``; the lists lam and sig^2
-    hold the load of each mode and its squared singular value, zero past
-    the rows of ``a``.  The few singular values are looped over as floats,
-    as numpy's per-call cost exceeds the arithmetic on arrays this small.
-    """
-    _, sig, vt = svd_f(a)
-    sig = sig.tolist()
-    # The gufunc returns NaN throughout when it does not converge.
-    if sig[0] != sig[0]:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    lam = [0.0] * a.shape[1]
-    sig2 = lam.copy()
-    logdet = 0.0
-    for i, x in enumerate(sig):
-        # Modes at or below sqrt(tiny) load nothing: their 1/sig^2 stays
-        # finite and far above any weight.
-        floor = max(x, _SIG_FLOOR)
-        lam[i] = max(w - 1.0 / (floor * floor), 0.0)
-        sig2[i] = x * x
-        logdet += math.log1p(sig2[i] * lam[i])
-    return vt, lam, sig2, logdet
 
 
 def closed_form_block(w: float, s, r, h) -> np.ndarray:

@@ -256,6 +256,26 @@ class TestRun:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "job",
+        [
+            ["--method", "ps", "--power", "1e16", "--eps1", "0.5"],
+            ["--method", "tdma", "--power", "1e20"],
+        ],
+        ids=["ps", "tdma"],
+    )
+    def test_failed_factorization_is_one_line_exit_3(self, ch22_file, tmp_path, capsys, job):
+        # At these powers the wiretap search meets a link matrix whose
+        # Cholesky factor fails, as rounding has left it indefinite; the run
+        # reports it without a traceback.
+        out = tmp_path / "o.csv"
+        argv = ["--channels", ch22_file, "--scenario", "C", "--common", "off"]
+        assert main(argv + job + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical consistency check failed: ")
+        assert err.count("\n") == 1
+        assert not out.exists() and not Path(f"{out}.meta").exists()
+
     @pytest.mark.parametrize("power", ["1e10", "1e12"])
     def test_high_power_scenario_c_passes_consistency_gate(self, tmp_path, power):
         # Whitening with the links' Cholesky factor rounds as the rate

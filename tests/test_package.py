@@ -64,6 +64,21 @@ def test_cholesky_only_in_rates():
     assert not offenders, "Cholesky factorization outside rates:\n" + "\n".join(offenders)
 
 
+def test_svd_only_in_waterfill():
+    # `waterfill.singular_modes` is the one SVD, so water-filling and the WSR
+    # blocks share its zero-mode rule.  Comments and strings may name the
+    # decomposition; code elsewhere may not call it.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "waterfill.py"
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and "svd" in tok.string.lower()
+    ]
+    assert not offenders, "SVD outside waterfill:\n" + "\n".join(offenders)
+
+
 def test_equal_rows_resolved_only_in_splitting():
     # `hull_pareto` alone decides which of equal rate points stays (the
     # first in input order), so no other module deduplicates rows itself.

@@ -1,9 +1,46 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secregion import DegenerateChannelWarning, gauss_rate, water_level, waterfill
+from secregion.waterfill import SV_CUTOFF_REL
 
 from conftest import random_psd
+
+
+def numpy_waterfill(h, p):
+    """Water-filling's covariance written with numpy.linalg, as a reference."""
+    nt = h.shape[1]
+    if p == 0:
+        return np.zeros((nt, nt))
+    _, s, vt = np.linalg.svd(h)
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros((nt, nt))
+    keep = s > SV_CUTOFF_REL * s[0]
+    s_act = s[keep]
+    basis = vt[: s_act.size]
+    gains = s_act**2
+    floors = 1.0 / gains
+    mu = water_level(floors, p)
+    loads = np.maximum(mu - floors, 0.0)
+    q = (basis.T * loads) @ basis
+    return 0.5 * (q + q.T)
+
+
+@st.composite
+def channel_cases(draw, deficient=True):
+    """A channel (1-5 rows, nt 1-5) and a budget p in [1e-9, 1e6].  With
+    ``deficient``, one draw in three has its weakest singular value scaled
+    down by 1e-8 to 1e-16, which makes it near-rank-deficient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, nt = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    h = rng.standard_normal((rows, nt)) * 10.0 ** rng.uniform(-1, 1, (rows, 1))
+    if deficient and min(rows, nt) > 1 and draw(st.integers(0, 2)) == 0:
+        u, s, vt = np.linalg.svd(h, full_matrices=False)
+        s[-1] *= 10.0 ** rng.uniform(-16, -8)
+        h = (u * s) @ vt
+    return h, 10.0 ** draw(st.floats(-9.0, 6.0))
 
 
 class TestWaterLevel:
@@ -89,6 +126,26 @@ class TestWaterfill:
         with pytest.warns(DegenerateChannelWarning):
             q, rate = waterfill(np.zeros((2, 2)), 1.0)
         assert rate == 0.0 and np.array_equal(q, np.zeros((2, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(channel_cases())
+    def test_covariance_matches_numpy_reference(self, case):
+        h, p = case
+        assert np.array_equal(waterfill(h, p)[0], numpy_waterfill(h, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(channel_cases(deficient=False))
+    def test_rate_matches_60_digit_determinant(self, case):
+        # The rate is the log-determinant of the returned covariance's link,
+        # accurate at every budget, the tiny ones included.
+        mpmath = pytest.importorskip("mpmath")
+        h, p = case
+        q, rate = waterfill(h, p)
+        with mpmath.workdps(60):
+            hm = mpmath.matrix(h.tolist())
+            m = mpmath.eye(h.shape[0]) + hm * mpmath.matrix(q.tolist()) * hm.T
+            want = mpmath.log(mpmath.det(m)) / (2 * mpmath.log(2))
+            assert abs(rate - want) <= 1e-12 * want
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from secregion import (
     wsr_solve,
 )
 from secregion.rates import LN2, rate_stack, resolvent
+from secregion.waterfill import SV_CUTOFF_REL
 from secregion.wsr import LAMBDA_MIN, MAX_INNER, load_modes, wsr_sweep, wsr_sweep_points
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
@@ -190,8 +191,9 @@ def numpy_load_modes(w, s, y):
     s_isqrt = (vs / np.sqrt(ws)) @ vs.T
     _, sig, vt = np.linalg.svd(y @ s_isqrt)
     lam = np.zeros(s.shape[0])
-    floor = np.finfo(float).tiny ** 0.5
-    lam[: sig.size] = np.maximum(w - 1.0 / np.maximum(sig, floor) ** 2, 0.0)
+    kept = sig**2 > (SV_CUTOFF_REL * sig[0]) ** 2
+    with np.errstate(divide="ignore"):
+        lam[: sig.size] = np.where(kept, np.maximum(w - 1.0 / sig**2, 0.0), 0.0)
     q = s_isqrt @ (vt.T * lam) @ vt @ s_isqrt
     return 0.5 * (q + q.T)
 
