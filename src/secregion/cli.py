@@ -6,7 +6,8 @@ human-readable key=value sidecar carrying every parameter, tolerance, the
 seed, wall time, and solver flags.  The seed reaches only the ``oracle``
 draws; every other method gives the same output for every seed.  A
 ``wsr`` job's sidecar also sums the BSMM rounds (``bsmm_rounds``), the
-inner solves that hit the round cap (``bsmm_capped``) and the multiplier
+SQUAREM steps the inner solves kept (``bsmm_extrapolated``), the inner
+solves that hit the round cap (``bsmm_capped``) and the multiplier
 bisection steps (``bsmm_bisect``) over its solves.  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
 """
@@ -181,6 +182,7 @@ def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
             n_unconverged = sum(1 for _, sol in solved if not sol.converged)
             bsmm = {
                 "bsmm_rounds": str(sum(sol.n_rounds for _, sol in solved)),
+                "bsmm_extrapolated": str(sum(sol.n_extrapolated for _, sol in solved)),
                 "bsmm_capped": str(sum(sol.n_capped for _, sol in solved)),
                 "bsmm_bisect": str(sum(sol.n_bisect for _, sol in solved)),
             }

@@ -9,6 +9,16 @@ whose negative gradient is the block's price matrix (``block_price``), and
 each penalized block then has the exact closed-form solution of
 ``closed_form_block``.
 
+Block successive maximization converges linearly, and slowly where the
+users' links are coupled, so the inner loop ``bsmm_inner`` accelerates it
+with guarded SQUAREM steps (Varadhan & Roland, Scand. J. Stat. 2008).
+After two plain rounds x1 = F(x0) and x2 = F(x1) of the state
+x = (q1, q2), it extrapolates to x0 - 2 alpha r + alpha^2 v, with
+r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = min(-|r|/|v|, -1), projects
+each block onto the PSD cone and runs one plain round from there.  That
+round's result is kept only if its Lagrangian is no lower than x2's, so
+the loop stays monotone and the ascent check runs on every round.
+
 Sign and scale convention, fixed here once: every price matrix is the
 exact negative gradient, in bits, of the linearized part of the
 objective, and the block penalty is always lam*I + price.  This is the
@@ -47,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, inv
@@ -270,10 +281,37 @@ def closed_form_block(w: float, s, r, h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BsmmState:
+    """An inner solve's end point and what it did.
+
+    ``n_iters`` counts every BSMM round, the one after each extrapolated
+    point included, and ``n_extrapolated`` the SQUAREM steps kept.
+    """
+
     q1: np.ndarray
     q2: np.ndarray
     n_iters: int
     converged: bool
+    n_extrapolated: int
+
+
+class _Point(NamedTuple):
+    """A point of the inner loop: the blocks, the Grams of the next block-1
+    price (user 2 at q1 and at q1 + q2, user 1 at q1 + q2 or None), and the
+    weighted sum and Lagrangian there."""
+
+    q1: np.ndarray
+    q2: np.ndarray
+    grams: tuple
+    wsr: float
+    lagr: float
+
+
+def _psd_part(x: np.ndarray) -> np.ndarray:
+    """Each symmetric matrix of the stack ``x`` with its negative
+    eigenvalues set to 0, symmetrized."""
+    w, v = eigh_lo(x)
+    x = (v * np.maximum(w, 0.0)[:, None, :]) @ v.mT
+    return 0.5 * (x + x.mT)
 
 
 def bsmm_inner(
@@ -283,12 +321,24 @@ def bsmm_inner(
     lam: float,
     p: float,
 ) -> BsmmState:
-    """Alternating closed-form block updates at a fixed multiplier.
+    """Alternating closed-form block updates at a fixed multiplier, with
+    guarded SQUAREM steps.
 
-    Starts from q1 = q2 = p/(2 nt) * I and stops when the weighted sum
-    rate moves by less than ``EPS3`` or after ``MAX_INNER`` rounds.  The
-    Lagrangian is asserted nondecreasing each round; a violation beyond
-    round-off signals a price-matrix bug and raises ``ConsistencyError``.
+    Starts from q1 = q2 = p/(2 nt) * I.  A round F maps x = (q1, q2) to
+    the next pair of blocks, and the Lagrangian is asserted nondecreasing
+    over each round; a violation beyond round-off signals a price-matrix
+    bug and raises ``ConsistencyError``.  After every two kept rounds
+    x1 = F(x0), x2 = F(x1), a SQUAREM step (Varadhan & Roland, Scand. J.
+    Stat. 2008) extrapolates them: with r = x1 - x0, v = x2 - 2 x1 + x0
+    and alpha = min(-|r|/|v|, -1) in the Frobenius norm over both blocks,
+    x' = x0 - 2 alpha r + alpha^2 v, each block projected onto the PSD
+    cone.  At alpha = -1, x' would be x2, and the loop goes on from x2.
+    Otherwise the link values at x' are computed afresh and one round
+    gives x3 = F(x'), kept only if its Lagrangian is no lower than x2's;
+    else the loop goes on from x2.  So the Lagrangian never falls from
+    kept point to kept point.  The loop stops when the weighted sum rate
+    moves by less than ``EPS3`` between consecutive kept points, or after
+    ``MAX_INNER`` rounds, counting each round from an extrapolated point.
 
     A round computes only the link values it reads, each once, and the
     weighted sum is ``rates.rate_rule`` on them.  Block 1's mode loading
@@ -301,24 +351,25 @@ def bsmm_inner(
     M2(X) = I + H2 X H2^T, and the Gram of the next block-1 price, so the
     round factors nothing else.  When user 2 is confidential, block 2's
     price needs user 1's Gram at (new q1, old q2), and the end point factors
-    both users at q1 + q2: four factors a round.  The inputs are trusted:
-    ``wsr_solve`` and the ``WsrConfig`` and ``ChannelPair`` constructors
-    check them.
+    both users at q1 + q2: four factors a round.  The start and each
+    extrapolated point, which no round produced, factor user 2 at q1 and
+    both links at q1 + q2 that the next price reads (two factors, three
+    when user 2 is confidential) and user 1 at q1.  The inputs are
+    trusted: ``wsr_solve`` and the ``WsrConfig`` and ``ChannelPair``
+    constructors check them.
     """
     if lam <= 0:
         raise ValueError("the multiplier must be positive")
     nt = ch.nt
     h1, h2 = ch.h1, ch.h2
     lam_eye = lam * identity(nt)
-    q1 = (p / (2.0 * nt)) * identity(nt)
-    q2 = q1.copy()
     w1, w2 = cfg.w1, cfg.w2
     k1 = bits_block_weight(_block1_weight(scenario, w1, w2))
     k2 = bits_block_weight(w2)
     half = 0.5 / LN2
     user2_confidential = scenario.user2_confidential
 
-    def end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12):
+    def end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, grams):
         # The unclamped rates: the ascent runs on the true objective.  With
         # q0 = 0 the shared entries are None and r0 is not computed; order
         # "12" never reads the q2 entries, nor user 1's at q1 + q2 (None
@@ -333,24 +384,26 @@ def bsmm_inner(
         # The power as a float sum of each diagonal, which adds in the order
         # of ndarray.trace at a fraction of its per-call cost.
         used = sum(q1.diagonal().tolist()) + sum(q2.diagonal().tolist())
-        return wsr, wsr - lam * (used - p)
+        return _Point(q1, q2, grams, wsr, wsr - lam * (used - p))
 
-    q12 = q1 + q2
-    ld2_1, _, g2_1 = resolvent(h2, q1)
-    ld2_12, _, g2_12 = resolvent(h2, q12)
-    ld1_12 = g1_12 = None
-    if user2_confidential:
-        ld1_12, _, g1_12 = resolvent(h1, q12)
-    _, prev_lagr = end_point(q1, q2, link_logdet(h1, q1), ld1_12, ld2_1, ld2_12)
-    prev_wsr = 0.0
-    converged = False
-    i = 0
-    for i in range(1, MAX_INNER + 1):
-        price = price_from_grams(scenario, w1, w2, 1, g2_1, g2_12, g1_12)
+    def refresh(q1, q2):
+        # The link values at a point that no round produced.
+        q12 = q1 + q2
+        ld2_1, _, g2_1 = resolvent(h2, q1)
+        ld2_12, _, g2_12 = resolvent(h2, q12)
+        ld1_12 = g1_12 = None
+        if user2_confidential:
+            ld1_12, _, g1_12 = resolvent(h1, q12)
+        ld1_1 = link_logdet(h1, q1)
+        return end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, (g2_1, g2_12, g1_12))
+
+    def bsmm_round(x):
+        price = price_from_grams(scenario, w1, w2, 1, *x.grams)
         q1, ld1_1, _ = load_modes(k1, lam_eye + price, h1)
         ld2_1, y2, g2_1 = resolvent(h2, q1)
+        ld1_12 = g1_12 = None
         if user2_confidential:
-            g1_mid = resolvent(h1, q1 + q2)[2]
+            g1_mid = resolvent(h1, q1 + x.q2)[2]
             price = price_from_grams(scenario, w1, w2, 2, None, None, g1_mid)
             q2 = load_modes(k2, lam_eye + price, y2)[0]
             q12 = q1 + q2
@@ -361,17 +414,52 @@ def bsmm_inner(
             # link at q1 + q2 relative to q1, and the Gram there.
             q2, ld2_2, g2_12 = load_modes(k2, lam, y2)
             ld2_12 = ld2_1 + ld2_2
-        wsr, lagr = end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12)
-        if lagr < prev_lagr - _ASCENT_SLACK - 16 * math.ulp(prev_lagr):
+        y = end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, (g2_1, g2_12, g1_12))
+        if y.lagr < x.lagr - _ASCENT_SLACK - 16 * math.ulp(x.lagr):
             raise ConsistencyError(
-                f"Lagrangian fell from {prev_lagr} to {lagr}; price matrix is wrong"
+                f"Lagrangian fell from {x.lagr} to {y.lagr}; price matrix is wrong"
             )
-        prev_lagr = lagr
-        if abs(wsr - prev_wsr) < EPS3:
+        return y
+
+    def extrapolate(x0, x1, x2):
+        # The SQUAREM point, or None where alpha = -1 (x' = x2) or v = 0.
+        r = np.stack((x1.q1 - x0.q1, x1.q2 - x0.q2))
+        v = np.stack((x2.q1 - x1.q1, x2.q2 - x1.q2)) - r
+        norm_r, norm_v = math.sqrt(np.vdot(r, r)), math.sqrt(np.vdot(v, v))
+        if not norm_r > norm_v > 0.0:
+            return None
+        alpha = -norm_r / norm_v
+        x = np.stack((x0.q1, x0.q2)) - (2.0 * alpha) * r + (alpha * alpha) * v
+        return refresh(*_psd_part(x))
+
+    start = (p / (2.0 * nt)) * identity(nt)
+    x = refresh(start, start)
+    prev_wsr = 0.0
+    kept = [x]  # the kept points since the last step
+    rival = None  # x2, while the round from its extrapolated point runs
+    n_iters = n_extrapolated = 0
+    converged = False
+    while n_iters < MAX_INNER:
+        x = bsmm_round(x)
+        n_iters += 1
+        if rival is not None:
+            if x.lagr < rival.lagr:
+                x, kept, rival = rival, [rival], None
+                continue
+            n_extrapolated += 1
+            rival = None
+        if abs(x.wsr - prev_wsr) < EPS3:
             converged = True
             break
-        prev_wsr = wsr
-    return BsmmState(q1, q2, i, converged)
+        prev_wsr = x.wsr
+        kept.append(x)
+        if len(kept) == 3 and n_iters < MAX_INNER:
+            step = extrapolate(*kept)
+            if step is None:
+                kept = [x]
+            else:
+                x, kept, rival = step, [], x
+    return BsmmState(x.q1, x.q2, n_iters, converged, n_extrapolated)
 
 
 @dataclass(frozen=True)
@@ -379,8 +467,9 @@ class WsrSolution:
     """A weighted-sum-rate point and what its dual search did.
 
     ``n_rounds`` sums the BSMM rounds of every inner solve of the search,
-    and ``n_capped`` counts the inner solves that stopped at
-    ``MAX_INNER`` rounds without converging.
+    ``n_capped`` counts the inner solves that stopped at ``MAX_INNER``
+    rounds without converging, and ``n_extrapolated`` sums the SQUAREM
+    steps they kept.
     """
 
     q1: np.ndarray
@@ -391,6 +480,7 @@ class WsrSolution:
     n_bisect: int
     n_rounds: int
     n_capped: int
+    n_extrapolated: int
 
 
 def wsr_solve(
@@ -422,15 +512,16 @@ def wsr_solve(
         rates = evaluate_triple(
             ch, scenario, CovarianceTriple(zeros, zeros, zeros, p), ORDER_12
         )
-        return WsrSolution(zeros, zeros, rates, LAMBDA_MIN, True, 0, 0, 0)
+        return WsrSolution(zeros, zeros, rates, LAMBDA_MIN, True, 0, 0, 0, 0)
 
-    n_rounds = n_capped = 0
+    n_rounds = n_capped = n_extrapolated = 0
 
     def inner(lam: float):
-        nonlocal n_rounds, n_capped
+        nonlocal n_rounds, n_capped, n_extrapolated
         state = bsmm_inner(ch, scenario, cfg, lam, p)
         n_rounds += state.n_iters
         n_capped += not state.converged
+        n_extrapolated += state.n_extrapolated
         return state, float(np.trace(state.q1) + np.trace(state.q2))
 
     def attempt(lo: float, hi: float):
@@ -467,7 +558,15 @@ def wsr_solve(
         ch, scenario, CovarianceTriple(zeros, state.q1, state.q2, p), ORDER_12
     )
     return WsrSolution(
-        state.q1, state.q2, rates, lam, state.converged, n, n_rounds, n_capped
+        state.q1,
+        state.q2,
+        rates,
+        lam,
+        state.converged,
+        n,
+        n_rounds,
+        n_capped,
+        n_extrapolated,
     )
 
 

@@ -370,6 +370,34 @@ class TestRun:
         assert int(meta["bsmm_capped"]) == sum(sol.n_capped for sol in sols)
         assert int(meta["bsmm_bisect"]) == sum(sol.n_bisect for sol in sols) > 0
 
+    def test_wsr_sidecar_sums_kept_squarem_steps(self, ch22_file, tmp_path, monkeypatch):
+        solve = secregion.wsr.wsr_solve
+        sols = []
+
+        def recorded(*args):
+            sols.append(solve(*args))
+            return sols[-1]
+
+        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
+        out = tmp_path / "w.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="A",
+            method="wsr",
+            power=12.0,
+            out=str(out),
+            common=False,
+            sigma=0.5,
+        )
+        assert run(cfg) == 0
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
+        )
+        kept = int(meta["bsmm_extrapolated"])
+        assert kept == sum(sol.n_extrapolated for sol in sols) > 0
+        # A kept step follows two rounds and is followed by a third.
+        assert 3 * kept <= int(meta["bsmm_rounds"])
+
     def test_wsr_unconverged_count_from_solutions(self, ch22_file, tmp_path, monkeypatch):
         # Mark every other solve unconverged; the sidecar must count them.
         solve = secregion.wsr.wsr_solve

@@ -147,6 +147,27 @@ class TestWaterfill:
             want = mpmath.log(mpmath.det(m)) / (2 * mpmath.log(2))
             assert abs(rate - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            1e-150 * np.eye(2),
+            1e-160 * np.eye(2),
+            1e-170 * np.eye(2),
+            np.diag([1e-170, 5e-171]),
+        ],
+        ids=["1e-150", "1e-160", "1e-170", "diag-1e-170-5e-171"],
+    )
+    @pytest.mark.parametrize("p", [1e-3, 1.0, 7.5])
+    def test_tiny_channel_spends_the_budget(self, h, p):
+        # The floors 1/sig^2 overflow, or lose the budget in their rounding;
+        # the modes tied for the largest singular value share it.
+        q, rate = waterfill(h, p)
+        assert abs(np.trace(q) - p) <= 4 * np.spacing(p)
+        tied = np.diag(h) == h[0, 0]
+        assert np.array_equal(np.diag(q), np.where(tied, p / tied.sum(), 0.0))
+        assert not (q - np.diag(np.diag(q))).any()
+        assert 0.0 <= rate < 1e-290
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             waterfill(np.eye(2), -1.0)

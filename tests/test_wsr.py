@@ -26,7 +26,15 @@ from secregion import (
 )
 from secregion.rates import LN2, rate_stack, resolvent
 from secregion.waterfill import SV_CUTOFF_REL
-from secregion.wsr import LAMBDA_MIN, MAX_INNER, load_modes, wsr_sweep, wsr_sweep_points
+from secregion.wsr import (
+    EPS3,
+    LAMBDA_MIN,
+    MAX_INNER,
+    _block1_weight,
+    load_modes,
+    wsr_sweep,
+    wsr_sweep_points,
+)
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
@@ -293,7 +301,8 @@ class TestBsmmInner:
     def test_factors_only_what_it_reads(self, ch22, monkeypatch, tag, first, per_round):
         # Scenarios A and B factor user 2 at the new q1 and nothing else in a
         # round; C also factors user 1 for block 2's price and both users at
-        # the end point.  Only the starting point calls link_logdet.
+        # the end point.  The starting point and each extrapolated point
+        # cost the same: the links the next price reads and one link_logdet.
         import secregion.wsr as wsr_mod
 
         calls = {"resolvent": 0, "link_logdet": 0}
@@ -309,7 +318,11 @@ class TestBsmmInner:
             calls.update(resolvent=0, link_logdet=0)
             st = bsmm_inner(ch22, Scenario(tag, False), WsrConfig(0.5, 0.5), 0.1, 12.0)
             assert st.n_iters == rounds and not st.converged
-            assert calls == {"resolvent": first + per_round * rounds, "link_logdet": 1}
+            points = 1 + st.n_extrapolated
+            assert calls == {
+                "resolvent": first * points + per_round * rounds,
+                "link_logdet": points,
+            }
 
     def test_bad_multiplier_rejected(self, ch22):
         with pytest.raises(ValueError):
@@ -352,12 +365,14 @@ class TestWsrSolve:
             return states[-1]
 
         monkeypatch.setattr(wsr_mod, "bsmm_inner", recorded)
-        monkeypatch.setattr(wsr_mod, "MAX_INNER", 20)
+        # A cap low enough that some inner solves reach it.
+        monkeypatch.setattr(wsr_mod, "MAX_INNER", 10)
         cfg = WsrConfig(w1=0.5, w2=0.5)
         sol = wsr_solve(ch_row3, Scenario("C", False), cfg, 4.0)
         assert sol.n_rounds == sum(state.n_iters for state in states)
         assert sol.n_capped == sum(not state.converged for state in states) > 0
-        assert all(state.n_iters == 20 for state in states if not state.converged)
+        assert all(state.n_iters == 10 for state in states if not state.converged)
+        assert sol.n_extrapolated == sum(state.n_extrapolated for state in states) > 0
 
     def test_power_monotone_in_multiplier(self, ch22):
         cfg = WsrConfig(w1=0.5, w2=0.5)
@@ -432,8 +447,8 @@ class TestWsrConfig:
 
 
 # The no-common wsr solves of the benchmark: every (weight, order) solve of
-# wsr_sweep_points at sigma 0.5, recorded before the inner loop shared its
-# link factors; rates to 1e-12, everything else exactly.
+# wsr_sweep_points at sigma 0.5, recorded from the inner loop with SQUAREM
+# steps; rates to 1e-12, everything else exactly.
 WSR_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "wsr_golden.json").read_text()
 )
@@ -454,10 +469,14 @@ def test_wsr_golden(request):
                 ref["converged"],
                 ref["lam"],
             ), key
-            counts = (sol.n_rounds, sol.n_capped)
-            assert counts == (ref["n_rounds"], ref["n_capped"]), key
+            counts = (sol.n_rounds, sol.n_capped, sol.n_extrapolated)
+            assert counts == (
+                ref["n_rounds"],
+                ref["n_capped"],
+                ref["n_extrapolated"],
+            ), key
             total += sol.n_rounds
-    assert total == WSR_GOLDEN["total_rounds"] == 12378
+    assert total == WSR_GOLDEN["total_rounds"] == 3248
 
 
 @st.composite
@@ -487,64 +506,130 @@ def test_swapping_users_mirrors_sweep(ch_row3, tag):
     )
 
 
+def plain_bsmm(ch, sc, cfg, lam, p):
+    """The inner loop without SQUAREM steps, from the checked entry points,
+    as a reference: alternating closed-form blocks from q1 = q2 =
+    p/(2 nt) I until the weighted sum moves by less than EPS3, or after
+    MAX_INNER rounds."""
+    w1, w2 = cfg.w1, cfg.w2
+    k1 = _block1_weight(sc, w1, w2) / (2.0 * LN2)
+    k2 = w2 / (2.0 * LN2)
+    lam_eye = lam * np.eye(ch.nt)
+    q1 = q2 = (p / (2.0 * ch.nt)) * np.eye(ch.nt)
+    prev_wsr = 0.0
+    for _ in range(MAX_INNER):
+        price = block_price(ch, sc, q1, q2, w1, w2, 1)
+        q1 = closed_form_block(k1, lam_eye + price, np.eye(ch.n1), ch.h1)
+        price = block_price(ch, sc, q1, q2, w1, w2, 2)
+        noise = np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T
+        q2 = closed_form_block(k2, lam_eye + price, noise, ch.h2)
+        wsr = lagrangian(ch, sc, cfg, 0.0, 0.0, q1, q2)
+        if abs(wsr - prev_wsr) < EPS3:
+            break
+        prev_wsr = wsr
+    return q1, q2
+
+
+def lagrangian(ch, sc, cfg, lam, p, q1, q2):
+    """w1 R1 + w2 R2 - lam (tr q1 + tr q2 - p), on the unclamped rates."""
+    zero = np.zeros((1, ch.nt, ch.nt))
+    _, r1, r2 = rate_stack(ch, sc, zero, q1[None], q2[None])[0, 0]
+    return cfg.w1 * r1 + cfg.w2 * r2 - lam * (np.trace(q1) + np.trace(q2) - p)
+
+
 class TestLoopAgainstReference:
     @settings(max_examples=80, deadline=None)
     @given(loop_cases())
     def test_prices_and_weighted_sum(self, case):
-        # Record what the inner loop computes at every iterate, then replay
-        # the iterates through block_price, gauss_rate and rate_stack.
+        # Record what the inner loop computes at every iterate, extrapolated
+        # points included, then replay the iterates through block_price,
+        # gauss_rate and rate_stack.
         import secregion.wsr as wsr_mod
 
         ch, sc, cfg, lam, p = case
-        prices, covs, rules = [], [], []
+        events = []
         with pytest.MonkeyPatch.context() as mp:
-            for name, log in (
-                ("price_from_grams", prices),
-                ("load_modes", covs),
-                ("rate_rule", rules),
-            ):
+            for name in ("price_from_grams", "load_modes", "rate_rule", "_psd_part"):
                 orig = getattr(wsr_mod, name)
 
-                def recorded(*args, orig=orig, log=log):
-                    log.append((args, orig(*args)))
-                    return log[-1][1]
+                def recorded(*args, orig=orig, name=name):
+                    events.append((name, args, orig(*args)))
+                    return events[-1][2]
 
                 mp.setattr(wsr_mod, name, recorded)
             mp.setattr(wsr_mod, "MAX_INNER", 25)
             state = bsmm_inner(ch, sc, cfg, lam, p)
-        # Block 2 has a price only when user 2 is confidential.
-        priced2 = sc.user2_confidential
-        assert len(prices) == (1 + priced2) * state.n_iters
-        assert len(covs) == 2 * state.n_iters
-        assert len(rules) == state.n_iters + 1
+        events = iter(events)
 
-        prices = iter(price for _, price in prices)
-        zero = np.zeros((1, ch.nt, ch.nt))
-        q1 = q2 = (p / (2.0 * ch.nt)) * np.eye(ch.nt)
-        for i, ((_, links, *_), rule) in enumerate(rules):
-            if i:
-                want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 1)
-                assert np.abs(next(prices) - want).max() <= 1e-12
-                q1 = covs[2 * i - 2][1][0]
-                want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 2)
-                if priced2:
-                    assert np.abs(next(prices) - want).max() <= 1e-12
-                else:
-                    assert not want.any()
-                q2 = covs[2 * i - 1][1][0]
+        def take(want):
+            name, args, result = next(events)
+            assert name == want
+            return args, result
+
+        def point(q1, q2):
             # Every link value the loop computed, at the link's covariance
-            # (q0 = 0).
+            # (q0 = 0), and its weighted sum; returns the loop's Lagrangian.
+            (_, links, *_), rule = take("rate_rule")
             for h, values in zip((ch.h1, ch.h2), links):
                 for x, value in zip((q1 + q2, q1 + q2, q1, q2), values):
                     if value is not None:
                         assert abs(value - gauss_rate(h, x)) <= 1e-12
+            zero = np.zeros((1, ch.nt, ch.nt))
             _, r1, r2 = rate_stack(ch, sc, zero, q1[None], q2[None])[0, 0]
             _, l1, l2 = rule[0]
             assert abs(l1 - r1) <= 1e-12 and abs(l2 - r2) <= 1e-12
-            want = cfg.w1 * r1 + cfg.w2 * r2
-            assert abs((cfg.w1 * l1 + cfg.w2 * l2) - want) <= 1e-12
-        assert next(prices, None) is None
-        assert np.array_equal(q1, state.q1) and np.array_equal(q2, state.q2)
+            wsr = float(cfg.w1 * l1 + cfg.w2 * l2)
+            assert abs(wsr - (cfg.w1 * r1 + cfg.w2 * r2)) <= 1e-12
+            used = float(np.trace(q1) + np.trace(q2))
+            return q1, q2, wsr - lam * (used - p)
+
+        def check_price(result, q1, q2, block):
+            want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, block)
+            assert np.abs(result - want).max() <= 1e-12
+
+        # Block 2 has a price only when user 2 is confidential.
+        priced2 = sc.user2_confidential
+        start = (p / (2.0 * ch.nt)) * np.eye(ch.nt)
+        x = point(start, start)
+        rival = None
+        n_rounds = n_kept = 0
+        for name, _, result in events:
+            if name == "_psd_part":
+                # A SQUAREM point; x2 is the rival of the round from it.
+                rival, x = x, point(*result)
+                continue
+            assert name == "price_from_grams"
+            q1, q2, _ = x
+            check_price(result, q1, q2, 1)
+            q1 = take("load_modes")[1][0]
+            if priced2:
+                check_price(take("price_from_grams")[1], q1, q2, 2)
+            else:
+                assert not block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 2).any()
+            x = point(q1, take("load_modes")[1][0])
+            n_rounds += 1
+            if rival is not None:
+                if x[2] < rival[2]:
+                    x = rival
+                else:
+                    n_kept += 1
+                rival = None
+        assert (n_rounds, n_kept) == (state.n_iters, state.n_extrapolated)
+        assert np.array_equal(x[0], state.q1) and np.array_equal(x[1], state.q2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_cases())
+    def test_squarem_ascends_at_least_as_far(self, case):
+        # At the same multiplier the accelerated loop ends at a Lagrangian no
+        # lower than the plain loop's, up to the stop rule's tolerance, and
+        # both end points are PSD.
+        ch, sc, cfg, lam, p = case
+        state = bsmm_inner(ch, sc, cfg, lam, p)
+        ref = plain_bsmm(ch, sc, cfg, lam, p)
+        got = lagrangian(ch, sc, cfg, lam, p, state.q1, state.q2)
+        assert got >= lagrangian(ch, sc, cfg, lam, p, *ref) - 1e-9
+        for q in (state.q1, state.q2, *ref):
+            assert np.linalg.eigvalsh(q)[0] >= -1e-12 * max(1.0, np.abs(q).max())
 
 
 class TestKktResidual:
