@@ -7,8 +7,11 @@ seed, wall time, and solver flags.  The seed reaches only the ``oracle``
 draws; every other method gives the same output for every seed.  A
 ``wsr`` job's sidecar also sums the BSMM rounds (``bsmm_rounds``), the
 SQUAREM steps the inner solves kept (``bsmm_extrapolated``), the inner
-solves that hit the round cap (``bsmm_capped``) and the multiplier
-bisection steps (``bsmm_bisect``) over its solves.  One process runs one
+solves that hit the round cap (``bsmm_capped``) and the inner solves of
+the multiplier searches (``bsmm_bisect``) over its solves, and gives the
+most budget any solve left unused (``wsr_unused_power_max``).  Every
+sidecar records the search's relative power tolerance (``wsr_power_tol``)
+beside the inner stop rule (``wsr_eps3``).  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
 """
 
@@ -27,7 +30,7 @@ from .rotation import GTOL, MAX_ITERS, N_STARTS
 from .splitting import hull_pareto, sweep_points
 from .types import ChannelPair, ConsistencyError, Scenario
 from .wiretap import GAP_TOL
-from .wsr import EPS2, EPS3, wsr_sweep_points
+from .wsr import EPS3, POWER_TOL, wsr_sweep_points
 
 METHODS = ("ps", "wsr", "tdma", "oma", "oracle")
 
@@ -185,6 +188,7 @@ def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
                 "bsmm_extrapolated": str(sum(sol.n_extrapolated for _, sol in solved)),
                 "bsmm_capped": str(sum(sol.n_capped for _, sol in solved)),
                 "bsmm_bisect": str(sum(sol.n_bisect for _, sol in solved)),
+                "wsr_unused_power_max": _fmt(max(sol.unused for _, sol in solved)),
             }
         elif cfg.method == "tdma":
             points = tdma_region(ch, scenario, cfg.power).points
@@ -233,7 +237,7 @@ def run(cfg: RunConfig) -> int:
         "solver_n_starts": str(N_STARTS),
         "solver_gtol": _fmt(GTOL),
         "solver_gap_tol": _fmt(GAP_TOL),
-        "wsr_eps2": _fmt(EPS2),
+        "wsr_power_tol": _fmt(POWER_TOL),
         "wsr_eps3": _fmt(EPS3),
         "n_points": str(len(rows)),
         "n_unconverged_cells": str(n_unconverged),

@@ -5,7 +5,8 @@ diagonal in the right singular basis of H, with per-mode powers filled up
 to a common water level above the inverse squared singular values.  The
 water level is found by an exact active-set descent over the sorted
 floors, not by bisection, so no iteration tolerance enters the system.
-Its mode loading, ``singular_modes`` and ``load_level``, serves ``wsr`` too.
+Its SVD, ``singular_modes``, serves ``wsr`` too, whose blocks load their
+modes with ``load_level``.
 """
 
 from __future__ import annotations
@@ -87,18 +88,33 @@ def water_level(floors, p: float) -> float:
     return float(arr[0])  # unreachable for valid input
 
 
+def _gap_loads(floors: list, p: float) -> list:
+    """Per-mode powers (t - g_i)+ that fill ``p`` over sorted ``floors``.
+
+    The loads are measured from the gaps g_i = f_i - f_1 to the smallest
+    floor, not from the level mu = f_1 + t, so that they do not inherit
+    the rounding of mu, about an ulp of f_1, which is far more than p when
+    p is far below f_1.  With k active modes, t = (p + g_1 + ... + g_k)/k,
+    for the largest k with t >= g_k.  Each active load is then within a few
+    ulps of t <= p, and their sum within a few ulps of p.
+    """
+    gaps = [f - floors[0] for f in floors]
+    k = len(gaps)
+    t = (p + sum(gaps)) / k
+    while t < gaps[k - 1]:
+        k -= 1
+        t = (p + sum(gaps[:k])) / k
+    return [t - g for g in gaps[:k]] + [0.0] * (len(gaps) - k)
+
+
 def waterfill(h, p: float) -> tuple:
     """Optimal covariance and rate for max 0.5*log2|I + H Q H^T|, tr(Q) <= p.
 
-    Returns ``(q, rate)``.  The trace of ``q`` is ``p`` up to the rounding
-    of the water level mu, about k ulps of mu for k loaded modes: within a
-    few ulps of ``p`` when ``p`` is at least the smallest floor 1/sig_1^2
-    (for ch22's h1 at p 12 it is 1.8e-15 over), coarser relative to ``p``
-    when ``p`` is far below that floor.  Where even p/k is lost in the
-    rounding of the smallest floor, or a floor overflows, ``p`` is below
-    the gaps between distinct floors, so the modes tied for the largest
-    singular value share it equally, and the trace is within a few ulps
-    of ``p``.  An all-zero channel yields the zero matrix with a
+    Returns ``(q, rate)``.  The modes load ``_gap_loads``, so the trace of
+    ``q`` is within a few ulps of ``p`` at every budget.  Where a floor
+    1/sig^2 overflows, ``p`` is below the gaps between distinct floors, so
+    the modes tied for the largest singular value share it equally.  An
+    all-zero channel yields the zero matrix with a
     ``DegenerateChannelWarning``.
     """
     h = as_matrix(h, "channel")
@@ -110,11 +126,14 @@ def waterfill(h, p: float) -> tuple:
         return np.zeros((nt, nt)), 0.0
     vt, sig, k = singular_modes(h)
     floors = [1.0 / (x * x) for x in sig[:k]]
-    if floors and floors[-1] < math.inf and floors[0] + p / k != floors[0]:
-        lam, logdet = load_level(water_level(floors, p), sig, k)
+    if floors and floors[-1] < math.inf:
+        lam = _gap_loads(floors, p) + [0.0] * (nt - k)
     else:
         ties = sig.count(sig[0])
         lam = [p / ties] * ties + [0.0] * (nt - ties)
-        logdet = sum(math.log1p(x * x * load) for x, load in zip(sig, lam))
-    q = (vt.T * lam) @ vt
+    logdet = sum(math.log1p(x * x * load) for x, load in zip(sig, lam))
+    # Each load over its mode's computed squared norm, so that the trace of
+    # V diag(lam) V^T does not inherit V's few-ulp departure from unit rows.
+    norms = (vt * vt).sum(1).tolist()
+    q = (vt.T * [load / n for load, n in zip(lam, norms)]) @ vt
     return 0.5 * (q + q.T), 0.5 * logdet / LN2

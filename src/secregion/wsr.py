@@ -1,7 +1,10 @@
 """Weighted-sum-rate maximization without a shared message.
 
 The weighted sum of the two users' rates is maximized under the total
-power constraint by bisecting the Lagrange multiplier of the power term
+power constraint by a root search on the used power over the inverse of
+the Lagrange multiplier of the power term (``wsr_solve``: secant steps up
+from the multiplier at which no mode loads, then Illinois regula falsi
+with a bisection fallback, to a relative power tolerance ``POWER_TOL``)
 and, at each multiplier, running block-successive maximization: each
 block keeps its own concave rate term exactly, the rest of the objective,
 which is convex in that block, is replaced by its first-order expansion,
@@ -89,21 +92,26 @@ from .waterfill import load_level, singular_modes
 
 # Ascent of the Lagrangian is exact in the algebra; this slack absorbs
 # eigensolver round-off only.  The Lagrangian grows like lambda * p, so
-# the check also allows a few ulps of its value.
+# the check also allows a few ulps of its value.  And a covariance's
+# entries round to ulps of its power, which moves a link value H Q H^T by
+# about eps ||H||^2 tr(Q), so the check allows _LINK_ROUNDING times the
+# weights, the largest squared channel norm and the power as well.
 _ASCENT_SLACK = 1e-9
+_LINK_ROUNDING = 16 * np.finfo(float).eps
 
 _S_JITTER = 1e-12
 
 
-# The dual search: the multiplier bracket starts at
-# [LAMBDA_MIN, 10 max(w1, w2, 0.1)] and is widened, once, if it fails to
-# straddle the power constraint (see ``wsr_solve``); bisection stops when
-# the bracket is narrower than EPS2.  An inner solve stops when the
+# The dual search (see ``wsr_solve``) stops once a point within the budget
+# uses at least (1 - POWER_TOL) of it.  An inner solve stops when the
 # weighted sum moves by less than EPS3, or after MAX_INNER rounds.
-LAMBDA_MIN = 1e-6
-EPS2 = 1e-5
+POWER_TOL = 1e-9
 EPS3 = 1e-9
 MAX_INNER = 500
+# The dual search's cap on inner solves, and the regula falsi steps it
+# allows without halving the bracket before it takes a bisection step.
+_MAX_SOLVES = 100
+_HALVING_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -285,6 +293,7 @@ class BsmmState:
 
     ``n_iters`` counts every BSMM round, the one after each extrapolated
     point included, and ``n_extrapolated`` the SQUAREM steps kept.
+    ``wsr`` is the weighted sum of the unclamped rates at the end point.
     """
 
     q1: np.ndarray
@@ -292,18 +301,20 @@ class BsmmState:
     n_iters: int
     converged: bool
     n_extrapolated: int
+    wsr: float
 
 
 class _Point(NamedTuple):
     """A point of the inner loop: the blocks, the Grams of the next block-1
     price (user 2 at q1 and at q1 + q2, user 1 at q1 + q2 or None), and the
-    weighted sum and Lagrangian there."""
+    weighted sum, Lagrangian and power there."""
 
     q1: np.ndarray
     q2: np.ndarray
     grams: tuple
     wsr: float
     lagr: float
+    used: float
 
 
 def _psd_part(x: np.ndarray) -> np.ndarray:
@@ -368,6 +379,7 @@ def bsmm_inner(
     k2 = bits_block_weight(w2)
     half = 0.5 / LN2
     user2_confidential = scenario.user2_confidential
+    rounding = _LINK_ROUNDING * (w1 + w2) * max(np.vdot(h1, h1), np.vdot(h2, h2))
 
     def end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, grams):
         # The unclamped rates: the ascent runs on the true objective.  With
@@ -384,7 +396,7 @@ def bsmm_inner(
         # The power as a float sum of each diagonal, which adds in the order
         # of ndarray.trace at a fraction of its per-call cost.
         used = sum(q1.diagonal().tolist()) + sum(q2.diagonal().tolist())
-        return _Point(q1, q2, grams, wsr, wsr - lam * (used - p))
+        return _Point(q1, q2, grams, wsr, wsr - lam * (used - p), used)
 
     def refresh(q1, q2):
         # The link values at a point that no round produced.
@@ -415,7 +427,16 @@ def bsmm_inner(
             q2, ld2_2, g2_12 = load_modes(k2, lam, y2)
             ld2_12 = ld2_1 + ld2_2
         y = end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, (g2_1, g2_12, g1_12))
-        if y.lagr < x.lagr - _ASCENT_SLACK - 16 * math.ulp(x.lagr):
+        # The blocks ascend with the penalty lam + _S_JITTER (see
+        # load_modes), so the Lagrangian at lam may also fall by _S_JITTER
+        # times the power a round gives up.
+        slack = (
+            _ASCENT_SLACK
+            + 16 * math.ulp(x.lagr)
+            + rounding * max(x.used, y.used)
+            + _S_JITTER * max(x.used - y.used, 0.0)
+        )
+        if y.lagr < x.lagr - slack:
             raise ConsistencyError(
                 f"Lagrangian fell from {x.lagr} to {y.lagr}; price matrix is wrong"
             )
@@ -459,17 +480,18 @@ def bsmm_inner(
                 kept = [x]
             else:
                 x, kept, rival = step, [], x
-    return BsmmState(x.q1, x.q2, n_iters, converged, n_extrapolated)
+    return BsmmState(x.q1, x.q2, n_iters, converged, n_extrapolated, x.wsr)
 
 
 @dataclass(frozen=True)
 class WsrSolution:
     """A weighted-sum-rate point and what its dual search did.
 
-    ``n_rounds`` sums the BSMM rounds of every inner solve of the search,
-    ``n_capped`` counts the inner solves that stopped at ``MAX_INNER``
-    rounds without converging, and ``n_extrapolated`` sums the SQUAREM
-    steps they kept.
+    ``lam`` is the multiplier of the returned point and ``unused`` the
+    budget it leaves, p minus its power.  ``n_bisect`` counts the inner
+    solves of the multiplier search, ``n_rounds`` sums their BSMM rounds,
+    ``n_capped`` counts those that stopped at ``MAX_INNER`` rounds without
+    converging, and ``n_extrapolated`` sums the SQUAREM steps they kept.
     """
 
     q1: np.ndarray
@@ -481,92 +503,146 @@ class WsrSolution:
     n_rounds: int
     n_capped: int
     n_extrapolated: int
+    unused: float
 
 
 def wsr_solve(
     ch: ChannelPair, scenario: Scenario, cfg: WsrConfig, p: float
 ) -> WsrSolution:
-    """Bisection on the power multiplier around the inner block solver.
+    """Root search on the used power over x = 1/lam around the inner solver.
 
-    Power above the budget means the multiplier is too small and below
-    means too large; the bracket halves until narrower than ``EPS2``.
-    The returned point is the last one inside the budget, so its power
-    sits within one bisection band of the budget unless the constraint is
-    slack, in which case the multiplier rests at the bottom of the
-    bracket.
+    Every block penalty is lam*I plus a PSD price, and block 2's whitened
+    channel is no larger than H2, so no mode loads power at
+    lam >= idle = max(k1 ||H1||^2, k2 ||H2||^2), over the blocks'
+    natural-log weights k and spectral norms: the power is 0 for
+    x <= 1/idle, and that end of the bracket needs no solve.  Past it a
+    lone mode of weight k loads k x - 1/sig^2, so the power is close to
+    piecewise linear in x, with a kink where a mode switches on.
 
-    If no multiplier of [LAMBDA_MIN, 10 max(w1, w2, 0.1)] keeps the power
-    within the budget, the search runs once more over
-    [LAMBDA_MIN / 10, max(100 max(w1, w2, 0.1), 2 idle)], with
-    idle = max(k1 ||H1||^2, k2 ||H2||^2) over the blocks' natural-log
-    weights k and spectral norms.  Every block penalty is lam*I plus a PSD
-    price, and block 2's whitened channel is no larger than H2, so at
-    lam >= idle no mode loads power: the top of the second bracket uses
-    none, and a point within the budget is always found.
+    The search steps up from 1/idle, first by p/k for the idle block's k,
+    then by the secant through the last two points, held to 2 to 16 times
+    the last step, until the power exceeds the budget: where the power is
+    concave in x the secant falls short of the budget, and the floor makes
+    the step-up bracket it instead of creeping up on it.  Illinois regula
+    falsi then narrows the bracket, with a bisection step whenever
+    ``_HALVING_STEPS`` steps in a row have not halved it.  The search stops
+    when a point within the budget uses at least (1 - ``POWER_TOL``) of it,
+    when the bracket is 4 ulps wide, or after ``_MAX_SOLVES`` inner solves.
+    The step-up also stops when the constraint is slack: when the unused
+    budget, priced at the multiplier, is worth at most ``POWER_TOL`` of the
+    best weighted sum so far.  The power need not be monotone in x, as
+    inner solves may end at different stationary points, so the search
+    returns the point within the budget with the highest weighted sum that
+    it visited; the zero covariance, at lam = idle, is one.
     """
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"power budget must be positive and finite, got {p}")
-    nt = ch.nt
-    if cfg.w1 == 0 and cfg.w2 == 0:
-        zeros = np.zeros((nt, nt))
-        rates = evaluate_triple(
-            ch, scenario, CovarianceTriple(zeros, zeros, zeros, p), ORDER_12
-        )
-        return WsrSolution(zeros, zeros, rates, LAMBDA_MIN, True, 0, 0, 0, 0)
+    zeros = np.zeros((ch.nt, ch.nt))
+    k1 = bits_block_weight(_block1_weight(scenario, cfg.w1, cfg.w2))
+    k2 = bits_block_weight(cfg.w2)
+    g1, g2 = k1 * np.linalg.norm(ch.h1, 2) ** 2, k2 * np.linalg.norm(ch.h2, 2) ** 2
+    idle = float(max(g1, g2))
+    best = [0.0, None, idle]  # weighted sum, state, multiplier
+    n_solves = n_rounds = n_capped = n_extrapolated = 0
 
-    n_rounds = n_capped = n_extrapolated = 0
-
-    def inner(lam: float):
-        nonlocal n_rounds, n_capped, n_extrapolated
-        state = bsmm_inner(ch, scenario, cfg, lam, p)
+    def power(x: float) -> float:
+        # The power used at lam = 1/x; records the best point within budget.
+        nonlocal n_solves, n_rounds, n_capped, n_extrapolated
+        state = bsmm_inner(ch, scenario, cfg, 1.0 / x, p)
+        n_solves += 1
         n_rounds += state.n_iters
         n_capped += not state.converged
         n_extrapolated += state.n_extrapolated
-        return state, float(np.trace(state.q1) + np.trace(state.q2))
+        used = float(np.trace(state.q1) + np.trace(state.q2))
+        if used <= p and state.wsr > best[0]:
+            best[:] = state.wsr, state, 1.0 / x
+        return used
 
-    def attempt(lo: float, hi: float):
-        feasible = None
-        n = 0
-        while hi - lo > EPS2:
-            mid = 0.5 * (lo + hi)
-            n += 1
-            state, used = inner(mid)
-            if used < p:
-                hi = mid
-                feasible = (state, mid)
+    # The search aims at the middle of the window [(1 - POWER_TOL) p, p], so
+    # that it stops whichever side of the middle it lands on.
+    target = p * (1.0 - 0.5 * POWER_TOL)
+
+    def reached(used: float) -> bool:
+        return (1.0 - POWER_TOL) * p <= used <= p
+
+    def slack(x: float, used: float) -> bool:
+        # The unused budget, priced at lam = 1/x, can raise the weighted sum
+        # by at most lam (p - used) where the inner point maximizes the
+        # Lagrangian: once that is POWER_TOL of the best sum so far, or, while
+        # nothing has loaded, once lam is POWER_TOL of idle, the constraint
+        # is slack to the tolerance.
+        if best[0] > 0.0:
+            return (p - used) / x <= POWER_TOL * best[0]
+        return x * idle * POWER_TOL >= 1.0
+
+    # The penalties carry the _S_JITTER of load_modes, so where idle is no
+    # larger no mode loads at any multiplier.
+    if idle > _S_JITTER:
+        # Step up by secant until the power exceeds the target:
+        # a < b, fa < 0 < fb, with f the power less the target.
+        a, fa = 1.0 / idle, -target
+        step = max(p / (k1 if g1 >= g2 else k2), 4.0 * math.ulp(a))
+        b = a + step
+        used = power(b)
+        fb = used - target
+        while (
+            fb <= 0.0
+            and not reached(used)
+            and not slack(b, used)
+            and n_solves < _MAX_SOLVES
+        ):
+            secant = -fb * step / (fb - fa) if fb > fa else math.inf
+            step = min(max(secant, 2.0 * step), 16.0 * step)
+            a, fa, b = b, fb, b + step
+            used = power(b)
+            fb = used - target
+        # Illinois regula falsi on [a, b], with a bisection step whenever
+        # the bracket has not halved for _HALVING_STEPS steps.  sb stays
+        # positive unless the step-up stopped below the target.
+        sa, sb, side = fa, fb, 0  # the end values, halved on a repeated side
+        width, stalled = b - a, 0
+        while (
+            sb > 0.0
+            and not reached(used)
+            and n_solves < _MAX_SOLVES
+            and b - a > 4.0 * math.ulp(b)
+        ):
+            x = 0.5 * (a + b)
+            if stalled < _HALVING_STEPS:
+                falsi = a - sa * (b - a) / (sb - sa)
+                if a < falsi < b:
+                    x = falsi
+            used = power(x)
+            if used <= target:
+                a, sa = x, used - target
+                if side < 0:
+                    sb *= 0.5
+                side = -1
             else:
-                lo = mid
-        if feasible is None:
-            state, used = inner(hi)
-            if used <= p * (1.0 + 1e-8):
-                feasible = (state, hi)
-        return feasible, n
-
-    lam_top = 10.0 * max(cfg.w1, cfg.w2, 0.1)
-    feasible, n = attempt(LAMBDA_MIN, lam_top)
-    if feasible is None:
-        k1 = bits_block_weight(_block1_weight(scenario, cfg.w1, cfg.w2))
-        k2 = bits_block_weight(cfg.w2)
-        idle = max(
-            k1 * np.linalg.norm(ch.h1, 2) ** 2, k2 * np.linalg.norm(ch.h2, 2) ** 2
-        )
-        feasible, n2 = attempt(LAMBDA_MIN / 10.0, max(lam_top * 10.0, 2.0 * idle))
-        n += n2
-    state, lam = feasible
-    zeros = np.zeros((nt, nt))
-    rates = evaluate_triple(
-        ch, scenario, CovarianceTriple(zeros, state.q1, state.q2, p), ORDER_12
+                b, sb = x, used - target
+                if side > 0:
+                    sa *= 0.5
+                side = 1
+            if b - a <= 0.5 * width:
+                width, stalled = b - a, 0
+            else:
+                stalled += 1
+    _, state, lam = best
+    q1, q2, converged = (zeros, zeros, True) if state is None else (
+        state.q1, state.q2, state.converged
     )
+    rates = evaluate_triple(ch, scenario, CovarianceTriple(zeros, q1, q2, p), ORDER_12)
     return WsrSolution(
-        state.q1,
-        state.q2,
+        q1,
+        q2,
         rates,
         lam,
-        state.converged,
-        n,
+        converged,
+        n_solves,
         n_rounds,
         n_capped,
         n_extrapolated,
+        p - float(np.trace(q1) + np.trace(q2)),
     )
 
 

@@ -32,7 +32,7 @@ SOLVER_SETTINGS = {
     "solver_n_starts": "8",
     "solver_gtol": "9.9999999999999995e-08",
     "solver_gap_tol": "9.9999999999999995e-08",
-    "wsr_eps2": "1.0000000000000001e-05",
+    "wsr_power_tol": "1.0000000000000001e-09",
     "wsr_eps3": "1.0000000000000001e-09",
 }
 
@@ -54,7 +54,7 @@ SEED_FREE_JOBS = {
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
         "0,0,18.979879347884857,12,0,0,1\n"
         "0,9.7205101235393485,18.125419572141908,12,0,0.5,0.5\n"
-        "0,9.7893369274964002,17.979885990779611,21,0,0.5,0.5\n"
+        "0,9.7893369163710044,17.979885990779053,21,0,0.5,0.5\n"
         "0,10.22117475269021,0,12,0,1,0\n",
     ),
 }
@@ -369,6 +369,7 @@ class TestRun:
         assert int(meta["bsmm_rounds"]) == sum(sol.n_rounds for sol in sols) > 0
         assert int(meta["bsmm_capped"]) == sum(sol.n_capped for sol in sols)
         assert int(meta["bsmm_bisect"]) == sum(sol.n_bisect for sol in sols) > 0
+        assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
 
     def test_wsr_sidecar_sums_kept_squarem_steps(self, ch22_file, tmp_path, monkeypatch):
         solve = secregion.wsr.wsr_solve

@@ -10,7 +10,12 @@ from conftest import random_psd
 
 
 def numpy_waterfill(h, p):
-    """Water-filling's covariance written with numpy.linalg, as a reference."""
+    """Water-filling's covariance written with numpy.linalg, as a reference.
+
+    The loads are measured from the gaps between the floors and the
+    smallest one, and each is divided by its mode's computed squared norm,
+    as ``waterfill`` does, so that the trace stays within a few ulps of p.
+    """
     nt = h.shape[1]
     if p == 0:
         return np.zeros((nt, nt))
@@ -22,8 +27,13 @@ def numpy_waterfill(h, p):
     basis = vt[: s_act.size]
     gains = s_act**2
     floors = 1.0 / gains
-    mu = water_level(floors, p)
-    loads = np.maximum(mu - floors, 0.0)
+    gaps = floors - floors[0]
+    k = gaps.size
+    while (p + gaps[:k].sum()) / k < gaps[k - 1]:
+        k -= 1
+    loads = np.zeros(s.size)
+    loads[:k] = (p + gaps[:k].sum()) / k - gaps[:k]
+    loads = loads[: s_act.size] / (basis * basis).sum(axis=1)
     q = (basis.T * loads) @ basis
     return 0.5 * (q + q.T)
 
@@ -132,6 +142,23 @@ class TestWaterfill:
     def test_covariance_matches_numpy_reference(self, case):
         h, p = case
         assert np.array_equal(waterfill(h, p)[0], numpy_waterfill(h, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(channel_cases())
+    def test_trace_within_a_few_ulps_of_budget(self, case):
+        h, p = case
+        trace = np.trace(waterfill(h, p)[0])
+        assert abs(trace - p) <= 8 * np.finfo(float).eps * p
+
+    @pytest.mark.parametrize("h", [1e-8 * np.eye(2), np.diag([1e-8, 0.99e-8]), 0.1 * np.eye(2)])
+    @pytest.mark.parametrize("p", [1e-9, 7.5])
+    def test_budget_far_from_the_floors(self, h, p):
+        # Loads taken from the water level inherit its rounding, an ulp of
+        # the floor 1/sig^2: 1e16 + 3.75 rounds to 1e16 + 4, and the two
+        # modes of 1e-8 I loaded 8.0 for a budget of 7.5.
+        q, rate = waterfill(h, p)
+        assert abs(np.trace(q) - p) <= 8 * np.finfo(float).eps * p
+        assert rate == pytest.approx(gauss_rate(h, q), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(channel_cases(deficient=False))

@@ -24,19 +24,28 @@ from secregion import (
     waterfill,
     wsr_solve,
 )
-from secregion.rates import LN2, rate_stack, resolvent
+from secregion.rates import LN2, evaluate_triple, rate_stack, resolvent
+from secregion.types import ORDER_12, CovarianceTriple
 from secregion.waterfill import SV_CUTOFF_REL
 from secregion.wsr import (
     EPS3,
-    LAMBDA_MIN,
     MAX_INNER,
+    POWER_TOL,
     _block1_weight,
+    bits_block_weight,
     load_modes,
     wsr_sweep,
     wsr_sweep_points,
 )
 
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
+
+
+def idle_multiplier(ch, sc, cfg):
+    """max(k1 ||H1||^2, k2 ||H2||^2): at a larger multiplier no mode loads."""
+    k1 = bits_block_weight(_block1_weight(sc, cfg.w1, cfg.w2))
+    k2 = bits_block_weight(cfg.w2)
+    return max(k1 * np.linalg.norm(ch.h1, 2) ** 2, k2 * np.linalg.norm(ch.h2, 2) ** 2)
 
 
 def random_instance(rng, nt=2, n1=2, n2=2):
@@ -291,11 +300,13 @@ class TestBsmmInner:
         assert sol.rates.r1 == pytest.approx(ref.rate, abs=1e-3)
 
     def test_mid_bracket_convergence(self, ch_row3):
-        # the middle of the first bracket, whose top is 10 * max(w1, w2)
+        # Half the idle multiplier, above which no mode loads power: the
+        # search's bracket starts at its inverse.
         cfg = WsrConfig(w1=1.0, w2=1.0)
-        lam_mid = 0.5 * (LAMBDA_MIN + 10.0)
+        lam_mid = 0.5 * idle_multiplier(ch_row3, Scenario("A", False), cfg)
         st = bsmm_inner(ch_row3, Scenario("A", False), cfg, lam_mid, 10.0)
         assert st.converged and st.n_iters < 200
+        assert np.trace(st.q1) + np.trace(st.q2) > 0.0
 
     @pytest.mark.parametrize("tag, first, per_round", [("A", 2, 1), ("B", 2, 1), ("C", 3, 4)])
     def test_factors_only_what_it_reads(self, ch22, monkeypatch, tag, first, per_round):
@@ -328,6 +339,14 @@ class TestBsmmInner:
         with pytest.raises(ValueError):
             bsmm_inner(ch22, Scenario("A", False), WsrConfig(1, 1), 0.0, 1.0)
 
+    @pytest.mark.parametrize("tag", ["A", "B", "C"])
+    def test_state_carries_weighted_sum(self, ch22, tag):
+        # The end point's unclamped weighted sum, as rate_stack gives it.
+        sc, cfg = Scenario(tag, False), WsrConfig(0.6, 0.4)
+        state = bsmm_inner(ch22, sc, cfg, 0.1, 12.0)
+        want = lagrangian(ch22, sc, cfg, 0.0, 0.0, state.q1, state.q2)
+        assert abs(state.wsr - want) <= 1e-12
+
 
 class TestWsrSolve:
     def test_waterfill_regime(self):
@@ -340,8 +359,45 @@ class TestWsrSolve:
         cfg = WsrConfig(w1=0.5, w2=0.5)
         sol = wsr_solve(ch22, Scenario("C", False), cfg, 12.0)
         used = float(np.trace(sol.q1) + np.trace(sol.q2))
-        assert used <= 12.0 * (1 + 1e-8)
-        assert used >= 11.5  # binding constraint on this instance
+        assert sol.unused == 12.0 - used
+        # binding constraint on this instance
+        assert 12.0 * (1 - POWER_TOL) <= used <= 12.0
+
+    @pytest.mark.parametrize("p", [1e4, 1e6, 1e8])
+    def test_high_power_reaches_waterfill(self, p):
+        # With w1 = 0 the problem is water-filling user 2's channel.  An
+        # absolute 1e-5 bracket on the multiplier once stopped this search
+        # at lam = 1.05e-5, 68,459 units of power at every p from 1e5 on.
+        ch = ChannelPair([[1.0, 0.5]], [[0.3, 1.0]])
+        sol = wsr_solve(ch, Scenario("A", False), WsrConfig(0.0, 1.0), p)
+        assert abs(sol.rates.r2 - waterfill(ch.h2, p)[1]) <= 1e-6
+        assert 0.0 <= sol.unused <= 1e-6 * p
+
+    @pytest.mark.parametrize("tag, p", [("A", 1e8), ("C", 1e12)])
+    def test_high_power_rounds_pass_ascent_check(self, tag, p):
+        # Near the budget a round's Lagrangian can fall by the rounding of
+        # the covariances' entries (A at 1e8) and by the blocks' 1e-12
+        # penalty jitter times the power a round gives up (C at 1e12);
+        # neither is a price bug, and the ascent check allows both.
+        ch = ChannelPair([[0.3, 1.0]], [[1.0, 0.5]])
+        sol = wsr_solve(ch, Scenario(tag, False), WsrConfig(0.5, 0.5), p)
+        assert 0.0 <= sol.unused < p
+
+    @pytest.mark.parametrize("w1", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("tag", ["A", "B", "C"])
+    def test_tiny_budget_spent(self, tag, w1):
+        # At p 1e-9 the power rises from 0 to 1000 p within 0.03% of the
+        # multiplier, so only an exit on power places it.
+        ch, p = ChannelPair([[20.0, 5.0]], [[4.0, 30.0]]), 1e-9
+        sc, cfg = Scenario(tag, False), WsrConfig(w1, 1.0 - w1)
+        sol = wsr_solve(ch, sc, cfg, p)
+        assert 0.0 <= sol.unused <= 1e-6 * p
+        zero = np.zeros((2, 2))
+        ref = evaluate_triple(
+            ch, sc, CovarianceTriple(zero, *bisect_wsr(ch, sc, cfg, p), p), ORDER_12
+        )
+        want = cfg.w1 * ref.r1 + cfg.w2 * ref.r2
+        assert cfg.w1 * sol.rates.r1 + cfg.w2 * sol.rates.r2 >= want * (1 - 2 * POWER_TOL)
 
     @pytest.mark.parametrize("budget", [np.nan, np.inf])
     @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.0, 0.0)])
@@ -447,8 +503,9 @@ class TestWsrConfig:
 
 
 # The no-common wsr solves of the benchmark: every (weight, order) solve of
-# wsr_sweep_points at sigma 0.5, recorded from the inner loop with SQUAREM
-# steps; rates to 1e-12, everything else exactly.
+# wsr_sweep_points at sigma 0.5; rates to 1e-12, counts and multipliers
+# exactly.  Each solve's "floor" is the weighted value that the earlier
+# multiplier bisection, with its absolute 1e-5 bracket, reached there.
 WSR_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "wsr_golden.json").read_text()
 )
@@ -458,8 +515,8 @@ def test_wsr_golden(request):
     total = 0
     for key, want in WSR_GOLDEN["jobs"].items():
         name, tag, power = key.split("-")
-        ch = request.getfixturevalue(name)
-        got = wsr_sweep_points(ch, Scenario(tag, False), float(power[1:]), sigma=0.5)
+        ch, p = request.getfixturevalue(name), float(power[1:])
+        got = wsr_sweep_points(ch, Scenario(tag, False), p, sigma=0.5)
         assert len(got) == len(want)
         for (point, sol), ref in zip(got, want):
             assert point.order == ref["order"]
@@ -475,8 +532,84 @@ def test_wsr_golden(request):
                 ref["n_capped"],
                 ref["n_extrapolated"],
             ), key
+            # In the solution's own roles, whatever the order tag.
+            value = ref["w1"] * sol.rates.r1 + (1.0 - ref["w1"]) * sol.rates.r2
+            assert value >= ref["floor"] - 1e-12, key
+            assert 0.0 <= sol.unused <= POWER_TOL * p, key
             total += sol.n_rounds
-    assert total == WSR_GOLDEN["total_rounds"] == 3248
+    assert total == WSR_GOLDEN["total_rounds"] == 1417
+
+
+def bisect_wsr(ch, sc, cfg, p):
+    """The multiplier search as plain bisection on x = 1/lam, as a reference.
+
+    From 1/idle, at which no mode loads, x doubles until the power exceeds
+    p; then the bracket halves until it is 4 ulps wide.  Returns the blocks
+    of the last inner solve within the budget (zero if there is none).
+    """
+
+    def solve(x):
+        state = bsmm_inner(ch, sc, cfg, 1.0 / x, p)
+        return state, float(np.trace(state.q1) + np.trace(state.q2))
+
+    zero = np.zeros((ch.nt, ch.nt))
+    feasible = (zero, zero)
+    lo = 1.0 / idle_multiplier(ch, sc, cfg)
+    hi = 2.0 * lo
+    state, used = solve(hi)
+    while used <= p:
+        feasible, lo, hi = (state.q1, state.q2), hi, 2.0 * hi
+        state, used = solve(hi)
+    while hi - lo > 4.0 * math.ulp(hi):
+        mid = 0.5 * (lo + hi)
+        state, used = solve(mid)
+        if used <= p:
+            feasible, lo = (state.q1, state.q2), mid
+        else:
+            hi = mid
+    return feasible
+
+
+@st.composite
+def budget_cases(draw):
+    """A channel pair (nt 1-4, 1-4 rows each), a scenario, weights that are
+    0 one time in three and otherwise in [0.01, 1], and a budget log-uniform
+    in [1e-6, 1e6].  Smaller weights are left out: the blocks' 1e-12 penalty
+    jitter caps a mode of weight k at about k * 1e12 units of power."""
+    nt = draw(st.integers(1, 4))
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ch = ChannelPair(rng.standard_normal((n1, nt)), rng.standard_normal((n2, nt)))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+    cfg = WsrConfig(draw(weight), draw(weight))
+    return ch, Scenario(draw(st.sampled_from("ABC")), False), cfg, 10.0 ** draw(
+        st.floats(-6.0, 6.0)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(budget_cases())
+def test_power_budget_at_every_scale(case):
+    # Never over the budget.  Where the weighted sum is one user's
+    # water-filling (scenarios A and B with w1 = 0, scenario A with w2 = 0)
+    # the power is continuous and unbounded in 1/lam, so the search also
+    # spends the budget and reaches water-filling's rate.  With both blocks
+    # active the inner solves can end at different stationary points on
+    # either side of a multiplier, and the power can jump past the budget.
+    ch, sc, cfg, p = case
+    sol = wsr_solve(ch, sc, cfg, p)
+    used = float(np.trace(sol.q1) + np.trace(sol.q2))
+    assert used <= p * (1 + 1e-8)
+    assert sol.unused == p - used
+    if sc.tag in "AB" and cfg.w1 == 0.0 < cfg.w2:
+        h, rate = ch.h2, sol.rates.r2
+    elif sc.tag == "A" and cfg.w2 == 0.0 < cfg.w1:
+        h, rate = ch.h1, sol.rates.r1
+    else:
+        return
+    assert used >= (1 - 1e-6) * p
+    want = waterfill(h, p)[1]
+    assert abs(rate - want) <= 1e-6 * want
 
 
 @st.composite
