@@ -131,8 +131,8 @@ def _fmt(x: float) -> str:
 
 def _csv_rows_ps(ch, scenario, cfg):
     pts = sweep_points(ch, scenario, cfg.power, cfg.eps1)
-    # hull_pareto returns only objects of its input (the origin it appends
-    # never survives), so each kept point is the rates of one solved split.
+    # hull_pareto returns only objects of its input, so each kept point is
+    # the rates of one solved split.
     split_of = {id(sp.rates): sp.split for sp in pts}
     rows = [
         (t, *map(_fmt, split_of[id(t)].as_tuple()))

@@ -31,8 +31,7 @@ the general-purpose ``scipy.optimize.minimize`` spent more time in its own
 bookkeeping than in the objective.  No module of the package imports
 scipy when it is loaded, and no search loads it: the wiretap solve loads
 ``scipy.linalg`` for its generalized eigenproblem, and ``splitting`` loads
-``scipy.spatial`` and ``scipy.optimize`` for its 3-D hulls and
-``region_contains``.
+``scipy.optimize`` for ``region_contains`` only.
 """
 
 from __future__ import annotations

@@ -17,17 +17,20 @@ that call's rates for the same messages; a disagreement beyond 1e-9
 raises ``ConsistencyError``, keeping the transform identities
 load-bearing.
 
-The hulls of regions without a common message are 2-D, over (r1, r2),
-and Andrew's monotone chain builds them here.  ``scipy.spatial`` (Qhull)
-builds only the 3-D hulls, and ``scipy.optimize`` serves only
+A region is reported as its frontier under time-sharing: the vertices of
+the free-disposal hull of its points, the points some nonnegative weight
+on (r0, r1, r2) exposes.  ``hull_pareto`` builds it here in numpy, with
+Andrew's monotone chain for regions without a common message (2-D, over
+(r1, r2)) and Quickhull over the points and their free-disposal corners
+for the rest (3-D), so no job loads Qhull.  ``scipy.optimize`` serves only
 ``region_contains``, its one user in the package (the searches run the
-package's own BFGS ascent); both are imported where they are called.
-Loading them with the module took about 40% of the time a fresh process
-needs to import ``secregion.cli``, and most CLI jobs never call them.
+package's own BFGS ascent), and is imported where it is called, as no CLI
+job calls it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +42,6 @@ from .transforms import whiten_multicast, whiten_p2p, whiten_wiretap
 from .types import (
     ORDER_12,
     ORDER_21,
-    ORDER_NA,
     ChannelPair,
     ConsistencyError,
     CovarianceTriple,
@@ -59,12 +61,12 @@ _BUDGET_FLOOR_REL = 1e-12
 # Whitened-solver rates must match original-channel rates to this bound.
 _EQUIV_TOL = 1e-9
 
-# The 2-D hull keeps a point a between o and b only when a lies left of
-# the line o -> b by more than this share of the largest coordinate, so
-# that points within rounding of an edge are not vertices, as in Qhull's
-# hull (whose margin is about 3e-15 of the largest coordinate).  A margin
-# relative to |a - o| instead would keep rounding noise at a point close
-# to o.
+# A frontier keeps a point only when it lies beyond the edge (2-D) or the
+# facet (3-D) of the others by more than this share of the largest
+# coordinate, so that points within rounding of an edge or a facet are not
+# vertices, as in Qhull's hulls (whose margin is about 3e-15 of the largest
+# coordinate).  A margin relative to the edge, as |a - o| for a point a
+# between o and b, would keep rounding noise at a point close to o.
 _COLLINEAR_REL = 1e-13
 
 
@@ -213,7 +215,7 @@ def sweep_points(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> 
 
 
 def sweep_region(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> RateRegion:
-    """Achievable region: Pareto frontier of the hull of all swept splits."""
+    """Achievable region: the frontier of all swept splits under time-sharing."""
     pts = sweep_points(ch, scenario, p, eps1)
     return RateRegion(tuple(hull_pareto([sp.rates for sp in pts])), scenario, p)
 
@@ -239,71 +241,192 @@ def _chain(xy: list, idx, tol: float) -> list:
     return kept
 
 
-def _hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Vertex indices of the convex hull of 2-D points, counterclockwise.
+def _frontier_2d(xy: np.ndarray, tol: float) -> np.ndarray:
+    """Vertex indices of the free-disposal hull of nonnegative 2-D points.
 
-    Andrew's monotone chain: the lower hull over the points sorted by
-    (x, y), then the upper hull over them in reverse.
+    The points no other point weakly dominates (the first of equal ones)
+    form a staircase, taken in descending x.  Between the hull's corners
+    (x_max, 0) and (0, y_max) the monotone chain keeps its vertices, as the
+    upper half of Andrew's algorithm would.  The two ends of the staircase
+    are always vertices, even when one lies within ``tol`` of its corner.
     """
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    xy = pts[order].tolist()
-    tol = _COLLINEAR_REL * float(np.abs(pts).max())
-    lower = _chain(xy, range(len(xy)), tol)
-    upper = _chain(xy, range(len(xy) - 1, -1, -1), tol)
-    return order[lower[:-1] + upper[:-1]]
+    order = np.lexsort((-xy[:, 1], -xy[:, 0]))
+    y = xy[order, 1]
+    stair = np.ones(len(y), dtype=bool)
+    stair[1:] = y[1:] > np.maximum.accumulate(y)[:-1]
+    order = order[stair]
+    seq = xy[order].tolist()
+    seq = [[seq[0][0], 0.0], *seq, [0.0, seq[-1][1]]]
+    inner = [i - 1 for i in _chain(seq, range(len(seq)), tol)[1:-1]]
+    return order[sorted({0, len(order) - 1, *inner})]
 
 
-def _hull_vertex_indices(arr: np.ndarray) -> np.ndarray:
-    """Indices of hull vertices of the rows of ``arr``, robust to degeneracy.
+def _frontier_3d(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Vertex indices of the free-disposal hull of nonnegative 3-D points.
 
-    The hull is built in 2-D over (r1, r2) when every r0 vanishes and in
-    3-D otherwise; rank-deficient or tiny inputs fall back to keeping all
-    rows (the Pareto filter still runs afterwards).  Only the 3-D hull
-    loads ``scipy.spatial``.
+    That hull is the convex hull of the points and their corners, the
+    copies with some coordinates zeroed.  Quickhull (Barber, Dobkin &
+    Huhdanpaa, ACM TOMS 1996) builds it from the simplex of the origin and
+    the three axis maxima.  The corners needed are the axis maxima and,
+    in each coordinate plane, the vertices of the 2-D frontier of the
+    points' projection; coordinates within ``tol`` of 0 are set to 0 first.
+
+    A point joins the hull only when it lies more than ``tol`` outside a
+    facet, and every facet it lies less than ``tol`` under is replaced with
+    the ones it sees.  So no facet is ever a sliver, and no point within
+    ``tol`` of a facet or an edge of the final hull is one of its vertices.
+    Of equal points the cloud's row with the lowest index joins.  The
+    points whose projections give the corners are vertices as well (a
+    weight nearly zero on the dropped coordinate exposes each), and they
+    are returned even where they lie within ``tol`` of their corner.
     """
-    uniq, first_idx = np.unique(arr, axis=0, return_index=True)
-    if np.ptp(arr[:, 0]) <= 1e-12:
-        pts = uniq[:, 1:]
-    else:
-        pts = uniq
-    dim = pts.shape[1]
-    if uniq.shape[0] < dim + 2:
-        return first_idx
-    centered = pts - pts.mean(axis=0)
-    rank = np.linalg.matrix_rank(centered, tol=1e-12)
-    if rank < dim:
-        return first_idx
-    if dim == 2:
-        return first_idx[_hull_2d(pts)]
-    from scipy.spatial import ConvexHull, QhullError
+    n = len(pts)
+    pts = np.where(pts > tol, pts, 0.0)
+    rows, sources = [pts], []
+    for k in range(3):
+        sources.append(_frontier_2d(np.delete(pts, k, axis=1), tol))
+        corner = pts[sources[-1]]
+        corner[:, k] = 0.0
+        rows.append(corner)
+    rows += [np.diag(pts.max(axis=0)), np.zeros((1, 3))]
+    cloud = np.vstack(rows)
+    xyz = cloud.tolist()
+    # Facet f: vertices counterclockwise seen from outside, unit outward
+    # normal, offset, the facet across each edge (verts[k], verts[k + 1]),
+    # and the (indices, heights) of the points it is the farthest under.
+    verts, normal, offset, across, outside, alive = [], [], [], [], [], []
 
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        return first_idx
-    return first_idx[hull.vertices]
+    def add_facet(a, b, c):
+        ax, ay, az = xyz[a]
+        ux, uy, uz = (q - r for q, r in zip(xyz[b], xyz[a]))
+        vx, vy, vz = (q - r for q, r in zip(xyz[c], xyz[a]))
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        s = math.sqrt(nx * nx + ny * ny + nz * nz)
+        normal.append((nx / s, ny / s, nz / s))
+        offset.append((nx * ax + ny * ay + nz * az) / s)
+        verts.append((a, b, c))
+        across.append([-1, -1, -1])
+        outside.append(None)
+        alive.append(True)
+        return len(verts) - 1
+
+    def height(f, p):
+        (nx, ny, nz), (x, y, z) = normal[f], xyz[p]
+        return nx * x + ny * y + nz * z - offset[f]
+
+    def share(facets, idx):
+        """Hand each point of ``idx`` to the facet it lies farthest over."""
+        if not len(idx):
+            return
+        h = cloud[idx] @ np.array([normal[f] for f in facets]).T
+        h -= np.array([offset[f] for f in facets])
+        best = h.argmax(axis=1)
+        far = h[np.arange(len(idx)), best]
+        for j, f in enumerate(facets):
+            sel = (best == j) & (far > tol)
+            if sel.any():
+                outside[f] = (idx[sel], far[sel])
+
+    a0, a1, a2, origin = range(len(xyz) - 4, len(xyz))
+    first = [
+        add_facet(origin, a1, a0),
+        add_facet(origin, a2, a1),
+        add_facet(origin, a0, a2),
+        add_facet(a0, a1, a2),
+    ]
+    edge_of = {}
+    for f in first:
+        a, b, c = verts[f]
+        edge_of.update({(a, b): f, (b, c): f, (c, a): f})
+    for f in first:
+        a, b, c = verts[f]
+        across[f] = [edge_of[(b, a)], edge_of[(c, b)], edge_of[(a, c)]]
+    share(first, np.arange(len(xyz) - 4))
+    todo = [f for f in first if outside[f] is not None]
+    while todo:
+        f = todo.pop()
+        if not alive[f]:
+            continue
+        idx, far = outside[f]
+        eye = int(idx[far.argmax()])
+        # Walk the facets the eye sees, or lies within tol under, depth
+        # first and each edge counterclockwise: the edges to the others
+        # come out as the horizon, in order around the eye (Lloyd's
+        # quickhull3d).
+        seen, horizon, stack = {f}, [], [(f, [0, 1, 2])]
+        while stack:
+            g, edges = stack[-1]
+            if not edges:
+                stack.pop()
+                continue
+            k = edges.pop(0)
+            h = across[g][k]
+            if h in seen:
+                continue
+            if height(h, eye) > -tol:
+                seen.add(h)
+                e = across[h].index(g)
+                stack.append((h, [(e + 1) % 3, (e + 2) % 3]))
+            else:
+                horizon.append((verts[g][k], verts[g][(k + 1) % 3], h))
+        new = [add_facet(a, b, eye) for a, b, _ in horizon]
+        for i, (a, b, h) in enumerate(horizon):
+            across[new[i]] = [h, new[(i + 1) % len(new)], new[i - 1]]
+            across[h][verts[h].index(b)] = new[i]
+        pool = [outside[g][0] for g in seen if outside[g] is not None]
+        for g in seen:
+            alive[g] = False
+            outside[g] = None
+        if pool:
+            idx = np.sort(np.concatenate(pool))
+            share(new, idx[idx != eye])
+        todo.extend(g for g in new if outside[g] is not None)
+    hull = {v for f in range(len(verts)) if alive[f] for v in verts[f] if v < n}
+    return np.union1d(sorted(hull), np.concatenate(sources)).astype(int)
+
+
+def _frontier_vertices(cloud: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``cloud`` that span its free-disposal hull.
+
+    ``cloud`` holds distinct nonnegative rows of up to three rates, none
+    strictly dominated by another.  Its free-disposal hull is
+    (conv(F + {0}) - R+^d) & R+^d, and the rows returned are its vertices:
+    the rows that some nonnegative weight exposes.  A row within
+    ``_COLLINEAR_REL`` times the largest coordinate of an edge or a facet
+    is not a vertex, and a coordinate no row exceeds by that margin is
+    dropped, so the answer does not depend on the scale of the rates.
+    """
+    scale = float(cloud.max())
+    if scale <= 0.0:
+        return np.zeros(1, dtype=int)
+    tol = _COLLINEAR_REL * scale
+    pts = cloud[:, cloud.max(axis=0) > tol]
+    if pts.shape[1] == 1:
+        return np.array([int(pts[:, 0].argmax())])
+    if pts.shape[1] == 2:
+        return _frontier_2d(pts, tol)
+    return _frontier_3d(pts, tol)
 
 
 def hull_pareto(points: Sequence[RateTriple]) -> list:
-    """Pareto-nondominated vertices of the hull of the points plus the origin.
+    """Vertices of the free-disposal hull of the points: the frontier.
 
-    Time-sharing between any two returned points lies on or under the
-    returned surface.  Dominated points are swept out before the hull is
-    built, which keeps the hull input small even for oracle-sized clouds.
-    It returns objects of its input only, of equal points the first in
-    input order, sorted by coordinates for reproducible downstream files.
+    The returned points are the ones some nonnegative weight on
+    (r0, r1, r2) exposes, so none lies under a time-share of the others,
+    and every other point lies under a time-share of the returned ones
+    (within ``_COLLINEAR_REL`` of the largest rate).  Dominated points
+    are swept out first, which keeps the hull input small even for
+    oracle-sized clouds.  It returns objects of its input only, of equal
+    points the first in input order, sorted by coordinates for
+    reproducible downstream files.
     """
     pts = list(points)
     if not pts:
         raise ValueError("hull_pareto needs at least one point")
-    # The origin anchors the hull from below so that points under the
-    # time-sharing surface are interior; it joins after the Pareto sweep
-    # (which would discard it) and leaves again in the final filter.
     frontier = pareto_filter(pts)
-    frontier.append(RateTriple(0.0, 0.0, 0.0, ORDER_NA))
     arr = np.array([t.as_array() for t in frontier])
-    candidates = [frontier[i] for i in _hull_vertex_indices(arr)]
-    kept = pareto_filter(candidates)
+    uniq, first_idx = np.unique(arr, axis=0, return_index=True)
+    kept = [frontier[i] for i in first_idx[_frontier_vertices(uniq)]]
     kept.sort(key=lambda t: (t.r0, t.r1, t.r2, t.order))
     return kept
 

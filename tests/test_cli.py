@@ -600,16 +600,16 @@ _DEFERRED_IMPORT_SCRIPT = textwrap.dedent(
 )
 
 
-def test_scipy_optimize_and_spatial_load_only_when_called(ch22_file):
+def test_scipy_linalg_alone_loads_and_only_for_wiretap_solves(ch22_file):
     # No search loads scipy: the ascents are the package's own.  scipy.linalg
-    # serves only the generalized eigenproblem of a wiretap solve and
-    # scipy.spatial only the 3-D hulls of common-on regions (it imports
-    # scipy.linalg itself); scipy.optimize serves only region_contains, which
-    # no job calls.  Jobs that need neither load no scipy at all.  Both ps
+    # serves only the generalized eigenproblem of a wiretap solve, and every
+    # frontier, 2-D or 3-D, is built in `splitting`; scipy.optimize serves
+    # only region_contains, which no job calls.  So jobs without a wiretap
+    # solve, the common-on oracle among them, load no scipy at all.  Both ps
     # jobs run wiretap ascents, as ch22's receivers have two rows.
     src = str(Path(secregion.wsr.__file__).resolve().parents[1])
     jobs = [
-        "oracle:A:off", "wsr:C:off", "tdma:A:off", "ps:C:off", "oracle:A:on", "ps:C:on"
+        "oracle:A:off", "wsr:C:off", "tdma:A:off", "oracle:A:on", "ps:C:off", "ps:C:on"
     ]
     done = subprocess.run(
         [sys.executable, "-c", _DEFERRED_IMPORT_SCRIPT, ch22_file, *jobs],
@@ -625,7 +625,7 @@ def test_scipy_optimize_and_spatial_load_only_when_called(ch22_file):
         ["oracle:A:off", []],
         ["wsr:C:off", []],
         ["tdma:A:off", []],
+        ["oracle:A:on", []],
         ["ps:C:off", ["scipy", "scipy.linalg"]],
-        ["oracle:A:on", ["scipy", "scipy.linalg", "scipy.spatial"]],
-        ["ps:C:on", ["scipy", "scipy.linalg", "scipy.spatial"]],
+        ["ps:C:on", ["scipy", "scipy.linalg"]],
     ]

@@ -105,3 +105,16 @@ def test_scipy_optimize_only_in_splitting():
         if tok.type == tokenize.NAME and tok.string == "optimize"
     ]
     assert not offenders, "scipy.optimize outside splitting:\n" + "\n".join(offenders)
+
+
+def test_scipy_spatial_nowhere():
+    # `splitting` builds every frontier with its own Quickhull, so no module
+    # loads Qhull; the tests keep it only as a reference.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string == "spatial"
+    ]
+    assert not offenders, "scipy.spatial in the package:\n" + "\n".join(offenders)

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from secregion import (
@@ -12,10 +15,12 @@ from secregion import (
     ORDER_21,
     PowerSplit,
     RateTriple,
+    RunConfig,
     Scenario,
     gauss_rate,
     hull_pareto,
     region_contains,
+    run,
     solve_split,
     solve_wiretap,
     sweep_points,
@@ -24,6 +29,7 @@ from secregion import (
 )
 from secregion import splitting
 from secregion.splitting import _alpha_grid
+from secregion.types import pareto_mask
 
 
 class TestSolveSplit:
@@ -229,6 +235,63 @@ class TestConsistencyGate:
             sweep_points(ch22, sc, 12.0, 0.5)
 
 
+def _timeshare_gain(others: np.ndarray, target: np.ndarray) -> float:
+    """Largest t with target + t under a time-share of ``others`` and 0.
+
+    A linear program, solved to 1e-10: `region_contains` keeps linprog's
+    default feasibility tolerance of 1e-7, too coarse to tell a point
+    1e-11 under a time-share from one 1e-9 under.
+    """
+    n, d = others.shape
+    res = linprog(
+        c=np.r_[np.zeros(n), -1.0],
+        A_ub=np.vstack([np.hstack([-others.T, np.ones((d, 1))]), np.r_[np.ones(n), 0.0]]),
+        b_ub=np.r_[-target, 1.0],
+        bounds=[(0.0, None)] * n + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _under_a_timeshare(rows: np.ndarray, margin: float = 1e-9) -> list:
+    """Rows that a time-share of the others exceeds by more than ``margin``
+    times the largest rate in every coordinate."""
+    rows = np.asarray(rows, dtype=float)
+    rows = rows / (rows.max() if rows.max() > 0 else 1.0)
+    return [
+        i
+        for i in range(len(rows))
+        if len(rows) > 1 and _timeshare_gain(np.delete(rows, i, axis=0), rows[i]) > margin
+    ]
+
+
+@st.composite
+def frontier_clouds(draw):
+    """Nonnegative rate clouds, 2-D (r0 = 0) or 3-D, with ties, duplicates,
+    collinear and near-coplanar points, at scales from 1e-14 to 1e6."""
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "random", "segment", "plane", "near-plane"]))
+    if kind == "grid":
+        rows = rng.integers(0, 4, (n, 3)).astype(float)
+    elif kind == "random":
+        rows = rng.random((n, 3))
+    elif kind == "segment":
+        a, b, t = rng.random(3), rng.random(3), rng.random(n)
+        rows = np.outer(t, a) + np.outer(1.0 - t, b)
+    else:
+        rows = rng.dirichlet(np.ones(3), n)
+        if kind == "near-plane":
+            rows *= 1.0 + 1e-12 * rng.standard_normal((n, 1))
+    if draw(st.booleans()):
+        rows[:, 0] = 0.0
+    if draw(st.booleans()):
+        rows = np.vstack([rows, rows[: n // 2]])
+    return rows * 10.0 ** draw(st.floats(-14.0, 6.0))
+
+
 def _hull_cloud(rng, kind):
     n = int(rng.integers(4, 60))
     if kind == "random":
@@ -282,22 +345,108 @@ class TestHullPareto:
             assert region_contains(reg, mid, slack=1e-9)
 
     @pytest.mark.parametrize("kind", ["random", "grid", "arc", "segment"])
-    def test_2d_hull_matches_qhull(self, kind):
-        # Qhull stays the reference for the monotone chain.  On segment clouds
-        # an exact sign test would keep points within rounding of an edge that
-        # Qhull drops, and so would a margin relative to |a - o| at the points
-        # close to an end.
+    def test_2d_frontier_matches_qhull(self, kind):
+        # Qhull stays the reference for the 2-D margin: the frontier is the
+        # part of the hull of the Pareto points and the free-disposal corners
+        # (x_max, 0), (0, y_max) and the origin that the monotone chain walks.
+        # On segment clouds an exact sign test would keep points within
+        # rounding of an edge that Qhull drops, and so would a margin
+        # relative to |a - o| at the points close to an end.
         rng = np.random.default_rng(7)
-        compared = 0
         for _ in range(1000):
             pts = np.unique(_hull_cloud(rng, kind), axis=0)
-            if len(pts) < 4 or np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-12) < 2:
-                continue
-            want = np.unique(pts[ConvexHull(pts).vertices], axis=0)
-            got = np.unique(pts[splitting._hull_2d(pts)], axis=0)
+            pts = pts[pareto_mask(np.column_stack([np.zeros(len(pts)), pts]))]
+            got = np.unique(pts[splitting._frontier_vertices(pts)], axis=0)
+            if len(pts) < 3:
+                want = pts
+            else:
+                corners = np.diag(pts.max(axis=0))
+                hull = ConvexHull(np.vstack([pts, corners, np.zeros(2)]))
+                want = np.unique(pts[hull.vertices[hull.vertices < len(pts)]], axis=0)
             assert np.array_equal(got, want), pts.tolist()
-            compared += 1
-        assert compared >= 900
+
+    def test_point_under_a_timeshare_dropped(self):
+        # (0.4, 0.4, 0.9) is a vertex of the convex hull, but the midpoint of
+        # the other two dominates it.
+        pts = [RateTriple(1, 0, 1), RateTriple(0, 1, 1), RateTriple(0.4, 0.4, 0.9)]
+        assert hull_pareto(pts) == pts[1::-1]
+
+    def test_point_exposed_by_no_hull_facet_kept(self):
+        # Each point is exposed by a positive weight, yet the outward normal
+        # of their triangle, (0.98, -0.01, -0.01) up to scale, is not
+        # nonnegative: no facet of their hull with the origin exposes them.
+        pts = [RateTriple(1, 0.99, 0.99), RateTriple(0.99, 1, 0), RateTriple(0.99, 0, 1)]
+        assert sorted(hull_pareto(pts), key=pts.index) == pts
+
+    @pytest.mark.parametrize("plane", ["simplex", "r2-zero"])
+    def test_coplanar_cloud_keeps_the_plane_vertices(self, plane):
+        # With the origin, points on r2 = 0 span only a plane: the rank
+        # fallback of the Qhull-based hull kept every Pareto point of them.
+        rng = np.random.default_rng(3)
+        if plane == "r2-zero":
+            rows = np.column_stack([rng.random((40, 2)), np.zeros(40)])
+            rows = rows[pareto_mask(rows)]
+            flat = np.vstack([rows[:, :2], np.zeros(2)])
+        else:
+            rows = rng.dirichlet(np.ones(3), 40)
+            flat = rows[:, :2]
+        vertices = ConvexHull(flat).vertices
+        want = rows[vertices[vertices < len(rows)]]
+        got = np.array([t.as_array() for t in hull_pareto([RateTriple(*r) for r in rows])])
+        assert 3 <= len(got) < len(rows)
+        assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
+
+    def test_frontier_does_not_depend_on_scale(self, ch22):
+        # The 2-D/3-D choice and every margin are relative: the frontier of
+        # a tiny budget's points is the frontier of those points scaled up.
+        # Powers of two scale the rates exactly.
+        pts = sweep_points(ch22, Scenario("A"), 1e-10, 0.25)
+
+        def kept(shift):
+            scaled = [
+                RateTriple(*np.ldexp(sp.rates.as_array(), shift), sp.rates.order) for sp in pts
+            ]
+            where = {id(t): i for i, t in enumerate(scaled)}
+            return [where[id(t)] for t in hull_pareto(scaled)]
+
+        assert len(kept(0)) > 3
+        assert kept(-60) == kept(-20) == kept(0) == kept(40)
+
+    @pytest.mark.parametrize("power", [1e-10, 1e-14])
+    def test_tiny_budget_rows_not_under_a_timeshare(self, ch22, power):
+        reg = sweep_region(ch22, Scenario("A"), power, 0.25)
+        rows = reg.as_array()
+        assert _under_a_timeshare(rows) == []
+
+    def test_oracle_rows_not_under_a_timeshare(self, tmp_path):
+        # A rank-one degraded pair: before the in-house frontier, 13 of this
+        # job's 25 rows lay under a time-share of the others.
+        channels = tmp_path / "deg.txt"
+        channels.write_text("1 1 2\n1 0.5\n2 1\n", encoding="utf-8")
+        out = tmp_path / "oracle.csv"
+        cfg = RunConfig(
+            channels=str(channels),
+            scenario="A",
+            method="oracle",
+            power=4.0,
+            out=str(out),
+            common=True,
+            samples=300,
+        )
+        assert run(cfg) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+        assert len(rows) > 3
+        assert _under_a_timeshare(rows) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(frontier_clouds())
+    def test_frontier_spans_the_cloud(self, rows):
+        kept = hull_pareto([RateTriple(*row) for row in rows])
+        got = np.array([t.as_array() for t in kept])
+        scale = rows.max() if rows.max() > 0 else 1.0
+        assert _under_a_timeshare(got) == []
+        for row in rows:
+            assert region_contains(got / scale, row / scale, slack=1e-9)
 
 
 class TestRegionContains:
