@@ -346,7 +346,9 @@ def bsmm_inner(
     cone.  At alpha = -1, x' would be x2, and the loop goes on from x2.
     Otherwise the link values at x' are computed afresh and one round
     gives x3 = F(x'), kept only if its Lagrangian is no lower than x2's;
-    else the loop goes on from x2.  So the Lagrangian never falls from
+    else the loop goes on from x2.  A step so long that round-off defeats
+    a factor at x' or a factor or penalty of the round from it is dropped
+    the same way.  So the Lagrangian never falls from
     kept point to kept point.  The loop stops when the weighted sum rate
     moves by less than ``EPS3`` between consecutive kept points, or after
     ``MAX_INNER`` rounds, counting each round from an extrapolated point.
@@ -451,7 +453,11 @@ def bsmm_inner(
             return None
         alpha = -norm_r / norm_v
         x = np.stack((x0.q1, x0.q2)) - (2.0 * alpha) * r + (alpha * alpha) * v
-        return refresh(*_psd_part(x))
+        try:
+            return refresh(*_psd_part(x))
+        except np.linalg.LinAlgError:
+            # So long a step that round-off defeats a factor at its point.
+            return None
 
     start = (p / (2.0 * nt)) * identity(nt)
     x = refresh(start, start)
@@ -461,10 +467,18 @@ def bsmm_inner(
     n_iters = n_extrapolated = 0
     converged = False
     while n_iters < MAX_INNER:
-        x = bsmm_round(x)
+        try:
+            x = bsmm_round(x)
+        except (np.linalg.LinAlgError, ValueError):
+            # From an extrapolated point so far out that round-off makes a
+            # factor or a penalty fail, the round is dropped like one whose
+            # Lagrangian falls; from a kept point it is an error.
+            if rival is None:
+                raise
+            x = None
         n_iters += 1
         if rival is not None:
-            if x.lagr < rival.lagr:
+            if x is None or x.lagr < rival.lagr:
                 x, kept, rival = rival, [rival], None
                 continue
             n_extrapolated += 1
