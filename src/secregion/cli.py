@@ -5,11 +5,15 @@ with 17-significant-digit decimals (exact double round-trip) plus a
 human-readable key=value sidecar carrying every parameter, tolerance, the
 seed, wall time, and solver flags.  The seed reaches only the ``oracle``
 draws; every other method gives the same output for every seed.  A
-``wsr`` job's sidecar also sums the BSMM rounds (``bsmm_rounds``), the
-SQUAREM steps the inner solves kept (``bsmm_extrapolated``), the inner
-solves that hit the round cap (``bsmm_capped``) and the inner solves of
-the multiplier searches (``bsmm_bisect``) over its solves, and gives the
-most budget any solve left unused (``wsr_unused_power_max``).  Every
+``wsr`` job's sidecar also sums its solves' counts: in scenarios A and B
+the BSMM rounds (``bsmm_rounds``), the SQUAREM steps the inner solves kept
+(``bsmm_extrapolated``), the inner solves that hit the round cap
+(``bsmm_capped``) and the inner solves of the multiplier searches
+(``bsmm_bisect``); in scenario C, which runs the secret-DPC corner search
+instead, its ascents (``corner_ascents``), their objective calls
+(``corner_evals``) and the ascents that hit the iteration cap
+(``corner_unconverged``).  It also gives the most budget any solve left
+unused (``wsr_unused_power_max``).  Every
 sidecar records the search's relative power tolerance (``wsr_power_tol``)
 beside the inner stop rule (``wsr_eps3``).  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
@@ -35,6 +39,21 @@ from .wsr import EPS3, POWER_TOL, wsr_sweep_points
 METHODS = ("ps", "wsr", "tdma", "oma", "oracle")
 
 CSV_HEADER = "r0,r1,r2,order,alpha0,alpha1,alpha2"
+
+# Sidecar key -> the ``WsrSolution`` count that a wsr job sums over its
+# solves, for the BSMM solves of scenarios A and B and the corner searches
+# of scenario C.
+_BSMM_COUNTS = {
+    "bsmm_rounds": "n_rounds",
+    "bsmm_extrapolated": "n_extrapolated",
+    "bsmm_capped": "n_capped",
+    "bsmm_bisect": "n_bisect",
+}
+_CORNER_COUNTS = {
+    "corner_ascents": "n_ascents",
+    "corner_evals": "n_evals",
+    "corner_unconverged": "n_unconverged_ascents",
+}
 
 # Methods defined only without a common message -> their name in messages.
 _COMMON_OFF_ONLY = {"wsr": "weighted-sum-rate method", "oma": "time-share baseline"}
@@ -173,9 +192,9 @@ def _method_param_problem(cfg: RunConfig) -> str | None:
 
 
 def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
-    """CSV rows, unconverged-solve count and BSMM sidecar lines of one job."""
+    """CSV rows, unconverged-solve count and WSR sidecar lines of one job."""
     n_unconverged = 0
-    bsmm = {}
+    counts = {}
     if cfg.method == "ps":
         rows, n_unconverged = _csv_rows_ps(ch, scenario, cfg)
     else:
@@ -183,13 +202,12 @@ def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
             solved = wsr_sweep_points(ch, scenario, cfg.power, sigma=cfg.sigma)
             points = hull_pareto([pt for pt, _ in solved])
             n_unconverged = sum(1 for _, sol in solved if not sol.converged)
-            bsmm = {
-                "bsmm_rounds": str(sum(sol.n_rounds for _, sol in solved)),
-                "bsmm_extrapolated": str(sum(sol.n_extrapolated for _, sol in solved)),
-                "bsmm_capped": str(sum(sol.n_capped for _, sol in solved)),
-                "bsmm_bisect": str(sum(sol.n_bisect for _, sol in solved)),
-                "wsr_unused_power_max": _fmt(max(sol.unused for _, sol in solved)),
+            named = _CORNER_COUNTS if scenario.user2_confidential else _BSMM_COUNTS
+            counts = {
+                key: str(sum(getattr(sol, field) for _, sol in solved))
+                for key, field in named.items()
             }
+            counts["wsr_unused_power_max"] = _fmt(max(sol.unused for _, sol in solved))
         elif cfg.method == "tdma":
             points = tdma_region(ch, scenario, cfg.power).points
         elif cfg.method == "oma":
@@ -199,7 +217,7 @@ def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
                 ch, scenario, cfg.power, cfg.samples, seed=cfg.seed
             ).points
         rows = [(t, "", "", "") for t in points]
-    return rows, n_unconverged, bsmm
+    return rows, n_unconverged, counts
 
 
 def run(cfg: RunConfig) -> int:
@@ -217,7 +235,7 @@ def run(cfg: RunConfig) -> int:
 
     start = time.perf_counter()
     try:
-        rows, n_unconverged, bsmm = _solve(ch, scenario, cfg)
+        rows, n_unconverged, counts = _solve(ch, scenario, cfg)
     except (ConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical consistency check failed: {exc}", file=sys.stderr)
         return 3
@@ -241,7 +259,7 @@ def run(cfg: RunConfig) -> int:
         "wsr_eps3": _fmt(EPS3),
         "n_points": str(len(rows)),
         "n_unconverged_cells": str(n_unconverged),
-        **bsmm,
+        **counts,
         "wall_time_s": f"{wall:.3f}",
     }
     try:

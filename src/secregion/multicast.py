@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import maximize_psd_objective, mixed_start
+from .rotation import factor_form, maximize_psd_objective, mixed_start
 from .types import as_channel_pair, check_budget
 from .waterfill import waterfill
 
@@ -96,12 +96,12 @@ def solve_multicast(h1w, h2w, p0: float) -> MulticastResult:
         return MulticastResult(q02, min_rate(q02), case, True)
 
     # Water-filling is often rank-deficient, so the start is mixed.
-    q, rate, converged = maximize_psd_objective(
+    q, rate, converged, _ = maximize_psd_objective(
         min_rate,
         nt,
         p0,
         [(q01, True), (q02, True)],
         [mixed_start(q01, nt, p0)],
-        search_objective=lambda q: _softmin_grad(h1w, h2w, q),
+        search_objective=factor_form(lambda q: _softmin_grad(h1w, h2w, q), nt, p0),
     )
     return MulticastResult(q, rate, case, converged)

@@ -3,7 +3,8 @@ quasi-Newton searches built on it: one ascent (``ascend``) from a start
 matrix (``mixed_start``), the one search driver that ranks ready
 candidates and ascents by the true objective (``maximize_psd_objective``),
 and the Frank-Wolfe gap (``fw_gap``) that tells whether a result is
-stationary.  Every wiretap and multicast search runs through the driver.
+stationary.  Every wiretap, multicast and scenario-C WSR search runs
+through the driver.
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -23,6 +24,12 @@ The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
 ``nt`` and ``search_objective`` arguments by name, and reads the value as
 ``[1]`` of its result.
 
+An ascent follows an objective of the factor vector x, ``(value, gradient
+in x)``.  Most objectives are natural in the matrix, and ``factor_form``
+carries a matrix objective ``(value, G)`` to x by the chain rule.  The
+secret-DPC corner of ``corner`` is natural in the factor F of Q = F F^T
+instead, and ``root_form`` carries its ``(value, G_F)``.
+
 ``ascend`` is a BFGS ascent of the package's own (Nocedal & Wright,
 "Numerical Optimization", 2nd ed.: the inverse update of eq. 6.17 and the
 strong-Wolfe line search of Alg. 3.5/3.6), written in numpy over the
@@ -35,6 +42,9 @@ scipy when it is loaded, and no search loads it: the wiretap solve loads
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,22 +108,50 @@ def fw_gap(g: np.ndarray, q: np.ndarray, budget: float) -> float:
     return float(budget * max(top, 0.0) - np.vdot(g, q))
 
 
-def _factor_objective(search_objective, x: np.ndarray, nt: int, budget: float):
-    """``(value, gradient in x)`` of ``search_objective`` at ``_decode(x)``.
+def factor_form(search_objective, nt: int, budget: float):
+    """The objective of the factor vector x that ``search_objective``, a map
+    from a feasible matrix to ``(value, G)``, gives at ``_decode(x)``.
 
     With c = ||x||^2, G the (symmetric) gradient in Q and <G, Q> their
     inner product, the chain rule gives 2/c (budget G B - <G, Q> B) for B
     and -2 <G, Q> s / c for s.
     """
-    q = _decode(x, nt, budget)
-    value, g = search_objective(q)
-    c = x @ x
-    b = x[:-1].reshape(nt, nt)
-    gq = np.vdot(g, q)
-    grad = np.empty_like(x)
-    grad[:-1] = ((2.0 / c) * (budget * (g @ b) - gq * b)).ravel()
-    grad[-1] = -2.0 * gq * x[-1] / c
-    return value, grad
+
+    def in_factor(x):
+        q = _decode(x, nt, budget)
+        value, g = search_objective(q)
+        c = x @ x
+        b = x[:-1].reshape(nt, nt)
+        gq = np.vdot(g, q)
+        grad = np.empty_like(x)
+        grad[:-1] = ((2.0 / c) * (budget * (g @ b) - gq * b)).ravel()
+        grad[-1] = -2.0 * gq * x[-1] / c
+        return value, grad
+
+    return in_factor
+
+
+def root_form(objective, nt: int, budget: float):
+    """The objective of the factor vector for ``objective``, a map from the
+    factor F of Q = F F^T to ``(value, G_F)``, its gradient in F.
+
+    F = a B with a = sqrt(budget / c) and c = ||x||^2, so that F F^T is
+    ``_decode(x)``; the chain rule gives a (G_F - <G_F, B> B / c) for B and
+    -a <G_F, B> s / c for s.
+    """
+
+    def in_factor(x):
+        b = x[:-1].reshape(nt, nt)
+        c = x @ x
+        a = math.sqrt(budget / c)
+        value, g = objective(a * b)
+        gb = np.vdot(g, b)
+        grad = np.empty_like(x)
+        grad[:-1] = (a * (g - (gb / c) * b)).ravel()
+        grad[-1] = -a * gb * x[-1] / c
+        return value, grad
+
+    return in_factor
 
 
 def _cubic_step(a, fa, da, b, fb, db):
@@ -195,8 +233,9 @@ def _wolfe_step(fun, x, f0, g0, p, step):
 def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     """One BFGS ascent from parameter vector ``x0``; returns ``(q, converged)``.
 
-    ``search_objective`` maps a feasible matrix to ``(value, G)``, the value
-    to raise and its symmetric gradient G in the matrix.  The ascent
+    ``search_objective`` maps a parameter vector x to ``(value, gradient in
+    x)``, the value to raise at ``_decode(x)`` (see ``factor_form``), and
+    ``q`` is ``_decode`` of the last x.  The ascent
     minimizes the negated value over x.  Its inverse Hessian estimate
     starts as the identity and takes the BFGS update after every step
     whose curvature s.y is positive (Nocedal & Wright, eq. 6.17); steps
@@ -210,7 +249,7 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     """
 
     def neg(x):
-        value, grad = _factor_objective(search_objective, x, nt, budget)
+        value, grad = search_objective(x)
         return -value, -grad
 
     x = np.asarray(x0, dtype=float)
@@ -246,21 +285,32 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     return _decode(x, nt, budget), True
 
 
+class Search(NamedTuple):
+    """The driver's winner: its matrix, true value and convergence flag,
+    and how many of the ascents (not the candidates) hit ``MAX_ITERS``."""
+
+    q: np.ndarray
+    value: float
+    converged: bool
+    n_unconverged: int
+
+
 def maximize_psd_objective(
     objective, nt: int, budget: float, candidates, starts, *, search_objective
-) -> tuple:
+) -> Search:
     """The one search driver: the best of ready candidates and of ascents.
 
     ``candidates`` are ``(q, converged)`` pairs taken as they are, and each
     parameter vector in ``starts`` runs one ``ascend`` of
-    ``search_objective``, the objective itself or a smoothed surrogate,
-    mapping a matrix to ``(value, G)``.  ``objective`` maps an nt x nt PSD
-    matrix with trace <= budget to the true value, and ranks the
-    candidates and then the ascent results; the first of equals wins, as
-    with ``max``.  Returns ``(q, value, converged)`` of the winner.
+    ``search_objective``, the objective itself or a smoothed or rescaled
+    surrogate, as a function of the factor vector (see ``factor_form``).
+    ``objective`` maps an nt x nt PSD matrix with trace <= budget to the
+    true value, and ranks the candidates and then the ascent results; the
+    first of equals wins, as with ``max``.
     """
-    results = [*candidates, *(ascend(search_objective, x0, nt, budget) for x0 in starts)]
+    ascents = [ascend(search_objective, x0, nt, budget) for x0 in starts]
+    results = [*candidates, *ascents]
     values = [float(objective(q)) for q, _ in results]
     best = max(range(len(results)), key=values.__getitem__)
     q, converged = results[best]
-    return q, values[best], converged
+    return Search(q, values[best], converged, sum(not c for _, c in ascents))

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import gauss_rate, link_rate_grad
-from .rotation import N_STARTS, encode, fw_gap, maximize_psd_objective, mixed_start
+from .rotation import (
+    N_STARTS,
+    encode,
+    factor_form,
+    fw_gap,
+    maximize_psd_objective,
+    mixed_start,
+)
 from .types import as_channel_pair, check_budget
 from .waterfill import DegenerateChannelWarning, waterfill
 
@@ -105,8 +112,9 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
         if lifted.shape[1] > 1:
             span = lifted @ lifted.T
             starts.append(mixed_start((p / np.trace(span)) * span, nt, p))
-    q, best, converged = maximize_psd_objective(
-        rate, nt, p, candidates, starts, search_objective=search
+    in_factor = factor_form(search, nt, p)
+    q, best, converged, _ = maximize_psd_objective(
+        rate, nt, p, candidates, starts, search_objective=in_factor
     )
     gap = fw_gap(search(q)[1], q, p)
     if hm.shape[0] == 1 or gap <= GAP_TOL:
@@ -115,7 +123,7 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
     rng = np.random.default_rng(0)
     restarts = [encode(q_wf, nt, p)]
     restarts += [rng.standard_normal(nt * nt + 1) for _ in range(N_STARTS - 1)]
-    q, best, converged = maximize_psd_objective(
-        rate, nt, p, [(q, converged)], restarts, search_objective=search
+    q, best, converged, _ = maximize_psd_objective(
+        rate, nt, p, [(q, converged)], restarts, search_objective=in_factor
     )
     return WiretapResult(q, best, converged, fw_gap(search(q)[1], q, p), True)

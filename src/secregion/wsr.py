@@ -1,7 +1,7 @@
 """Weighted-sum-rate maximization without a shared message.
 
-The weighted sum of the two users' rates is maximized under the total
-power constraint by a root search on the used power over the inverse of
+In scenarios A and B, the weighted sum of the two users' rates is
+maximized under the total power constraint by a root search on the used power over the inverse of
 the Lagrange multiplier of the power term (``wsr_solve``: secant steps up
 from the multiplier at which no mode loads, then Illinois regula falsi
 with a bisection fallback, to a relative power tolerance ``POWER_TOL``)
@@ -45,14 +45,16 @@ and, for a scalar penalty, the link's Gram matrix, both from the SVD that
 loads the modes.  So block 1 gives user 1's link at q1, and one Cholesky
 factor L of user 2's link matrix I + H2 q1 H2^T gives its log-determinant,
 the Gram matrix Y^T Y with Y = L^{-1} H2 for the next block-1 price, and
-the whitened channel Y of block 2.  Block 2's penalty is the scalar lam
-unless user 2 is confidential; ``load_modes`` then skips the
-eigendecomposition of the penalty, and block 2 gives user 2's link at
-q1 + q2, so a round factors one link matrix.  When user 2 is confidential
-the round factors four: user 1 for block 2's price and both users at the
-round's end point.  The factors and the mode loading call numpy's LAPACK
-gufuncs directly, as the matrices have only a few rows and numpy's
+the whitened channel Y of block 2.  Block 2 has no price, so its penalty
+is the scalar lam; ``load_modes`` then skips the eigendecomposition of
+the penalty, and block 2 gives user 2's link at q1 + q2, so a round
+factors one link matrix.  The factors and the mode loading call numpy's
+LAPACK gufuncs directly, as the matrices have only a few rows and numpy's
 per-call wrappers would cost more than the routines.
+
+Scenario C, where both messages are confidential, runs no BSMM: its
+weighted sum is one ascent over the secret-DPC corner, which covers both
+encoding orders (``corner.corner_search``).
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, inv
 
+from .corner import corner_search
 from .rates import (
     LN2,
     _factor,
@@ -138,33 +141,24 @@ def bits_block_weight(w: float) -> float:
     return w / (2.0 * LN2)
 
 
-def _block1_weight(scenario: Scenario, w1: float, w2: float) -> float:
-    """Weight of block 1's kept term 0.5*log2|I + H1 q1 H1^T|, in bits.
-
-    User 1's rate carries it with w1; when user 2 is confidential, user 2's
-    secrecy rate carries it too, through user 1's view of q1.
-    """
-    return w1 + (w2 if scenario.user2_confidential else 0.0)
+def _check_bsmm_scenario(scenario: Scenario) -> None:
+    """BSMM serves scenarios A and B; C runs the corner search."""
+    if scenario.user2_confidential:
+        raise ValueError("scenario C has no BSMM blocks: wsr_solve runs the corner search")
 
 
-def price_from_grams(
-    scenario: Scenario, w1: float, w2: float, block: int, g2_1, g2_12, g1_12
-):
+def price_from_grams(scenario: Scenario, w1: float, w2: float, block: int, g2_1, g2_12):
     """The price core: a block's price from the Gram matrices of the links.
 
-    ``g2_1``, ``g2_12`` and ``g1_12`` are H^T (I + H X H^T)^{-1} H, in
-    natural units, for user 2 at X = q1 and at q1 + q2 and for user 1 at
-    q1 + q2.  Block 1 reads all three; block 2 reads only ``g1_12``, and
-    only when user 2 is confidential.  Grams the block does not read may be
-    None.  Returns the price matrix, or 0.0 when the block has no price.
+    ``g2_1`` and ``g2_12`` are H2^T (I + H2 X H2^T)^{-1} H2, in natural
+    units, at X = q1 and at q1 + q2; only block 1 reads them, and block 2
+    may pass None.  Returns the price matrix, or 0.0 when the block has no
+    price.  The scenario is trusted to be A or B (see ``block_price``).
     """
-    price = 0.0
-    if block == 1:
-        leak = w1 if scenario.user1_confidential else 0.0
-        price = (leak + w2) * g2_1 - w2 * g2_12
-    if scenario.user2_confidential:
-        price = price + w2 * g1_12
-    return price / (2.0 * LN2)
+    if block != 1:
+        return 0.0
+    leak = w1 if scenario.user1_confidential else 0.0
+    return ((leak + w2) * g2_1 - w2 * g2_12) / (2.0 * LN2)
 
 
 def block_price(
@@ -179,28 +173,26 @@ def block_price(
     """Price matrix of one block: the negative gradient, in bits, of the part
     of w1*R1 + w2*R2 (order "12", no shared message) that the block linearizes.
 
-    With g_u(X) = 0.5*log2|I + Hu X Hu^T|, and c_u = 1 when user u's
-    message is confidential and 0 otherwise, the objective is
-    w1*(g1(q1) - c1*g2(q1)) + w2*(g2(q1 + q2) - g2(q1) - c2*(g1(q1 + q2) - g1(q1))).
-    Block 1 keeps ``_block1_weight`` * g1(q1) and block 2 keeps user 2's
-    layered rate w2*(g2(q1 + q2) - g2(q1)); what is left is convex in the
-    block.  Block 2's price is therefore zero unless user 2 is confidential.
-    The Grams come from ``rates.resolvent`` and go through
-    ``price_from_grams``, the core that the inner loop calls too.
+    With g_u(X) = 0.5*log2|I + Hu X Hu^T|, and c1 = 1 when user 1's
+    message is confidential (scenario B) and 0 otherwise (A), the objective
+    is w1*(g1(q1) - c1*g2(q1)) + w2*(g2(q1 + q2) - g2(q1)).  Block 1 keeps
+    w1*g1(q1) and block 2 keeps user 2's layered rate
+    w2*(g2(q1 + q2) - g2(q1)); what is left is convex in the block, and
+    block 2's price is zero.  The Grams come from ``rates.resolvent`` and
+    go through ``price_from_grams``, the core that the inner loop calls
+    too.  Scenario C has no blocks and raises ``ValueError``.
     """
     if block not in (1, 2):
         raise ValueError(f"block must be 1 or 2, got {block!r}")
+    _check_bsmm_scenario(scenario)
     q1 = as_matrix(q1, "q1")
     q2 = as_matrix(q2, "q2")
-    q12 = q1 + q2
-    g2_1 = g2_12 = g1_12 = None
+    g2_1 = g2_12 = None
     if block == 1:
         g2_1 = resolvent(ch.h2, q1)[2]
-        g2_12 = resolvent(ch.h2, q12)[2]
-    if scenario.user2_confidential:
-        g1_12 = resolvent(ch.h1, q12)[2]
+        g2_12 = resolvent(ch.h2, q1 + q2)[2]
     return np.zeros((ch.nt, ch.nt)) + price_from_grams(
-        scenario, w1, w2, block, g2_1, g2_12, g1_12
+        scenario, w1, w2, block, g2_1, g2_12
     )
 
 
@@ -306,8 +298,8 @@ class BsmmState:
 
 class _Point(NamedTuple):
     """A point of the inner loop: the blocks, the Grams of the next block-1
-    price (user 2 at q1 and at q1 + q2, user 1 at q1 + q2 or None), and the
-    weighted sum, Lagrangian and power there."""
+    price (user 2 at q1 and at q1 + q2), and the weighted sum, Lagrangian
+    and power there."""
 
     q1: np.ndarray
     q2: np.ndarray
@@ -357,40 +349,36 @@ def bsmm_inner(
     weighted sum is ``rates.rate_rule`` on them.  Block 1's mode loading
     gives user 1's log-determinant at q1.  One ``rates.resolvent`` factor
     of user 2 at the new q1 gives its log-determinant and the Gram of the
-    next block-1 price, and whitens block 2's channel.  Unless user 2 is
-    confidential, block 2's price is zero and its penalty goes to
-    ``load_modes`` as the scalar lam; its modes then give user 2's link at
-    q1 + q2, as |M2(q1 + q2)| = |M2(q1)| |I + Y2 q2 Y2^T| with
-    M2(X) = I + H2 X H2^T, and the Gram of the next block-1 price, so the
-    round factors nothing else.  When user 2 is confidential, block 2's
-    price needs user 1's Gram at (new q1, old q2), and the end point factors
-    both users at q1 + q2: four factors a round.  The start and each
-    extrapolated point, which no round produced, factor user 2 at q1 and
-    both links at q1 + q2 that the next price reads (two factors, three
-    when user 2 is confidential) and user 1 at q1.  The inputs are
-    trusted: ``wsr_solve`` and the ``WsrConfig`` and ``ChannelPair``
-    constructors check them.
+    next block-1 price, and whitens block 2's channel.  Block 2's price is
+    zero and its penalty goes to ``load_modes`` as the scalar lam; its
+    modes then give user 2's link at q1 + q2, as
+    |M2(q1 + q2)| = |M2(q1)| |I + Y2 q2 Y2^T| with M2(X) = I + H2 X H2^T,
+    and the Gram of the next block-1 price, so the round factors nothing
+    else.  The start and each extrapolated point, which no round produced,
+    factor user 2 at q1 and at q1 + q2, which the next price reads, and
+    user 1 at q1.  Scenario C, which has no blocks, raises ``ValueError``.
+    The other inputs are trusted: ``wsr_solve`` and the ``WsrConfig`` and
+    ``ChannelPair`` constructors check them.
     """
+    _check_bsmm_scenario(scenario)
     if lam <= 0:
         raise ValueError("the multiplier must be positive")
     nt = ch.nt
     h1, h2 = ch.h1, ch.h2
     lam_eye = lam * identity(nt)
     w1, w2 = cfg.w1, cfg.w2
-    k1 = bits_block_weight(_block1_weight(scenario, w1, w2))
+    k1 = bits_block_weight(w1)
     k2 = bits_block_weight(w2)
     half = 0.5 / LN2
-    user2_confidential = scenario.user2_confidential
     rounding = _LINK_ROUNDING * (w1 + w2) * max(np.vdot(h1, h1), np.vdot(h2, h2))
 
-    def end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, grams):
+    def end_point(q1, q2, ld1_1, ld2_1, ld2_12, grams):
         # The unclamped rates: the ascent runs on the true objective.  With
         # q0 = 0 the shared entries are None and r0 is not computed; order
-        # "12" never reads the q2 entries, nor user 1's at q1 + q2 (None
-        # here) unless user 2 is confidential.
-        l1_12 = None if ld1_12 is None else half * ld1_12
+        # "12" never reads the q2 entries, nor, with user 2's message not
+        # confidential, user 1's at q1 + q2.
         links = (
-            (None, l1_12, half * ld1_1, None),
+            (None, None, half * ld1_1, None),
             (None, half * ld2_12, half * ld2_1, None),
         )
         _, r1, r2 = rate_rule(scenario, links)[0]
@@ -402,33 +390,19 @@ def bsmm_inner(
 
     def refresh(q1, q2):
         # The link values at a point that no round produced.
-        q12 = q1 + q2
         ld2_1, _, g2_1 = resolvent(h2, q1)
-        ld2_12, _, g2_12 = resolvent(h2, q12)
-        ld1_12 = g1_12 = None
-        if user2_confidential:
-            ld1_12, _, g1_12 = resolvent(h1, q12)
+        ld2_12, _, g2_12 = resolvent(h2, q1 + q2)
         ld1_1 = link_logdet(h1, q1)
-        return end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, (g2_1, g2_12, g1_12))
+        return end_point(q1, q2, ld1_1, ld2_1, ld2_12, (g2_1, g2_12))
 
     def bsmm_round(x):
         price = price_from_grams(scenario, w1, w2, 1, *x.grams)
         q1, ld1_1, _ = load_modes(k1, lam_eye + price, h1)
         ld2_1, y2, g2_1 = resolvent(h2, q1)
-        ld1_12 = g1_12 = None
-        if user2_confidential:
-            g1_mid = resolvent(h1, q1 + x.q2)[2]
-            price = price_from_grams(scenario, w1, w2, 2, None, None, g1_mid)
-            q2 = load_modes(k2, lam_eye + price, y2)[0]
-            q12 = q1 + q2
-            ld1_12, _, g1_12 = resolvent(h1, q12)
-            ld2_12, _, g2_12 = resolvent(h2, q12)
-        else:
-            # No price: the scalar penalty lam, whose modes give user 2's
-            # link at q1 + q2 relative to q1, and the Gram there.
-            q2, ld2_2, g2_12 = load_modes(k2, lam, y2)
-            ld2_12 = ld2_1 + ld2_2
-        y = end_point(q1, q2, ld1_1, ld1_12, ld2_1, ld2_12, (g2_1, g2_12, g1_12))
+        # No price: the scalar penalty lam, whose modes give user 2's link
+        # at q1 + q2 relative to q1, and the Gram there.
+        q2, ld2_2, g2_12 = load_modes(k2, lam, y2)
+        y = end_point(q1, q2, ld1_1, ld2_1, ld2_1 + ld2_2, (g2_1, g2_12))
         # The blocks ascend with the penalty lam + _S_JITTER (see
         # load_modes), so the Lagrangian at lam may also fall by _S_JITTER
         # times the power a round gives up.
@@ -499,13 +473,19 @@ def bsmm_inner(
 
 @dataclass(frozen=True)
 class WsrSolution:
-    """A weighted-sum-rate point and what its dual search did.
+    """A weighted-sum-rate point and what its search did.
 
     ``lam`` is the multiplier of the returned point and ``unused`` the
-    budget it leaves, p minus its power.  ``n_bisect`` counts the inner
-    solves of the multiplier search, ``n_rounds`` sums their BSMM rounds,
-    ``n_capped`` counts those that stopped at ``MAX_INNER`` rounds without
-    converging, and ``n_extrapolated`` sums the SQUAREM steps they kept.
+    budget it leaves, p minus its power.  In scenarios A and B,
+    ``n_bisect`` counts the inner solves of the multiplier search,
+    ``n_rounds`` sums their BSMM rounds, ``n_capped`` counts those that
+    stopped at ``MAX_INNER`` rounds without converging, and
+    ``n_extrapolated`` sums the SQUAREM steps they kept.  In scenario C
+    those are 0, and ``n_ascents`` counts the corner search's ascents,
+    ``n_evals`` the calls of their objective and ``n_unconverged_ascents``
+    those that stopped at ``rotation.MAX_ITERS``; ``lam`` is then the
+    multiplier that the corner's gradient G at the result S implies,
+    <G, S> / p.
     """
 
     q1: np.ndarray
@@ -518,12 +498,16 @@ class WsrSolution:
     n_capped: int
     n_extrapolated: int
     unused: float
+    n_ascents: int = 0
+    n_evals: int = 0
+    n_unconverged_ascents: int = 0
 
 
 def wsr_solve(
     ch: ChannelPair, scenario: Scenario, cfg: WsrConfig, p: float
 ) -> WsrSolution:
-    """Root search on the used power over x = 1/lam around the inner solver.
+    """In scenarios A and B, a root search on the used power over x = 1/lam
+    around the inner solver.
 
     Every block penalty is lam*I plus a PSD price, and block 2's whitened
     channel is no larger than H2, so no mode loads power at
@@ -548,11 +532,22 @@ def wsr_solve(
     inner solves may end at different stationary points, so the search
     returns the point within the budget with the highest weighted sum that
     it visited; the zero covariance, at lam = idle, is one.
+
+    Scenario C runs no BSMM but the secret-DPC corner search
+    (``corner.corner_search``).  Either way the rates are
+    ``rates.evaluate_triple``'s on the original channels, under order "12".
     """
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"power budget must be positive and finite, got {p}")
     zeros = np.zeros((ch.nt, ch.nt))
-    k1 = bits_block_weight(_block1_weight(scenario, cfg.w1, cfg.w2))
+    if scenario.user2_confidential:
+        found = corner_search(ch, cfg.w1, cfg.w2, p)
+        q1, q2 = found.q1, found.q2
+        rates = evaluate_triple(ch, scenario, CovarianceTriple(zeros, q1, q2, p), ORDER_12)
+        unused = p - float(np.trace(q1) + np.trace(q2))
+        counts = found.n_ascents, found.n_evals, found.n_unconverged
+        return WsrSolution(q1, q2, rates, found.lam, found.converged, 0, 0, 0, 0, unused, *counts)
+    k1 = bits_block_weight(cfg.w1)
     k2 = bits_block_weight(cfg.w2)
     g1, g2 = k1 * np.linalg.norm(ch.h1, 2) ** 2, k2 * np.linalg.norm(ch.h2, 2) ** 2
     idle = float(max(g1, g2))
@@ -681,20 +676,18 @@ def kkt_residual(
     onto the PSD cone (the gradient must be negative semidefinite and
     orthogonal to the block), the complementary-slackness product
     lam * (p - used power), and the dual-feasibility violation (-lam)+.
+    Block 2 has no price, and scenario C, which has no blocks, raises
+    ``ValueError``.
     """
     q1 = as_matrix(q1, "q1")
     q2 = as_matrix(q2, "q2")
     eye = np.eye(ch.nt)
     g1 = (
-        _block1_weight(scenario, w1, w2) * link_rate_grad(ch.h1, q1)[1]
+        w1 * link_rate_grad(ch.h1, q1)[1]
         - block_price(ch, scenario, q1, q2, w1, w2, 1)
         - lam * eye
     )
-    g2 = (
-        w2 * link_rate_grad(ch.h2, q1 + q2)[1]
-        - block_price(ch, scenario, q1, q2, w1, w2, 2)
-        - lam * eye
-    )
+    g2 = w2 * link_rate_grad(ch.h2, q1 + q2)[1] - lam * eye
     parts = [
         _positive_part_norm(g1),
         abs(float(np.tensordot(g1, q1))),
@@ -714,10 +707,10 @@ def wsr_sweep_points(
 ) -> list:
     """Every solve of the weight sweep (w, 1 - w), as (point, solution) pairs.
 
-    Scenarios whose encoding order matters are also solved with the user
-    roles exchanged; the exchanged points are mapped back to user order
-    and carry the "21" order tag, while their solutions stay in the
-    exchanged roles.
+    Scenario A is also solved with the user roles exchanged; the exchanged
+    points are mapped back to user order and carry the "21" order tag,
+    while their solutions stay in the exchanged roles.  Scenario B has one
+    order, and C's corner search covers both in one solve.
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
@@ -727,7 +720,7 @@ def wsr_sweep_points(
         cfg = WsrConfig(w1=w1, w2=1.0 - w1)
         sol = wsr_solve(ch, scenario_off, cfg, p)
         solved.append((sol.rates, sol))
-        if scenario_off.allows_order_swap:
+        if scenario_off.allows_order_swap and not scenario_off.user2_confidential:
             swapped = wsr_solve(ch.swapped(), scenario_off, cfg, p)
             point = RateTriple(0.0, swapped.rates.r2, swapped.rates.r1, ORDER_21)
             solved.append((point, swapped))

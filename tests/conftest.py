@@ -63,13 +63,12 @@ def fd_gradient(f, q, eps=1e-6):
 
 
 # (scenario tag, block) pairs of the WSR block prices, keyed by test id.
+# Scenario C has no blocks: its WSR runs the secret-DPC corner search.
 WSR_PRICE_PAIRS = {
     "a": ("A", 1),
     "a2": ("A", 2),
     "b": ("B", 1),
     "b2": ("B", 2),
-    "c1": ("C", 1),
-    "c2": ("C", 2),
 }
 
 
@@ -79,7 +78,8 @@ def wsr_linearized_part(ch, scenario, q1, q2, w1, w2, block):
     It is the ``rate_stack`` weighted sum (order "12", no shared message)
     minus the block's kept term: (w1 + w2 [user 2 confidential]) *
     gauss_rate(h1, q1) for block 1 and w2 * layered_rate(h2, q2, q1) for
-    block 2.  The other block stays at its given value.
+    block 2.  The other block stays at its given value.  Scenario C's
+    blocks belong to the reference loop of ``test_wsr``.
     """
     zero = np.zeros((1, ch.nt, ch.nt))
     k1 = w1 + (w2 if scenario.user2_confidential else 0.0)

@@ -155,7 +155,8 @@ class TestAcceptance:
         t0 = time.perf_counter()
         rng = np.random.default_rng(400)
         # Each block price against finite differences of the rate_stack
-        # weighted sum less the block's kept term, for every scenario.
+        # weighted sum less the block's kept term, for scenarios A and B;
+        # C has no blocks, as its WSR runs the secret-DPC corner search.
         worst = 0.0
         for _ in range(50):
             nt = int(rng.integers(1, 4))
@@ -179,15 +180,16 @@ class TestAcceptance:
         assert elapsed < 60.0
         report(
             "criterion 4 price-matrix correctness",
-            f"max relative FD deviation {worst:.2e} over 50x6 (scenario, block) cases",
+            f"max relative FD deviation {worst:.2e} over 50x4 (scenario, block) cases",
             elapsed,
         )
 
     def test_criterion_5_bsmm_behavior(self, ch22, ch_row3):
         t0 = time.perf_counter()
-        # monotone ascent at fixed multipliers (asserted inside bsmm_inner)
+        # monotone ascent at fixed multipliers (asserted inside bsmm_inner),
+        # in the scenarios that run BSMM
         for ch, p in ((ch22, 12.0), (ch_row3, 4.0)):
-            for tag in ("A", "B", "C"):
+            for tag in ("A", "B"):
                 for lam in (0.02, 0.1, 0.5):
                     bsmm_inner(
                         ch, Scenario(tag, False), WsrConfig(0.6, 0.4), lam, p
@@ -198,30 +200,38 @@ class TestAcceptance:
         used = float(np.trace(sol.q1) + np.trace(sol.q2))
         assert 12.0 * (1 - 1e-6) <= used <= 12.0 * (1 + 1e-8)
         assert sol.unused == 12.0 - used
-        # degenerate-weight reductions on the published instances
-        worst = 0.0
+        # degenerate-weight reductions on the published instances; C's
+        # corner search meets the wiretap solves to 1e-9, in both orders
+        worst = worst_c = 0.0
         for ch, p in ((ch22, 12.0), (ch_row3, 2.0), (ch_row3, 4.0), (ch_row3, 10.0)):
             for tag in ("A", "B", "C"):
                 sc = Scenario(tag, False)
-                sol2 = wsr_solve(ch, sc, WsrConfig(0.0, 1.0), p)
-                ref2 = (
-                    solve_wiretap(ch.h2, ch.h1, p).rate
-                    if tag == "C"
-                    else waterfill(ch.h2, p)[1]
-                )
-                sol1 = wsr_solve(ch, sc, WsrConfig(1.0, 0.0), p)
-                ref1 = (
-                    waterfill(ch.h1, p)[1]
-                    if tag == "A"
-                    else solve_wiretap(ch.h1, ch.h2, p).rate
-                )
-                worst = max(worst, abs(sol2.rates.r2 - ref2), abs(sol1.rates.r1 - ref1))
-                assert abs(sol2.rates.r2 - ref2) <= 1e-3
-                assert abs(sol1.rates.r1 - ref1) <= 1e-3
+                pairs = (ch, ch.swapped()) if tag == "C" else (ch,)
+                for pair in pairs:
+                    sol2 = wsr_solve(pair, sc, WsrConfig(0.0, 1.0), p)
+                    ref2 = (
+                        solve_wiretap(pair.h2, pair.h1, p).rate
+                        if tag == "C"
+                        else waterfill(pair.h2, p)[1]
+                    )
+                    sol1 = wsr_solve(pair, sc, WsrConfig(1.0, 0.0), p)
+                    ref1 = (
+                        waterfill(pair.h1, p)[1]
+                        if tag == "A"
+                        else solve_wiretap(pair.h1, pair.h2, p).rate
+                    )
+                    gap = max(abs(sol2.rates.r2 - ref2), abs(sol1.rates.r1 - ref1))
+                    if tag == "C":
+                        worst_c = max(worst_c, gap)
+                        assert gap <= 1e-9
+                    else:
+                        worst = max(worst, gap)
+                        assert gap <= 1e-3
         elapsed = time.perf_counter() - t0
         report(
             "criterion 5 BSMM behavior",
-            f"power within [1 - 1e-6, 1 + 1e-8] of the budget, worst reduction gap {worst:.2e}",
+            f"power within [1 - 1e-6, 1 + 1e-8] of the budget, worst reduction gap "
+            f"{worst:.2e} (A, B), {worst_c:.2e} (C, both orders)",
             elapsed,
         )
 

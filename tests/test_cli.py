@@ -371,6 +371,40 @@ class TestRun:
         assert int(meta["bsmm_bisect"]) == sum(sol.n_bisect for sol in sols) > 0
         assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
 
+    def test_wsr_sidecar_sums_corner_counts(self, ch22_file, tmp_path, monkeypatch):
+        # Scenario C runs one corner search per weight, and its sidecar sums
+        # the searches' counts in place of the BSMM ones.
+        solve = secregion.wsr.wsr_solve
+        sols = []
+
+        def recorded(*args):
+            sols.append(solve(*args))
+            return sols[-1]
+
+        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
+        out = tmp_path / "w.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="C",
+            method="wsr",
+            power=12.0,
+            out=str(out),
+            common=False,
+            sigma=0.5,
+        )
+        assert run(cfg) == 0
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
+        )
+        assert len(sols) == 3  # weights 0, 0.5, 1, each covering both orders
+        assert int(meta["corner_ascents"]) == sum(sol.n_ascents for sol in sols) > 0
+        assert int(meta["corner_evals"]) == sum(sol.n_evals for sol in sols) > 0
+        assert int(meta["corner_unconverged"]) == sum(
+            sol.n_unconverged_ascents for sol in sols
+        )
+        assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
+        assert not [key for key in meta if key.startswith("bsmm_")]
+
     def test_wsr_sidecar_sums_kept_squarem_steps(self, ch22_file, tmp_path, monkeypatch):
         solve = secregion.wsr.wsr_solve
         sols = []

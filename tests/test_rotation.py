@@ -9,12 +9,13 @@ from secregion.multicast import _softmin_grad
 from secregion.rates import gauss_rate, link_rate_grad
 from secregion.rotation import (
     _decode,
-    _factor_objective,
     ascend,
     encode,
+    factor_form,
     fw_gap,
     maximize_psd_objective,
     mixed_start,
+    root_form,
 )
 from secregion.waterfill import waterfill
 from secregion.wiretap import _secrecy_rate_grad
@@ -128,16 +129,14 @@ def search_cases(draw):
 def assert_central_difference(search, x, nt, budget):
     """The chain-rule gradient of ``search`` at ``_decode(x)`` against
     central differences of its value, coordinate by coordinate."""
-    _, grad = _factor_objective(search, x, nt, budget)
+    in_factor = factor_form(search, nt, budget)
+    _, grad = in_factor(x)
     for i in range(x.size):
         t = 1e-6 * max(1.0, abs(x[i]))
         up, down = x.copy(), x.copy()
         up[i] += t
         down[i] -= t
-        fd = (
-            _factor_objective(search, up, nt, budget)[0]
-            - _factor_objective(search, down, nt, budget)[0]
-        ) / (2.0 * t)
+        fd = (in_factor(up)[0] - in_factor(down)[0]) / (2.0 * t)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
@@ -157,6 +156,28 @@ class TestFactorGradient:
         assert_central_difference(
             lambda q: _softmin_grad(h1, h2, q), x, h1.shape[1], budget
         )
+
+
+class TestRootForm:
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_matches_matrix_chain_rule(self, case):
+        # tr(K Q) with Q = F F^T has the gradient 2 K F in F and K in Q, so
+        # root_form and factor_form must give one value and one x-gradient.
+        h1, _, budget, x = case
+        nt = h1.shape[1]
+        k = h1.T @ h1
+        in_root = root_form(lambda f: (np.vdot(k, f @ f.T), 2.0 * k @ f), nt, budget)
+        in_matrix = factor_form(lambda q: (np.vdot(k, q), k), nt, budget)
+        (v_root, g_root), (v_matrix, g_matrix) = in_root(x), in_matrix(x)
+        assert v_root == pytest.approx(v_matrix, rel=1e-12, abs=1e-300)
+        assert np.allclose(g_root, g_matrix, rtol=1e-10, atol=1e-12 * np.abs(g_matrix).max())
+
+    def test_zero_slack_keeps_zero_gradient(self):
+        # A start at full power stays there: the slack's gradient is 0.
+        x = np.append(np.random.default_rng(1).standard_normal(4), 0.0)
+        _, grad = root_form(lambda f: (np.vdot(f, f), 2.0 * f), 2, 3.0)(x)
+        assert grad[-1] == 0.0
 
 
 def with_gradient(objective, gradient):
@@ -186,13 +207,15 @@ class TestDriver:
             return -float(np.sum((q - 0.3) ** 2))
 
         rng = np.random.default_rng(0)
-        q, _, _ = maximize_psd_objective(
+        q, _, _, _ = maximize_psd_objective(
             spiky,
             2,
             1.5,
             [(np.zeros((2, 2)), True)],
             [rng.standard_normal(5) for _ in range(4)],
-            search_objective=with_gradient(spiky, lambda q: -2.0 * (q - 0.3)),
+            search_objective=factor_form(
+                with_gradient(spiky, lambda q: -2.0 * (q - 0.3)), 2, 1.5
+            ),
         )
         assert len(seen) > 5
         for qq in seen + [q]:
@@ -203,29 +226,29 @@ class TestDriver:
         rng = np.random.default_rng(0)
         starts = [rng.standard_normal(5) for _ in range(3)]
         a = maximize_psd_objective(
-            self.linear, 2, 1.0, [], starts, search_objective=self.linear_search
+            self.linear, 2, 1.0, [], starts, search_objective=factor_form(self.linear_search, 2, 1.0)
         )
         b = maximize_psd_objective(
-            self.linear, 2, 1.0, [], starts, search_objective=self.linear_search
+            self.linear, 2, 1.0, [], starts, search_objective=factor_form(self.linear_search, 2, 1.0)
         )
         assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
 
     def test_single_ascent_reaches_concave_optimum(self):
         # max tr(D q) with tr q <= 1 from the isotropic start
         x0 = encode(0.5 * np.eye(2), 2, 1.0)
-        q, converged = ascend(self.linear_search, x0, 2, 1.0)
+        q, converged = ascend(factor_form(self.linear_search, 2, 1.0), x0, 2, 1.0)
         assert converged
         assert np.trace(q @ self.D) == pytest.approx(3.0, abs=1e-5)
 
     def test_concave_reference(self):
         # max tr(D q) with tr q <= 1 puts everything on the largest diagonal
-        q, val, converged = maximize_psd_objective(
+        q, val, converged, _ = maximize_psd_objective(
             self.linear,
             2,
             1.0,
             [(np.zeros((2, 2)), True), (np.diag([1.0, 0.0]), True)],
             [encode(0.5 * np.eye(2), 2, 1.0)],
-            search_objective=self.linear_search,
+            search_objective=factor_form(self.linear_search, 2, 1.0),
         )
         assert converged
         assert val == pytest.approx(3.0, abs=1e-5) and val == self.linear(q)
@@ -234,37 +257,54 @@ class TestDriver:
         # An ascent that ends on a candidate's value does not displace it.
         best = np.diag([0.0, 1.0])
         monkeypatch.setattr(rotation, "ascend", lambda *args: (best.copy(), False))
-        q, val, converged = maximize_psd_objective(
+        q, val, converged, _ = maximize_psd_objective(
             self.linear,
             2,
             1.0,
             [(np.zeros((2, 2)), True), (best, True)],
             [np.ones(5)],
-            search_objective=self.linear_search,
+            search_objective=factor_form(self.linear_search, 2, 1.0),
         )
         assert q is best and val == 3.0 and converged
 
     def test_first_of_equal_candidates_wins(self):
         first, second = np.diag([0.0, 1.0]), np.diag([0.0, 1.0])
-        q, _, converged = maximize_psd_objective(
+        q, _, converged, _ = maximize_psd_objective(
             self.linear,
             2,
             1.0,
             [(first, False), (second, True)],
             [],
-            search_objective=self.linear_search,
+            search_objective=factor_form(self.linear_search, 2, 1.0),
         )
         assert q is first and not converged
 
+    def test_counts_unconverged_ascents(self, monkeypatch):
+        # Of three ascents the first and the last stop at the cap.
+        flags = iter([False, True, False])
+        monkeypatch.setattr(
+            rotation, "ascend", lambda *args: (np.diag([0.0, 1.0]), next(flags))
+        )
+        result = maximize_psd_objective(
+            self.linear,
+            2,
+            1.0,
+            [(np.zeros((2, 2)), True)],
+            [np.ones(5)] * 3,
+            search_objective=factor_form(self.linear_search, 2, 1.0),
+        )
+        assert result.n_unconverged == 2 and not result.converged
+        assert result.value == result[1] == 3.0
+
     def test_empty_starts_run_no_ascent(self, monkeypatch):
         monkeypatch.setattr(rotation, "ascend", fail)
-        q, val, _ = maximize_psd_objective(
+        q, val, _, _ = maximize_psd_objective(
             self.linear,
             2,
             1.0,
             [(np.zeros((2, 2)), True), (np.diag([1.0, 0.0]), True)],
             [],
-            search_objective=self.linear_search,
+            search_objective=factor_form(self.linear_search, 2, 1.0),
         )
         assert np.array_equal(q, np.diag([1.0, 0.0])) and val == 1.0
 
@@ -285,7 +325,9 @@ class TestAscent:
         h = np.array(h)
         nt = h.shape[1]
         x0 = mixed_start(np.diag(np.arange(1.0, nt + 1)) * budget / nt, nt, budget)
-        q, converged = ascend(lambda q: link_rate_grad(h, q), x0, nt, budget)
+        q, converged = ascend(
+            factor_form(lambda q: link_rate_grad(h, q), nt, budget), x0, nt, budget
+        )
         assert converged
         assert gauss_rate(h, q) == pytest.approx(waterfill(h, budget)[1], abs=1e-10)
         assert fw_gap(link_rate_grad(h, q)[1], q, budget) <= 1e-7
@@ -299,15 +341,14 @@ class TestAscent:
         def search(q):
             return _secrecy_rate_grad(h1, h2, q)
 
-        q, _ = ascend(search, x, nt, budget)
+        q, _ = ascend(factor_form(search, nt, budget), x, nt, budget)
         assert search(q)[0] >= search(_decode(x, nt, budget))[0]
 
     def test_iteration_cap_marks_unconverged(self, ch22, monkeypatch):
         monkeypatch.setattr(rotation, "MAX_ITERS", 2)
         x0 = np.random.default_rng(0).standard_normal(5)
-        q, converged = ascend(
-            lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q), x0, 2, 12.0
-        )
+        search = factor_form(lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q), 2, 12.0)
+        q, converged = ascend(search, x0, 2, 12.0)
         assert not converged
         assert np.trace(q) <= 12.0 * (1 + 1e-12)
 
@@ -324,7 +365,8 @@ class TestAscent:
         monkeypatch.setattr(rotation, "_wolfe_step", fail_second)
         h = np.array([[0.3, 2.5], [2.2, 1.8]])
         x0 = mixed_start(np.diag([8.0, 4.0]), 2, 12.0)
-        q, converged = ascend(lambda q: link_rate_grad(h, q), x0, 2, 12.0)
+        search = factor_form(lambda q: link_rate_grad(h, q), 2, 12.0)
+        q, converged = ascend(search, x0, 2, 12.0)
         assert along_gradient[:3] == [True, False, True]
         assert converged
         assert gauss_rate(h, q) == pytest.approx(waterfill(h, 12.0)[1], abs=1e-10)
@@ -334,6 +376,7 @@ class TestAscent:
         # step gives a sufficient decrease, so the ascent stops where it began.
         x0 = encode(np.diag([1.0, 0.5]), 2, 3.0)
         with np.errstate(all="raise"):
-            q, converged = ascend(lambda q: (1.0, np.eye(2)), x0, 2, 3.0)
+            flat = factor_form(lambda q: (1.0, np.eye(2)), 2, 3.0)
+            q, converged = ascend(flat, x0, 2, 3.0)
         assert converged
         assert np.array_equal(q, _decode(x0, 2, 3.0))

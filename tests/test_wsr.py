@@ -24,6 +24,7 @@ from secregion import (
     waterfill,
     wsr_solve,
 )
+from secregion.corner import _corner, _lift
 from secregion.rates import LN2, evaluate_triple, rate_stack, resolvent
 from secregion.types import ORDER_12, CovarianceTriple
 from secregion.waterfill import SV_CUTOFF_REL
@@ -31,7 +32,6 @@ from secregion.wsr import (
     EPS3,
     MAX_INNER,
     POWER_TOL,
-    _block1_weight,
     bits_block_weight,
     load_modes,
     wsr_sweep,
@@ -41,9 +41,11 @@ from secregion.wsr import (
 from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
 
 
-def idle_multiplier(ch, sc, cfg):
-    """max(k1 ||H1||^2, k2 ||H2||^2): at a larger multiplier no mode loads."""
-    k1 = bits_block_weight(_block1_weight(sc, cfg.w1, cfg.w2))
+def idle_multiplier(ch, cfg, k1=None):
+    """max(k1 ||H1||^2, k2 ||H2||^2): at a larger multiplier no mode loads.
+
+    Block 1's weight is w1 unless ``k1`` (in bits) says otherwise."""
+    k1 = bits_block_weight(cfg.w1 if k1 is None else k1)
     k2 = bits_block_weight(cfg.w2)
     return max(k1 * np.linalg.norm(ch.h1, 2) ** 2, k2 * np.linalg.norm(ch.h2, 2) ** 2)
 
@@ -84,15 +86,19 @@ class TestPriceMatrices:
         with pytest.raises(ValueError, match="block"):
             block_price(ch22, Scenario("A", False), np.eye(2), np.eye(2), 1.0, 1.0, 0)
 
-    @pytest.mark.parametrize("which", list(WSR_PRICE_PAIRS))
+    @pytest.mark.parametrize("which", [*WSR_PRICE_PAIRS, "c1", "c2"])
     def test_matches_finite_differences(self, which):
-        tag, block = WSR_PRICE_PAIRS[which]
+        # c1 and c2 check the scenario-C prices of the reference loop.
+        tag, block = WSR_PRICE_PAIRS.get(which) or ("C", int(which[1]))
         sc = Scenario(tag, False)
         rng = np.random.default_rng([ord(tag), block])
         for _ in range(10):
             ch, q1, q2 = random_instance(rng)
             w1, w2 = float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1))
-            price = block_price(ch, sc, q1, q2, w1, w2, block)
+            if tag == "C":
+                price = c_price(ch, q1, q2, w1, w2, block)
+            else:
+                price = block_price(ch, sc, q1, q2, w1, w2, block)
             part = wsr_linearized_part(ch, sc, q1, q2, w1, w2, block)
             ref = -fd_gradient(part, q1 if block == 1 else q2)
             assert np.linalg.norm(price - ref) <= 1e-5 * max(1.0, np.linalg.norm(ref))
@@ -288,7 +294,7 @@ class TestBsmmInner:
 
     def test_monotone_lagrangian_no_raise(self, ch22, ch_row3):
         for ch in (ch22, ch_row3):
-            for tag in ("A", "B", "C"):
+            for tag in ("A", "B"):
                 cfg = WsrConfig(w1=0.7, w2=0.3)
                 st = bsmm_inner(ch, Scenario(tag, False), cfg, 0.15, 10.0)
                 assert st.n_iters <= MAX_INNER
@@ -303,17 +309,16 @@ class TestBsmmInner:
         # Half the idle multiplier, above which no mode loads power: the
         # search's bracket starts at its inverse.
         cfg = WsrConfig(w1=1.0, w2=1.0)
-        lam_mid = 0.5 * idle_multiplier(ch_row3, Scenario("A", False), cfg)
+        lam_mid = 0.5 * idle_multiplier(ch_row3, cfg)
         st = bsmm_inner(ch_row3, Scenario("A", False), cfg, lam_mid, 10.0)
         assert st.converged and st.n_iters < 200
         assert np.trace(st.q1) + np.trace(st.q2) > 0.0
 
-    @pytest.mark.parametrize("tag, first, per_round", [("A", 2, 1), ("B", 2, 1), ("C", 3, 4)])
+    @pytest.mark.parametrize("tag, first, per_round", [("A", 2, 1), ("B", 2, 1)])
     def test_factors_only_what_it_reads(self, ch22, monkeypatch, tag, first, per_round):
-        # Scenarios A and B factor user 2 at the new q1 and nothing else in a
-        # round; C also factors user 1 for block 2's price and both users at
-        # the end point.  The starting point and each extrapolated point
-        # cost the same: the links the next price reads and one link_logdet.
+        # A round factors user 2 at the new q1 and nothing else.  The
+        # starting point and each extrapolated point cost the same: the two
+        # links the next price reads and one link_logdet.
         import secregion.wsr as wsr_mod
 
         calls = {"resolvent": 0, "link_logdet": 0}
@@ -339,7 +344,19 @@ class TestBsmmInner:
         with pytest.raises(ValueError):
             bsmm_inner(ch22, Scenario("A", False), WsrConfig(1, 1), 0.0, 1.0)
 
-    @pytest.mark.parametrize("tag", ["A", "B", "C"])
+    def test_scenario_c_has_no_blocks(self, ch22):
+        # C's WSR is the corner search; BSMM, its prices and its KKT check
+        # refuse it rather than run without user 2's leak terms.
+        sc, z = Scenario("C", False), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="corner"):
+            bsmm_inner(ch22, sc, WsrConfig(0.5, 0.5), 0.1, 12.0)
+        for block in (1, 2):
+            with pytest.raises(ValueError, match="corner"):
+                block_price(ch22, sc, z, z, 0.5, 0.5, block)
+        with pytest.raises(ValueError, match="corner"):
+            kkt_residual(ch22, sc, z, z, 0.1, 0.5, 0.5, 12.0)
+
+    @pytest.mark.parametrize("tag", ["A", "B"])
     def test_state_carries_weighted_sum(self, ch22, tag):
         # The end point's unclamped weighted sum, as rate_stack gives it.
         sc, cfg = Scenario(tag, False), WsrConfig(0.6, 0.4)
@@ -375,10 +392,10 @@ class TestWsrSolve:
 
     @pytest.mark.parametrize("tag, p", [("A", 1e8), ("C", 1e12)])
     def test_high_power_rounds_pass_ascent_check(self, tag, p):
-        # Near the budget a round's Lagrangian can fall by the rounding of
-        # the covariances' entries (A at 1e8) and by the blocks' 1e-12
-        # penalty jitter times the power a round gives up (C at 1e12);
-        # neither is a price bug, and the ascent check allows both.
+        # Near the budget a BSMM round's Lagrangian can fall by the rounding
+        # of the covariances' entries (A at 1e8), which is no price bug, and
+        # the ascent check allows it.  C's corner search must stay finite
+        # and within the budget at 1e12 too.
         ch = ChannelPair([[0.3, 1.0]], [[1.0, 0.5]])
         sol = wsr_solve(ch, Scenario(tag, False), WsrConfig(0.5, 0.5), p)
         assert 0.0 <= sol.unused < p
@@ -410,7 +427,7 @@ class TestWsrSolve:
         assert sol.rates.as_array().tolist() == [0.0, 0.0, 0.0]
         assert (sol.n_bisect, sol.n_rounds, sol.n_capped) == (0, 0, 0)
 
-    def test_counts_every_inner_solve(self, ch_row3, monkeypatch):
+    def test_counts_every_inner_solve(self, ch22, monkeypatch):
         import secregion.wsr as wsr_mod
 
         states = []
@@ -424,7 +441,7 @@ class TestWsrSolve:
         # A cap low enough that some inner solves reach it.
         monkeypatch.setattr(wsr_mod, "MAX_INNER", 10)
         cfg = WsrConfig(w1=0.5, w2=0.5)
-        sol = wsr_solve(ch_row3, Scenario("C", False), cfg, 4.0)
+        sol = wsr_solve(ch22, Scenario("B", False), cfg, 12.0)
         assert sol.n_rounds == sum(state.n_iters for state in states)
         assert sol.n_capped == sum(not state.converged for state in states) > 0
         assert all(state.n_iters == 10 for state in states if not state.converged)
@@ -504,8 +521,18 @@ class TestWsrConfig:
 
 # The no-common wsr solves of the benchmark: every (weight, order) solve of
 # wsr_sweep_points at sigma 0.5; rates to 1e-12, counts and multipliers
-# exactly.  Each solve's "floor" is the weighted value that the earlier
+# exactly.  Each A solve's "floor" is the weighted value that the earlier
 # multiplier bisection, with its absolute 1e-5 bracket, reached there.
+# C's solves are the corner search's, one per weight, and their floor is
+# the better of the two orders that BSMM solved before.
+WSR_COUNTS = (
+    "n_rounds",
+    "n_capped",
+    "n_extrapolated",
+    "n_ascents",
+    "n_evals",
+    "n_unconverged_ascents",
+)
 WSR_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "wsr_golden.json").read_text()
 )
@@ -526,45 +553,62 @@ def test_wsr_golden(request):
                 ref["converged"],
                 ref["lam"],
             ), key
-            counts = (sol.n_rounds, sol.n_capped, sol.n_extrapolated)
-            assert counts == (
-                ref["n_rounds"],
-                ref["n_capped"],
-                ref["n_extrapolated"],
-            ), key
+            counts = tuple(getattr(sol, name) for name in WSR_COUNTS)
+            assert counts == tuple(ref.get(name, 0) for name in WSR_COUNTS), key
             # In the solution's own roles, whatever the order tag.
             value = ref["w1"] * sol.rates.r1 + (1.0 - ref["w1"]) * sol.rates.r2
             assert value >= ref["floor"] - 1e-12, key
             assert 0.0 <= sol.unused <= POWER_TOL * p, key
             total += sol.n_rounds
-    assert total == WSR_GOLDEN["total_rounds"] == 1417
+    assert total == WSR_GOLDEN["total_rounds"] == 634
 
 
-def bisect_wsr(ch, sc, cfg, p):
+# The plain loop converges slowly where the users' links are coupled, above
+# all at the end weights; each of its solves within the budget is still a
+# lower bound on the optimum, and the warm starts of ``bisect_wsr`` carry
+# its progress from one multiplier to the next.
+C_REFERENCE_ROUNDS = 100
+_SLACK_X = 2.0**60
+
+
+def bisect_wsr(ch, sc, cfg, p, rtol=0.0):
     """The multiplier search as plain bisection on x = 1/lam, as a reference.
 
     From 1/idle, at which no mode loads, x doubles until the power exceeds
-    p; then the bracket halves until it is 4 ulps wide.  Returns the blocks
-    of the last inner solve within the budget (zero if there is none).
+    p; then the bracket halves until it is 4 ulps wide, or ``rtol`` times
+    x.  Where x grows ``_SLACK_X``-fold without reaching the budget, the
+    budget does not bind.  Each multiplier runs ``bsmm_inner``, or in
+    scenario C, which the package solves without BSMM, ``plain_bsmm`` from
+    the last solve's blocks, for at most ``C_REFERENCE_ROUNDS`` rounds.
+    Returns the blocks of the last inner solve within the budget (zero if
+    there is none).
     """
+    confidential2 = sc.user2_confidential
+    blocks = None
 
     def solve(x):
-        state = bsmm_inner(ch, sc, cfg, 1.0 / x, p)
-        return state, float(np.trace(state.q1) + np.trace(state.q2))
+        if confidential2:
+            q1, q2 = plain_bsmm(ch, sc, cfg, 1.0 / x, p, blocks, C_REFERENCE_ROUNDS)
+        else:
+            state = bsmm_inner(ch, sc, cfg, 1.0 / x, p)
+            q1, q2 = state.q1, state.q2
+        return (q1, q2), float(np.trace(q1) + np.trace(q2))
 
     zero = np.zeros((ch.nt, ch.nt))
     feasible = (zero, zero)
-    lo = 1.0 / idle_multiplier(ch, sc, cfg)
+    start = lo = 1.0 / idle_multiplier(ch, cfg, cfg.w1 + cfg.w2 if confidential2 else None)
     hi = 2.0 * lo
-    state, used = solve(hi)
+    blocks, used = solve(hi)
     while used <= p:
-        feasible, lo, hi = (state.q1, state.q2), hi, 2.0 * hi
-        state, used = solve(hi)
-    while hi - lo > 4.0 * math.ulp(hi):
+        feasible, lo, hi = blocks, hi, 2.0 * hi
+        if hi > _SLACK_X * start:
+            return feasible  # the budget does not bind
+        blocks, used = solve(hi)
+    while hi - lo > max(4.0 * math.ulp(hi), rtol * hi):
         mid = 0.5 * (lo + hi)
-        state, used = solve(mid)
+        blocks, used = solve(mid)
         if used <= p:
-            feasible, lo = (state.q1, state.q2), mid
+            feasible, lo = blocks, mid
         else:
             hi = mid
     return feasible
@@ -618,7 +662,7 @@ def loop_cases(draw):
     n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ch = ChannelPair(rng.standard_normal((n1, nt)), rng.standard_normal((n2, nt)))
-    sc = Scenario(draw(st.sampled_from("ABC")), False)
+    sc = Scenario(draw(st.sampled_from("AB")), False)
     w1, w2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     lam = draw(st.floats(0.02, 2.0))
     p = draw(st.floats(0.5, 10.0))
@@ -627,35 +671,66 @@ def loop_cases(draw):
 
 @pytest.mark.parametrize("tag", ["A", "C"])
 def test_swapping_users_mirrors_sweep(ch_row3, tag):
-    # The weight grid is symmetric and each weight is solved in both
+    # The weight grid is symmetric.  In A each weight is solved in both
     # roles, so exchanging the users exchanges r1 and r2 and the order
-    # tags, exactly.
+    # tags, exactly.  C's corner search covers both orders in one solve,
+    # with the users' terms exchanged bit for bit, and each point is its
+    # lifted pair under order "12"; the pairs of the two problems are split
+    # off one factor by complementary projectors, so their rates agree to
+    # round-off.
     scenario = Scenario(tag, common_enabled=False)
-    mirror = {"12": "21", "21": "12"}
     region = wsr_sweep(ch_row3, scenario, 4.0, 0.5)
     swapped = wsr_sweep(ch_row3.swapped(), scenario, 4.0, 0.5)
-    assert sorted((t.r1, t.r2, t.order) for t in region.points) == sorted(
-        (t.r2, t.r1, mirror[t.order]) for t in swapped.points
-    )
+    if tag == "A":
+        mirror = {"12": "21", "21": "12"}
+        assert sorted((t.r1, t.r2, t.order) for t in region.points) == sorted(
+            (t.r2, t.r1, mirror[t.order]) for t in swapped.points
+        )
+        return
+    assert {t.order for t in region.points} == {t.order for t in swapped.points} == {"12"}
+    got = np.array(sorted((t.r1, t.r2) for t in region.points))
+    want = np.array(sorted((t.r2, t.r1) for t in swapped.points))
+    assert got.shape == want.shape and np.abs(got - want).max() <= 1e-12
 
 
-def plain_bsmm(ch, sc, cfg, lam, p):
+def c_price(ch, q1, q2, w1, w2, block):
+    """Scenario C's BSMM block prices, kept here for the reference loop.
+
+    In C block 1 keeps (w1 + w2) g1(q1), and user 2's secrecy term
+    -w2 (g1(q1 + q2) - g1(q1)) adds w2 times user 1's Gram at q1 + q2 to
+    the price of either block, beside block 1's user-2 terms of scenario B.
+    """
+    price = w2 * resolvent(ch.h1, q1 + q2)[2]
+    if block == 1:
+        g2_1, g2_12 = resolvent(ch.h2, q1)[2], resolvent(ch.h2, q1 + q2)[2]
+        price = price + (w1 + w2) * g2_1 - w2 * g2_12
+    return price / (2.0 * LN2)
+
+
+def plain_bsmm(ch, sc, cfg, lam, p, start=None, rounds=MAX_INNER):
     """The inner loop without SQUAREM steps, from the checked entry points,
-    as a reference: alternating closed-form blocks from q1 = q2 =
-    p/(2 nt) I until the weighted sum moves by less than EPS3, or after
-    MAX_INNER rounds."""
+    as a reference: alternating closed-form blocks from ``start``, by
+    default q1 = q2 = p/(2 nt) I, until the weighted sum moves by less than
+    EPS3, or after ``rounds`` rounds.  In scenario C, which the package
+    solves without BSMM, the blocks take ``c_price`` and block 1 the weight
+    w1 + w2."""
     w1, w2 = cfg.w1, cfg.w2
-    k1 = _block1_weight(sc, w1, w2) / (2.0 * LN2)
+    confidential2 = sc.user2_confidential
+    k1 = (w1 + w2 if confidential2 else w1) / (2.0 * LN2)
     k2 = w2 / (2.0 * LN2)
+
+    def price(q1, q2, block):
+        if confidential2:
+            return c_price(ch, q1, q2, w1, w2, block)
+        return block_price(ch, sc, q1, q2, w1, w2, block)
+
     lam_eye = lam * np.eye(ch.nt)
-    q1 = q2 = (p / (2.0 * ch.nt)) * np.eye(ch.nt)
+    q1, q2 = start or ((p / (2.0 * ch.nt)) * np.eye(ch.nt),) * 2
     prev_wsr = 0.0
-    for _ in range(MAX_INNER):
-        price = block_price(ch, sc, q1, q2, w1, w2, 1)
-        q1 = closed_form_block(k1, lam_eye + price, np.eye(ch.n1), ch.h1)
-        price = block_price(ch, sc, q1, q2, w1, w2, 2)
+    for _ in range(rounds):
+        q1 = closed_form_block(k1, lam_eye + price(q1, q2, 1), np.eye(ch.n1), ch.h1)
         noise = np.eye(ch.n2) + ch.h2 @ q1 @ ch.h2.T
-        q2 = closed_form_block(k2, lam_eye + price, noise, ch.h2)
+        q2 = closed_form_block(k2, lam_eye + price(q1, q2, 2), noise, ch.h2)
         wsr = lagrangian(ch, sc, cfg, 0.0, 0.0, q1, q2)
         if abs(wsr - prev_wsr) < EPS3:
             break
@@ -720,8 +795,6 @@ class TestLoopAgainstReference:
             want = block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, block)
             assert np.abs(result - want).max() <= 1e-12
 
-        # Block 2 has a price only when user 2 is confidential.
-        priced2 = sc.user2_confidential
         start = (p / (2.0 * ch.nt)) * np.eye(ch.nt)
         x = point(start, start)
         rival = None
@@ -735,10 +808,8 @@ class TestLoopAgainstReference:
             q1, q2, _ = x
             check_price(result, q1, q2, 1)
             q1 = take("load_modes")[1][0]
-            if priced2:
-                check_price(take("price_from_grams")[1], q1, q2, 2)
-            else:
-                assert not block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 2).any()
+            # Block 2 has no price.
+            assert not block_price(ch, sc, q1, q2, cfg.w1, cfg.w2, 2).any()
             x = point(q1, take("load_modes")[1][0])
             n_rounds += 1
             if rival is not None:
@@ -799,3 +870,127 @@ class TestKktResidual:
             5.0,
         )
         assert res == 0.0
+
+
+def corner_reference(ch, cfg, p, rtol=1e-9):
+    """The plain scenario-C BSMM weighted sum over both encoding orders.
+
+    Order "12" runs ``bisect_wsr`` on the pair as given; order "21" runs it
+    on the exchanged pair with the weights exchanged, whose weighted sum in
+    its own roles is the same sum.  The bisection stops at ``rtol`` of the
+    multiplier, so the reference is a point within the budget.
+    """
+    sc, zero = Scenario("C", False), np.zeros((ch.nt, ch.nt))
+    best = 0.0
+    for pair, (v1, v2) in ((ch, (cfg.w1, cfg.w2)), (ch.swapped(), (cfg.w2, cfg.w1))):
+        q1, q2 = bisect_wsr(pair, sc, WsrConfig(v1, v2), p, rtol)
+        rates = evaluate_triple(pair, sc, CovarianceTriple(zero, q1, q2, p), ORDER_12)
+        best = max(best, v1 * rates.r1 + v2 * rates.r2)
+    return best
+
+
+class TestCornerSearch:
+    """Scenario C's WSR: one ascent over the secret-DPC corner."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.0, 1.0))
+    def test_gradient_matches_finite_differences(self, seed, nt, w1):
+        rng = np.random.default_rng(seed)
+        h1 = rng.standard_normal((int(rng.integers(1, 5)), nt))
+        h2 = rng.standard_normal((int(rng.integers(1, 5)), nt))
+        f = rng.standard_normal((nt, nt))
+        value, grad = _corner(h1, h2, w1, 1.0 - w1, f)
+        assert value >= 0.0
+        for i in range(nt):
+            for j in range(nt):
+                t = 1e-6 * max(1.0, abs(f[i, j]))
+                up, down = f.copy(), f.copy()
+                up[i, j] += t
+                down[i, j] -= t
+                fd = (
+                    _corner(h1, h2, w1, 1.0 - w1, up)[0]
+                    - _corner(h1, h2, w1, 1.0 - w1, down)[0]
+                ) / (2.0 * t)
+                assert grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_lifted_pair_rates_at_the_corner(self, seed, nt):
+        # evaluate_triple of the lifted pair under order "12" gives C1 and
+        # C2 of the covariance it splits.
+        rng = np.random.default_rng(seed)
+        ch = ChannelPair(
+            rng.standard_normal((int(rng.integers(1, 5)), nt)),
+            rng.standard_normal((int(rng.integers(1, 5)), nt)),
+        )
+        p = 10.0 ** rng.uniform(-3.0, 4.0)
+        s = random_psd(rng, nt, p)
+        q1, q2 = _lift(ch.h1, ch.h2, s, p)
+        assert np.trace(q1) + np.trace(q2) <= p
+        assert np.allclose(q1 + q2, s, rtol=0.0, atol=1e-12 * p)
+        rates = evaluate_triple(
+            ch, Scenario("C", False), CovarianceTriple(np.zeros_like(s), q1, q2, p)
+        )
+        f = np.linalg.cholesky(s + 1e-300 * np.eye(nt))
+        c1 = _corner(ch.h1, ch.h2, 1.0, 0.0, f)[0]
+        c2 = _corner(ch.h1, ch.h2, 0.0, 1.0, f)[0]
+        assert abs(rates.r1 - c1) <= 1e-9 * max(1.0, c1)
+        assert abs(rates.r2 - c2) <= 1e-9 * max(1.0, c2)
+
+    @pytest.mark.parametrize("w1", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("pair", ["identical", "degraded", "one-row"])
+    def test_kink_and_degenerate_pairs(self, pair, w1):
+        # Pairs whose pencil has eigenvalues at 1, where log2+ has its kink:
+        # identical users (the region is {0}), a degraded user 2 (every mode
+        # of user 1 has lam > 1, every other lam = 1) and one-row users at
+        # nt 3 (one lam above 1, one below, one at 1).
+        rng = np.random.default_rng(21)
+        h1 = rng.standard_normal((2, 3))
+        h2 = {
+            "identical": h1,
+            "degraded": 0.5 * h1,
+            "one-row": rng.standard_normal((1, 3)),
+        }[pair]
+        if pair == "one-row":
+            h1 = h1[:1]
+        ch, p = ChannelPair(h1, h2), 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = wsr_solve(ch, Scenario("C", False), WsrConfig(w1, 1.0 - w1), p)
+        rates = sol.rates.as_array()
+        assert np.isfinite(rates).all() and (rates >= 0.0).all()
+        assert 0.0 <= sol.unused <= p
+        if pair == "identical":
+            assert not rates.any()
+        elif pair == "degraded":
+            # User 2 has no secrecy at any covariance; where user 1 has
+            # weight the point is user 1's wiretap solve.
+            assert sol.rates.r2 <= 1e-12
+            if w1 > 0.0:
+                assert abs(sol.rates.r1 - solve_wiretap(h1, h2, p).rate) <= 1e-9
+
+    def test_one_solve_per_weight_covers_both_orders(self, ch22):
+        solved = wsr_sweep_points(ch22, Scenario("C", False), 12.0, sigma=0.25)
+        assert [pt.order for pt, _ in solved] == ["12"] * 5
+        for pt, sol in solved:
+            assert pt is sol.rates
+            assert sol.n_ascents == 5 and sol.n_evals > 0 and sol.n_bisect == 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.floats(0.0, 1.0),
+        st.floats(-3.0, 4.0),
+    )
+    def test_never_below_the_bsmm_reference(self, seed, nt, w1, log_p):
+        rng = np.random.default_rng(seed)
+        ch = ChannelPair(
+            rng.standard_normal((int(rng.integers(1, 5)), nt)),
+            rng.standard_normal((int(rng.integers(1, 5)), nt)),
+        )
+        cfg, p = WsrConfig(w1, 1.0 - w1), 10.0**log_p
+        sol = wsr_solve(ch, Scenario("C", False), cfg, p)
+        got = cfg.w1 * sol.rates.r1 + cfg.w2 * sol.rates.r2
+        want = corner_reference(ch, cfg, p)
+        assert got >= want - 1e-9 * want
