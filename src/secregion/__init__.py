@@ -15,7 +15,6 @@ from .rates import evaluate_triple, gauss_rate, layered_rate
 from .splitting import (
     SplitResult,
     hull_pareto,
-    region_contains,
     solve_split,
     sweep_points,
     sweep_region,
@@ -87,7 +86,6 @@ __all__ = [
     "oma_timeshare",
     "pareto_filter",
     "random_search_region",
-    "region_contains",
     "run",
     "secrecy_rate",
     "solve_multicast",

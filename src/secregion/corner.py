@@ -14,8 +14,7 @@ over the factor F, where the gradient is natural (``_corner``).
 
 * C2 comes from the swapped pencil (I + F^T K2 F, I + F^T K1 F), not from
   1/lam, so that no logarithm of an eigenvalue rounded to 0 is taken.
-  ``_pencil`` reduces each pencil by the ``rates._factor`` Cholesky factor
-  and numpy's ``eigh_lo``, so the search loads no scipy.
+  ``rates.pencil`` solves each pencil.
 * C1 and C2 are the users' secrecy capacities under the covariance
   constraint S, which do not fall as S grows in the Loewner order, so the
   ascents run at full power: every start's slack coordinate is 0, where
@@ -25,7 +24,9 @@ over the factor F, where the gradient is natural (``_corner``).
   start's value.
 * The starts are the isotropic matrix, the top eigenvector of each Kj and
   the two wiretap beams, the top generalized eigenvectors of
-  (I + p Kj, I + p Kk), each mixed with a little of the isotropic matrix.
+  (I + p Kj, I + p Kk) from ``wiretap.wiretap_pencil`` (so they are the
+  beams of ``wiretap.solve_wiretap`` bit for bit), each mixed with a
+  little of the isotropic matrix.
   The zero matrix and the two unmixed beams stand as ready candidates.
 
 A covariance S is lifted to the pair q1 = F P F^T, q2 = F (I - P) F^T
@@ -41,11 +42,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo, inv
+from numpy.linalg._umath_linalg import eigh_lo
 
-from .rates import LN2, _factor, identity, rate_stack
+from .rates import LN2, identity, pencil, rate_stack
 from .rotation import _decode, maximize_psd_objective, mixed_start, root_form
 from .types import ChannelPair, Scenario
+from .wiretap import wiretap_pencil
 
 _SCENARIO_C = Scenario("C", common_enabled=False)
 
@@ -66,18 +68,6 @@ class CornerSearch(NamedTuple):
     n_ascents: int
     n_evals: int
     n_unconverged: int
-
-
-def _pencil(a: np.ndarray, b: np.ndarray) -> tuple:
-    """``(lam, V)``: the eigenvalues of the pencil (A, B), ascending, and
-    eigenvectors with V^T B V = I, for B positive definite.
-
-    With B = L L^T from ``rates._factor``, numpy's ``eigh_lo`` gives
-    L^{-1} A L^{-T} = W diag(lam) W^T, and V = L^{-T} W.
-    """
-    li = inv(_factor(b)[1])
-    lam, w = eigh_lo(li @ a @ li.T)
-    return lam, li.T @ w
 
 
 def _corner(h1, h2, w1: float, w2: float, f: np.ndarray) -> tuple:
@@ -101,7 +91,7 @@ def _corner(h1, h2, w1: float, w2: float, f: np.ndarray) -> tuple:
     ):
         if w == 0.0:
             continue
-        lam, v = _pencil(own, cross)
+        lam, v = pencil(own, cross)
         up = lam > 1.0
         lam, v = lam[up], v[:, up]
         value += w * float(np.log(lam).sum())
@@ -128,7 +118,7 @@ def _lift(h1, h2, s: np.ndarray, p: float) -> tuple:
     f = _eigen_factor(s)
     eye = identity(nt)
     y1, y2 = h1 @ f, h2 @ f
-    lam, v = _pencil(eye + y1.T @ y1, eye + y2.T @ y2)
+    lam, v = pencil(eye + y1.T @ y1, eye + y2.T @ y2)
     e = np.linalg.qr(v[:, lam > 1.0])[0]
     fe = f @ e
     rest = f - fe @ e.T
@@ -149,9 +139,8 @@ def corner_search(ch: ChannelPair, w1: float, w2: float, p: float) -> CornerSear
     nt, h1, h2 = ch.nt, ch.h1, ch.h2
     eye = identity(nt)
     zeros = np.zeros((nt, nt))
-    k1, k2 = h1.T @ h1, h2.T @ h2
-    beams = [eigh_lo(k)[1][:, -1] for k in (k1, k2)]
-    beams += [_pencil(eye + p * kj, eye + p * kk)[1][:, -1] for kj, kk in ((k1, k2), (k2, k1))]
+    beams = [eigh_lo(h.T @ h)[1][:, -1] for h in (h1, h2)]
+    beams += [wiretap_pencil(hj, hk, p)[1][:, -1] for hj, hk in ((h1, h2), (h2, h1))]
     mats = [(p / nt) * eye] + [(p / (v @ v)) * np.outer(v, v) for v in beams]
     starts = [mixed_start(q, nt, p) for q in mats]
     for x in starts:

@@ -26,8 +26,10 @@ and of the WSR solver on matrices of a few rows, so the factor and
 L^{-1} come from the LAPACK gufuncs behind ``np.linalg.cholesky`` and
 ``np.linalg.inv`` (``cholesky_lo`` and ``inv`` of
 ``numpy.linalg._umath_linalg``), called directly, without numpy's
-per-call wrapper.  The package thus takes its small dense linear algebra
-from numpy, and scipy loads only when a solve needs it.
+per-call wrapper.  ``pencil``, the generalized eigenproblem of the
+wiretap beams and the secret-DPC corner, reduces its pair by the same
+factor.  The package thus takes all its dense linear algebra from numpy
+and imports no scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import threading
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo, inv
+from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, inv
 
 from .types import (
     ORDER_12,
@@ -105,6 +107,18 @@ def _factor(m: np.ndarray) -> tuple:
             w = np.maximum(np.linalg.eigvalsh(m), np.finfo(float).tiny)
             logdet = np.log(w).sum(-1)
     return logdet, chol
+
+
+def pencil(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``(lam, V)``: the eigenvalues of the pencil (A, B), ascending, and
+    eigenvectors with V^T B V = I, for B positive definite.
+
+    With B = L L^T from ``_factor``, numpy's ``eigh_lo`` gives
+    L^{-1} A L^{-T} = W diag(lam) W^T, and V = L^{-T} W.
+    """
+    li = inv(_factor(b)[1])
+    lam, w = eigh_lo(li @ a @ li.T)
+    return lam, li.T @ w
 
 
 def link_logdet(h: np.ndarray, q: np.ndarray):

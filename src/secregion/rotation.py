@@ -36,9 +36,7 @@ strong-Wolfe line search of Alg. 3.5/3.6), written in numpy over the
 factor vector x of nt^2 + 1 entries (26 at nt 5).  On vectors this small
 the general-purpose ``scipy.optimize.minimize`` spent more time in its own
 bookkeeping than in the objective.  No module of the package imports
-scipy when it is loaded, and no search loads it: the wiretap solve loads
-``scipy.linalg`` for its generalized eigenproblem, and ``splitting`` loads
-``scipy.optimize`` for ``region_contains`` only.
+scipy.
 """
 
 from __future__ import annotations

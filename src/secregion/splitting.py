@@ -22,10 +22,7 @@ the free-disposal hull of its points, the points some nonnegative weight
 on (r0, r1, r2) exposes.  ``hull_pareto`` builds it here in numpy, with
 Andrew's monotone chain for regions without a common message (2-D, over
 (r1, r2)) and Quickhull over the points and their free-disposal corners
-for the rest (3-D), so no job loads Qhull.  ``scipy.optimize`` serves only
-``region_contains``, its one user in the package (the searches run the
-package's own BFGS ascent), and is imported where it is called, as no CLI
-job calls it.
+for the rest (3-D), so no job loads Qhull.
 """
 
 from __future__ import annotations
@@ -430,41 +427,3 @@ def hull_pareto(points: Sequence[RateTriple]) -> list:
     kept.sort(key=lambda t: (t.r0, t.r1, t.r2, t.order))
     return kept
 
-
-def _points_as_array(region) -> np.ndarray:
-    if isinstance(region, RateRegion):
-        return region.as_array()
-    seq = list(region)
-    if seq and isinstance(seq[0], RateTriple):
-        return np.array([t.as_array() for t in seq])
-    return np.asarray(seq, dtype=float)
-
-
-def region_contains(region, target, slack: float = 0.0) -> bool:
-    """Free-disposal membership test for a rate point.
-
-    True when some convex combination of the region's points (and the
-    origin) dominates ``target - slack`` componentwise.  Rate regions are
-    downward comprehensive, so domination rather than equality is the
-    right notion of membership.  It solves a feasibility linear program
-    with ``scipy.optimize.linprog``.
-    """
-    from scipy.optimize import linprog
-
-    pts = np.vstack([_points_as_array(region), np.zeros(3)])
-    t = (
-        target.as_array() if isinstance(target, RateTriple) else np.asarray(target, float)
-    ) - slack
-    if np.all(t <= 0):
-        return True
-    n = pts.shape[0]
-    res = linprog(
-        c=np.zeros(n),
-        A_ub=-pts.T,
-        b_ub=-t,
-        A_eq=np.ones((1, n)),
-        b_eq=np.array([1.0]),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    return bool(res.status == 0)

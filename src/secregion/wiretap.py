@@ -1,17 +1,19 @@
 """Secrecy-rate maximization over a legitimate/eavesdropper channel pair.
 
 Every solve starts from the generalized eigenvectors of the pair
-(I + p Hm^T Hm, I + p He^T He).  Full power along the top one, v, gives the
-beam rate 0.5 log2 lambda_max, and with one legitimate receive row that
-beam (or the zero matrix, when lambda_max <= 1) is optimal (Khisti &
-Wornell, IEEE TIT 2010), so no search runs.  With more rows the problem is
-nonconvex: one BFGS ascent (``rotation.ascend``, the package's own, with a
-strong-Wolfe line search) over the factor form of ``rotation`` starts from
-the beam, and a second from the span of the eigenvectors with lambda > 1
-when there are two or more, each mixed with a little of the isotropic
-matrix.  The zero matrix, the beam and the legitimate channel's
-water-filling matrix stay candidates, so the rate never falls below
-theirs, nor below zero.  The search driver
+(I + p Hm^T Hm, I + p He^T He), which ``wiretap_pencil`` forms and
+``rates.pencil`` solves; the secret-DPC corner search of ``corner`` takes
+its wiretap beams from the same call.  Full power along the top one, v,
+gives the beam rate 0.5 log2 lambda_max, and with one legitimate receive
+row that beam (or the zero matrix, when lambda_max <= 1) is optimal
+(Khisti & Wornell, IEEE TIT 2010), so no search runs.  With more rows the
+problem is nonconvex: one BFGS ascent (``rotation.ascend``, the package's
+own, with a strong-Wolfe line search) over the factor form of
+``rotation`` starts from the beam, and a second from the span of the
+eigenvectors with lambda > 1 when there are two or more, each mixed with
+a little of the isotropic matrix.  The zero matrix, the beam and the
+legitimate channel's water-filling matrix stay candidates, so the rate
+never falls below theirs, nor below zero.  The search driver
 ``rotation.maximize_psd_objective`` runs the ascents and ranks everything.
 
 The best result is accepted when its Frank-Wolfe gap is at most
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import gauss_rate, link_rate_grad
+from .rates import gauss_rate, identity, link_rate_grad, pencil
 from .rotation import (
     N_STARTS,
     encode,
@@ -72,6 +74,13 @@ def _secrecy_rate_grad(hm, he, q) -> tuple:
     return rm - re, gm - ge
 
 
+def wiretap_pencil(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:
+    """``rates.pencil`` of (I + p Hm^T Hm, I + p He^T He): ``(lam, V)``,
+    lam ascending and V^T (I + p He^T He) V = I."""
+    eye = identity(hm.shape[1])
+    return pencil(eye + p * hm.T @ hm, eye + p * he.T @ he)
+
+
 def solve_wiretap(hm, he, p: float) -> WiretapResult:
     """Best found covariance for the secrecy rate under a trace budget.
 
@@ -91,13 +100,7 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
     def search(q):
         return _secrecy_rate_grad(hm, he, q)
 
-    # scipy's generalized eigh (LAPACK dsygvd): numpy has none, and a
-    # reduction through numpy's Cholesky rounds differently.  Imported here
-    # so that jobs without a wiretap solve never load scipy.
-    from scipy.linalg import eigh
-
-    eye = np.eye(nt)
-    lam, vecs = eigh(eye + p * hm.T @ hm, eye + p * he.T @ he)
+    lam, vecs = wiretap_pencil(hm, he, p)
     top = vecs[:, -1]
     beam = (p / (top @ top)) * np.outer(top, top)
     candidates = [(np.zeros((nt, nt)), True), (beam, True)]

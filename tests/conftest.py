@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from secregion import ChannelPair, gauss_rate, layered_rate
+from secregion import ChannelPair, RateRegion, RateTriple, gauss_rate, layered_rate
 from secregion.rates import rate_stack
 
 # Published benchmark instances used across the suite.  ch22 is a dense
@@ -60,6 +61,44 @@ def fd_gradient(f, q, eps=1e-6):
             # (f(q + step d) - f(q - step d)) / (2 step) equals tr(grad @ d).
             g[i, j] = g[j, i] = (f(q + step * d) - f(q - step * d)) / (2.0 * step)
     return g
+
+
+def timeshare_gain(others, target) -> float:
+    """Largest t with target + t under a time-share of ``others`` and 0.
+
+    A linear program, solved to 1e-10 feasibility tolerances, fine enough
+    to tell a point 1e-11 under a time-share from one 1e-9 under (HiGHS's
+    default of 1e-7 is not).
+    """
+    others = np.asarray(others, dtype=float)
+    n, d = others.shape
+    res = linprog(
+        c=np.r_[np.zeros(n), -1.0],
+        A_ub=np.vstack([np.hstack([-others.T, np.ones((d, 1))]), np.r_[np.ones(n), 0.0]]),
+        b_ub=np.r_[-np.asarray(target, dtype=float), 1.0],
+        bounds=[(0.0, None)] * n + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _rate_rows(points) -> np.ndarray:
+    if isinstance(points, (RateRegion, RateTriple)):
+        return points.as_array()
+    seq = list(points)
+    if seq and isinstance(seq[0], RateTriple):
+        return np.array([t.as_array() for t in seq])
+    return np.asarray(seq, dtype=float)
+
+
+def region_contains(region, target, slack: float = 0.0) -> bool:
+    """Free-disposal membership of a rate point: True when some time-share
+    of the region's points and the origin dominates ``target - slack``
+    componentwise.  ``region`` is a ``RateRegion`` or a sequence of
+    ``RateTriple`` or rate rows, ``target`` a ``RateTriple`` or a row."""
+    return timeshare_gain(_rate_rows(region), _rate_rows(target)) >= -slack
 
 
 # (scenario tag, block) pairs of the WSR block prices, keyed by test id.

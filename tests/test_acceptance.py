@@ -21,7 +21,6 @@ from secregion import (
     gauss_rate,
     layered_rate,
     random_search_region,
-    region_contains,
     run,
     secrecy_rate,
     solve_wiretap,
@@ -36,7 +35,13 @@ from secregion import (
     wsr_sweep,
     write_channels,
 )
-from conftest import WSR_PRICE_PAIRS, fd_gradient, random_psd, wsr_linearized_part
+from conftest import (
+    WSR_PRICE_PAIRS,
+    fd_gradient,
+    random_psd,
+    region_contains,
+    wsr_linearized_part,
+)
 
 
 def batched_link_rates(h, qs):

@@ -12,7 +12,6 @@ from secregion import (
     hull_pareto,
     oma_timeshare,
     random_search_region,
-    region_contains,
     solve_wiretap,
     tdma_region,
     waterfill,
@@ -25,6 +24,8 @@ from secregion.baselines import (
     n_angles,
 )
 from secregion.types import pareto_mask
+
+from conftest import region_contains
 
 
 def per_sample_draw_block(rng, nt, first, n, p, common):

@@ -47,15 +47,15 @@ SEED_FREE_JOBS = {
     "tdma": (
         {},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
-        "0,5.1105873763451051,9.4899396739424287,na,,,\n",
+        "0,5.1105873763281444,9.4899396739524846,na,,,\n",
     ),
     "ps": (
         {"eps1": 0.5},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
-        "0,0,18.979879347884857,12,0,0,1\n"
+        "0,0,18.979879347904969,12,0,0,1\n"
         "0,9.7205101235393485,18.125419572141908,12,0,0.5,0.5\n"
-        "0,9.7893369163710044,17.979885990779053,21,0,0.5,0.5\n"
-        "0,10.22117475269021,0,12,0,1,0\n",
+        "0,9.789336902729401,17.979885990761336,21,0,0.5,0.5\n"
+        "0,10.221174752656289,0,12,0,1,0\n",
     ),
 }
 
@@ -597,30 +597,42 @@ class TestRun:
             assert got == (float(r0), float(r1), float(r2), order)
 
 
-# Run in a fresh interpreter: imports the package, then runs the jobs in
-# argv[2:] (method:scenario:common) one after another in-process on the
-# channel file argv[1], and prints which of scipy and its deferred
-# subpackages are in sys.modules after the import and after each job.
-_DEFERRED_IMPORT_SCRIPT = textwrap.dedent(
+# The six jobs (method:scenario:common) of the scipy-free run check; both
+# ps jobs run wiretap ascents, as ch22's receivers have two rows.
+_NO_SCIPY_JOBS = [
+    "oracle:A:off", "wsr:C:off", "tdma:A:off", "oracle:A:on", "ps:C:off", "ps:C:on"
+]
+
+# Run in a fresh interpreter, with scipy blocked when argv[3] is "block", so
+# that any import of it raises: imports the package, then runs the jobs in
+# argv[4:] one after another in-process on the channel file argv[1], writing
+# each job's CSV to directory argv[2], and prints the scipy modules in
+# sys.modules after the import and after each job.
+_NO_SCIPY_SCRIPT = textwrap.dedent(
     """
     import json
     import sys
 
+    if sys.argv[3] == "block":
+        sys.modules["scipy"] = None
+
     from secregion.cli import RunConfig, run
 
     def loaded():
-        tracked = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.spatial")
-        return [m for m in tracked if m in sys.modules]
+        return sorted(
+            m for m, mod in sys.modules.items()
+            if mod is not None and m.split(".")[0] == "scipy"
+        )
 
     report = [("import", loaded())]
-    for job in sys.argv[2:]:
+    for job in sys.argv[4:]:
         method, scenario, common = job.split(":")
         cfg = RunConfig(
             channels=sys.argv[1],
             scenario=scenario,
             method=method,
             power=12.0,
-            out=sys.argv[1] + "." + method + ".csv",
+            out=sys.argv[2] + "/" + job.replace(":", "_") + ".csv",
             common=common == "on",
             eps1=0.5,
             sigma=0.5,
@@ -634,32 +646,24 @@ _DEFERRED_IMPORT_SCRIPT = textwrap.dedent(
 )
 
 
-def test_scipy_linalg_alone_loads_and_only_for_wiretap_solves(ch22_file):
-    # No search loads scipy: the ascents are the package's own.  scipy.linalg
-    # serves only the generalized eigenproblem of a wiretap solve, and every
-    # frontier, 2-D or 3-D, is built in `splitting`; scipy.optimize serves
-    # only region_contains, which no job calls.  So jobs without a wiretap
-    # solve, the common-on oracle among them, load no scipy at all.  Both ps
-    # jobs run wiretap ascents, as ch22's receivers have two rows.
+def test_jobs_run_without_scipy(ch22_file, tmp_path):
+    # The package runs on numpy alone: with scipy blocked every job exits 0,
+    # loads no scipy module and writes the CSV bytes that the same job
+    # writes with scipy importable.
     src = str(Path(secregion.wsr.__file__).resolve().parents[1])
-    jobs = [
-        "oracle:A:off", "wsr:C:off", "tdma:A:off", "oracle:A:on", "ps:C:off", "ps:C:on"
-    ]
-    done = subprocess.run(
-        [sys.executable, "-c", _DEFERRED_IMPORT_SCRIPT, ch22_file, *jobs],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report == [
-        ["import", []],
-        ["oracle:A:off", []],
-        ["wsr:C:off", []],
-        ["tdma:A:off", []],
-        ["oracle:A:on", []],
-        ["ps:C:off", ["scipy", "scipy.linalg"]],
-        ["ps:C:on", ["scipy", "scipy.linalg"]],
-    ]
+    for mode in ("block", "open"):
+        (tmp_path / mode).mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, ch22_file, str(tmp_path / mode), mode]
+            + _NO_SCIPY_JOBS,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report == [["import", []]] + [[job, []] for job in _NO_SCIPY_JOBS]
+    for job in _NO_SCIPY_JOBS:
+        name = job.replace(":", "_") + ".csv"
+        assert (tmp_path / "block" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from secregion import (
     ChannelPair,
@@ -23,6 +24,7 @@ from secregion.rates import (
     identity,
     link_logdet,
     link_rate_grad,
+    pencil,
     rate_rule,
     rate_stack,
     resolvent,
@@ -351,6 +353,46 @@ def link_cases(draw):
     d = rng.standard_normal((nt, nt))
     d = d + d.T
     return h, q, d / np.linalg.norm(d)
+
+
+@st.composite
+def wiretap_pencils(draw):
+    """The pencil (I + p Hm^T Hm, I + p He^T He) of a wiretap solve: nt 1-5,
+    1-5 rows per channel, p 1e-6 to 1e8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nt, rows_m, rows_e = (draw(st.integers(1, 5)) for _ in range(3))
+    p = 10.0 ** draw(st.floats(-6.0, 8.0))
+    hm = rng.standard_normal((rows_m, nt))
+    he = rng.standard_normal((rows_e, nt))
+    eye = np.eye(nt)
+    return eye + p * (hm.T @ hm), eye + p * (he.T @ he)
+
+
+class TestPencil:
+    # Tolerances are 1e-12 relative to the pencil's own scales.  With fewer
+    # eavesdropper rows than antennas B = L L^T is nearly singular at high
+    # power (condition number kb up to about 1e9), and every Cholesky
+    # reduction loses accuracy with it: an eigenvalue moves by up to
+    # eps ||B^-1|| (||A|| + |lam| ||B||) under rounding of A and B, and
+    # scipy's reference dsygvd errs by up to sqrt(kb) times that (kappa of
+    # its L), where `pencil`, against 80-digit mpmath, stays within it.
+    @settings(max_examples=300, deadline=None)
+    @given(wiretap_pencils())
+    def test_matches_scipy_eigh(self, ab):
+        a, b = ab
+        lam, v = pencil(a, b)
+        ref = eigh(a, b, eigvals_only=True)
+        na, nb = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+        nbi = 1.0 / np.linalg.eigvalsh(b)[0]
+        kb = nb * nbi
+        scale = nbi * (na + np.abs(ref) * nb) * np.sqrt(kb)
+        assert np.all(np.abs(lam - ref) <= 1e-12 * scale)
+        assert np.all(np.diff(lam) >= 0.0)
+        # B-orthonormal eigenvectors ...
+        assert np.abs(v.T @ b @ v - np.eye(len(a))).max() <= 1e-12 * kb
+        # ... and a normwise backward error of at most 1e-12.
+        res = np.linalg.norm(a @ v - (b @ v) * lam)
+        assert res <= 1e-12 * (na + np.abs(lam).max() * nb) * np.linalg.norm(v)
 
 
 class TestLinkRateGrad:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from secregion import (
@@ -19,7 +18,6 @@ from secregion import (
     Scenario,
     gauss_rate,
     hull_pareto,
-    region_contains,
     run,
     solve_split,
     solve_wiretap,
@@ -30,6 +28,8 @@ from secregion import (
 from secregion import splitting
 from secregion.splitting import _alpha_grid
 from secregion.types import pareto_mask
+
+from conftest import region_contains, timeshare_gain
 
 
 class TestSolveSplit:
@@ -235,26 +235,6 @@ class TestConsistencyGate:
             sweep_points(ch22, sc, 12.0, 0.5)
 
 
-def _timeshare_gain(others: np.ndarray, target: np.ndarray) -> float:
-    """Largest t with target + t under a time-share of ``others`` and 0.
-
-    A linear program, solved to 1e-10: `region_contains` keeps linprog's
-    default feasibility tolerance of 1e-7, too coarse to tell a point
-    1e-11 under a time-share from one 1e-9 under.
-    """
-    n, d = others.shape
-    res = linprog(
-        c=np.r_[np.zeros(n), -1.0],
-        A_ub=np.vstack([np.hstack([-others.T, np.ones((d, 1))]), np.r_[np.ones(n), 0.0]]),
-        b_ub=np.r_[-target, 1.0],
-        bounds=[(0.0, None)] * n + [(None, None)],
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    assert res.status == 0, res.message
-    return -res.fun
-
-
 def _under_a_timeshare(rows: np.ndarray, margin: float = 1e-9) -> list:
     """Rows that a time-share of the others exceeds by more than ``margin``
     times the largest rate in every coordinate."""
@@ -263,7 +243,7 @@ def _under_a_timeshare(rows: np.ndarray, margin: float = 1e-9) -> list:
     return [
         i
         for i in range(len(rows))
-        if len(rows) > 1 and _timeshare_gain(np.delete(rows, i, axis=0), rows[i]) > margin
+        if len(rows) > 1 and timeshare_gain(np.delete(rows, i, axis=0), rows[i]) > margin
     ]
 
 
@@ -464,3 +444,17 @@ class TestRegionContains:
         assert region_contains(pts, [0.0, 0.5, 0.5])
         assert not region_contains(pts, [0.0, 0.6, 0.6])
         assert region_contains(pts, [0.0, 0.6, 0.6], slack=0.2)
+
+    def test_slack_below_default_lp_tolerance(self):
+        # A time-share of the corners of the plane r0 + r1 + r2 = 2.26 reaches
+        # x + t for t = (2.26 - sum x) / 3, so a point of the diagonal 1.2e-11
+        # under (or over) the plane has a gain of +(-)1.2e-11.  A feasibility
+        # LP at HiGHS's default tolerance of 1e-7 accepts both at slack -1e-9.
+        corners = 2.26 * np.eye(3)
+        under = np.full(3, 2.26 / 3 - 1.2e-11)
+        over = np.full(3, 2.26 / 3 + 1.2e-11)
+        assert region_contains(corners, under)
+        assert not region_contains(corners, under, slack=-1e-9)
+        assert not region_contains(corners, over)
+        assert not region_contains(corners, over, slack=-1e-9)
+        assert region_contains(corners, over, slack=1e-10)
