@@ -93,6 +93,35 @@ def test_equal_rows_resolved_only_in_splitting():
     assert not offenders, "np.unique outside splitting:\n" + "\n".join(offenders)
 
 
+def test_scipy_optimize_only_in_splitting():
+    # The wiretap and multicast searches run the package's own ascent, so no
+    # module outside `splitting` reaches for scipy.optimize (and, since
+    # `region_contains` left, `splitting` does not either; see
+    # `test_scipy_nowhere`).
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "splitting.py"
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string == "optimize"
+    ]
+    assert not offenders, "scipy.optimize outside splitting:\n" + "\n".join(offenders)
+
+
+def test_scipy_spatial_nowhere():
+    # `splitting` builds every frontier with its own Quickhull, so no module
+    # loads Qhull; the tests keep it only as a reference.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string == "spatial"
+    ]
+    assert not offenders, "scipy.spatial in the package:\n" + "\n".join(offenders)
+
+
 def test_scipy_nowhere():
     # The package runs on numpy alone: `rates.pencil` solves the generalized
     # eigenproblem, the searches run the package's own ascent and
