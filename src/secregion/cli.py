@@ -10,11 +10,12 @@ the BSMM rounds (``bsmm_rounds``), the SQUAREM steps the inner solves kept
 (``bsmm_extrapolated``), the inner solves that hit the round cap
 (``bsmm_capped``) and the inner solves of the multiplier searches
 (``bsmm_bisect``); in scenario C, which runs the secret-DPC corner search
-instead, its ascents (``corner_ascents``), their objective calls
-(``corner_evals``) and the ascents that hit the iteration cap
-(``corner_unconverged``).  It also gives the most budget any solve left
-unused (``wsr_unused_power_max``).  Every
-sidecar records the search's relative power tolerance (``wsr_power_tol``)
+instead, its ascents (``corner_ascents``), their objective evaluations
+(``corner_evals``), the stacked objective calls that made them, one per
+lockstep step of the ascents (``corner_batches``), and the ascents that
+hit the iteration cap (``corner_unconverged``).  It also gives the most
+budget any solve left unused (``wsr_unused_power_max``).  Every sidecar
+records the search's relative power tolerance (``wsr_power_tol``)
 beside the inner stop rule (``wsr_eps3``).  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
 """
@@ -53,6 +54,7 @@ _CORNER_COUNTS = {
     "corner_ascents": "n_ascents",
     "corner_evals": "n_evals",
     "corner_unconverged": "n_unconverged_ascents",
+    "corner_batches": "n_batches",
 }
 
 # Methods defined only without a common message -> their name in messages.

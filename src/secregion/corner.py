@@ -56,8 +56,9 @@ class CornerSearch(NamedTuple):
     """The lifted pair of the best covariance found, and what the search did.
 
     ``lam`` is the multiplier that the corner's gradient G implies at the
-    covariance S, <G, S> / p.  ``n_evals`` counts the calls of the ascents'
-    objective, and ``n_unconverged`` the ascents that stopped at
+    covariance S, <G, S> / p.  ``n_evals`` counts the evaluations of the
+    ascents' objective, one per row of a stacked call, ``n_batches`` those
+    stacked calls, and ``n_unconverged`` the ascents that stopped at
     ``rotation.MAX_ITERS``.
     """
 
@@ -68,41 +69,51 @@ class CornerSearch(NamedTuple):
     n_ascents: int
     n_evals: int
     n_unconverged: int
+    n_batches: int
 
 
 def _corner(h1, h2, w1: float, w2: float, f: np.ndarray) -> tuple:
-    """``(w1 C1 + w2 C2, its gradient in F)`` at S = F F^T, in bits.
+    """``(w1 C1 + w2 C2, its gradient in F)`` at S = F F^T, in bits, for
+    one factor F or for each of a (k, nt, nt) stack, which gives a (k,)
+    array of values and a stack of gradients.
 
     C1 = 0.5 sum log2 lam_i over the eigenvalues lam_i > 1 of the pencil
     (A, B) = (I + F^T K1 F, I + F^T K2 F), and C2 likewise over those of
     (B, A).  With V^T B V = I, d lam_i = 2 v_i^T F^T (K1 - lam_i K2) dF v_i,
     so user 1's term has the gradient
     (w1 / ln 2) sum_i (K1 / lam_i - K2) F v_i v_i^T, and user 2's the same
-    with the users exchanged.  At lam_i = 1, where log2+ has a kink, the
-    mode is left out.  A zero weight skips its pencil.
+    with the users exchanged.  A mode with lam_i <= 1, where log2+ is 0 or
+    has its kink, is masked out: its log is taken at 1 and its columns of
+    V weigh 0, so every factor keeps all nt modes.  The weights are the
+    same for the whole stack, and a zero weight skips its pencil; the
+    pencils of two weighted users are solved in one call.  Each
+    factor's values round as its own call's do for nt up to 7, where
+    numpy sums a row's logs in order.
     """
-    eye = identity(f.shape[1])
+    eye = identity(f.shape[-1])
     y1, y2 = h1 @ f, h2 @ f
-    a, b = eye + y1.T @ y1, eye + y2.T @ y2
-    value, grad = 0.0, np.zeros_like(f)
-    for w, h, y, hk, yk, own, cross in (
-        (w1, h1, y1, h2, y2, a, b),
-        (w2, h2, y2, h1, y1, b, a),
-    ):
-        if w == 0.0:
-            continue
-        lam, v = pencil(own, cross)
+    a, b = eye + y1.mT @ y1, eye + y2.mT @ y2
+    value, grad = np.zeros(f.shape[:-2]), np.zeros_like(f)
+    users = [u for u in ((w1, h1, y1, h2, y2, a, b), (w2, h2, y2, h1, y1, b, a)) if u[0] != 0.0]
+    if not users:
+        return value, grad
+    # The weighted users' pencils, (A, B) and (B, A), solved in one call.
+    lams, vs = pencil(np.array([u[5] for u in users]), np.array([u[6] for u in users]))
+    for (w, h, y, hk, yk, _, _), lam, v in zip(users, lams, vs):
         up = lam > 1.0
-        lam, v = lam[up], v[:, up]
-        value += w * float(np.log(lam).sum())
-        grad += h.T @ (y @ ((v * (w / lam)) @ v.T)) - hk.T @ (yk @ ((w * v) @ v.T))
+        kept = np.where(up, lam, 1.0)
+        value += w * np.log(kept).sum(-1)
+        inner = (v * np.where(up, w / kept, 0.0)[..., None, :]) @ v.mT
+        outer = (v * (w * up)[..., None, :]) @ v.mT
+        grad += h.T @ (y @ inner) - hk.T @ (yk @ outer)
     return value / (2.0 * LN2), grad / LN2
 
 
 def _eigen_factor(s: np.ndarray) -> np.ndarray:
-    """A factor F with F F^T = S, from the eigenvalues of S clipped at 0."""
+    """A factor F with F F^T = S, from the eigenvalues of S clipped at 0;
+    ``s`` is one matrix or a stack."""
     w, v = eigh_lo(s)
-    return v * np.sqrt(np.maximum(w, 0.0))
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def _lift(h1, h2, s: np.ndarray, p: float) -> tuple:
@@ -154,12 +165,14 @@ def corner_search(ch: ChannelPair, w1: float, w2: float, p: float) -> CornerSear
     # The ascents follow the value over the best start's, as GTOL is
     # absolute.  Where no start has a value, no weighted user has a mode
     # with lam > 1 at a full-rank S, nor at any S, and no ascent runs.
-    scale = max(_corner(h1, h2, w1, w2, _eigen_factor(_decode(x, nt, p)))[0] for x in starts)
-    n_evals = 0
+    factors = _eigen_factor(_decode(np.array(starts), nt, p))
+    scale = float(_corner(h1, h2, w1, w2, factors)[0].max())
+    n_evals = n_batches = 0
 
     def scaled(f):
-        nonlocal n_evals
-        n_evals += 1
+        nonlocal n_evals, n_batches
+        n_evals += len(f)
+        n_batches += 1
         value, grad = _corner(h1, h2, w1, w2, f)
         return value / scale, grad / scale
 
@@ -174,4 +187,5 @@ def corner_search(ch: ChannelPair, w1: float, w2: float, p: float) -> CornerSear
     )
     f = _eigen_factor(s)
     lam = float(np.vdot(_corner(h1, h2, w1, w2, f)[1], f)) / (2.0 * p)
-    return CornerSearch(*_lift(h1, h2, s, p), lam, converged, len(starts), n_evals, n_unconverged)
+    counts = len(starts), n_evals, n_unconverged, n_batches
+    return CornerSearch(*_lift(h1, h2, s, p), lam, converged, *counts)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import gauss_rate, link_rate_grad
+from .rates import gauss_rate, pair_rate_grad
 from .rotation import factor_form, maximize_psd_objective, mixed_start
 from .types import as_channel_pair, check_budget
 from .waterfill import waterfill
@@ -47,13 +47,19 @@ class MulticastResult:
     converged: bool
 
 
+def _softmin(rates, grads) -> tuple:
+    """Smoothed min of two link rates and its gradient, from the
+    ``(rates, gradients)`` of ``rates.pair_rate_grad``."""
+    ab = -SOFTMIN_SHARPNESS * rates
+    lse = np.logaddexp(ab[0], ab[1])
+    weighted = np.exp(ab - lse)[..., None, None] * grads
+    return lse / -SOFTMIN_SHARPNESS, weighted[0] + weighted[1]
+
+
 def _softmin_grad(h1w, h2w, q) -> tuple:
-    """Smoothed min of the two link rates and its gradient in q, unchecked."""
-    r1, g1 = link_rate_grad(h1w, q)
-    r2, g2 = link_rate_grad(h2w, q)
-    a, b = -SOFTMIN_SHARPNESS * r1, -SOFTMIN_SHARPNESS * r2
-    lse = np.logaddexp(a, b)
-    return -lse / SOFTMIN_SHARPNESS, np.exp(a - lse) * g1 + np.exp(b - lse) * g2
+    """Smoothed min of the two link rates and its gradient in q, unchecked;
+    ``q`` is one matrix or a (k, nt, nt) stack."""
+    return _softmin(*pair_rate_grad(h1w, h2w)(q))
 
 
 def _classified(h1w, h2w, p0: float) -> tuple:
@@ -96,12 +102,13 @@ def solve_multicast(h1w, h2w, p0: float) -> MulticastResult:
         return MulticastResult(q02, min_rate(q02), case, True)
 
     # Water-filling is often rank-deficient, so the start is mixed.
+    links = pair_rate_grad(h1w, h2w)
     q, rate, converged, _ = maximize_psd_objective(
         min_rate,
         nt,
         p0,
         [(q01, True), (q02, True)],
         [mixed_start(q01, nt, p0)],
-        search_objective=factor_form(lambda q: _softmin_grad(h1w, h2w, q), nt, p0),
+        search_objective=factor_form(lambda q: _softmin(*links(q)), nt, p0),
     )
     return MulticastResult(q, rate, case, converged)

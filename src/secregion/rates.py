@@ -10,13 +10,15 @@ reporting, and the WSR inner loop feeds the rule the link values of its
 own factors and mode loadings, as floats, which the rule handles without
 numpy.  ``gauss_rate`` and ``layered_rate`` are the single-link
 primitives of the subproblem solvers and the WSR coupling terms, and
-``link_rate_grad`` gives a link rate with its gradient for the searches.
+``link_rate_grad`` gives a link rate with its gradient for the searches,
+and ``pair_rate_grad`` those of two links at once, on stacks of matrices.
 Log determinants go through a Cholesky factorization of I + PSD, which
 is positive definite by construction.  ``_factor`` is the package's one
 Cholesky routine, for one matrix or a stack: the rate functions here,
-``resolvent`` and ``wsr.closed_form_block`` take their factors from it.
-On a stack an eigenvalue sum is the fallback when round-off defeats the
-factorization; one matrix that fails raises.  Inverse-times-matrix
+``resolvent`` and ``wsr.closed_form_block`` take their factors from it,
+and it raises when round-off defeats the factorization of any matrix.
+Only ``link_logdet``, behind the reported rates, falls back to an
+eigenvalue sum on a stack instead.  Inverse-times-matrix
 expressions in rates are rewritten as differences of log determinants;
 the only inverse formed is that of the Cholesky factor L in
 ``resolvent``, which gives the log-determinant, the whitened channel
@@ -82,70 +84,101 @@ class _QuietContext(threading.local):
 _QUIET = _QuietContext()
 
 
-def _factor(m: np.ndarray) -> tuple:
-    """``(ln|M|, L)`` for M = L L^T, the symmetrized ``m``.
+def _cholesky(m: np.ndarray) -> tuple:
+    """``(M, ln|L|, L)`` for M = L L^T, the symmetrized ``m``, with
+    ln|L| = ln|M| / 2 NaN for every matrix whose factorization failed.
 
-    The package's one Cholesky factorization: numpy's ``cholesky_lo``
-    gufunc, without numpy's per-call wrapper, in the ``_QUIET`` context.
-    ``m`` is one (n, n) matrix or a (k, n, n) stack.  One matrix that is
-    not positive definite raises ``np.linalg.LinAlgError``, with no
-    warning.  If round-off defeats the factorization anywhere in a stack,
-    the log-determinants of the whole stack are eigenvalue sums instead,
-    each eigenvalue floored at the least positive double; L then holds NaN
-    where it failed.
+    numpy's ``cholesky_lo`` gufunc, without numpy's per-call wrapper, in
+    the ``_QUIET`` context; ``m`` is one (n, n) matrix or a (k, n, n)
+    stack.  The gufunc returns NaN throughout a matrix that is not
+    positive definite.
     """
     m = 0.5 * (m + m.mT)
     chol = _QUIET.context.run(cholesky_lo, m)
-    # The gufunc returns NaN throughout a matrix that is not positive definite.
-    if m.ndim == 2:
-        logdet = 2.0 * np.log(chol.diagonal()).sum()
-        if logdet != logdet:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-    else:
-        logdet = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
-        if np.isnan(logdet).any():
-            w = np.maximum(np.linalg.eigvalsh(m), np.finfo(float).tiny)
-            logdet = np.log(w).sum(-1)
-    return logdet, chol
+    return m, np.log(chol.diagonal(0, -2, -1)).sum(-1), chol
+
+
+def _failed(half) -> bool:
+    """Whether any ln|L| of ``_cholesky`` is NaN.
+
+    No ln|L| is -inf, as a factor's diagonal is positive, so the sum of a
+    stack's is NaN exactly when one of them is.  One matrix's float is
+    tested as ``x != x``, which costs far less than a numpy reduction on
+    the WSR inner loop's small links.
+    """
+    return math.isnan(half.sum()) if half.ndim else half != half
+
+
+def _factor(m: np.ndarray) -> tuple:
+    """``(ln|L|, L)`` for M = L L^T, the symmetrized ``m``; ln|M| is twice
+    ln|L|, doubled exactly.
+
+    The package's one Cholesky factorization (see ``_cholesky``), of one
+    (n, n) matrix or of each matrix of a (k, n, n) stack.  If any of them
+    is not positive definite, ``np.linalg.LinAlgError`` is raised, with no
+    warning.
+    """
+    _, half, chol = _cholesky(m)
+    if _failed(half):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return half, chol
 
 
 def pencil(a: np.ndarray, b: np.ndarray) -> tuple:
     """``(lam, V)``: the eigenvalues of the pencil (A, B), ascending, and
     eigenvectors with V^T B V = I, for B positive definite.
 
-    With B = L L^T from ``_factor``, numpy's ``eigh_lo`` gives
+    ``a`` and ``b`` are (n, n) or (k, n, n) stacks, solved matrix by
+    matrix.  With B = L L^T from ``_factor``, numpy's ``eigh_lo`` gives
     L^{-1} A L^{-T} = W diag(lam) W^T, and V = L^{-T} W.
     """
     li = inv(_factor(b)[1])
-    lam, w = eigh_lo(li @ a @ li.T)
-    return lam, li.T @ w
+    lam, w = eigh_lo(li @ a @ li.mT)
+    return lam, li.mT @ w
 
 
 def link_logdet(h: np.ndarray, q: np.ndarray):
     """ln|I + H Q H^T|, from the Cholesky factor alone.
 
     For one (nt, nt) Q this is the first entry of ``resolvent`` bit for
-    bit; a (k, nt, nt) stack of Q gives a (k,) array, with the eigenvalue
-    fallback of ``_factor``.
+    bit, and a Q whose factorization fails raises.  A (k, nt, nt) stack of
+    Q gives a (k,) array; if round-off defeats the factorization anywhere
+    in it, the log-determinants of the whole stack are eigenvalue sums
+    instead, each eigenvalue floored at the least positive double.
     """
-    return _factor(identity(len(h)) + h @ q @ h.T)[0]
+    m, half, _ = _cholesky(identity(len(h)) + h @ q @ h.T)
+    if _failed(half):
+        if m.ndim == 2:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        w = np.maximum(np.linalg.eigvalsh(m), np.finfo(float).tiny)
+        return np.log(w).sum(-1)
+    return 2.0 * half
 
 
 def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     """``(ln|M|, Y, Y^T Y)`` for M = I + H Q H^T, from one Cholesky factor L.
 
     Y = L^{-1} H is the whitened channel, and Y^T Y = H^T M^{-1} H the Gram
-    matrix, symmetric by construction.  ``h`` and ``q`` are 2-D.  M must be
-    positive definite, as it is for every PSD Q; otherwise
-    ``np.linalg.LinAlgError`` is raised, with no warning.  The factor and
-    L^{-1} come from numpy's ``cholesky_lo`` and ``inv`` gufuncs, the ones
+    matrix, symmetric by construction.  ``h`` is 2-D and ``q`` one (nt, nt)
+    matrix or a (k, nt, nt) stack, which gives stacks of each output, every
+    matrix equal bit for bit to its own call; stacks of ``h`` broadcast
+    against ``q`` alike.  Every M must be positive definite, as it is for
+    every PSD Q; otherwise ``np.linalg.LinAlgError`` is raised, with no
+    warning, whichever matrix of a stack failed.  The factor and L^{-1}
+    come from numpy's ``cholesky_lo`` and ``inv`` gufuncs, the ones
     ``np.linalg.cholesky`` and ``np.linalg.inv`` call, so the results equal
     that numpy expression bit for bit.  (``dtrtrs`` would be cheaper but
     rounds differently.)
     """
-    logdet, chol = _factor(identity(len(h)) + h @ q @ h.T)
+    half, y, gram = _whitened(h, q)
+    return 2.0 * half, y, gram
+
+
+def _whitened(h: np.ndarray, q: np.ndarray) -> tuple:
+    """``resolvent`` with ln|L| = ln|M| / 2 in place of ln|M|."""
+    half, chol = _factor(identity(h.shape[-2]) + h @ q @ h.mT)
     y = inv(chol) @ h
-    return logdet, y, y.T @ y
+    return half, y, y.mT @ y
 
 
 def _check_link(h, q, name: str) -> tuple:
@@ -168,12 +201,41 @@ def gauss_rate(h, q) -> float:
 def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
     """``(rate, gradient)`` of 0.5 * log2|I + H Q H^T| for a search's inner loop.
 
-    The gradient in Q is H^T (I + H Q H^T)^{-1} H / (2 ln 2).  Nothing is
+    The gradient in Q is H^T (I + H Q H^T)^{-1} H / (2 ln 2).  ``q`` is one
+    matrix or a (k, nt, nt) stack, as for ``resolvent``, and ``h`` may be
+    a stack of channels that broadcasts against it.  Nothing is
     validated, so reported results must still go through ``gauss_rate``,
     whose value this equals bit for bit.
     """
-    logdet, _, gram = resolvent(h, q)
-    return 0.5 * logdet / LN2, gram / (2.0 * LN2)
+    # ln|L| is 0.5 * ln|M| bit for bit, as doubling and halving are exact.
+    half, _, gram = _whitened(h, q)
+    return half / LN2, gram / (2.0 * LN2)
+
+
+def pair_rate_grad(h1: np.ndarray, h2: np.ndarray):
+    """The map from ``q`` to ``(rates, gradients)`` of ``link_rate_grad``
+    for two links at ``q``, one matrix or a (k, nt, nt) stack: arrays of
+    shapes (2,) + s and (2,) + s + (nt, nt) for ``q`` of shape s + (nt, nt).
+
+    Channels of one shape are stacked once, here, and go through
+    ``resolvent``'s gufuncs together, in one call each in place of two;
+    the gufuncs work matrix by matrix, so every result is bit for bit its
+    own call's.
+    """
+    if h1.shape != h2.shape:
+
+        def rate_grads(q):
+            (r1, g1), (r2, g2) = link_rate_grad(h1, q), link_rate_grad(h2, q)
+            return np.array((r1, r2)), np.array((g1, g2))
+
+        return rate_grads
+    pair = np.array((h1, h2))
+    stacked = pair[:, None]
+
+    def rate_grads(q):
+        return link_rate_grad(stacked if q.ndim > 2 else pair, q)
+
+    return rate_grads
 
 
 def layered_rate(h, q_signal, q_interference) -> float:

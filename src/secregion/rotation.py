@@ -1,10 +1,10 @@
 """Factor parameterization of trace-bounded PSD matrices and the
-quasi-Newton searches built on it: one ascent (``ascend``) from a start
-matrix (``mixed_start``), the one search driver that ranks ready
-candidates and ascents by the true objective (``maximize_psd_objective``),
-and the Frank-Wolfe gap (``fw_gap``) that tells whether a result is
-stationary.  Every wiretap, multicast and scenario-C WSR search runs
-through the driver.
+quasi-Newton searches built on it: one BFGS ascent (``ascent``) from a
+start matrix (``mixed_start``), the one search driver that runs its
+ascents together and ranks ready candidates and ascent results by the
+true objective (``maximize_psd_objective``), and the Frank-Wolfe gap
+(``fw_gap``) that tells whether a result is stationary.  Every wiretap,
+multicast and scenario-C WSR search runs through the driver.
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -24,13 +24,21 @@ The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
 ``nt`` and ``search_objective`` arguments by name, and reads the value as
 ``[1]`` of its result.
 
-An ascent follows an objective of the factor vector x, ``(value, gradient
-in x)``.  Most objectives are natural in the matrix, and ``factor_form``
-carries a matrix objective ``(value, G)`` to x by the chain rule.  The
-secret-DPC corner of ``corner`` is natural in the factor F of Q = F F^T
-instead, and ``root_form`` carries its ``(value, G_F)``.
+``ascent`` is a generator: it yields each parameter vector x where it
+needs the objective and is sent back ``(value, gradient in x)``.  So the
+driver runs all of its starts in lockstep (``_lockstep``): on each step
+it stacks the pending vectors of the unfinished ascents into one (k, n)
+array, n = nt^2 + 1, and makes one call of the search objective, which
+maps that stack to a (k,) array of values and a (k, n) array of
+gradients.  Each row rounds as it would alone, so each ascent takes the
+steps it would take alone, bit for bit; a single start is a stack of one
+row (``ascend``).  The search objectives are natural in the matrix, a
+(k, nt, nt) stack, and ``factor_form`` carries such an objective
+``(values, G)`` to x by the chain rule.  The secret-DPC corner of
+``corner`` is natural in the factor F of Q = F F^T instead, and
+``root_form`` carries its ``(values, G_F)``.
 
-``ascend`` is a BFGS ascent of the package's own (Nocedal & Wright,
+The ascent is a BFGS ascent of the package's own (Nocedal & Wright,
 "Numerical Optimization", 2nd ed.: the inverse update of eq. 6.17 and the
 strong-Wolfe line search of Alg. 3.5/3.6), written in numpy over the
 factor vector x of nt^2 + 1 entries (26 at nt 5).  On vectors this small
@@ -73,13 +81,18 @@ GTOL = 1e-7
 _C1 = 1e-4
 _C2 = 0.9
 _MAX_TRIALS = 20
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _decode(x: np.ndarray, nt: int, budget: float) -> np.ndarray:
-    """budget * B B^T / ||x||^2 for x = (vec B, s)."""
-    b = x[:-1].reshape(nt, nt)
-    return (budget / (x @ x)) * (b @ b.T)
+    """budget * B B^T / ||x||^2 for each row x = (vec B, s) of ``x``: one
+    matrix for a vector, a (k, nt, nt) stack for a (k, nt^2 + 1) stack.
+
+    ``np.vecdot`` takes each row's ||x||^2 with the dot product of ``x @
+    x``, bit for bit; ``einsum`` and ``(x * x).sum(-1)`` round differently.
+    """
+    b = x[..., :-1].reshape(*x.shape[:-1], nt, nt)
+    return (budget / np.vecdot(x, x))[..., None, None] * (b @ b.mT)
 
 
 def encode(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
@@ -107,46 +120,54 @@ def fw_gap(g: np.ndarray, q: np.ndarray, budget: float) -> float:
 
 
 def factor_form(search_objective, nt: int, budget: float):
-    """The objective of the factor vector x that ``search_objective``, a map
-    from a feasible matrix to ``(value, G)``, gives at ``_decode(x)``.
+    """The objective of a (k, nt^2 + 1) stack of factor vectors that
+    ``search_objective``, a map from a (k, nt, nt) stack of feasible
+    matrices to ``(values, G)``, a (k,) array and a stack, gives at
+    ``_decode(x)``.
 
     With c = ||x||^2, G the (symmetric) gradient in Q and <G, Q> their
     inner product, the chain rule gives 2/c (budget G B - <G, Q> B) for B
-    and -2 <G, Q> s / c for s.
+    and -2 <G, Q> s / c for s.  c and <G, Q> are ``np.vecdot``s of rows,
+    which round as ``x @ x`` and ``np.vdot`` do.
     """
 
     def in_factor(x):
-        q = _decode(x, nt, budget)
+        k = len(x)
+        b = x[:, :-1].reshape(k, nt, nt)
+        c = np.vecdot(x, x)
+        c3 = c[:, None, None]
+        q = (budget / c3) * (b @ b.mT)  # _decode(x), sharing b and c
         value, g = search_objective(q)
-        c = x @ x
-        b = x[:-1].reshape(nt, nt)
-        gq = np.vdot(g, q)
+        gq = np.vecdot(g.reshape(k, -1), q.reshape(k, -1))
         grad = np.empty_like(x)
-        grad[:-1] = ((2.0 / c) * (budget * (g @ b) - gq * b)).ravel()
-        grad[-1] = -2.0 * gq * x[-1] / c
+        grad[:, :-1] = ((2.0 / c3) * (budget * (g @ b) - gq[:, None, None] * b)).reshape(k, -1)
+        grad[:, -1] = -2.0 * gq * x[:, -1] / c
         return value, grad
 
     return in_factor
 
 
 def root_form(objective, nt: int, budget: float):
-    """The objective of the factor vector for ``objective``, a map from the
-    factor F of Q = F F^T to ``(value, G_F)``, its gradient in F.
+    """The objective of a stack of factor vectors for ``objective``, a map
+    from a (k, nt, nt) stack of factors F of Q = F F^T to ``(values,
+    G_F)``, the gradients in F.
 
     F = a B with a = sqrt(budget / c) and c = ||x||^2, so that F F^T is
     ``_decode(x)``; the chain rule gives a (G_F - <G_F, B> B / c) for B and
-    -a <G_F, B> s / c for s.
+    -a <G_F, B> s / c for s, the products taken as in ``factor_form``.
     """
 
     def in_factor(x):
-        b = x[:-1].reshape(nt, nt)
-        c = x @ x
-        a = math.sqrt(budget / c)
-        value, g = objective(a * b)
-        gb = np.vdot(g, b)
+        k = len(x)
+        b = x[:, :-1].reshape(k, nt, nt)
+        c = np.vecdot(x, x)
+        a = np.sqrt(budget / c)
+        a3 = a[:, None, None]
+        value, g = objective(a3 * b)
+        gb = np.vecdot(g.reshape(k, -1), x[:, :-1])
         grad = np.empty_like(x)
-        grad[:-1] = (a * (g - (gb / c) * b)).ravel()
-        grad[-1] = -a * gb * x[-1] / c
+        grad[:, :-1] = (a3 * (g - (gb / c)[:, None, None] * b)).reshape(k, -1)
+        grad[:, -1] = -a * gb * x[:, -1] / c
         return value, grad
 
     return in_factor
@@ -160,7 +181,7 @@ def _cubic_step(a, fa, da, b, fb, db):
     disc = d1 * d1 - da * db
     if not disc >= 0.0:
         return 0.5 * (a + b)
-    d2 = np.copysign(np.sqrt(disc), b - a)
+    d2 = math.copysign(math.sqrt(disc), b - a)
     denom = db - da + 2.0 * d2
     if denom == 0.0:
         return 0.5 * (a + b)
@@ -170,26 +191,31 @@ def _cubic_step(a, fa, da, b, fb, db):
     return min(max(t, lo + pad), hi - pad)
 
 
-def _wolfe_step(fun, x, f0, g0, p, step):
+def _point(step, xa, value, grad, p) -> tuple:
+    """A line search's trial at ``step``, the point ``xa``: ``(step, f,
+    slope along p, xa, g)``, f and g the negated ``value`` and ``grad``
+    that the search minimizes.  The scalars are Python floats, which round
+    as numpy's do and cost less to compare."""
+    ga = -grad
+    return step, -value, float(ga @ p), xa, ga
+
+
+def _wolfe_step(x, f0, g0, p, step):
     """A step along ``p`` that meets the strong Wolfe conditions for
-    minimizing ``fun``, as ``(x, f, g)`` there; None when none is found.
+    minimizing f, as a generator: it yields each trial point, is sent the
+    ``(value, gradient)`` to raise there, and returns ``(x, f, g)`` at the
+    step, or None when none is found.
 
     Bracketing (Nocedal & Wright, Alg. 3.5) triples the trial ``step`` until
     it passes a minimizer along the line, and zoom (Alg. 3.6) shrinks the
-    bracket by cubic interpolation.  Each trial costs one ``fun`` call,
+    bracket by cubic interpolation.  Each trial costs one evaluation,
     which gives the slope along ``p`` too.  The zoom gives up once the
     bracket is so short that the decrease it could still show is below
     the rounding of ``f0``.
     """
-    d0 = g0 @ p
+    d0 = float(g0 @ p)
     if not d0 < 0.0:
         return None
-
-    def trial(a):
-        """(step, value, slope along p, point, gradient) at step a."""
-        xa = x + a * p
-        fa, ga = fun(xa)
-        return a, fa, ga @ p, xa, ga
 
     def decreases(t, best):
         """Sufficient decrease at t, and a value below the best so far."""
@@ -201,7 +227,8 @@ def _wolfe_step(fun, x, f0, g0, p, step):
 
     prev = (0.0, f0, d0, x, g0)
     for _ in range(_MAX_TRIALS):
-        t = trial(step)
+        xa = x + step * p
+        t = _point(step, xa, *(yield xa), p)
         if not decreases(t, prev):
             lo, hi = prev, t
             break
@@ -216,7 +243,9 @@ def _wolfe_step(fun, x, f0, g0, p, step):
     for _ in range(_MAX_TRIALS):
         if abs(hi[0] - lo[0]) * -d0 <= _EPS * abs(f0):
             return None
-        t = trial(_cubic_step(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]))
+        step = _cubic_step(lo[0], lo[1], lo[2], hi[0], hi[1], hi[2])
+        xa = x + step * p
+        t = _point(step, xa, *(yield xa), p)
         if not decreases(t, lo):
             hi = t
         elif flat(t):
@@ -228,13 +257,14 @@ def _wolfe_step(fun, x, f0, g0, p, step):
     return None
 
 
-def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
-    """One BFGS ascent from parameter vector ``x0``; returns ``(q, converged)``.
+def ascent(x0: np.ndarray, nt: int, budget: float):
+    """One BFGS ascent from parameter vector ``x0``, as a generator.
 
-    ``search_objective`` maps a parameter vector x to ``(value, gradient in
-    x)``, the value to raise at ``_decode(x)`` (see ``factor_form``), and
-    ``q`` is ``_decode`` of the last x.  The ascent
-    minimizes the negated value over x.  Its inverse Hessian estimate
+    It yields each parameter vector x where it needs the objective, and is
+    sent back ``(value, gradient in x)`` of the value to raise at
+    ``_decode(x)``; it returns ``(q, converged)``, ``q`` being ``_decode``
+    of the last x.  The first x yielded is ``x0``.  The ascent minimizes
+    the negated value over x.  Its inverse Hessian estimate
     starts as the identity and takes the BFGS update after every step
     whose curvature s.y is positive (Nocedal & Wright, eq. 6.17); steps
     come from ``_wolfe_step``, so the value never falls.  When the line
@@ -245,24 +275,20 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
     finds no step along the gradient ends it as converged, since no
     further improvement was found.
     """
-
-    def neg(x):
-        value, grad = search_objective(x)
-        return -value, -grad
-
     x = np.asarray(x0, dtype=float)
-    f, g = neg(x)
+    value, grad = yield x
+    f, g = -value, -grad
     h = np.eye(x.size)
     fresh = True
     for k in range(MAX_ITERS + 1):
-        if np.max(np.abs(g)) <= GTOL:
+        if abs(g).max() <= GTOL:
             break
         if k == MAX_ITERS:
             return _decode(x, nt, budget), False
         # A step along the gradient (H the identity) first moves x by a
         # length of 1; a quasi-Newton step first tries its full length.
-        step = 1.0 / np.linalg.norm(g) if fresh else 1.0
-        found = _wolfe_step(neg, x, f, g, -(h @ g), step)
+        step = 1.0 / math.sqrt(g @ g) if fresh else 1.0
+        found = yield from _wolfe_step(x, f, g, -(h @ g), step)
         if found is None:
             if fresh:
                 break
@@ -278,9 +304,43 @@ def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
         if sy > 0.0:
             # H + a s s^T - (H y s^T + s y^T H) / sy, a = (sy + y.Hy) / sy^2
             hy = h @ y
-            m = np.outer(s, (0.5 * (sy + y @ hy) / sy**2) * s - hy / sy)
+            m = s[:, None] * ((0.5 * (sy + y @ hy) / sy**2) * s - hy / sy)
             h += m + m.T
     return _decode(x, nt, budget), True
+
+
+def _lockstep(search_objective, starts, nt: int, budget: float) -> list:
+    """The ``(q, converged)`` of an ``ascent`` from each of ``starts``, run
+    together.
+
+    Each step stacks the pending parameter vectors of the unfinished
+    ascents into one (k, nt^2 + 1) array, makes one ``search_objective``
+    call on it and sends each ascent its row of the ``(values, gradients)``,
+    a (k,) and a (k, nt^2 + 1) array.  An ascent's rows are those it would
+    get alone, so every ascent ends where it would alone, bit for bit.
+    """
+    runs = [ascent(x0, nt, budget) for x0 in starts]
+    pending = [next(run) for run in runs]
+    ends = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        values, grads = search_objective(np.array([pending[i] for i in live]))
+        still = []
+        for i, value, grad in zip(live, values.tolist(), grads):
+            try:
+                pending[i] = runs[i].send((value, grad))
+                still.append(i)
+            except StopIteration as stop:
+                ends[i] = stop.value
+        live = still
+    return ends
+
+
+def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
+    """``(q, converged)`` of one ``ascent`` from ``x0``: the lockstep
+    driver run on one start, ``search_objective`` taking (1, nt^2 + 1)
+    stacks."""
+    return _lockstep(search_objective, [x0], nt, budget)[0]
 
 
 class Search(NamedTuple):
@@ -299,14 +359,16 @@ def maximize_psd_objective(
     """The one search driver: the best of ready candidates and of ascents.
 
     ``candidates`` are ``(q, converged)`` pairs taken as they are, and each
-    parameter vector in ``starts`` runs one ``ascend`` of
+    parameter vector in ``starts`` runs one ``ascent`` of
     ``search_objective``, the objective itself or a smoothed or rescaled
-    surrogate, as a function of the factor vector (see ``factor_form``).
+    surrogate, as a function of a (k, nt^2 + 1) stack of factor vectors
+    (see ``factor_form``); the ascents run in lockstep (``_lockstep``),
+    one ``search_objective`` call per step for all of them.
     ``objective`` maps an nt x nt PSD matrix with trace <= budget to the
     true value, and ranks the candidates and then the ascent results; the
     first of equals wins, as with ``max``.
     """
-    ascents = [ascend(search_objective, x0, nt, budget) for x0 in starts]
+    ascents = _lockstep(search_objective, starts, nt, budget)
     results = [*candidates, *ascents]
     values = [float(objective(q)) for q, _ in results]
     best = max(range(len(results)), key=values.__getitem__)

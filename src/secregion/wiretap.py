@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import gauss_rate, identity, link_rate_grad, pencil
+from .rates import gauss_rate, identity, pair_rate_grad, pencil
 from .rotation import (
     N_STARTS,
     encode,
@@ -68,10 +68,10 @@ def secrecy_rate(hm, he, q) -> float:
 
 
 def _secrecy_rate_grad(hm, he, q) -> tuple:
-    """``secrecy_rate`` and its gradient in q, without argument checks."""
-    rm, gm = link_rate_grad(hm, q)
-    re, ge = link_rate_grad(he, q)
-    return rm - re, gm - ge
+    """``secrecy_rate`` and its gradient in q, without argument checks;
+    ``q`` is one matrix or a (k, nt, nt) stack, as for ``pair_rate_grad``."""
+    rates, grads = pair_rate_grad(hm, he)(q)
+    return rates[0] - rates[1], grads[0] - grads[1]
 
 
 def wiretap_pencil(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:

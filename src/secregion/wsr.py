@@ -482,8 +482,10 @@ class WsrSolution:
     stopped at ``MAX_INNER`` rounds without converging, and
     ``n_extrapolated`` sums the SQUAREM steps they kept.  In scenario C
     those are 0, and ``n_ascents`` counts the corner search's ascents,
-    ``n_evals`` the calls of their objective and ``n_unconverged_ascents``
-    those that stopped at ``rotation.MAX_ITERS``; ``lam`` is then the
+    ``n_evals`` the evaluations of their objective, ``n_batches`` the
+    stacked calls that made them (see ``rotation._lockstep``) and
+    ``n_unconverged_ascents`` those that stopped at
+    ``rotation.MAX_ITERS``; ``lam`` is then the
     multiplier that the corner's gradient G at the result S implies,
     <G, S> / p.
     """
@@ -501,6 +503,7 @@ class WsrSolution:
     n_ascents: int = 0
     n_evals: int = 0
     n_unconverged_ascents: int = 0
+    n_batches: int = 0
 
 
 def wsr_solve(
@@ -545,7 +548,7 @@ def wsr_solve(
         q1, q2 = found.q1, found.q2
         rates = evaluate_triple(ch, scenario, CovarianceTriple(zeros, q1, q2, p), ORDER_12)
         unused = p - float(np.trace(q1) + np.trace(q2))
-        counts = found.n_ascents, found.n_evals, found.n_unconverged
+        counts = found.n_ascents, found.n_evals, found.n_unconverged, found.n_batches
         return WsrSolution(q1, q2, rates, found.lam, found.converged, 0, 0, 0, 0, unused, *counts)
     k1 = bits_block_weight(cfg.w1)
     k2 = bits_block_weight(cfg.w2)

@@ -405,6 +405,38 @@ class TestRun:
         assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
         assert not [key for key in meta if key.startswith("bsmm_")]
 
+    def test_wsr_sidecar_sums_corner_batches(self, ch22_file, tmp_path, monkeypatch):
+        # Each stacked objective call of the corner searches' lockstep
+        # ascents is one batch; corner_evals still counts rows, so a batch
+        # carries at most one row per ascent.
+        solve = secregion.wsr.wsr_solve
+        sols = []
+
+        def recorded(*args):
+            sols.append(solve(*args))
+            return sols[-1]
+
+        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
+        out = tmp_path / "w.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="C",
+            method="wsr",
+            power=12.0,
+            out=str(out),
+            common=False,
+            sigma=0.5,
+        )
+        assert run(cfg) == 0
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
+        )
+        batches = int(meta["corner_batches"])
+        assert batches == sum(sol.n_batches for sol in sols) > 0
+        assert batches < int(meta["corner_evals"])
+        for sol in sols:
+            assert sol.n_batches <= sol.n_evals <= sol.n_ascents * sol.n_batches
+
     def test_wsr_sidecar_sums_kept_squarem_steps(self, ch22_file, tmp_path, monkeypatch):
         solve = secregion.wsr.wsr_solve
         sols = []

@@ -145,12 +145,12 @@ class TestSolveMulticast:
         h1, h2, p = self.TRAP
         starts = []
 
-        def recorded(search_objective, x0, nt, budget):
+        def recorded(x0, nt, budget):
             starts.append(x0)
-            return ascend(search_objective, x0, nt, budget)
+            return ascent(x0, nt, budget)
 
-        ascend = rotation.ascend
-        monkeypatch.setattr(rotation, "ascend", recorded)
+        ascent = rotation.ascent
+        monkeypatch.setattr(rotation, "ascent", recorded)
         solve_multicast(h1, h2, p)
         (x0,) = starts
 

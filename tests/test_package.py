@@ -44,9 +44,9 @@ def test_ascend_only_in_driver():
         for path in sorted(package.glob("*.py"))
         if path.name != "rotation.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"\bascend\(", line)
+        if re.search(r"\bascen[dt]\(", line)
     ]
-    assert not offenders, "ascend called outside the driver:\n" + "\n".join(offenders)
+    assert not offenders, "ascent run outside the driver:\n" + "\n".join(offenders)
 
 
 def test_cholesky_only_in_rates():

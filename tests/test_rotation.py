@@ -128,15 +128,16 @@ def search_cases(draw):
 
 def assert_central_difference(search, x, nt, budget):
     """The chain-rule gradient of ``search`` at ``_decode(x)`` against
-    central differences of its value, coordinate by coordinate."""
+    central differences of its value, coordinate by coordinate, each
+    vector a stack of one row."""
     in_factor = factor_form(search, nt, budget)
-    _, grad = in_factor(x)
+    (grad,) = in_factor(x[None])[1]
     for i in range(x.size):
         t = 1e-6 * max(1.0, abs(x[i]))
         up, down = x.copy(), x.copy()
         up[i] += t
         down[i] -= t
-        fd = (in_factor(up)[0] - in_factor(down)[0]) / (2.0 * t)
+        fd = (in_factor(up[None])[0][0] - in_factor(down[None])[0][0]) / (2.0 * t)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
@@ -167,26 +168,50 @@ class TestRootForm:
         h1, _, budget, x = case
         nt = h1.shape[1]
         k = h1.T @ h1
-        in_root = root_form(lambda f: (np.vdot(k, f @ f.T), 2.0 * k @ f), nt, budget)
-        in_matrix = factor_form(lambda q: (np.vdot(k, q), k), nt, budget)
-        (v_root, g_root), (v_matrix, g_matrix) = in_root(x), in_matrix(x)
+        in_root = root_form(stacked(lambda f: (np.vdot(k, f @ f.T), 2.0 * k @ f)), nt, budget)
+        in_matrix = factor_form(stacked(lambda q: (np.vdot(k, q), k)), nt, budget)
+        (v_root, g_root), (v_matrix, g_matrix) = in_root(x[None]), in_matrix(x[None])
         assert v_root == pytest.approx(v_matrix, rel=1e-12, abs=1e-300)
         assert np.allclose(g_root, g_matrix, rtol=1e-10, atol=1e-12 * np.abs(g_matrix).max())
 
     def test_zero_slack_keeps_zero_gradient(self):
         # A start at full power stays there: the slack's gradient is 0.
         x = np.append(np.random.default_rng(1).standard_normal(4), 0.0)
-        _, grad = root_form(lambda f: (np.vdot(f, f), 2.0 * f), 2, 3.0)(x)
-        assert grad[-1] == 0.0
+        _, grad = root_form(stacked(lambda f: (np.vdot(f, f), 2.0 * f)), 2, 3.0)(x[None])
+        assert grad[0, -1] == 0.0
+
+
+def stacked(single):
+    """The stacked form of a one-matrix ``(value, gradient)`` objective, as
+    the search follows: the (k,) values and (k, n, n) gradients of a
+    (k, n, n) stack, matrix by matrix."""
+
+    def on_stack(q):
+        values, grads = zip(*(single(m) for m in q))
+        return np.array(values), np.array(grads)
+
+    return on_stack
 
 
 def with_gradient(objective, gradient):
-    """Value-and-gradient callable, as the search follows."""
-    return lambda q: (objective(q), gradient(q))
+    """Stacked value-and-gradient callable, as the search follows."""
+    return stacked(lambda q: (objective(q), gradient(q)))
 
 
 def fail(*args, **kwargs):
     raise AssertionError("an ascent ran")
+
+
+def ended_ascents(*ends):
+    """A stand-in for ``rotation.ascent`` whose i-th ascent yields its
+    start once and then ends with ``ends[i]``."""
+    ends = iter(ends)
+
+    def ascent(x0, nt, budget):
+        yield x0
+        return next(ends)
+
+    return ascent
 
 
 class TestDriver:
@@ -196,7 +221,7 @@ class TestDriver:
         return float(np.trace(q @ self.D))
 
     def linear_search(self, q):
-        return self.linear(q), self.D
+        return stacked(lambda m: (self.linear(m), self.D))(q)
 
     def test_feasible_by_construction(self):
         # whatever the objective does, iterates stay PSD within budget
@@ -256,7 +281,7 @@ class TestDriver:
     def test_candidate_beats_equal_ascent(self, monkeypatch):
         # An ascent that ends on a candidate's value does not displace it.
         best = np.diag([0.0, 1.0])
-        monkeypatch.setattr(rotation, "ascend", lambda *args: (best.copy(), False))
+        monkeypatch.setattr(rotation, "ascent", ended_ascents((best.copy(), False)))
         q, val, converged, _ = maximize_psd_objective(
             self.linear,
             2,
@@ -281,9 +306,10 @@ class TestDriver:
 
     def test_counts_unconverged_ascents(self, monkeypatch):
         # Of three ascents the first and the last stop at the cap.
-        flags = iter([False, True, False])
         monkeypatch.setattr(
-            rotation, "ascend", lambda *args: (np.diag([0.0, 1.0]), next(flags))
+            rotation,
+            "ascent",
+            ended_ascents(*((np.diag([0.0, 1.0]), flag) for flag in (False, True, False))),
         )
         result = maximize_psd_objective(
             self.linear,
@@ -297,14 +323,14 @@ class TestDriver:
         assert result.value == result[1] == 3.0
 
     def test_empty_starts_run_no_ascent(self, monkeypatch):
-        monkeypatch.setattr(rotation, "ascend", fail)
+        monkeypatch.setattr(rotation, "ascent", fail)
         q, val, _, _ = maximize_psd_objective(
             self.linear,
             2,
             1.0,
             [(np.zeros((2, 2)), True), (np.diag([1.0, 0.0]), True)],
             [],
-            search_objective=factor_form(self.linear_search, 2, 1.0),
+            search_objective=fail,
         )
         assert np.array_equal(q, np.diag([1.0, 0.0])) and val == 1.0
 
@@ -358,9 +384,11 @@ class TestAscent:
         found = rotation._wolfe_step
         along_gradient = []
 
-        def fail_second(fun, x, f0, g0, p, step):
+        def fail_second(x, f0, g0, p, step):
             along_gradient.append(np.array_equal(p, -g0))
-            return None if len(along_gradient) == 2 else found(fun, x, f0, g0, p, step)
+            if len(along_gradient) == 2:
+                return None
+            return (yield from found(x, f0, g0, p, step))
 
         monkeypatch.setattr(rotation, "_wolfe_step", fail_second)
         h = np.array([[0.3, 2.5], [2.2, 1.8]])
@@ -376,7 +404,133 @@ class TestAscent:
         # step gives a sufficient decrease, so the ascent stops where it began.
         x0 = encode(np.diag([1.0, 0.5]), 2, 3.0)
         with np.errstate(all="raise"):
-            flat = factor_form(lambda q: (1.0, np.eye(2)), 2, 3.0)
+            flat = factor_form(stacked(lambda q: (1.0, np.eye(2))), 2, 3.0)
             q, converged = ascend(flat, x0, 2, 3.0)
         assert converged
         assert np.array_equal(q, _decode(x0, 2, 3.0))
+
+
+def alone(search_objective, x0, nt, budget):
+    """``(q, converged)`` of one ``rotation.ascent`` from ``x0`` run by
+    itself, each trial point a stack of one row: the reference for the
+    lockstep driver."""
+    run = rotation.ascent(x0, nt, budget)
+    x = next(run)
+    while True:
+        values, grads = search_objective(x[None])
+        try:
+            x = run.send((values[0], grads[0]))
+        except StopIteration as stop:
+            return stop.value
+
+
+def alone_search(objective, nt, budget, candidates, starts, search_objective):
+    """The driver's ranking over ``candidates`` and the ascents run alone."""
+    ascents = [alone(search_objective, x0, nt, budget) for x0 in starts]
+    results = [*candidates, *ascents]
+    values = [float(objective(q)) for q, _ in results]
+    best = max(range(len(results)), key=values.__getitem__)
+    q, converged = results[best]
+    return q, values[best], converged, sum(not c for _, c in ascents)
+
+
+def sizes_seen(search_objective, sizes):
+    """``search_objective`` that records the stack size of each call."""
+
+    def recorded(x):
+        sizes.append(len(x))
+        return search_objective(x)
+
+    return recorded
+
+
+class TestLockstep:
+    """The lockstep driver against each of its ascents run alone: the same
+    matrix, value, convergence flag and unconverged count, bit for bit."""
+
+    def assert_same(self, got, want):
+        q, value, converged, n_unconverged = want
+        assert got.q.tobytes() == q.tobytes()
+        assert got.value == value
+        assert got.converged == converged and got.n_unconverged == n_unconverged
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_cases(), st.integers(1, 6))
+    def test_wiretap_starts_match_alone(self, case, k):
+        h1, h2, budget, x = case
+        nt = h1.shape[1]
+        rng = np.random.default_rng(int(abs(x[0]) * 1e6))
+        starts = [x] + [rng.standard_normal(x.size) for _ in range(k - 1)]
+        search = factor_form(lambda q: _secrecy_rate_grad(h1, h2, q), nt, budget)
+
+        def rate(q):
+            return _secrecy_rate_grad(h1, h2, q)[0]
+
+        candidates = [(np.zeros((nt, nt)), True)]
+        got = maximize_psd_objective(rate, nt, budget, candidates, starts, search_objective=search)
+        self.assert_same(got, alone_search(rate, nt, budget, candidates, starts, search))
+
+    def test_starts_end_at_different_steps(self, ch22):
+        # One start sits where the value is flat, so its line search fails
+        # and it stops, converged, at its first step; the others ascend.
+        # The stack shrinks as ascents end.
+        search = factor_form(lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q), 2, 12.0)
+
+        def flat_far_away(x):
+            values, grads = search(x)
+            far = np.vecdot(x, x) > 1e6
+            values[far], grads[far] = 1.0, 1.0
+            return values, grads
+
+        rng = np.random.default_rng(3)
+        starts = [rng.standard_normal(5) for _ in range(3)] + [np.full(5, 1e4)]
+        sizes = []
+        got = maximize_psd_objective(
+            lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q)[0],
+            2,
+            12.0,
+            [],
+            starts,
+            search_objective=sizes_seen(flat_far_away, sizes),
+        )
+        want = alone_search(
+            lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q)[0], 2, 12.0, [], starts, flat_far_away
+        )
+        self.assert_same(got, want)
+        assert sizes[0] == 4 and sizes == sorted(sizes, reverse=True) and sizes[-1] == 1
+        assert len(set(sizes)) > 2
+        flat_q, flat_converged = alone(flat_far_away, starts[-1], 2, 12.0)
+        assert flat_converged and np.array_equal(flat_q, _decode(starts[-1], 2, 12.0))
+
+    def test_iteration_cap(self, ch_row3, monkeypatch):
+        # Capped at 3 iterations, some ascents stop unconverged.
+        monkeypatch.setattr(rotation, "MAX_ITERS", 3)
+        h1, h2 = ch_row3.h1, ch_row3.h2
+        search = factor_form(lambda q: _secrecy_rate_grad(h1, h2, q), 3, 4.0)
+        rng = np.random.default_rng(7)
+        starts = [rng.standard_normal(10) for _ in range(5)]
+
+        def rate(q):
+            return _secrecy_rate_grad(h1, h2, q)[0]
+
+        got = maximize_psd_objective(rate, 3, 4.0, [], starts, search_objective=search)
+        want = alone_search(rate, 3, 4.0, [], starts, search)
+        self.assert_same(got, want)
+        assert got.n_unconverged > 0
+
+    def test_empty_starts(self):
+        candidates = [(np.zeros((2, 2)), True), (np.diag([0.0, 1.0]), False)]
+        got = maximize_psd_objective(
+            lambda q: float(np.trace(q)), 2, 1.0, candidates, [], search_objective=fail
+        )
+        self.assert_same(got, alone_search(lambda q: float(np.trace(q)), 2, 1.0, candidates, [], fail))
+        assert got.q is candidates[1][0]
+
+    def test_one_start_is_a_stack_of_one(self, ch22):
+        sizes = []
+        search = factor_form(lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q), 2, 12.0)
+        x0 = mixed_start(np.diag([6.0, 6.0]), 2, 12.0)
+        q, converged = ascend(sizes_seen(search, sizes), x0, 2, 12.0)
+        assert set(sizes) == {1}
+        want_q, want_converged = alone(search, x0, 2, 12.0)
+        assert q.tobytes() == want_q.tobytes() and converged == want_converged

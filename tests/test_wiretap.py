@@ -25,7 +25,7 @@ def fail(*args, **kwargs):
 
 def no_search(monkeypatch):
     """Make every ascent of the search driver fail if run."""
-    monkeypatch.setattr(rotation, "ascend", fail)
+    monkeypatch.setattr(rotation, "ascent", fail)
 
 
 class TestSecrecyRate:
