@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .baselines import oma_timeshare, random_search_region, tdma_region
-from .rotation import GTOL, MAX_ITERS, N_STARTS
+from .rotation import GTOL, MAX_ITERS
 from .splitting import hull_pareto, sweep_points
 from .types import ChannelPair, ConsistencyError, Scenario
 from .wiretap import GAP_TOL
@@ -254,7 +254,6 @@ def run(cfg: RunConfig) -> int:
         "samples": str(cfg.samples),
         "seed": str(cfg.seed),
         "solver_max_iters": str(MAX_ITERS),
-        "solver_n_starts": str(N_STARTS),
         "solver_gtol": _fmt(GTOL),
         "solver_gap_tol": _fmt(GAP_TOL),
         "wsr_power_tol": _fmt(POWER_TOL),

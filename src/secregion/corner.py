@@ -24,7 +24,7 @@ over the factor F, where the gradient is natural (``_corner``).
   start's value.
 * The starts are the isotropic matrix, the top eigenvector of each Kj and
   the two wiretap beams, the top generalized eigenvectors of
-  (I + p Kj, I + p Kk) from ``wiretap.wiretap_pencil`` (so they are the
+  (I + p Kj, I + p Kk) from ``rates.wiretap_pencil`` (so they are the
   beams of ``wiretap.solve_wiretap`` bit for bit), each mixed with a
   little of the isotropic matrix.
   The zero matrix and the two unmixed beams stand as ready candidates.
@@ -44,10 +44,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo
 
-from .rates import LN2, identity, pencil, rate_stack
+from .rates import LN2, identity, pencil, rate_stack, wiretap_pencil
 from .rotation import _decode, maximize_psd_objective, mixed_start, root_form
 from .types import ChannelPair, Scenario
-from .wiretap import wiretap_pencil
 
 _SCENARIO_C = Scenario("C", common_enabled=False)
 

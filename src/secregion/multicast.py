@@ -5,12 +5,11 @@ already satisfies the other user, that water-filling matrix is globally
 optimal (cases 1 and 2).  Otherwise the max-min optimum equalizes the two
 rates (case 3).  Max-min is a concave program (Jindal & Luo, ISIT 2006),
 and so is its smoothed minimum, the softmin of two concave link rates, so
-case 3 runs one BFGS ascent of the softmin (``rotation.ascend``, the
+case 3 runs one BFGS ascent of the softmin (``rotation.ascent``, the
 package's own) over the factor form of ``rotation``, with no restarts,
-through the search driver
-``rotation.maximize_psd_objective``.  The two water-filling matrices stand
-as candidates, and the driver ranks them and the ascent by the true
-minimum, which is also the reported rate.
+through the search driver ``rotation.maximize_psd_objective``.  The two
+water-filling matrices stand as candidates, and the driver ranks them and
+the ascent by the true minimum, which is also the reported rate.
 
 The smoothed minimum is -log(exp(-k a) + exp(-k b)) / k; its gradient is
 the softmax-weighted sum of the two rate gradients.

@@ -30,8 +30,8 @@ L^{-1} come from the LAPACK gufuncs behind ``np.linalg.cholesky`` and
 ``numpy.linalg._umath_linalg``), called directly, without numpy's
 per-call wrapper.  ``pencil``, the generalized eigenproblem of the
 wiretap beams and the secret-DPC corner, reduces its pair by the same
-factor.  The package thus takes all its dense linear algebra from numpy
-and imports no scipy.
+factor; ``wiretap_pencil`` forms the wiretap beams' pair.  The package
+thus takes all its dense linear algebra from numpy and imports no scipy.
 """
 
 from __future__ import annotations
@@ -135,6 +135,13 @@ def pencil(a: np.ndarray, b: np.ndarray) -> tuple:
     li = inv(_factor(b)[1])
     lam, w = eigh_lo(li @ a @ li.mT)
     return lam, li.mT @ w
+
+
+def wiretap_pencil(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:
+    """``pencil`` of (I + p Hm^T Hm, I + p He^T He): ``(lam, V)``, lam
+    ascending and V^T (I + p He^T He) V = I."""
+    eye = identity(hm.shape[1])
+    return pencil(eye + p * hm.T @ hm, eye + p * he.T @ he)
 
 
 def link_logdet(h: np.ndarray, q: np.ndarray):

@@ -64,15 +64,11 @@ _SLACK_FLOOR = 1e-8
 # The mix has full rank and keeps the trace.
 _ISOTROPIC_MIX = 1e-3
 
-# Knobs of the quasi-Newton searches.  ``N_STARTS`` counts the starts of
-# the wiretap solve's restarts, the water-filling start plus random draws,
-# which run only when its deterministic ascents end away from a
-# stationary point.  An ascent stops when the largest entry of its
-# gradient in x is at most ``GTOL``, when the line search finds no
-# acceptable step along the gradient, or at the ``MAX_ITERS`` cap; only
-# hitting the cap marks it as not converged.
+# Knobs of the quasi-Newton searches.  An ascent stops when the largest
+# entry of its gradient in x is at most ``GTOL``, when the line search
+# finds no acceptable step along the gradient, or at the ``MAX_ITERS``
+# cap; only hitting the cap marks it as not converged.
 MAX_ITERS = 500
-N_STARTS = 8
 GTOL = 1e-7
 
 # Strong Wolfe constants of the line search (sufficient decrease c1 and

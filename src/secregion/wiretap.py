@@ -1,13 +1,13 @@
 """Secrecy-rate maximization over a legitimate/eavesdropper channel pair.
 
 Every solve starts from the generalized eigenvectors of the pair
-(I + p Hm^T Hm, I + p He^T He), which ``wiretap_pencil`` forms and
+(I + p Hm^T Hm, I + p He^T He), which ``rates.wiretap_pencil`` forms and
 ``rates.pencil`` solves; the secret-DPC corner search of ``corner`` takes
 its wiretap beams from the same call.  Full power along the top one, v,
 gives the beam rate 0.5 log2 lambda_max, and with one legitimate receive
 row that beam (or the zero matrix, when lambda_max <= 1) is optimal
 (Khisti & Wornell, IEEE TIT 2010), so no search runs.  With more rows the
-problem is nonconvex: one BFGS ascent (``rotation.ascend``, the package's
+problem is nonconvex: one BFGS ascent (``rotation.ascent``, the package's
 own, with a strong-Wolfe line search) over the factor form of
 ``rotation`` starts from the beam, and a second from the span of the
 eigenvectors with lambda > 1 when there are two or more, each mixed with
@@ -17,10 +17,12 @@ never falls below theirs, nor below zero.  The search driver
 ``rotation.maximize_psd_objective`` runs the ascents and ranks everything.
 
 The best result is accepted when its Frank-Wolfe gap is at most
-``GAP_TOL`` bits, that is when it is stationary.  Otherwise the driver runs
-again with that result as the only candidate and ``N_STARTS`` restarts:
-the water-filling start plus draws from a fixed random stream.  So the
-same problem always gives the same result.
+``GAP_TOL`` bits, that is when it is stationary.  Otherwise the corner
+search of ``corner`` at weights (1, 0) rescues it: that search maximizes
+C1(S), the secrecy capacity under a covariance S (Liu, Liu, Poor &
+Shamai, IEEE TIT 2010), and its lifted q1 replaces the first result when
+its secrecy rate is higher.  No step draws a random number, so the same
+problem always gives the same result.
 """
 
 from __future__ import annotations
@@ -30,20 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import gauss_rate, identity, pair_rate_grad, pencil
-from .rotation import (
-    N_STARTS,
-    encode,
-    factor_form,
-    fw_gap,
-    maximize_psd_objective,
-    mixed_start,
-)
-from .types import as_channel_pair, check_budget
+from .corner import corner_search
+from .rates import gauss_rate, pair_rate_grad, wiretap_pencil
+from .rotation import factor_form, fw_gap, maximize_psd_objective, mixed_start
+from .types import ChannelPair, as_channel_pair, check_budget
 from .waterfill import DegenerateChannelWarning, waterfill
 
-# Largest Frank-Wolfe gap, in bits, at which the deterministic result is
-# taken as stationary and the random restarts are skipped.
+# Largest Frank-Wolfe gap, in bits, at which the first search's result is
+# taken as stationary and the corner search's rescue is skipped.
 GAP_TOL = 1e-7
 
 
@@ -52,7 +48,7 @@ class WiretapResult:
     """A secrecy-rate covariance and what the solve did.
 
     ``gap`` is the Frank-Wolfe gap of ``q`` in bits, and ``restarted``
-    tells whether the restarts ran.
+    tells whether the rescue ran.
     """
 
     q: np.ndarray
@@ -72,13 +68,6 @@ def _secrecy_rate_grad(hm, he, q) -> tuple:
     ``q`` is one matrix or a (k, nt, nt) stack, as for ``pair_rate_grad``."""
     rates, grads = pair_rate_grad(hm, he)(q)
     return rates[0] - rates[1], grads[0] - grads[1]
-
-
-def wiretap_pencil(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:
-    """``rates.pencil`` of (I + p Hm^T Hm, I + p He^T He): ``(lam, V)``,
-    lam ascending and V^T (I + p He^T He) V = I."""
-    eye = identity(hm.shape[1])
-    return pencil(eye + p * hm.T @ hm, eye + p * he.T @ he)
 
 
 def solve_wiretap(hm, he, p: float) -> WiretapResult:
@@ -123,10 +112,9 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
     if hm.shape[0] == 1 or gap <= GAP_TOL:
         return WiretapResult(q, best, converged, gap, False)
 
-    rng = np.random.default_rng(0)
-    restarts = [encode(q_wf, nt, p)]
-    restarts += [rng.standard_normal(nt * nt + 1) for _ in range(N_STARTS - 1)]
-    q, best, converged, _ = maximize_psd_objective(
-        rate, nt, p, [(q, converged)], restarts, search_objective=in_factor
-    )
-    return WiretapResult(q, best, converged, fw_gap(search(q)[1], q, p), True)
+    rescue = corner_search(ChannelPair(hm, he), 1.0, 0.0, p)
+    rescued = rate(rescue.q1)
+    if rescued > best:
+        q, best, converged = rescue.q1, rescued, rescue.converged
+        gap = fw_gap(search(q)[1], q, p)
+    return WiretapResult(q, best, converged, gap, True)

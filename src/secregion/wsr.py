@@ -343,7 +343,10 @@ def bsmm_inner(
     the same way.  So the Lagrangian never falls from
     kept point to kept point.  The loop stops when the weighted sum rate
     moves by less than ``EPS3`` between consecutive kept points, or after
-    ``MAX_INNER`` rounds, counting each round from an extrapolated point.
+    ``MAX_INNER`` rounds.  A dropped round from an extrapolated point does
+    not count toward that cap, as the loop goes on from x2 as if it had
+    not run, so dropped steps cannot use up the rounds of the kept ones;
+    ``n_iters`` still counts it.
 
     A round computes only the link values it reads, each once, and the
     weighted sum is ``rates.rate_rule`` on them.  Block 1's mode loading
@@ -438,9 +441,9 @@ def bsmm_inner(
     prev_wsr = 0.0
     kept = [x]  # the kept points since the last step
     rival = None  # x2, while the round from its extrapolated point runs
-    n_iters = n_extrapolated = 0
+    n_iters = n_dropped = n_extrapolated = 0
     converged = False
-    while n_iters < MAX_INNER:
+    while n_iters - n_dropped < MAX_INNER:
         try:
             x = bsmm_round(x)
         except (np.linalg.LinAlgError, ValueError):
@@ -453,6 +456,7 @@ def bsmm_inner(
         n_iters += 1
         if rival is not None:
             if x is None or x.lagr < rival.lagr:
+                n_dropped += 1
                 x, kept, rival = rival, [rival], None
                 continue
             n_extrapolated += 1
@@ -462,7 +466,7 @@ def bsmm_inner(
             break
         prev_wsr = x.wsr
         kept.append(x)
-        if len(kept) == 3 and n_iters < MAX_INNER:
+        if len(kept) == 3 and n_iters - n_dropped < MAX_INNER:
             step = extrapolate(*kept)
             if step is None:
                 kept = [x]

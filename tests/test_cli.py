@@ -29,7 +29,6 @@ from secregion.cli import main
 # The solver settings every sidecar records, as the sidecar spells them.
 SOLVER_SETTINGS = {
     "solver_max_iters": "500",
-    "solver_n_starts": "8",
     "solver_gtol": "9.9999999999999995e-08",
     "solver_gap_tol": "9.9999999999999995e-08",
     "wsr_power_tol": "1.0000000000000001e-09",
@@ -38,8 +37,8 @@ SOLVER_SETTINGS = {
 
 
 # wiretap_golden.json instance 42 (hm 2x4, he 3x4, p 3.07e5), on whose
-# wiretap solves the restarts run, and the scenario C (common off) CSVs of
-# two jobs on it, pinned at seed 0.
+# wiretap solves the corner search's rescue runs, and the scenario C
+# (common off) CSVs of two jobs on it, pinned at seed 0.
 GOLDEN_42 = json.loads(
     (Path(__file__).parent / "data" / "wiretap_golden.json").read_text()
 )["instances"][42]
@@ -47,15 +46,15 @@ SEED_FREE_JOBS = {
     "tdma": (
         {},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
-        "0,5.1105873763281444,9.4899396739524846,na,,,\n",
+        "0,5.1105873762770067,9.4899396739524846,na,,,\n",
     ),
     "ps": (
         {"eps1": 0.5},
         "r0,r1,r2,order,alpha0,alpha1,alpha2\n"
         "0,0,18.979879347904969,12,0,0,1\n"
-        "0,9.7205101235393485,18.125419572141908,12,0,0.5,0.5\n"
-        "0,9.789336902729401,17.979885990761336,21,0,0.5,0.5\n"
-        "0,10.221174752656289,0,12,0,1,0\n",
+        "0,9.7205101234324367,18.125419570906516,12,0,0.5,0.5\n"
+        "0,9.7893369027293637,17.979885990761336,21,0,0.5,0.5\n"
+        "0,10.221174752554013,0,12,0,1,0\n",
     ),
 }
 

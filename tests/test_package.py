@@ -135,3 +135,26 @@ def test_scipy_nowhere():
         if tok.type == tokenize.NAME and tok.string == "scipy"
     ]
     assert not offenders, "scipy in the package:\n" + "\n".join(offenders)
+
+
+def test_random_draws_only_in_baselines():
+    # No solver draws a random number: a stalled wiretap search is rescued
+    # by the corner search, so the CLI's seed reaches only the oracle's
+    # draws in `baselines`.  Comments and strings may name the generator;
+    # code elsewhere may not call it.
+    package = Path(secregion.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "baselines.py":
+            continue
+        tokens = [
+            tok
+            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if tok.type in (tokenize.NAME, tokenize.OP)
+        ]
+        for before, dot, tok in zip(tokens, tokens[1:], tokens[2:]):
+            attribute = before.string in ("np", "numpy") and dot.string == "."
+            if tok.string == "default_rng" or (attribute and tok.string == "random"):
+                offenders.append(f"{path.name}:{tok.start[0]}: {tok.line.strip()}")
+    lines = "\n".join(dict.fromkeys(offenders))
+    assert not offenders, "random draws outside baselines:\n" + lines

@@ -28,6 +28,20 @@ def no_search(monkeypatch):
     monkeypatch.setattr(rotation, "ascent", fail)
 
 
+def record_searches(monkeypatch) -> list:
+    """A list that gets the arguments of each search driver call that
+    ``solve_wiretap`` makes itself."""
+    searches = []
+    search = wiretap.maximize_psd_objective
+
+    def recorded(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(wiretap, "maximize_psd_objective", recorded)
+    return searches
+
+
 class TestSecrecyRate:
     def test_zero(self):
         assert secrecy_rate([[2.0]], [[1.0]], [[0.0]]) == 0.0
@@ -176,39 +190,73 @@ class TestGate:
             if not res.restarted:
                 assert res.gap <= GAP_TOL
             restarted_high += res.restarted and p > 1e3
-        # The gate fails at high power somewhere, so the restarts still run.
+        # The gate fails at high power somewhere, so the rescue still runs.
         assert restarted_high >= 1
 
     def test_few_results_above_gap_tolerance(self):
-        # Only restarted solves may end above GAP_TOL; on this set three do
-        # (instances 20, 40 and 42, at p 852 to 3.1e5).  A change to the
-        # ascent that leaves more of them short of stationary must say so.
+        # Only rescued solves may end above GAP_TOL; on this set one does
+        # (instance 42, at p 3.1e5).  A change to the searches that leaves
+        # more of them short of stationary must say so.
         above = [
             k
             for k, item in enumerate(self.GOLDEN)
             if solve_wiretap(np.array(item["hm"]), np.array(item["he"]), item["p"]).gap
             > GAP_TOL
         ]
-        assert len(above) <= 3, above
+        assert len(above) <= 1, above
 
     def test_stationary_result_skips_restarts(self, ch22, monkeypatch):
-        searches = []
-
-        def recorded(*args, **kwargs):
-            searches.append(args)
-            return search(*args, **kwargs)
-
-        search = wiretap.maximize_psd_objective
-        monkeypatch.setattr(wiretap, "maximize_psd_objective", recorded)
+        searches = record_searches(monkeypatch)
+        monkeypatch.setattr(wiretap, "corner_search", fail)
         res = solve_wiretap(ch22.h1, ch22.h2, 12.0)
         assert not res.restarted and res.gap <= GAP_TOL
         assert len(searches) == 1
 
-    def test_restart_never_below_multistart(self, monkeypatch):
-        # Forcing the gate open returns the better of the two results.
-        item = self.GOLDEN[0]
+    @pytest.mark.parametrize("k", [0, 17, 40, 42])
+    def test_rescue_never_below_first_search(self, k, monkeypatch):
+        # Forcing the gate open runs the corner search's rescue after the
+        # one search of the solve's own, and keeps the first result unless
+        # the rescue's rate is higher, bit for bit.
+        item = self.GOLDEN[k]
         hm, he, p = np.array(item["hm"]), np.array(item["he"]), item["p"]
+        searches = record_searches(monkeypatch)
+        monkeypatch.setattr(wiretap, "GAP_TOL", np.inf)
+        first = solve_wiretap(hm, he, p)
         monkeypatch.setattr(wiretap, "GAP_TOL", -1.0)
         res = solve_wiretap(hm, he, p)
+        assert not first.restarted and res.restarted
+        assert len(searches) == 2
+        assert res.rate >= first.rate
+        if res.rate == first.rate:
+            assert np.array_equal(res.q, first.q)
+
+
+class TestRescue:
+    """Draw 50 of 80 (nt 3-5, nm 2-5, ne 1-5 standard normal rows,
+    p = 10^U(5, 8)) from ``default_rng(15)``, pinned: the first search
+    stops at a Frank-Wolfe gap of 1.8e7 bits at 2.212988 bits, and eight
+    restarts from water-filling and random draws did not move it."""
+
+    HM = [
+        [-0.6285159416149665, -0.24392456721975903, 0.8538248005977515, 0.5223366437357101],
+        [-1.6272618043110385, 1.0006048532471439, 0.6793947795512545, 0.805046772667545],
+        [-1.1538655450098918, 1.7121101576921274, -1.8747909813790147, -0.07595037667621525],
+        [-0.006566543475934365, 0.5384082764224494, 0.18522353066640168, -0.593164659988654],
+        [1.6209789220981083, -1.9649139145189938, -0.7306362701506797, -0.4368021023041566],
+    ]
+    HE = [
+        [1.0307756782359052, 0.3297552348240406, -1.7320569060899695, 2.1949636393091243],
+        [-0.10724275496572687, 1.2363846112846995, 2.0665058048486773, -0.3993922420924598],
+        [0.34577473208205434, -1.5216619623576637, -0.7062161037656757, 1.5923476800164724],
+        [-0.253589411749833, 0.9934041146414988, -0.0008085927935705717, 0.7341535451374926],
+        [0.6852608612600194, 2.1275285569924542, 0.6071195741363656, 0.19704949317323406],
+    ]
+    P = 6132745.943716615
+
+    def test_corner_search_rescues_stalled_search(self):
+        res = solve_wiretap(self.HM, self.HE, self.P)
         assert res.restarted
-        assert res.rate >= item["rate"]
+        assert res.rate >= 3.080250
+        assert res.gap <= 1e-6
+        assert np.trace(res.q) <= self.P
+        assert res.rate == secrecy_rate(self.HM, self.HE, res.q)

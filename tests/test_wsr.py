@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secregion import (
@@ -823,6 +823,30 @@ class TestLoopAgainstReference:
 
     @settings(max_examples=60, deadline=None)
     @given(loop_cases())
+    # 161 of the first 166 SQUAREM rounds are dropped here.  With each
+    # dropped round counted toward MAX_INNER the loop stopped at the cap
+    # 7.3e-6 below the plain loop, which converges in 490 rounds.
+    @example(
+        (
+            ChannelPair(
+                [
+                    [-0.65179115, -0.17471729, 1.66372399],
+                    [0.65914775, -1.64139729, -0.00520326],
+                    [-0.62346374, 0.14863152, -1.60818778],
+                    [0.24177188, 0.23538092, 1.57562603],
+                ],
+                [
+                    [0.31664502, 0.51054666, -1.49311668],
+                    [2.25272912, -1.91564556, 1.10180186],
+                    [-0.32990407, -0.88064652, -0.65628501],
+                ],
+            ),
+            Scenario("A", False),
+            WsrConfig(0.25, 0.25),
+            0.0234375,
+            1.0,
+        )
+    )
     def test_squarem_ascends_at_least_as_far(self, case):
         # At the same multiplier the accelerated loop ends at a Lagrangian no
         # lower than the plain loop's, up to the stop rule's tolerance, and
