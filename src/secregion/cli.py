@@ -14,7 +14,12 @@ instead, its ascents (``corner_ascents``), their objective evaluations
 (``corner_evals``), the stacked objective calls that made them, one per
 lockstep step of the ascents (``corner_batches``), and the ascents that
 hit the iteration cap (``corner_unconverged``).  It also gives the most
-budget any solve left unused (``wsr_unused_power_max``).  Every sidecar
+budget any solve left unused (``wsr_unused_power_max``).  A ``ps`` job's
+sidecar gives its sweep's ``SweepCounts``: the stacked search-objective
+calls of its wiretap and multicast searches (``search_batches``), their
+rows (``search_rows``), the wiretap solves that ran the corner-search
+rescue (``wiretap_rescues``) and the largest final Frank-Wolfe gap of a
+wiretap solve (``wiretap_gap_max``).  Every sidecar
 records the search's relative power tolerance (``wsr_power_tol``)
 beside the inner stop rule (``wsr_eps3``).  One process runs one
 (scenario, method, power) job; sweeps over power are shell-level loops.
@@ -32,7 +37,7 @@ import numpy as np
 
 from .baselines import oma_timeshare, random_search_region, tdma_region
 from .rotation import GTOL, MAX_ITERS
-from .splitting import hull_pareto, sweep_points
+from .splitting import SweepCounts, hull_pareto, sweep_points
 from .types import ChannelPair, ConsistencyError, Scenario
 from .wiretap import GAP_TOL
 from .wsr import EPS3, POWER_TOL, wsr_sweep_points
@@ -151,7 +156,8 @@ def _fmt(x: float) -> str:
 
 
 def _csv_rows_ps(ch, scenario, cfg):
-    pts = sweep_points(ch, scenario, cfg.power, cfg.eps1)
+    counts = SweepCounts()
+    pts = sweep_points(ch, scenario, cfg.power, cfg.eps1, counts)
     # hull_pareto returns only objects of its input, so each kept point is
     # the rates of one solved split.
     split_of = {id(sp.rates): sp.split for sp in pts}
@@ -159,7 +165,13 @@ def _csv_rows_ps(ch, scenario, cfg):
         (t, *map(_fmt, split_of[id(t)].as_tuple()))
         for t in hull_pareto([sp.rates for sp in pts])
     ]
-    return rows, sum(1 for sp in pts if not sp.converged)
+    sidecar = {
+        "search_batches": str(counts.search_batches),
+        "search_rows": str(counts.search_rows),
+        "wiretap_rescues": str(counts.wiretap_rescues),
+        "wiretap_gap_max": _fmt(counts.wiretap_gap_max),
+    }
+    return rows, sum(1 for sp in pts if not sp.converged), sidecar
 
 
 def _method_param_problem(cfg: RunConfig) -> str | None:
@@ -198,7 +210,7 @@ def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
     n_unconverged = 0
     counts = {}
     if cfg.method == "ps":
-        rows, n_unconverged = _csv_rows_ps(ch, scenario, cfg)
+        rows, n_unconverged, counts = _csv_rows_ps(ch, scenario, cfg)
     else:
         if cfg.method == "wsr":
             solved = wsr_sweep_points(ch, scenario, cfg.power, sigma=cfg.sigma)

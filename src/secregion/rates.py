@@ -18,9 +18,10 @@ Cholesky routine, for one matrix or a stack: the rate functions here,
 ``resolvent`` and ``wsr.closed_form_block`` take their factors from it,
 and it raises when round-off defeats the factorization of any matrix.
 Only ``link_logdet``, behind the reported rates, falls back to an
-eigenvalue sum on a stack instead.  Inverse-times-matrix
-expressions in rates are rewritten as differences of log determinants;
-the only inverse formed is that of the Cholesky factor L in
+eigenvalue sum instead, for each matrix of a stack whose factor failed,
+so that a rate never depends on the other rows of its stack.
+Inverse-times-matrix expressions in rates are rewritten as differences
+of log determinants; the only inverse formed is that of the Cholesky factor L in
 ``resolvent``, which gives the log-determinant, the whitened channel
 L^{-1} H and the Gram matrix H^T (I + H Q H^T)^{-1} H of one link from
 that one factor.  ``resolvent`` runs in the inner loops of the searches
@@ -149,17 +150,21 @@ def link_logdet(h: np.ndarray, q: np.ndarray):
 
     For one (nt, nt) Q this is the first entry of ``resolvent`` bit for
     bit, and a Q whose factorization fails raises.  A (k, nt, nt) stack of
-    Q gives a (k,) array; if round-off defeats the factorization anywhere
-    in it, the log-determinants of the whole stack are eigenvalue sums
-    instead, each eigenvalue floored at the least positive double.
+    Q gives a (k,) array, each entry its own stack of one's: where
+    round-off defeats the factorization of a matrix, that matrix's
+    log-determinant is an eigenvalue sum instead, each eigenvalue floored
+    at the least positive double, and the other entries keep their
+    factors' values.
     """
     m, half, _ = _cholesky(identity(len(h)) + h @ q @ h.T)
+    logdet = 2.0 * half
     if _failed(half):
         if m.ndim == 2:
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        w = np.maximum(np.linalg.eigvalsh(m), np.finfo(float).tiny)
-        return np.log(w).sum(-1)
-    return 2.0 * half
+        bad = np.isnan(half)
+        w = np.maximum(np.linalg.eigvalsh(m[bad]), np.finfo(float).tiny)
+        logdet[bad] = np.log(w).sum(-1)
+    return logdet
 
 
 def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
@@ -228,19 +233,28 @@ def pair_rate_grad(h1: np.ndarray, h2: np.ndarray):
     ``resolvent``'s gufuncs together, in one call each in place of two;
     the gufuncs work matrix by matrix, so every result is bit for bit its
     own call's.
+
+    ``h1`` and ``h2`` may instead be (m, n, nt) stacks of the links of m
+    problems.  The map then takes a (k, nt, nt) stack ``q`` and the
+    row-to-problem map ``owner``, and row i of ``q`` meets the links
+    ``h1[owner[i]]`` and ``h2[owner[i]]``, again bit for bit as alone; a
+    stack of one problem's links broadcasts, with no copy.
     """
     if h1.shape != h2.shape:
 
-        def rate_grads(q):
-            (r1, g1), (r2, g2) = link_rate_grad(h1, q), link_rate_grad(h2, q)
+        def rate_grads(q, *owner):
+            l1, l2 = (h[owner[0]] if owner and len(h) > 1 else h for h in (h1, h2))
+            (r1, g1), (r2, g2) = link_rate_grad(l1, q), link_rate_grad(l2, q)
             return np.array((r1, r2)), np.array((g1, g2))
 
         return rate_grads
     pair = np.array((h1, h2))
     stacked = pair[:, None]
 
-    def rate_grads(q):
-        return link_rate_grad(stacked if q.ndim > 2 else pair, q)
+    def rate_grads(q, *owner):
+        if owner and len(h1) > 1:
+            return link_rate_grad(pair[:, owner[0]], q)
+        return link_rate_grad(stacked if q.ndim > 2 and not owner else pair, q)
 
     return rate_grads
 

@@ -1,10 +1,12 @@
 """Factor parameterization of trace-bounded PSD matrices and the
 quasi-Newton searches built on it: one BFGS ascent (``ascent``) from a
-start matrix (``mixed_start``), the one search driver that runs its
-ascents together and ranks ready candidates and ascent results by the
-true objective (``maximize_psd_objective``), and the Frank-Wolfe gap
-(``fw_gap``) that tells whether a result is stationary.  Every wiretap,
-multicast and scenario-C WSR search runs through the driver.
+start matrix (``mixed_start``), the one search driver that runs the
+ascents of one problem or of several together and ranks each problem's
+ready candidates and ascent results by its own true objective
+(``search_problems``, with ``maximize_psd_objective`` its one-problem
+case), and the Frank-Wolfe gap (``fw_gap``) that tells whether a result
+is stationary.  Every wiretap, multicast and scenario-C WSR search runs
+through the driver.
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -20,23 +22,27 @@ budget * max(lambda_max(G), 0) - <G, Q>.  It is nonnegative and vanishes
 exactly at the first-order stationary points, global optima included.
 
 The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
-``rotation.maximize_psd_objective`` by it, binds the driver's ``objective``,
-``nt`` and ``search_objective`` arguments by name, and reads the value as
-``[1]`` of its result.
+``rotation.maximize_psd_objective`` by it, binds its ``objective``, ``nt``
+and ``search_objective`` arguments by name, and reads the value as ``[1]``
+of its result.  The corner search calls it; the wiretap and multicast
+solves call ``search_problems`` itself.
 
 ``ascent`` is a generator: it yields each parameter vector x where it
 needs the objective and is sent back ``(value, gradient in x)``.  So the
-driver runs all of its starts in lockstep (``_lockstep``): on each step
-it stacks the pending vectors of the unfinished ascents into one (k, n)
-array, n = nt^2 + 1, and makes one call of the search objective, which
-maps that stack to a (k,) array of values and a (k, n) array of
-gradients.  Each row rounds as it would alone, so each ascent takes the
-steps it would take alone, bit for bit; a single start is a stack of one
-row (``ascend``).  The search objectives are natural in the matrix, a
-(k, nt, nt) stack, and ``factor_form`` carries such an objective
-``(values, G)`` to x by the chain rule.  The secret-DPC corner of
-``corner`` is natural in the factor F of Q = F F^T instead, and
-``root_form`` carries its ``(values, G_F)``.
+driver runs all the starts of all its problems in lockstep
+(``_lockstep``): on each step it stacks the pending vectors of the
+unfinished ascents into one (k, n) array, n = nt^2 + 1, and makes one
+call of the search objective, which maps that stack and the row-to-problem
+map of its rows to a (k,) array of values and a (k, n) array of
+gradients, each row under its own problem's channels and budget.  Each
+row rounds as it would alone, so each ascent takes the steps it would
+take alone, bit for bit; a single start is a stack of one row.  So the
+wiretap, multicast and split-sweep stages of the same shape, which are
+small and many, share their objective calls.  The search objectives are
+natural in the matrix, a (k, nt, nt) stack, and ``factor_form`` carries
+such an objective ``(values, G)`` to x by the chain rule.  The
+secret-DPC corner of ``corner`` is natural in the factor F of Q = F F^T
+instead, and ``root_form`` carries its ``(values, G_F)``.
 
 The ascent is a BFGS ascent of the package's own (Nocedal & Wright,
 "Numerical Optimization", 2nd ed.: the inverse update of eq. 6.17 and the
@@ -115,7 +121,7 @@ def fw_gap(g: np.ndarray, q: np.ndarray, budget: float) -> float:
     return float(budget * max(top, 0.0) - np.vdot(g, q))
 
 
-def factor_form(search_objective, nt: int, budget: float):
+def factor_form(search_objective, nt: int, budget):
     """The objective of a (k, nt^2 + 1) stack of factor vectors that
     ``search_objective``, a map from a (k, nt, nt) stack of feasible
     matrices to ``(values, G)``, a (k,) array and a stack, gives at
@@ -125,18 +131,28 @@ def factor_form(search_objective, nt: int, budget: float):
     inner product, the chain rule gives 2/c (budget G B - <G, Q> B) for B
     and -2 <G, Q> s / c for s.  c and <G, Q> are ``np.vecdot``s of rows,
     which round as ``x @ x`` and ``np.vdot`` do.
+
+    Where the rows belong to several problems (``search_problems``),
+    ``budget`` is the array of their budgets, and the returned map takes
+    the row-to-problem map ``owner`` as a second argument: row i is
+    decoded under ``budget[owner[i]]``, and ``search_objective`` is called
+    with ``owner`` too.  Each row rounds as under its own scalar budget.
     """
 
-    def in_factor(x):
+    def in_factor(x, *owner):
         k = len(x)
         b = x[:, :-1].reshape(k, nt, nt)
         c = np.vecdot(x, x)
         c3 = c[:, None, None]
-        q = (budget / c3) * (b @ b.mT)  # _decode(x), sharing b and c
-        value, g = search_objective(q)
+        p3 = budget
+        if owner:
+            # Each row's budget; one problem's broadcasts, with no copy.
+            p3 = (budget[owner[0]] if len(budget) > 1 else budget)[:, None, None]
+        q = (p3 / c3) * (b @ b.mT)  # _decode(x), sharing b and c
+        value, g = search_objective(q, *owner)
         gq = np.vecdot(g.reshape(k, -1), q.reshape(k, -1))
         grad = np.empty_like(x)
-        grad[:, :-1] = ((2.0 / c3) * (budget * (g @ b) - gq[:, None, None] * b)).reshape(k, -1)
+        grad[:, :-1] = ((2.0 / c3) * (p3 * (g @ b) - gq[:, None, None] * b)).reshape(k, -1)
         grad[:, -1] = -2.0 * gq * x[:, -1] / c
         return value, grad
 
@@ -305,22 +321,27 @@ def ascent(x0: np.ndarray, nt: int, budget: float):
     return _decode(x, nt, budget), True
 
 
-def _lockstep(search_objective, starts, nt: int, budget: float) -> list:
-    """The ``(q, converged)`` of an ``ascent`` from each of ``starts``, run
-    together.
+def _lockstep(search_objective, runs: list, owners: np.ndarray) -> tuple:
+    """``(ends, n_batches, n_rows)``: the ``(q, converged)`` that each of
+    the ``ascent`` generators ``runs`` returns, run together, and the
+    stacked ``search_objective`` calls and rows that took.
 
     Each step stacks the pending parameter vectors of the unfinished
     ascents into one (k, nt^2 + 1) array, makes one ``search_objective``
-    call on it and sends each ascent its row of the ``(values, gradients)``,
-    a (k,) and a (k, nt^2 + 1) array.  An ascent's rows are those it would
-    get alone, so every ascent ends where it would alone, bit for bit.
+    call on it and the row-to-problem map ``owners`` of its rows, and
+    sends each ascent its row of the ``(values, gradients)``, a (k,) and a
+    (k, nt^2 + 1) array.  An ascent's rows are those it would get alone,
+    so every ascent ends where it would alone, bit for bit.
     """
-    runs = [ascent(x0, nt, budget) for x0 in starts]
     pending = [next(run) for run in runs]
     ends = [None] * len(runs)
     live = list(range(len(runs)))
+    owner = owners
+    n_batches = n_rows = 0
     while live:
-        values, grads = search_objective(np.array([pending[i] for i in live]))
+        values, grads = search_objective(np.array([pending[i] for i in live]), owner)
+        n_batches += 1
+        n_rows += len(live)
         still = []
         for i, value, grad in zip(live, values.tolist(), grads):
             try:
@@ -328,15 +349,10 @@ def _lockstep(search_objective, starts, nt: int, budget: float) -> list:
                 still.append(i)
             except StopIteration as stop:
                 ends[i] = stop.value
+        if len(still) < len(live):
+            owner = owners[still]
         live = still
-    return ends
-
-
-def ascend(search_objective, x0: np.ndarray, nt: int, budget: float) -> tuple:
-    """``(q, converged)`` of one ``ascent`` from ``x0``: the lockstep
-    driver run on one start, ``search_objective`` taking (1, nt^2 + 1)
-    stacks."""
-    return _lockstep(search_objective, [x0], nt, budget)[0]
+    return ends, n_batches, n_rows
 
 
 class Search(NamedTuple):
@@ -349,24 +365,69 @@ class Search(NamedTuple):
     n_unconverged: int
 
 
+class Problem(NamedTuple):
+    """One problem of ``search_problems``: ``objective`` maps an nt x nt
+    PSD matrix with trace <= ``budget`` to the true value, ``candidates``
+    are ready ``(q, converged)`` pairs and each parameter vector of
+    ``starts`` runs one ``ascent``."""
+
+    objective: object
+    budget: float
+    candidates: list
+    starts: list
+
+
+class Solved(NamedTuple):
+    """The results of several problems solved together, in their order,
+    with the stacked search-objective calls (``n_batches``) and the rows
+    of those calls (``n_rows``) that the solve took."""
+
+    results: list
+    n_batches: int
+    n_rows: int
+
+
+def search_problems(problems, nt: int, search_objective) -> Solved:
+    """The one search driver: for each ``Problem``, the ``Search`` that is
+    the best of its ready candidates and of its ascents.
+
+    The ascents of every problem run in lockstep (``_lockstep``), one
+    ``search_objective`` call per step for all of them: it maps a
+    (k, nt^2 + 1) stack of factor vectors and the (k,) row-to-problem map
+    ``owner``, which indexes ``problems``, to the ``(values, gradients)``
+    of each row's problem's search objective, the objective itself or a
+    smoothed or rescaled surrogate (see ``factor_form``).  Each problem's
+    ``objective`` then ranks its candidates and then its ascent results;
+    the first of equals wins, as with ``max``.  So each problem's
+    ``Search`` is the one it gets alone, bit for bit, and a problem with
+    no starts is ranked over its candidates only.
+    """
+    starts = [(i, x0) for i, problem in enumerate(problems) for x0 in problem.starts]
+    runs = [ascent(x0, nt, problems[i].budget) for i, x0 in starts]
+    owners = np.array([i for i, _ in starts], dtype=np.intp)
+    ends, n_batches, n_rows = _lockstep(search_objective, runs, owners)
+    found, k = [], 0
+    for problem in problems:
+        ascents = ends[k : k + len(problem.starts)]
+        k += len(problem.starts)
+        results = [*problem.candidates, *ascents]
+        values = [float(problem.objective(q)) for q, _ in results]
+        best = max(range(len(results)), key=values.__getitem__)
+        q, converged = results[best]
+        found.append(Search(q, values[best], converged, sum(not c for _, c in ascents)))
+    return Solved(found, n_batches, n_rows)
+
+
 def maximize_psd_objective(
     objective, nt: int, budget: float, candidates, starts, *, search_objective
 ) -> Search:
-    """The one search driver: the best of ready candidates and of ascents.
+    """The best of ready candidates and of ascents: ``search_problems``
+    on one problem.
 
-    ``candidates`` are ``(q, converged)`` pairs taken as they are, and each
-    parameter vector in ``starts`` runs one ``ascent`` of
-    ``search_objective``, the objective itself or a smoothed or rescaled
-    surrogate, as a function of a (k, nt^2 + 1) stack of factor vectors
-    (see ``factor_form``); the ascents run in lockstep (``_lockstep``),
-    one ``search_objective`` call per step for all of them.
-    ``objective`` maps an nt x nt PSD matrix with trace <= budget to the
-    true value, and ranks the candidates and then the ascent results; the
-    first of equals wins, as with ``max``.
+    ``search_objective`` maps a (k, nt^2 + 1) stack of this problem's
+    factor vectors alone to ``(values, gradients)``; the other arguments
+    make the ``Problem``.
     """
-    ascents = _lockstep(search_objective, starts, nt, budget)
-    results = [*candidates, *ascents]
-    values = [float(objective(q)) for q, _ in results]
-    best = max(range(len(results)), key=values.__getitem__)
-    q, converged = results[best]
-    return Search(q, values[best], converged, sum(not c for _, c in ascents))
+    problem = Problem(objective, budget, candidates, starts)
+    solved = search_problems([problem], nt, lambda x, owner: search_objective(x))
+    return solved.results[0]

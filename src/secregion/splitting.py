@@ -7,15 +7,23 @@ the first message (water-filling or wiretap search by scenario), a design
 on the interference-whitened channel for the second, and a max-min design
 on the residual-whitened channels for the shared message.
 
-``solve_split`` and ``sweep_points`` share one per-split pipeline and
-return its record, ``SplitResult``; the sweep only caches the first
-stage, which depends on its own budget alone.
-Each split's covariance triple is rated by a single ``evaluate_triple``
-call on the original channels, the reported truth.  The rates that the
-second and common stages found on their whitened channels must match
-that call's rates for the same messages; a disagreement beyond 1e-9
-raises ``ConsistencyError``, keeping the transform identities
-load-bearing.
+``sweep_points`` solves its grid in stage waves (``_sweep``): every
+first-stage problem of the grid, both encoding orders included, is
+solved once per (order, budget), as it depends on its own budget alone;
+then every cell's second stage on the channels whitened by its first
+stage, and then every cell's shared-message stage.  The wiretap and
+multicast problems of a wave are solved together
+(``wiretap.solve_wiretaps``, ``multicast.solve_multicasts``), their
+searches sharing stacked objective calls, and each gives what it gives
+alone, bit for bit.  ``solve_split`` is the sweep of a one-cell grid, and
+both return the record ``SplitResult``.
+Each order's covariance triples are rated by one ``evaluate_stack`` call
+on the original channels, the reported truth, each row bit for bit its
+``evaluate_triple`` call.  The rates that a cell's second and common
+stages found on their whitened channels must match its rates for the
+same messages; a disagreement beyond 1e-9 raises ``ConsistencyError``,
+keeping the transform identities load-bearing.  ``SweepCounts`` records
+what the searches did.
 
 A region is reported as its frontier under time-sharing: the vertices of
 the free-disposal hull of its points, the points some nonnegative weight
@@ -33,8 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .multicast import solve_multicast
-from .rates import evaluate_triple
+from .multicast import solve_multicasts
+from .rates import evaluate_stack
+from .rotation import Solved
 from .transforms import whiten_multicast, whiten_p2p, whiten_wiretap
 from .types import (
     ORDER_12,
@@ -50,7 +59,7 @@ from .types import (
     pareto_filter,
 )
 from .waterfill import waterfill
-from .wiretap import solve_wiretap
+from .wiretap import WiretapResult, solve_wiretaps
 
 # Budgets this small relative to the total are solver noise, not power.
 _BUDGET_FLOOR_REL = 1e-12
@@ -81,74 +90,139 @@ def _effective(budget: float, p: float) -> float:
     return budget if budget > _BUDGET_FLOOR_REL * p else 0.0
 
 
-def _stage_first(work: ChannelPair, scenario: Scenario, p1: float):
-    """First-encoded user's covariance on the working channel pair."""
-    nt = work.nt
-    if p1 == 0:
-        return np.zeros((nt, nt)), True
-    if scenario.user1_confidential:
-        res = solve_wiretap(work.h1, work.h2, p1)
-        return res.q, res.converged
-    q, _ = waterfill(work.h1, p1)
-    return q, True
+@dataclass
+class SweepCounts:
+    """What the searches of a sweep did, summed over its stage waves.
 
-
-def _stage_second(work: ChannelPair, scenario: Scenario, qa, p2: float):
-    """Second user's covariance given the first layer, via whitening."""
-    nt = work.nt
-    if p2 == 0:
-        return np.zeros((nt, nt)), 0.0, True
-    if scenario.user2_confidential:
-        h1w, h2w = whiten_wiretap(work, qa)
-        res = solve_wiretap(h2w, h1w, p2)
-        return res.q, res.rate, res.converged
-    qb, rate = waterfill(whiten_p2p(work.h2, qa), p2)
-    return qb, rate, True
-
-
-def _stage_common(work: ChannelPair, qa, qb, p0: float):
-    """Shared-message covariance on the residual-whitened channels."""
-    nt = work.nt
-    if p0 == 0:
-        return np.zeros((nt, nt)), 0.0, True
-    g1, g2 = whiten_multicast(work, qa, qb)
-    res = solve_multicast(g1, g2, p0)
-    return res.q, res.rate, res.converged
-
-
-def _solve_cell(
-    ch: ChannelPair,
-    scenario: Scenario,
-    split: PowerSplit,
-    p: float,
-    order: str,
-    first: tuple,
-) -> SplitResult:
-    """Finish one split from its first stage ``(qa, converged)``.
-
-    Runs the second and common stages, rates the triple once on the
-    original pair, and requires both whitened-channel rates to match the
-    rates ``evaluate_triple`` reports; under order "21" the second-encoded
-    user is user 1.
+    ``search_batches`` counts the stacked search-objective calls of the
+    wiretap and multicast searches (the rescues' corner searches
+    included) and ``search_rows`` their rows, one per objective
+    evaluation; ``wiretap_rescues`` counts the wiretap solves that ran
+    the corner-search rescue, and ``wiretap_gap_max`` is the largest
+    final Frank-Wolfe gap of a wiretap solve, in bits (0 when none is
+    positive).
     """
-    qa, conv1 = first
-    work = ch.swapped() if order == ORDER_21 else ch
-    qb, rate_b, conv2 = _stage_second(work, scenario, qa, _effective(split.alpha2 * p, p))
-    q0, rate_0, conv0 = _stage_common(work, qa, qb, _effective(split.alpha0 * p, p))
-    q1, q2 = (qb, qa) if order == ORDER_21 else (qa, qb)
-    cov = CovarianceTriple(q0, q1, q2, p)
-    rates = evaluate_triple(ch, scenario, cov, order)
-    second = rates.r1 if order == ORDER_21 else rates.r2
+
+    search_batches: int = 0
+    search_rows: int = 0
+    wiretap_rescues: int = 0
+    wiretap_gap_max: float = 0.0
+
+    def add(self, solved: Solved) -> None:
+        """Count one wave's ``Solved`` record."""
+        self.search_batches += solved.n_batches
+        self.search_rows += solved.n_rows
+        for res in solved.results:
+            if isinstance(res, WiretapResult):
+                self.wiretap_rescues += res.restarted
+                self.wiretap_gap_max = max(self.wiretap_gap_max, res.gap)
+
+
+def _stage_wave(confidential: bool, problems: list, nt: int, counts: SweepCounts) -> list:
+    """``(q, rate, converged)`` of each (h, he, budget) problem of a stage.
+
+    With ``confidential`` each is the wiretap problem of link h against
+    the eavesdropper he, and they are solved together
+    (``solve_wiretaps``); otherwise each is water-filling on h.  A zero
+    budget gives the zero matrix, with no solve and no channel read.
+    """
+    out = [(np.zeros((nt, nt)), 0.0, True)] * len(problems)
+    live = [i for i, (_, _, budget) in enumerate(problems) if budget != 0]
+    if confidential:
+        solved = solve_wiretaps([problems[i] for i in live])
+        counts.add(solved)
+        for i, res in zip(live, solved.results):
+            out[i] = (res.q, res.rate, res.converged)
+    else:
+        for i in live:
+            h, _, budget = problems[i]
+            out[i] = (*waterfill(h, budget), True)
+    return out
+
+
+def _gate(rates: RateTriple, whitened_second: float, whitened_common: float) -> None:
+    """Raise ``ConsistencyError`` unless a cell's whitened-channel rates
+    match its reported rates for the same messages; under order "21" the
+    second-encoded user is user 1."""
+    second = rates.r1 if rates.order == ORDER_21 else rates.r2
     for stage, whitened, original in (
-        ("second-stage", rate_b, second),
-        ("multicast", rate_0, rates.r0),
+        ("second-stage", whitened_second, second),
+        ("multicast", whitened_common, rates.r0),
     ):
         if abs(original - whitened) > _EQUIV_TOL:
             raise ConsistencyError(
                 f"whitened {stage} rate {whitened} disagrees with the "
                 f"original-channel rate {original} beyond {_EQUIV_TOL}"
             )
-    return SplitResult(split, cov, rates, conv1 and conv2 and conv0)
+
+
+def _sweep(
+    ch: ChannelPair, scenario: Scenario, p: float, cells: list, counts: SweepCounts
+) -> list:
+    """The ``SplitResult`` of each (order, split) of ``cells``, solved in
+    stage waves.
+
+    The first wave solves one first-stage problem per (order, budget),
+    both orders together; the second whitens by each first-stage result
+    and solves every cell's second stage together, and the common wave
+    every cell's multicast stage.  Then each order's cells are rated by
+    one ``evaluate_stack`` call on the original pair, every row bit for
+    bit its ``evaluate_triple`` call, and each cell passes ``_gate``.
+    """
+    nt = ch.nt
+    works = {order: ch.swapped() if order == ORDER_21 else ch for order in scenario.orders}
+    keys = [(order, _effective(split.alpha1 * p, p)) for order, split in cells]
+
+    firsts = list(dict.fromkeys(keys))
+    problems = [(works[order].h1, works[order].h2, p1) for order, p1 in firsts]
+    first = dict(zip(firsts, _stage_wave(scenario.user1_confidential, problems, nt, counts)))
+
+    # Each first stage's whitened channels are made once, and only where a
+    # cell of it has a second-stage budget.
+    whitened = {}
+    problems = []
+    for key, (_, split) in zip(keys, cells):
+        p2 = _effective(split.alpha2 * p, p)
+        if p2 != 0 and key not in whitened:
+            work, qa = works[key[0]], first[key][0]
+            if scenario.user2_confidential:
+                h1w, h2w = whiten_wiretap(work, qa)
+                whitened[key] = (h2w, h1w)
+            else:
+                whitened[key] = (whiten_p2p(work.h2, qa), None)
+        problems.append((*whitened.get(key, (None, None)), p2))
+    second = _stage_wave(scenario.user2_confidential, problems, nt, counts)
+
+    common = [(np.zeros((nt, nt)), 0.0, True)] * len(cells)
+    shared, problems = [], []
+    for n, ((order, split), key) in enumerate(zip(cells, keys)):
+        p0 = _effective(split.alpha0 * p, p)
+        if p0 != 0:
+            shared.append(n)
+            problems.append((*whiten_multicast(works[order], first[key][0], second[n][0]), p0))
+    solved = solve_multicasts(problems)
+    counts.add(solved)
+    for n, res in zip(shared, solved.results):
+        common[n] = (res.q, res.rate, res.converged)
+
+    results = [None] * len(cells)
+    for order in scenario.orders:
+        idx = [n for n, (o, _) in enumerate(cells) if o == order]
+        covs = []
+        for n in idx:
+            qa, qb = first[keys[n]][0], second[n][0]
+            q1, q2 = (qb, qa) if order == ORDER_21 else (qa, qb)
+            covs.append(CovarianceTriple(common[n][0], q1, q2, p))
+        if not covs:
+            continue
+        stacks = (np.array([getattr(c, name) for c in covs]) for name in ("q0", "q1", "q2"))
+        rows = evaluate_stack(ch, scenario, *stacks, (order,))[0].tolist()
+        for n, cov, row in zip(idx, covs, rows):
+            rates = RateTriple(*row, order)
+            _gate(rates, second[n][1], common[n][1])
+            converged = first[keys[n]][2] and second[n][2] and common[n][2]
+            results[n] = SplitResult(cells[n][1], cov, rates, converged)
+    return results
 
 
 def solve_split(
@@ -158,7 +232,8 @@ def solve_split(
     p: float,
     order: str = ORDER_12,
 ) -> SplitResult:
-    """Solve one power split end to end and report original-channel rates."""
+    """Solve one power split end to end and report original-channel rates:
+    the sweep of a one-cell grid."""
     if order not in (ORDER_12, ORDER_21):
         raise ValueError(f"order must be '12' or '21', got {order!r}")
     if order == ORDER_21 and not scenario.allows_order_swap:
@@ -166,10 +241,7 @@ def solve_split(
     check_budget(p)
     if not scenario.common_enabled and split.alpha0 * p > _BUDGET_FLOOR_REL * p:
         raise ValueError("alpha0 must be 0 when the common message is disabled")
-
-    work = ch.swapped() if order == ORDER_21 else ch
-    first = _stage_first(work, scenario, _effective(split.alpha1 * p, p))
-    return _solve_cell(ch, scenario, split, p, order, first)
+    return _sweep(ch, scenario, p, [(order, split)], SweepCounts())[0]
 
 
 def _alpha_grid(eps1: float, upper: float) -> list:
@@ -185,30 +257,34 @@ def _alpha_grid(eps1: float, upper: float) -> list:
     return vals
 
 
-def sweep_points(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> list:
+def sweep_points(
+    ch: ChannelPair,
+    scenario: Scenario,
+    p: float,
+    eps1: float,
+    counts: SweepCounts | None = None,
+) -> list:
     """``SplitResult``s of all grid splits in every applicable encoding order.
 
-    The first-stage solution depends only on its own budget, so it is
-    cached per (order, alpha1) cell; cells are visited in a fixed order,
-    so the same problem always gives the same points.
+    The cells are listed order by order, alpha1 ascending and then alpha2,
+    and solved in stage waves (see ``_sweep``), so the same problem always
+    gives the same points.  When ``counts`` is given, what the searches
+    did is added to it.
     """
     if not 0.0 < eps1 <= 0.5:
         raise ValueError("eps1 must lie in (0, 0.5]")
     check_budget(p)
-    points = []
+    cells = []
     for order in scenario.orders:
-        work = ch.swapped() if order == ORDER_21 else ch
         for a1 in _alpha_grid(eps1, 1.0):
-            first = _stage_first(work, scenario, _effective(a1 * p, p))
             a2_values = (
                 _alpha_grid(eps1, 1.0 - a1)
                 if scenario.common_enabled
                 else [1.0 - a1]
             )
             for a2 in a2_values:
-                split = PowerSplit(max(1.0 - a1 - a2, 0.0), a1, a2)
-                points.append(_solve_cell(ch, scenario, split, p, order, first))
-    return points
+                cells.append((order, PowerSplit(max(1.0 - a1 - a2, 0.0), a1, a2)))
+    return _sweep(ch, scenario, p, cells, SweepCounts() if counts is None else counts)
 
 
 def sweep_region(ch: ChannelPair, scenario: Scenario, p: float, eps1: float) -> RateRegion:

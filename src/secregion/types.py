@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvalsh_lo
 
 # Double-precision eigensolvers drift at roughly 1e-13 per operation;
 # the validation margins sit an order of magnitude above observed drift.
@@ -80,27 +81,32 @@ def check_budget(p: float) -> None:
         raise ValueError(f"power budget must be nonnegative and finite, got {p}")
 
 
-def check_covariance_stacks(stacks: Sequence[np.ndarray], p_total: float) -> None:
+def check_covariance_stacks(stacks, p_total: float) -> None:
     """Validate k covariance triples given as q0, q1, q2 stacks of shape (k, nt, nt).
 
-    Triple i passes when each of its matrices is symmetric within
-    ``SYMMETRY_TOL`` with least eigenvalue at least ``-PSD_TOL``, both
-    scaled by max(1, ``p_total``), and its trace sum fits ``p_total`` up
-    to ``TRACE_REL_SLACK``.  The first failing
+    ``stacks`` is the sequence of the three stacks, or one (3, k, nt, nt)
+    array of them, which is read as it is, with no copy.  Triple i passes
+    when each of its matrices is symmetric within ``SYMMETRY_TOL`` with
+    least eigenvalue at least ``-PSD_TOL``, both scaled by max(1,
+    ``p_total``), and its trace sum fits ``p_total`` up to
+    ``TRACE_REL_SLACK``.  The first failing
     triple raises the ``ValueError`` that ``CovarianceTriple`` gives it; a
     NaN or infinite ``p_total`` is rejected before any triple is checked.
-    The stacks must already be finite float arrays of one shape.
+    The stacks must already be finite float arrays of one shape.  The
+    eigenvalues come from numpy's ``eigvalsh_lo`` gufunc, the one
+    ``np.linalg.eigvalsh`` calls, without numpy's per-call wrapper.
     """
     p = float(p_total)
-    if not np.isfinite(p):
+    if not math.isfinite(p):
         raise ValueError(f"p_total must be finite, got {p}")
     scale = max(1.0, p)
     sym_tol, psd_tol = SYMMETRY_TOL * scale, PSD_TOL * scale
-    qs = np.stack(stacks)
-    qt = qs.swapaxes(-1, -2)
-    asym = np.max(np.abs(qs - qt), axis=(-2, -1)) > sym_tol
-    indefinite = np.linalg.eigvalsh(0.5 * (qs + qt))[..., 0] < -psd_tol
-    traces = np.trace(qs, axis1=-2, axis2=-1)
+    qs = stacks if isinstance(stacks, np.ndarray) else np.stack(stacks)
+    qt = qs.mT
+    asym = abs(qs - qt).max(axis=(-2, -1)) > sym_tol
+    # NaN marks a matrix whose eigenvalues did not converge: not PSD either.
+    indefinite = ~(eigvalsh_lo(0.5 * (qs + qt))[..., 0] >= -psd_tol)
+    traces = qs.trace(axis1=-2, axis2=-1)
     total = traces[0] + traces[1] + traces[2]
     over = (p < 0) | (total > p * (1.0 + TRACE_REL_SLACK) + 1e-12)
     bad = asym.any(axis=0) | indefinite.any(axis=0) | over
@@ -209,10 +215,14 @@ class CovarianceTriple:
         if len({m.shape for m in mats}) != 1:
             raise DimensionError("q0, q1, q2 must share a common shape")
         p = float(self.p_total)
-        check_covariance_stacks([m[None] for m in mats], p)
-        object.__setattr__(self, "q0", _frozen_copy(mats[0]))
-        object.__setattr__(self, "q1", _frozen_copy(mats[1]))
-        object.__setattr__(self, "q2", _frozen_copy(mats[2]))
+        # One copy of the three matrices, checked as stacks of one triple;
+        # its rows are the frozen fields.
+        qs = np.array(mats)
+        check_covariance_stacks(qs[:, None], p)
+        qs.flags.writeable = False
+        object.__setattr__(self, "q0", qs[0])
+        object.__setattr__(self, "q1", qs[1])
+        object.__setattr__(self, "q2", qs[2])
         object.__setattr__(self, "p_total", p)
 
     @property

@@ -14,19 +14,25 @@ eigenvectors with lambda > 1 when there are two or more, each mixed with
 a little of the isotropic matrix.  The zero matrix, the beam and the
 legitimate channel's water-filling matrix stay candidates, so the rate
 never falls below theirs, nor below zero.  The search driver
-``rotation.maximize_psd_objective`` runs the ascents and ranks everything.
+``rotation.search_problems`` runs the ascents and ranks everything; the
+searches of several problems whose channels share their shapes run
+together in it (``solve_wiretaps``), each row of a stacked call under its
+own problem's channels and budget, and ``solve_wiretap`` is the
+one-problem case.
 
 The best result is accepted when its Frank-Wolfe gap is at most
 ``GAP_TOL`` bits, that is when it is stationary.  Otherwise the corner
 search of ``corner`` at weights (1, 0) rescues it: that search maximizes
 C1(S), the secrecy capacity under a covariance S (Liu, Liu, Poor &
 Shamai, IEEE TIT 2010), and its lifted q1 replaces the first result when
-its secrecy rate is higher.  No step draws a random number, so the same
-problem always gives the same result.
+its secrecy rate is higher; the gate and the rescue run problem by
+problem.  No step draws a random number, so the same problem always gives
+the same result, alone or beside others.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +40,7 @@ import numpy as np
 
 from .corner import corner_search
 from .rates import gauss_rate, pair_rate_grad, wiretap_pencil
-from .rotation import factor_form, fw_gap, maximize_psd_objective, mixed_start
+from .rotation import Problem, Solved, factor_form, fw_gap, mixed_start, search_problems
 from .types import ChannelPair, as_channel_pair, check_budget
 from .waterfill import DegenerateChannelWarning, waterfill
 
@@ -70,25 +76,12 @@ def _secrecy_rate_grad(hm, he, q) -> tuple:
     return rates[0] - rates[1], grads[0] - grads[1]
 
 
-def solve_wiretap(hm, he, p: float) -> WiretapResult:
-    """Best found covariance for the secrecy rate under a trace budget.
-
-    Returns a PSD matrix with trace at most ``p`` plus the achieved rate.
-    With a zero budget, or whenever every positive-power direction leaks
-    more than it carries, the zero matrix wins and the rate is 0.
-    """
-    hm, he = as_channel_pair(hm, he, "legitimate channel", "eavesdropper channel")
-    check_budget(p)
+def _seeds(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:
+    """``(candidates, starts)`` of one wiretap search: the zero matrix and
+    the beam and, with more than one legitimate row, the water-filling
+    matrix, and the mixed starts from the beam and from the span of the
+    eigenvectors with lambda > 1."""
     nt = hm.shape[1]
-    if p == 0:
-        return WiretapResult(np.zeros((nt, nt)), 0.0, True, 0.0, False)
-
-    def rate(q):
-        return secrecy_rate(hm, he, q)
-
-    def search(q):
-        return _secrecy_rate_grad(hm, he, q)
-
     lam, vecs = wiretap_pencil(hm, he, p)
     top = vecs[:, -1]
     beam = (p / (top @ top)) * np.outer(top, top)
@@ -104,17 +97,81 @@ def solve_wiretap(hm, he, p: float) -> WiretapResult:
         if lifted.shape[1] > 1:
             span = lifted @ lifted.T
             starts.append(mixed_start((p / np.trace(span)) * span, nt, p))
-    in_factor = factor_form(search, nt, p)
-    q, best, converged, _ = maximize_psd_objective(
-        rate, nt, p, candidates, starts, search_objective=in_factor
-    )
-    gap = fw_gap(search(q)[1], q, p)
-    if hm.shape[0] == 1 or gap <= GAP_TOL:
-        return WiretapResult(q, best, converged, gap, False)
+    return candidates, starts
 
-    rescue = corner_search(ChannelPair(hm, he), 1.0, 0.0, p)
-    rescued = rate(rescue.q1)
-    if rescued > best:
-        q, best, converged = rescue.q1, rescued, rescue.converged
-        gap = fw_gap(search(q)[1], q, p)
-    return WiretapResult(q, best, converged, gap, True)
+
+def _search_together(problems: list) -> Solved:
+    """``rotation.search_problems`` on (hm, he, p) problems whose channels
+    share their shapes: every row of a stacked call meets its own
+    problem's channels and budget."""
+    nt = problems[0][0].shape[1]
+    links = pair_rate_grad(
+        np.array([hm for hm, _, _ in problems]), np.array([he for _, he, _ in problems])
+    )
+
+    def search(q, owner):
+        rates, grads = links(q, owner)
+        return rates[0] - rates[1], grads[0] - grads[1]
+
+    searches = [
+        Problem(functools.partial(secrecy_rate, hm, he), p, *_seeds(hm, he, p))
+        for hm, he, p in problems
+    ]
+    budgets = np.array([p for _, _, p in problems])
+    return search_problems(searches, nt, factor_form(search, nt, budgets))
+
+
+def solve_wiretaps(problems) -> Solved:
+    """``WiretapResult``s of (hm, he, p) problems, each bit for bit the one
+    ``solve_wiretap`` gives it alone.
+
+    The searches of the problems whose channels share their shapes run
+    together, as one ``rotation.search_problems`` call; the gap gate and
+    the rescue then run problem by problem.  ``n_batches`` and ``n_rows``
+    count the stacked search-objective calls and their rows, the rescues'
+    corner searches included.
+    """
+    checked = []
+    for hm, he, p in problems:
+        hm, he = as_channel_pair(hm, he, "legitimate channel", "eavesdropper channel")
+        check_budget(p)
+        checked.append((hm, he, p))
+    results = [None] * len(checked)
+    groups = {}
+    for i, (hm, he, p) in enumerate(checked):
+        if p == 0:
+            nt = hm.shape[1]
+            results[i] = WiretapResult(np.zeros((nt, nt)), 0.0, True, 0.0, False)
+        else:
+            groups.setdefault((hm.shape, he.shape), []).append(i)
+    n_batches = n_rows = 0
+    for members in groups.values():
+        found, batches, rows = _search_together([checked[i] for i in members])
+        n_batches += batches
+        n_rows += rows
+        for i, (q, best, converged, _) in zip(members, found):
+            hm, he, p = checked[i]
+            gap = fw_gap(_secrecy_rate_grad(hm, he, q)[1], q, p)
+            if hm.shape[0] == 1 or gap <= GAP_TOL:
+                results[i] = WiretapResult(q, best, converged, gap, False)
+                continue
+            rescue = corner_search(ChannelPair(hm, he), 1.0, 0.0, p)
+            n_batches += rescue.n_batches
+            n_rows += rescue.n_evals
+            rescued = secrecy_rate(hm, he, rescue.q1)
+            if rescued > best:
+                q, best, converged = rescue.q1, rescued, rescue.converged
+                gap = fw_gap(_secrecy_rate_grad(hm, he, q)[1], q, p)
+            results[i] = WiretapResult(q, best, converged, gap, True)
+    return Solved(results, n_batches, n_rows)
+
+
+def solve_wiretap(hm, he, p: float) -> WiretapResult:
+    """Best found covariance for the secrecy rate under a trace budget.
+
+    Returns a PSD matrix with trace at most ``p`` plus the achieved rate.
+    With a zero budget, or whenever every positive-power direction leaks
+    more than it carries, the zero matrix wins and the rate is 0.  The
+    one-problem case of ``solve_wiretaps``.
+    """
+    return solve_wiretaps([(hm, he, p)]).results[0]

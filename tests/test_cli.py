@@ -181,6 +181,53 @@ class TestRun:
             assert run(cfg) == 0
             assert out.read_text() == want
 
+    @pytest.mark.parametrize("common, rows", [(False, 115), (True, 145)])
+    def test_ps_sidecar_counts_searches(self, ch22_file, tmp_path, common, rows):
+        # ch22 C at eps1 0.5, pinned: the wiretap waves make 36 stacked
+        # search-objective calls; with the common message on, the second
+        # wave has more problems, so more rows in as many calls.  No
+        # wiretap solve needs the rescue, and every one ends stationary.
+        out = tmp_path / "c.csv"
+        cfg = RunConfig(
+            channels=ch22_file,
+            scenario="C",
+            method="ps",
+            power=12.0,
+            out=str(out),
+            common=common,
+            eps1=0.5,
+        )
+        assert run(cfg) == 0
+        meta = dict(
+            line.split("=", 1) for line in (tmp_path / "c.csv.meta").read_text().splitlines()
+        )
+        assert (meta["search_batches"], meta["search_rows"]) == ("36", str(rows))
+        assert meta["wiretap_rescues"] == "0"
+        assert meta["wiretap_gap_max"] == "1.8041124150158794e-15"
+
+    def test_ps_sidecar_counts_rescues(self, tmp_path):
+        # On instance 42 the rescue runs, and the largest gap is that of the
+        # full-power first stage, which stays above GAP_TOL after it.
+        hm, he, p = GOLDEN_42["hm"], GOLDEN_42["he"], GOLDEN_42["p"]
+        chfile = tmp_path / "g42.txt"
+        write_channels(ChannelPair(hm, he), str(chfile))
+        out = tmp_path / "g.csv"
+        cfg = RunConfig(
+            channels=str(chfile),
+            scenario="C",
+            method="ps",
+            power=p,
+            out=str(out),
+            common=False,
+            eps1=0.5,
+        )
+        assert run(cfg) == 0
+        meta = dict(line.split("=", 1) for line in Path(f"{out}.meta").read_text().splitlines())
+        assert out.read_text() == SEED_FREE_JOBS["ps"][1]
+        assert meta["wiretap_rescues"] == "5"
+        assert float(meta["wiretap_gap_max"]) == solve_wiretap(hm, he, p).gap > 1e-7
+        assert int(meta["search_batches"]) < int(meta["search_rows"])
+
     @pytest.mark.parametrize("scenario", ["A", "C"])
     @pytest.mark.parametrize(
         "method, extra", [("oracle", {"samples": 2000}), ("ps", {"eps1": 0.25})]

@@ -190,3 +190,25 @@ def test_wide_case3_beats_isotropic_and_waterfilling(nt):
     candidates = [np.eye(nt) * (p / nt), waterfill(h1, p)[0], waterfill(h2, p)[0]]
     for q in candidates:
         assert res.rate >= min(gauss_rate(h1, q), gauss_rate(h2, q))
+
+
+def test_multicast_wave_matches_each_solve():
+    # Case-3 problems of two shapes, with mixed budgets, beside case-1,
+    # case-2 and zero-budget ones: each result of the wave is its own
+    # solve's, bit for bit.
+    rng = np.random.default_rng(8)
+    problems, cases = [], []
+    while len(cases) < 12 or cases.count("case3") < 6:
+        rows = (1, 2) if len(problems) % 2 else (2, 2)
+        h1, h2 = (rng.standard_normal((n, 2)) for n in rows)
+        p = float(10.0 ** rng.uniform(-1.0, 1.5))
+        problems.append((h1, h2, p))
+        cases.append(case_classify(h1, h2, p))
+    problems.append((h1, h2, 0.0))
+    solved = multicast.solve_multicasts(problems)
+    assert {"case1", "case2"} <= set(cases)
+    for (h1, h2, p), got in zip(problems, solved.results):
+        want = solve_multicast(h1, h2, p)
+        assert got.q.tobytes() == want.q.tobytes()
+        assert (got.rate, got.case, got.converged) == (want.rate, want.case, want.converged)
+    assert 0 < solved.n_batches < solved.n_rows

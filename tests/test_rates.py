@@ -278,6 +278,19 @@ class TestEvaluateStack:
         assert got == pytest.approx(want, abs=1e-12)
         assert gauss_rate(ch_row3.h1, qs[0][0]) == pytest.approx(want_rate, abs=1e-12)
 
+    def test_fallback_is_per_matrix(self, ch_row3):
+        # One matrix of the stack, I - 4 H H^T, is indefinite: it falls back
+        # to eigenvalues alone, and every other row keeps the bits of its
+        # own stack of one, so a rate never depends on its neighbours.
+        rng = np.random.default_rng(22)
+        q = psd_stack(rng, 5, 3, 3.0)
+        q[2] = -4.0 * np.eye(3)
+        for h in (ch_row3.h1, ch_row3.h2):
+            got = link_logdet(h, q)
+            assert np.isfinite(got[2]) and got[2] < -700.0
+            for i in (0, 1, 3, 4):
+                assert got[i].tobytes() == link_logdet(h, q[i : i + 1])[0].tobytes()
+
     def test_rejects_bad_order_and_shape(self, ch22):
         z = np.zeros((3, 2, 2))
         with pytest.raises(ValueError):

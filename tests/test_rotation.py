@@ -6,16 +6,17 @@ from hypothesis import strategies as st
 from secregion import build_rotation, rotation
 from secregion.baselines import n_angles
 from secregion.multicast import _softmin_grad
-from secregion.rates import gauss_rate, link_rate_grad
+from secregion.rates import gauss_rate, link_rate_grad, pair_rate_grad
 from secregion.rotation import (
+    Problem,
     _decode,
-    ascend,
     encode,
     factor_form,
     fw_gap,
     maximize_psd_objective,
     mixed_start,
     root_form,
+    search_problems,
 )
 from secregion.waterfill import waterfill
 from secregion.wiretap import _secrecy_rate_grad
@@ -196,6 +197,17 @@ def stacked(single):
 def with_gradient(objective, gradient):
     """Stacked value-and-gradient callable, as the search follows."""
     return stacked(lambda q: (objective(q), gradient(q)))
+
+
+def ascend(search_objective, x0, nt, budget):
+    """``(q, converged)`` of one ``rotation.ascent`` from ``x0``, run by the
+    lockstep driver on one start, ``search_objective`` taking (1, nt^2 + 1)
+    stacks."""
+    runs = [rotation.ascent(x0, nt, budget)]
+    ends, _, _ = rotation._lockstep(
+        lambda x, owner: search_objective(x), runs, np.zeros(1, dtype=np.intp)
+    )
+    return ends[0]
 
 
 def fail(*args, **kwargs):
@@ -437,9 +449,9 @@ def alone_search(objective, nt, budget, candidates, starts, search_objective):
 def sizes_seen(search_objective, sizes):
     """``search_objective`` that records the stack size of each call."""
 
-    def recorded(x):
+    def recorded(x, *owner):
         sizes.append(len(x))
-        return search_objective(x)
+        return search_objective(x, *owner)
 
     return recorded
 
@@ -534,3 +546,98 @@ class TestLockstep:
         assert set(sizes) == {1}
         want_q, want_converged = alone(search, x0, 2, 12.0)
         assert q.tobytes() == want_q.tobytes() and converged == want_converged
+
+
+@st.composite
+def problem_sets(draw):
+    """One to four wiretap problems over one nt (1-4) and one pair of
+    channel shapes (1-3 rows each), each with its own budget (1e-2 to
+    1e2) and zero to three standard normal starts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nt = draw(st.integers(1, 4))
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        h1, h2 = rng.standard_normal((n1, nt)), rng.standard_normal((n2, nt))
+        budget = 10.0 ** draw(st.floats(-2.0, 2.0))
+        starts = [rng.standard_normal(nt * nt + 1) for _ in range(draw(st.integers(0, 3)))]
+        problems.append((h1, h2, budget, starts))
+    return nt, problems
+
+
+class TestSeveralProblems:
+    """``search_problems`` runs the ascents of several problems in one
+    lockstep, each row meeting its own problem's channels and budget;
+    each problem's ``Search`` is its own driver call's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem_sets())
+    def test_each_problem_as_alone(self, case):
+        nt, problems = case
+        links = pair_rate_grad(*(np.array([pr[k] for pr in problems]) for k in (0, 1)))
+
+        def search(q, owner):
+            rates, grads = links(q, owner)
+            return rates[0] - rates[1], grads[0] - grads[1]
+
+        def rate_of(h1, h2):
+            return lambda q: _secrecy_rate_grad(h1, h2, q)[0]
+
+        candidates = [(np.zeros((nt, nt)), True)]
+        sizes = []
+        solved = search_problems(
+            [Problem(rate_of(h1, h2), b, candidates, starts) for h1, h2, b, starts in problems],
+            nt,
+            sizes_seen(factor_form(search, nt, np.array([pr[2] for pr in problems])), sizes),
+        )
+        assert len(solved.results) == len(problems)
+        for (h1, h2, b, starts), got in zip(problems, solved.results):
+            single = factor_form(lambda q: _secrecy_rate_grad(h1, h2, q), nt, b)
+            want = maximize_psd_objective(
+                rate_of(h1, h2), nt, b, candidates, starts, search_objective=single
+            )
+            TestLockstep().assert_same(got, want)
+            TestLockstep().assert_same(
+                got, alone_search(rate_of(h1, h2), nt, b, candidates, starts, single)
+            )
+        # The stack shrinks as ascents end, whichever problem they belong to.
+        assert sizes == sorted(sizes, reverse=True)
+        assert (solved.n_batches, solved.n_rows) == (len(sizes), sum(sizes))
+        if sizes:
+            assert sizes[0] == sum(len(pr[3]) for pr in problems)
+
+    def test_problems_end_at_different_steps(self, ch22):
+        # The second problem's start is flat and ends at its first step;
+        # the first problem's ascents go on without it, and the empty third
+        # problem is ranked over its candidates alone.
+        search = factor_form(lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q), 2, 12.0)
+        flat = factor_form(stacked(lambda q: (1.0, np.zeros((2, 2)))), 2, 3.0)
+
+        def two_kinds(x, owner):
+            values, grads = search(x)
+            mine = owner == 1
+            if mine.any():
+                values[mine], grads[mine] = flat(x[mine])
+            return values, grads
+
+        def rate(q):
+            return _secrecy_rate_grad(ch22.h1, ch22.h2, q)[0]
+
+        rng = np.random.default_rng(5)
+        starts = [rng.standard_normal(5) for _ in range(2)]
+        zero = [(np.zeros((2, 2)), True)]
+        sizes = []
+        solved = search_problems(
+            [
+                Problem(rate, 12.0, zero, starts),
+                Problem(lambda q: 1.0, 3.0, [], [np.ones(5)]),
+                Problem(lambda q: float(np.trace(q)), 1.0, [*zero, (np.eye(2) / 2, False)], []),
+            ],
+            2,
+            sizes_seen(two_kinds, sizes),
+        )
+        first, second, third = solved.results
+        TestLockstep().assert_same(first, alone_search(rate, 2, 12.0, zero, starts, search))
+        assert second.converged and second.q.tobytes() == _decode(np.ones(5), 2, 3.0).tobytes()
+        assert third.value == 1.0 and not third.converged and third.n_unconverged == 0
+        assert sizes[:2] == [3, 2] and len(sizes) > 5

@@ -25,7 +25,7 @@ from secregion import (
     sweep_region,
     waterfill,
 )
-from secregion import splitting
+from secregion import splitting, wiretap
 from secregion.splitting import _alpha_grid
 from secregion.types import pareto_mask
 
@@ -184,6 +184,83 @@ class TestSearchGolden:
         assert [list(sp.split.as_tuple()) for sp in pts] == golden["splits"]
         assert [sp.rates.order for sp in pts] == golden["orders"]
         assert [sp.converged for sp in pts] == golden["converged"]
+
+
+def assert_same_split(got, want):
+    """Two ``SplitResult``s of one split agree bit for bit: rates, order,
+    covariance bytes and convergence flag."""
+    assert got.split == want.split
+    assert got.rates == want.rates
+    for name in ("q0", "q1", "q2"):
+        assert getattr(got.cov, name).tobytes() == getattr(want.cov, name).tobytes()
+    assert got.cov.p_total == want.cov.p_total
+    assert got.converged == want.converged
+
+
+class TestSweepMatchesSolveSplit:
+    """Every cell of a sweep, solved in stage waves with the other cells,
+    is its own ``solve_split`` call (a one-cell sweep), bit for bit."""
+
+    @pytest.mark.parametrize("common", [False, True])
+    @pytest.mark.parametrize("tag", ["A", "B", "C"])
+    def test_ch22(self, ch22, tag, common):
+        sc = Scenario(tag, common)
+        for sp in sweep_points(ch22, sc, 12.0, 0.5):
+            assert_same_split(sp, solve_split(ch22, sc, sp.split, 12.0, sp.rates.order))
+
+    @pytest.mark.parametrize("common", [False, True])
+    @pytest.mark.parametrize("tag", ["A", "C"])
+    def test_mixed_shapes(self, ch_row3, tag, common):
+        # ch_row3's users have 2 and 1 rows, so the two orders' problems
+        # have channels of different shapes and are searched apart.
+        sc = Scenario(tag, common)
+        for sp in sweep_points(ch_row3, sc, 4.0, 0.5):
+            assert_same_split(sp, solve_split(ch_row3, sc, sp.split, 4.0, sp.rates.order))
+
+    @pytest.mark.parametrize("common", [False, True])
+    def test_forced_rescue(self, monkeypatch, common):
+        # wiretap_golden instance 42 with the gap gate forced open: every
+        # wiretap solve with a search runs the corner search's rescue.
+        item = json.loads(
+            (Path(__file__).parent / "data" / "wiretap_golden.json").read_text()
+        )["instances"][42]
+        ch = ChannelPair(item["hm"], item["he"])
+        monkeypatch.setattr(wiretap, "GAP_TOL", -1.0)
+        rescued = []
+        solve = wiretap.solve_wiretaps
+
+        def recorded(problems):
+            solved = solve(problems)
+            rescued.extend(res.restarted for res in solved.results)
+            return solved
+
+        monkeypatch.setattr(splitting, "solve_wiretaps", recorded)
+        sc = Scenario("C", common)
+        pts = sweep_points(ch, sc, item["p"], 0.5)
+        assert sum(rescued) >= 4
+        for sp in pts:
+            assert_same_split(sp, solve_split(ch, sc, sp.split, item["p"], sp.rates.order))
+
+    def test_counts_add_up_over_waves(self, ch22b, monkeypatch):
+        # The sweep's counts are the sums of its waves' records.
+        waves = {"solve_wiretaps": [], "solve_multicasts": []}
+        for name, seen in waves.items():
+            solve = getattr(splitting, name)
+
+            def recorded(problems, solve=solve, seen=seen):
+                seen.append(solve(problems))
+                return seen[-1]
+
+            monkeypatch.setattr(splitting, name, recorded)
+        counts = splitting.SweepCounts()
+        sweep_points(ch22b, Scenario("C"), 10.0, 0.25, counts)
+        solved = [w for seen in waves.values() for w in seen]
+        wiretaps = [res for w in waves["solve_wiretaps"] for res in w.results]
+        assert len(waves["solve_wiretaps"]) == 2 and len(waves["solve_multicasts"]) == 1
+        assert counts.search_batches == sum(w.n_batches for w in solved) > 0
+        assert counts.search_rows == sum(w.n_rows for w in solved) > counts.search_batches
+        assert counts.wiretap_gap_max == max(res.gap for res in wiretaps)
+        assert counts.wiretap_rescues == sum(res.restarted for res in wiretaps)
 
 
 def planted(monkeypatch, name, hit=lambda *args: True):

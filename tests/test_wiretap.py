@@ -32,13 +32,13 @@ def record_searches(monkeypatch) -> list:
     """A list that gets the arguments of each search driver call that
     ``solve_wiretap`` makes itself."""
     searches = []
-    search = wiretap.maximize_psd_objective
+    search = wiretap.search_problems
 
     def recorded(*args, **kwargs):
         searches.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(wiretap, "maximize_psd_objective", recorded)
+    monkeypatch.setattr(wiretap, "search_problems", recorded)
     return searches
 
 
@@ -229,6 +229,25 @@ class TestGate:
         assert res.rate >= first.rate
         if res.rate == first.rate:
             assert np.array_equal(res.q, first.q)
+
+
+class TestSolveTogether:
+    def test_wave_matches_each_solve(self):
+        # 16 golden problems of mixed shapes (nt 1-5), budgets and zero
+        # budgets, solved together: each result is its own solve's, bit for
+        # bit, and the wave's counts cover every row of its stacked calls.
+        items = TestGate.GOLDEN[:12] + TestGate.GOLDEN[40:44]
+        problems = [(np.array(it["hm"]), np.array(it["he"]), it["p"]) for it in items]
+        problems += [(problems[0][0], problems[0][1], 0.0)]
+        solved = wiretap.solve_wiretaps(problems)
+        assert sum(res.restarted for res in solved.results) >= 1
+        for (hm, he, p), got in zip(problems, solved.results):
+            want = solve_wiretap(hm, he, p)
+            assert got.q.tobytes() == want.q.tobytes()
+            assert (got.rate, got.converged, got.gap, got.restarted) == (
+                want.rate, want.converged, want.gap, want.restarted
+            )
+        assert 0 < solved.n_batches < solved.n_rows
 
 
 class TestRescue:
