@@ -21,10 +21,10 @@ Only ``link_logdet``, behind the reported rates, falls back to an
 eigenvalue sum instead, for each matrix of a stack whose factor failed,
 so that a rate never depends on the other rows of its stack.
 Inverse-times-matrix expressions in rates are rewritten as differences
-of log determinants; the only inverse formed is that of the Cholesky factor L in
-``resolvent``, which gives the log-determinant, the whitened channel
-L^{-1} H and the Gram matrix H^T (I + H Q H^T)^{-1} H of one link from
-that one factor.  ``resolvent`` runs in the inner loops of the searches
+of log determinants; the only inverse formed is that of the Cholesky
+factor L in ``resolvent``, which gives the log-determinant, the whitened
+channel L^{-1} H and the Gram matrix H^T (I + H Q H^T)^{-1} H of one
+link from that one factor.  ``resolvent`` runs in the inner loops of the searches
 and of the WSR solver on matrices of a few rows, so the factor and
 L^{-1} come from the LAPACK gufuncs behind ``np.linalg.cholesky`` and
 ``np.linalg.inv`` (``cholesky_lo`` and ``inv`` of
@@ -252,9 +252,11 @@ def pair_rate_grad(h1: np.ndarray, h2: np.ndarray):
     stacked = pair[:, None]
 
     def rate_grads(q, *owner):
-        if owner and len(h1) > 1:
-            return link_rate_grad(pair[:, owner[0]], q)
-        return link_rate_grad(stacked if q.ndim > 2 and not owner else pair, q)
+        if owner:
+            links = pair[:, owner[0]] if len(h1) > 1 else pair
+        else:
+            links = stacked if q.ndim > 2 else pair
+        return link_rate_grad(links, q)
 
     return rate_grads
 

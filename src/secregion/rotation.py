@@ -56,7 +56,7 @@ scipy.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -371,7 +371,7 @@ class Problem(NamedTuple):
     are ready ``(q, converged)`` pairs and each parameter vector of
     ``starts`` runs one ``ascent``."""
 
-    objective: object
+    objective: Callable[[np.ndarray], float]
     budget: float
     candidates: list
     starts: list
