@@ -36,23 +36,11 @@ from .types import (
 )
 from .waterfill import DegenerateChannelWarning, water_level, waterfill
 from .wiretap import WiretapResult, secrecy_rate, solve_wiretap
-from .wsr import (
-    BsmmState,
-    WsrConfig,
-    WsrSolution,
-    block_price,
-    bsmm_inner,
-    closed_form_block,
-    kkt_residual,
-    wsr_solve,
-    wsr_sweep,
-    wsr_sweep_points,
-)
+from .wsr import WsrConfig, WsrSolution, wsr_solve, wsr_sweep, wsr_sweep_points
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BsmmState",
     "ChannelPair",
     "ChannelParseError",
     "ConsistencyError",
@@ -72,15 +60,11 @@ __all__ = [
     "WiretapResult",
     "WsrConfig",
     "WsrSolution",
-    "block_price",
-    "bsmm_inner",
     "build_rotation",
     "case_classify",
-    "closed_form_block",
     "evaluate_triple",
     "gauss_rate",
     "hull_pareto",
-    "kkt_residual",
     "layered_rate",
     "load_channels",
     "oma_timeshare",

@@ -5,24 +5,15 @@ with 17-significant-digit decimals (exact double round-trip) plus a
 human-readable key=value sidecar carrying every parameter, tolerance, the
 seed, wall time, and solver flags.  The seed reaches only the ``oracle``
 draws; every other method gives the same output for every seed.  A
-``wsr`` job's sidecar also sums its solves' counts: in scenarios A and B
-the BSMM rounds (``bsmm_rounds``), the SQUAREM steps the inner solves kept
-(``bsmm_extrapolated``), the inner solves that hit the round cap
-(``bsmm_capped``) and the inner solves of the multiplier searches
-(``bsmm_bisect``); in scenario C, which runs the secret-DPC corner search
-instead, its ascents (``corner_ascents``), their objective evaluations
-(``corner_evals``), the stacked objective calls that made them, one per
-lockstep step of the ascents (``corner_batches``), and the ascents that
-hit the iteration cap (``corner_unconverged``).  It also gives the most
-budget any solve left unused (``wsr_unused_power_max``).  A ``ps`` job's
-sidecar gives its sweep's ``SweepCounts``: the stacked search-objective
-calls of its wiretap and multicast searches (``search_batches``), their
-rows (``search_rows``), the wiretap solves that ran the corner-search
+``ps`` or ``wsr`` job's sidecar gives the stacked search-objective calls
+of its searches (``search_batches``) and their rows (``search_rows``).
+A ``ps`` job's also gives the wiretap solves that ran the corner-search
 rescue (``wiretap_rescues``) and the largest final Frank-Wolfe gap of a
-wiretap solve (``wiretap_gap_max``).  Every sidecar
-records the search's relative power tolerance (``wsr_power_tol``)
-beside the inner stop rule (``wsr_eps3``).  One process runs one
-(scenario, method, power) job; sweeps over power are shell-level loops.
+wiretap solve (``wiretap_gap_max``), from its sweep's ``SweepCounts``; a
+``wsr`` job's gives the most budget any of its solves left unused
+(``wsr_unused_power_max``) and the largest Frank-Wolfe gap of a solve
+(``wsr_gap_max``).  One process runs one (scenario, method, power) job;
+sweeps over power are shell-level loops.
 """
 
 from __future__ import annotations
@@ -40,27 +31,11 @@ from .rotation import GTOL, MAX_ITERS
 from .splitting import SweepCounts, hull_pareto, sweep_points
 from .types import ChannelPair, ConsistencyError, Scenario
 from .wiretap import GAP_TOL
-from .wsr import EPS3, POWER_TOL, wsr_sweep_points
+from .wsr import wsr_sweep_points
 
 METHODS = ("ps", "wsr", "tdma", "oma", "oracle")
 
 CSV_HEADER = "r0,r1,r2,order,alpha0,alpha1,alpha2"
-
-# Sidecar key -> the ``WsrSolution`` count that a wsr job sums over its
-# solves, for the BSMM solves of scenarios A and B and the corner searches
-# of scenario C.
-_BSMM_COUNTS = {
-    "bsmm_rounds": "n_rounds",
-    "bsmm_extrapolated": "n_extrapolated",
-    "bsmm_capped": "n_capped",
-    "bsmm_bisect": "n_bisect",
-}
-_CORNER_COUNTS = {
-    "corner_ascents": "n_ascents",
-    "corner_evals": "n_evals",
-    "corner_unconverged": "n_unconverged_ascents",
-    "corner_batches": "n_batches",
-}
 
 # Methods defined only without a common message -> their name in messages.
 _COMMON_OFF_ONLY = {"wsr": "weighted-sum-rate method", "oma": "time-share baseline"}
@@ -206,22 +181,23 @@ def _method_param_problem(cfg: RunConfig) -> str | None:
 
 
 def _solve(ch: ChannelPair, scenario: Scenario, cfg: RunConfig) -> tuple:
-    """CSV rows, unconverged-solve count and WSR sidecar lines of one job."""
+    """CSV rows, unconverged-solve count and search sidecar lines of one job."""
     n_unconverged = 0
     counts = {}
     if cfg.method == "ps":
         rows, n_unconverged, counts = _csv_rows_ps(ch, scenario, cfg)
     else:
         if cfg.method == "wsr":
-            solved = wsr_sweep_points(ch, scenario, cfg.power, sigma=cfg.sigma)
+            searches = SweepCounts()
+            solved = wsr_sweep_points(ch, scenario, cfg.power, cfg.sigma, searches)
             points = hull_pareto([pt for pt, _ in solved])
             n_unconverged = sum(1 for _, sol in solved if not sol.converged)
-            named = _CORNER_COUNTS if scenario.user2_confidential else _BSMM_COUNTS
             counts = {
-                key: str(sum(getattr(sol, field) for _, sol in solved))
-                for key, field in named.items()
+                "search_batches": str(searches.search_batches),
+                "search_rows": str(searches.search_rows),
+                "wsr_unused_power_max": _fmt(max(sol.unused for _, sol in solved)),
+                "wsr_gap_max": _fmt(max(sol.gap for _, sol in solved)),
             }
-            counts["wsr_unused_power_max"] = _fmt(max(sol.unused for _, sol in solved))
         elif cfg.method == "tdma":
             points = tdma_region(ch, scenario, cfg.power).points
         elif cfg.method == "oma":
@@ -268,8 +244,6 @@ def run(cfg: RunConfig) -> int:
         "solver_max_iters": str(MAX_ITERS),
         "solver_gtol": _fmt(GTOL),
         "solver_gap_tol": _fmt(GAP_TOL),
-        "wsr_power_tol": _fmt(POWER_TOL),
-        "wsr_eps3": _fmt(EPS3),
         "n_points": str(len(rows)),
         "n_unconverged_cells": str(n_unconverged),
         **counts,

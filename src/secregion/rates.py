@@ -6,17 +6,18 @@ scenario rules for the three messages live only in ``rate_rule``, which
 turns per-user link values 0.5 * log2|I + Hu Q Hu^T| into rate triples.
 ``rate_stack`` is the batched log-determinants of a covariance stack plus
 that rule; ``evaluate_stack`` and ``evaluate_triple`` clamp its values for
-reporting, and the WSR inner loop feeds the rule the link values of its
-own factors and mode loadings, as floats, which the rule handles without
-numpy.  ``gauss_rate`` and ``layered_rate`` are the single-link
-primitives of the subproblem solvers and the WSR coupling terms, and
-``link_rate_grad`` gives a link rate with its gradient for the searches,
-and ``pair_rate_grad`` those of two links at once, on stacks of matrices.
+reporting, and the WSR search feeds the rule the link values and
+gradients of ``link_rate_grad``, which the rule, being linear in the link
+values, turns into rates and their gradients alike.  ``gauss_rate`` and
+``layered_rate`` are the single-link primitives of the subproblem
+solvers, and ``link_rate_grad`` gives a link rate with its gradient for
+the searches, and ``pair_rate_grad`` those of two links at once, on
+stacks of matrices.
 Log determinants go through a Cholesky factorization of I + PSD, which
 is positive definite by construction.  ``_factor`` is the package's one
-Cholesky routine, for one matrix or a stack: the rate functions here,
-``resolvent`` and ``wsr.closed_form_block`` take their factors from it,
-and it raises when round-off defeats the factorization of any matrix.
+Cholesky routine, for one matrix or a stack: the rate functions here and
+``resolvent`` take their factors from it, and it raises when round-off
+defeats the factorization of any matrix.
 Only ``link_logdet``, behind the reported rates, falls back to an
 eigenvalue sum instead, for each matrix of a stack whose factor failed,
 so that a rate never depends on the other rows of its stack.
@@ -24,8 +25,8 @@ Inverse-times-matrix expressions in rates are rewritten as differences
 of log determinants; the only inverse formed is that of the Cholesky
 factor L in ``resolvent``, which gives the log-determinant, the whitened
 channel L^{-1} H and the Gram matrix H^T (I + H Q H^T)^{-1} H of one
-link from that one factor.  ``resolvent`` runs in the inner loops of the searches
-and of the WSR solver on matrices of a few rows, so the factor and
+link from that one factor.  ``resolvent`` runs in the inner loops of the
+searches on matrices of a few rows, so the factor and
 L^{-1} come from the LAPACK gufuncs behind ``np.linalg.cholesky`` and
 ``np.linalg.inv`` (``cholesky_lo`` and ``inv`` of
 ``numpy.linalg._umath_linalg``), called directly, without numpy's
@@ -105,7 +106,7 @@ def _failed(half) -> bool:
     No ln|L| is -inf, as a factor's diagonal is positive, so the sum of a
     stack's is NaN exactly when one of them is.  One matrix's float is
     tested as ``x != x``, which costs far less than a numpy reduction on
-    the WSR inner loop's small links.
+    a small link.
     """
     return math.isnan(half.sum()) if half.ndim else half != half
 
@@ -317,9 +318,8 @@ def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)):
     ``logdet[u][j]`` is 0.5 * log2|I + Hu Q Hu^T| for user u (0 or 1) and
     the j-th of q0 + (q1 + q2), q1 + q2, q1, q2; each entry is a float or
     an array, all of one shape s.  Returns an array of shape
-    (len(orders),) + s + (3,) holding (r0, r1, r2); for float entries it
-    returns the same values without numpy, as a tuple of one (r0, r1, r2)
-    tuple per order.  Entries that no requested order reads may be None:
+    (len(orders),) + s + (3,) holding (r0, r1, r2), s = () for float
+    entries.  Entries that no requested order reads may be None:
     order "12" never reads the q2 entries, nor "21" the q1 entries.  Both
     users' q0 + (q1 + q2) entries may be None when q0 = 0; r0 is then 0.
 
@@ -359,10 +359,6 @@ def rate_rule(scenario: Scenario, logdet, orders: tuple = (ORDER_12,)):
         if scenario.user2_confidential:
             r_second = r_second - (lf[1] - lf[own])
         rows.append((r0, r_first, r_second) if first == 0 else (r0, r_second, r_first))
-    if isinstance(r_first, float):
-        if not all(math.isfinite(r) for row in rows for r in row):
-            raise ValueError("rate evaluation produced non-finite values")
-        return tuple(rows)
     out = np.empty((len(orders),) + np.shape(r_first) + (3,))
     for n, row in enumerate(rows):
         for m, r in enumerate(row):

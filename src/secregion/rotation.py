@@ -3,10 +3,9 @@ quasi-Newton searches built on it: one BFGS ascent (``ascent``) from a
 start matrix (``mixed_start``), the one search driver that runs the
 ascents of one problem or of several together and ranks each problem's
 ready candidates and ascent results by its own true objective
-(``search_problems``, with ``maximize_psd_objective`` its one-problem
-case), and the Frank-Wolfe gap (``fw_gap``) that tells whether a result
-is stationary.  Every wiretap, multicast and scenario-C WSR search runs
-through the driver.
+(``search_problems``), and the Frank-Wolfe gap (``fw_gap``) that tells
+whether a result is stationary.  Every wiretap, multicast and WSR search
+runs through the driver.
 
 The search writes a covariance of size nt with trace at most ``budget`` as
 Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
@@ -14,43 +13,43 @@ Q = budget * B B^T / (||B||_F^2 + s^2), a Burer-Monteiro factor form
 absorbs unused power.  Every parameter vector x = (vec B, s) maps to a
 feasible matrix, so the optimizer can never leave the feasible set, and
 the gradient in x follows from the objective's gradient in Q by the chain
-rule; no finite differences are taken.
+rule; no finite differences are taken.  k blocks that share one budget,
+as the two users' covariances of a weighted sum rate do, are the same
+form over x = (vec B1, ..., vec Bk, s): Qj = budget * Bj Bj^T / ||x||^2.
+The number of blocks is read from the length of x, k nt^2 + 1; one block
+is the wiretap and multicast searches' case.
 
 Over the set {Q PSD, tr Q <= budget} the Frank-Wolfe gap of an objective
 with gradient G at Q is max over S in the set of <G, S - Q>, which is
 budget * max(lambda_max(G), 0) - <G, Q>.  It is nonnegative and vanishes
 exactly at the first-order stationary points, global optima included.
-
-The module keeps its name, ``rotation``, because ``bench/tracer.py`` wraps
-``rotation.maximize_psd_objective`` by it, binds its ``objective``, ``nt``
-and ``search_objective`` arguments by name, and reads the value as ``[1]``
-of its result.  The corner search calls it; the wiretap and multicast
-solves call ``search_problems`` itself.
+Over k blocks under one budget the top eigenvalue is the largest of the
+blocks', and <G, Q> sums over the blocks.
 
 ``ascent`` is a generator: it yields each parameter vector x where it
 needs the objective and is sent back ``(value, gradient in x)``.  So the
 driver runs all the starts of all its problems in lockstep
 (``_lockstep``): on each step it stacks the pending vectors of the
-unfinished ascents into one (k, n) array, n = nt^2 + 1, and makes one
+unfinished ascents into one (m, n) array, n = k nt^2 + 1, and makes one
 call of the search objective, which maps that stack and the row-to-problem
-map of its rows to a (k,) array of values and a (k, n) array of
+map of its rows to an (m,) array of values and an (m, n) array of
 gradients, each row under its own problem's channels and budget.  Each
 row rounds as it would alone, so each ascent takes the steps it would
 take alone, bit for bit; a single start is a stack of one row.  So the
-wiretap, multicast and split-sweep stages of the same shape, which are
-small and many, share their objective calls.  The search objectives are
-natural in the matrix, a (k, nt, nt) stack, and ``factor_form`` carries
-such an objective ``(values, G)`` to x by the chain rule.  The
-secret-DPC corner of ``corner`` is natural in the factor F of Q = F F^T
-instead, and ``root_form`` carries its ``(values, G_F)``.
+wiretap, multicast and split-sweep stages of the same shape, and the
+weights of a WSR sweep, which are small and many, share their objective
+calls.  The search objectives are natural in the matrix, and
+``factor_form`` carries such an objective ``(values, G)`` to x by the
+chain rule.  The secret-DPC corner of ``corner`` is natural in the factor
+F of Q = F F^T instead, and ``root_form`` carries its ``(values, G_F)``.
 
 The ascent is a BFGS ascent of the package's own (Nocedal & Wright,
 "Numerical Optimization", 2nd ed.: the inverse update of eq. 6.17 and the
 strong-Wolfe line search of Alg. 3.5/3.6), written in numpy over the
-factor vector x of nt^2 + 1 entries (26 at nt 5).  On vectors this small
-the general-purpose ``scipy.optimize.minimize`` spent more time in its own
-bookkeeping than in the objective.  No module of the package imports
-scipy.
+factor vector x of k nt^2 + 1 entries (26 at nt 5 and k 1).  On vectors
+this small the general-purpose ``scipy.optimize.minimize`` spent more
+time in its own bookkeeping than in the objective.  No module of the
+package imports scipy.
 """
 
 from __future__ import annotations
@@ -86,51 +85,71 @@ _MAX_TRIALS = 20
 _EPS = float(np.finfo(float).eps)
 
 
+# An (m,) array as (m, 1, 1) against a stack of one block per row, and as
+# (m, 1, 1, 1) against a stack of several.
+_ROWS_3 = (slice(None), None, None)
+_ROWS_4 = (slice(None), None, None, None)
+
+
 def _decode(x: np.ndarray, nt: int, budget: float) -> np.ndarray:
-    """budget * B B^T / ||x||^2 for each row x = (vec B, s) of ``x``: one
-    matrix for a vector, a (k, nt, nt) stack for a (k, nt^2 + 1) stack.
+    """budget * Bj Bj^T / ||x||^2 for each block Bj of each row
+    x = (vec B1, ..., vec Bk, s) of ``x``: one matrix for a vector of one
+    block, a (k, nt, nt) stack for k blocks, and a stack of those for a
+    stack of vectors.
 
     ``np.vecdot`` takes each row's ||x||^2 with the dot product of ``x @
     x``, bit for bit; ``einsum`` and ``(x * x).sum(-1)`` round differently.
     """
-    b = x[..., :-1].reshape(*x.shape[:-1], nt, nt)
-    return (budget / np.vecdot(x, x))[..., None, None] * (b @ b.mT)
+    k = (x.shape[-1] - 1) // (nt * nt)
+    shape = (nt, nt) if k == 1 else (k, nt, nt)
+    b = x[..., :-1].reshape(*x.shape[:-1], *shape)
+    scale = budget / np.vecdot(x, x)
+    return scale.reshape(scale.shape + (1,) * len(shape)) * (b @ b.mT)
 
 
 def encode(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
-    """A parameter vector that decodes to q (up to the slack floor).
+    """A parameter vector that decodes to q (up to the slack floor): one
+    matrix, or a (k, nt, nt) stack of blocks that share the budget.
 
-    B is the scaled eigenbasis V diag(sqrt(w+ / budget)), and s takes up
-    the unused share of the budget.
+    Each block Bj is the scaled eigenbasis Vj diag(sqrt(wj+ / budget)), and
+    s takes up the unused share of the budget.
     """
-    w, v = np.linalg.eigh(0.5 * (q + q.T))
+    w, v = np.linalg.eigh(0.5 * (q + q.mT))
     fracs = np.maximum(w, 0.0) / budget
     slack = np.sqrt(max(1.0 - fracs.sum(), _SLACK_FLOOR))
-    return np.append((v * np.sqrt(fracs)).ravel(), slack)
+    return np.append((v * np.sqrt(fracs)[..., None, :]).ravel(), slack)
 
 
 def mixed_start(q: np.ndarray, nt: int, budget: float) -> np.ndarray:
-    """Parameter vector of q mixed with ``_ISOTROPIC_MIX`` of (budget/nt) I."""
-    start = (1.0 - _ISOTROPIC_MIX) * q + (_ISOTROPIC_MIX * budget / nt) * np.eye(nt)
+    """Parameter vector of q mixed with ``_ISOTROPIC_MIX`` of the isotropic
+    matrix; for a (k, nt, nt) stack of blocks, of the isotropic split,
+    budget/(k nt) I in every block."""
+    k = 1 if q.ndim == 2 else len(q)
+    start = (1.0 - _ISOTROPIC_MIX) * q + (_ISOTROPIC_MIX * budget / (k * nt)) * np.eye(nt)
     return encode(start, nt, budget)
 
 
 def fw_gap(g: np.ndarray, q: np.ndarray, budget: float) -> float:
-    """Frank-Wolfe gap budget * max(lambda_max(G), 0) - <G, Q> at q."""
-    top = np.linalg.eigvalsh(g)[-1]
+    """Frank-Wolfe gap budget * max(lambda_max(G), 0) - <G, Q> at q; for
+    (k, nt, nt) stacks of block gradients Gj and blocks Qj under one
+    budget, budget * max(lambda_max(G1), ..., lambda_max(Gk), 0) -
+    sum_j <Gj, Qj>."""
+    top = np.linalg.eigvalsh(g)[..., -1].max()
     return float(budget * max(top, 0.0) - np.vdot(g, q))
 
 
 def factor_form(search_objective, nt: int, budget):
-    """The objective of a (k, nt^2 + 1) stack of factor vectors that
-    ``search_objective``, a map from a (k, nt, nt) stack of feasible
-    matrices to ``(values, G)``, a (k,) array and a stack, gives at
-    ``_decode(x)``.
+    """The objective of an (m, k nt^2 + 1) stack of factor vectors that
+    ``search_objective``, a map from a stack of feasible matrices to
+    ``(values, G)``, an (m,) array and a stack of the same shape, gives at
+    ``_decode(x)``: an (m, nt, nt) stack for one block, an (m, k, nt, nt)
+    stack of the blocks Qj = budget * Bj Bj^T / c for k.
 
-    With c = ||x||^2, G the (symmetric) gradient in Q and <G, Q> their
-    inner product, the chain rule gives 2/c (budget G B - <G, Q> B) for B
-    and -2 <G, Q> s / c for s.  c and <G, Q> are ``np.vecdot``s of rows,
-    which round as ``x @ x`` and ``np.vdot`` do.
+    With c = ||x||^2, Gj the (symmetric) gradient in Qj and
+    <G, Q> = sum_j <Gj, Qj>, the chain rule gives
+    2/c (budget Gj Bj - <G, Q> Bj) for Bj and -2 <G, Q> s / c for s.  c and
+    <G, Q> are ``np.vecdot``s of rows, which round as ``x @ x`` and
+    ``np.vdot`` do.
 
     Where the rows belong to several problems (``search_problems``),
     ``budget`` is the array of their budgets, and the returned map takes
@@ -140,19 +159,22 @@ def factor_form(search_objective, nt: int, budget):
     """
 
     def in_factor(x, *owner):
-        k = len(x)
-        b = x[:, :-1].reshape(k, nt, nt)
+        m, n = x.shape
+        if n == nt * nt + 1:
+            b, rows = x[:, :-1].reshape(m, nt, nt), _ROWS_3
+        else:
+            b, rows = x[:, :-1].reshape(m, -1, nt, nt), _ROWS_4
         c = np.vecdot(x, x)
-        c3 = c[:, None, None]
+        c3 = c[rows]
         p3 = budget
         if owner:
             # Each row's budget; one problem's broadcasts, with no copy.
-            p3 = (budget[owner[0]] if len(budget) > 1 else budget)[:, None, None]
+            p3 = (budget[owner[0]] if len(budget) > 1 else budget)[rows]
         q = (p3 / c3) * (b @ b.mT)  # _decode(x), sharing b and c
         value, g = search_objective(q, *owner)
-        gq = np.vecdot(g.reshape(k, -1), q.reshape(k, -1))
+        gq = np.vecdot(g.reshape(m, -1), q.reshape(m, -1))
         grad = np.empty_like(x)
-        grad[:, :-1] = ((2.0 / c3) * (p3 * (g @ b) - gq[:, None, None] * b)).reshape(k, -1)
+        grad[:, :-1] = ((2.0 / c3) * (p3 * (g @ b) - gq[rows] * b)).reshape(m, -1)
         grad[:, -1] = -2.0 * gq * x[:, -1] / c
         return value, grad
 
@@ -167,15 +189,17 @@ def root_form(objective, nt: int, budget: float):
     F = a B with a = sqrt(budget / c) and c = ||x||^2, so that F F^T is
     ``_decode(x)``; the chain rule gives a (G_F - <G_F, B> B / c) for B and
     -a <G_F, B> s / c for s, the products taken as in ``factor_form``.
+    A row-to-problem map ``owner``, when given, is passed on to
+    ``objective``; every problem has the one ``budget``.
     """
 
-    def in_factor(x):
+    def in_factor(x, *owner):
         k = len(x)
         b = x[:, :-1].reshape(k, nt, nt)
         c = np.vecdot(x, x)
         a = np.sqrt(budget / c)
         a3 = a[:, None, None]
-        value, g = objective(a3 * b)
+        value, g = objective(a3 * b, *owner)
         gb = np.vecdot(g.reshape(k, -1), x[:, :-1])
         grad = np.empty_like(x)
         grad[:, :-1] = (a3 * (g - (gb / c)[:, None, None] * b)).reshape(k, -1)
@@ -223,10 +247,11 @@ def _wolfe_step(x, f0, g0, p, step):
     bracket by cubic interpolation.  Each trial costs one evaluation,
     which gives the slope along ``p`` too.  The zoom gives up once the
     bracket is so short that the decrease it could still show is below
-    the rounding of ``f0``.
+    the rounding of ``f0``.  A slope that is not finite, as where the
+    gradient overflows, gives None at once.
     """
     d0 = float(g0 @ p)
-    if not d0 < 0.0:
+    if not -math.inf < d0 < 0.0:
         return None
 
     def decreases(t, best):
@@ -327,10 +352,10 @@ def _lockstep(search_objective, runs: list, owners: np.ndarray) -> tuple:
     stacked ``search_objective`` calls and rows that took.
 
     Each step stacks the pending parameter vectors of the unfinished
-    ascents into one (k, nt^2 + 1) array, makes one ``search_objective``
+    ascents into one (m, n) array, makes one ``search_objective``
     call on it and the row-to-problem map ``owners`` of its rows, and
-    sends each ascent its row of the ``(values, gradients)``, a (k,) and a
-    (k, nt^2 + 1) array.  An ascent's rows are those it would get alone,
+    sends each ascent its row of the ``(values, gradients)``, an (m,) and an
+    (m, n) array.  An ascent's rows are those it would get alone,
     so every ascent ends where it would alone, bit for bit.
     """
     pending = [next(run) for run in runs]
@@ -367,9 +392,10 @@ class Search(NamedTuple):
 
 class Problem(NamedTuple):
     """One problem of ``search_problems``: ``objective`` maps an nt x nt
-    PSD matrix with trace <= ``budget`` to the true value, ``candidates``
-    are ready ``(q, converged)`` pairs and each parameter vector of
-    ``starts`` runs one ``ascent``."""
+    PSD matrix with trace <= ``budget``, or a (k, nt, nt) stack of blocks
+    with that trace sum, to the true value, ``candidates`` are ready
+    ``(q, converged)`` pairs and each parameter vector of ``starts`` runs
+    one ``ascent``."""
 
     objective: Callable[[np.ndarray], float]
     budget: float
@@ -393,7 +419,7 @@ def search_problems(problems, nt: int, search_objective) -> Solved:
 
     The ascents of every problem run in lockstep (``_lockstep``), one
     ``search_objective`` call per step for all of them: it maps a
-    (k, nt^2 + 1) stack of factor vectors and the (k,) row-to-problem map
+    (m, k nt^2 + 1) stack of factor vectors and the (m,) row-to-problem map
     ``owner``, which indexes ``problems``, to the ``(values, gradients)``
     of each row's problem's search objective, the objective itself or a
     smoothed or rescaled surrogate (see ``factor_form``).  Each problem's
@@ -416,18 +442,3 @@ def search_problems(problems, nt: int, search_objective) -> Solved:
         q, converged = results[best]
         found.append(Search(q, values[best], converged, sum(not c for _, c in ascents)))
     return Solved(found, n_batches, n_rows)
-
-
-def maximize_psd_objective(
-    objective, nt: int, budget: float, candidates, starts, *, search_objective
-) -> Search:
-    """The best of ready candidates and of ascents: ``search_problems``
-    on one problem.
-
-    ``search_objective`` maps a (k, nt^2 + 1) stack of this problem's
-    factor vectors alone to ``(values, gradients)``; the other arguments
-    make the ``Problem``.
-    """
-    problem = Problem(objective, budget, candidates, starts)
-    solved = search_problems([problem], nt, lambda x, owner: search_objective(x))
-    return solved.results[0]

@@ -52,7 +52,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     # The method form skips numpy's function dispatch, which costs more than
-    # the test itself on the small matrices of the WSR inner loop.
+    # the test itself on the small matrices the solvers check.
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr

@@ -5,8 +5,8 @@ diagonal in the right singular basis of H, with per-mode powers filled up
 to a common water level above the inverse squared singular values.  The
 water level is found by an exact active-set descent over the sorted
 floors, not by bisection, so no iteration tolerance enters the system.
-Its SVD, ``singular_modes``, serves ``wsr`` too, whose blocks load their
-modes with ``load_level``.
+Its SVD is ``singular_modes``, with the one rule for which modes count as
+zero.
 """
 
 from __future__ import annotations
@@ -44,20 +44,6 @@ def singular_modes(a: np.ndarray) -> tuple:
     while k and sig[k - 1] * sig[k - 1] <= cut * cut:
         k -= 1
     return vt, sig, k
-
-
-def load_level(w: float, sig: list, k: int) -> tuple:
-    """``(lam, sum ln(1 + sig^2 lam))``: the first k modes of ``sig`` load
-    max(w - 1/sig^2, 0), the rest nothing; looped over as floats, as
-    numpy's per-call cost exceeds the arithmetic on so few modes.
-    """
-    lam = [0.0] * len(sig)
-    logdet = 0.0
-    for i in range(k):
-        g = sig[i] * sig[i]
-        lam[i] = load = max(w - 1.0 / g, 0.0)
-        logdet += math.log1p(g * load)
-    return lam, logdet
 
 
 def water_level(floors, p: float) -> float:

@@ -155,12 +155,13 @@ def solve_wiretaps(problems) -> Solved:
             if hm.shape[0] == 1 or gap <= GAP_TOL:
                 results[i] = WiretapResult(q, best, converged, gap, False)
                 continue
-            rescue = corner_search(ChannelPair(hm, he), 1.0, 0.0, p)
+            rescue = corner_search(ChannelPair(hm, he), [(1.0, 0.0)], p)
             n_batches += rescue.n_batches
-            n_rows += rescue.n_evals
-            rescued = secrecy_rate(hm, he, rescue.q1)
+            n_rows += rescue.n_rows
+            lifted = rescue.results[0]
+            rescued = secrecy_rate(hm, he, lifted.q1)
             if rescued > best:
-                q, best, converged = rescue.q1, rescued, rescue.converged
+                q, best, converged = lifted.q1, rescued, lifted.converged
                 gap = fw_gap(_secrecy_rate_grad(hm, he, q)[1], q, p)
             results[i] = WiretapResult(q, best, converged, gap, True)
     return Solved(results, n_batches, n_rows)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import secregion.cli
 import secregion.splitting
 import secregion.wsr
 
@@ -31,8 +32,6 @@ SOLVER_SETTINGS = {
     "solver_max_iters": "500",
     "solver_gtol": "9.9999999999999995e-08",
     "solver_gap_tol": "9.9999999999999995e-08",
-    "wsr_power_tol": "1.0000000000000001e-09",
-    "wsr_eps3": "1.0000000000000001e-09",
 }
 
 
@@ -253,8 +252,7 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario, power", [("A", 1e8), ("C", 1e8), ("A", 1e12)])
     def test_high_power_wsr_passes_ascent_check(self, tmp_path, scenario, power):
-        # The Lagrangian grows like lambda * p; at these powers round-off
-        # moves it by an ulp between rounds, which the ascent check allows.
+        # The ascents stay finite and within the budget at these powers.
         chfile = tmp_path / "hp.txt"
         write_text(chfile, "1 1 2\n1 0.5\n0.3 1\n")
         out = tmp_path / "hp.csv"
@@ -388,21 +386,17 @@ class TestRun:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_wsr_sidecar_sums_bsmm_counts(self, ch22_file, tmp_path, monkeypatch):
-        solve = secregion.wsr.wsr_solve
-        sols = []
-
-        def recorded(*args):
-            sols.append(solve(*args))
-            return sols[-1]
-
-        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
+    @pytest.mark.parametrize("tag", ["A", "B", "C"])
+    def test_wsr_sidecar_counts_searches(self, ch22_file, tmp_path, tag):
+        # Every scenario's sweep is one lockstep per channel shape, and the
+        # sidecar gives its search counts as a ps job's does, with the most
+        # unused budget and the largest Frank-Wolfe gap of its solves.
         out = tmp_path / "w.csv"
         cfg = RunConfig(
             channels=ch22_file,
-            scenario="A",
+            scenario=tag,
             method="wsr",
-            power=2.0,
+            power=12.0,
             out=str(out),
             common=False,
             sigma=0.5,
@@ -411,117 +405,35 @@ class TestRun:
         meta = dict(
             line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
         )
-        assert len(sols) == 6
-        assert int(meta["bsmm_rounds"]) == sum(sol.n_rounds for sol in sols) > 0
-        assert int(meta["bsmm_capped"]) == sum(sol.n_capped for sol in sols)
-        assert int(meta["bsmm_bisect"]) == sum(sol.n_bisect for sol in sols) > 0
+        counts = secregion.splitting.SweepCounts()
+        sols = [
+            sol
+            for _, sol in secregion.wsr.wsr_sweep_points(
+                load_channels(ch22_file), Scenario(tag, False), 12.0, 0.5, counts
+            )
+        ]
+        assert len(sols) == (6 if tag == "A" else 3)
+        batches, rows = int(meta["search_batches"]), int(meta["search_rows"])
+        assert (batches, rows) == (counts.search_batches, counts.search_rows)
+        # A batch carries at most one row per ascent of the sweep.
+        assert 0 < batches < rows <= batches * sum(sol.n_ascents for sol in sols)
         assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
-
-    def test_wsr_sidecar_sums_corner_counts(self, ch22_file, tmp_path, monkeypatch):
-        # Scenario C runs one corner search per weight, and its sidecar sums
-        # the searches' counts in place of the BSMM ones.
-        solve = secregion.wsr.wsr_solve
-        sols = []
-
-        def recorded(*args):
-            sols.append(solve(*args))
-            return sols[-1]
-
-        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
-        out = tmp_path / "w.csv"
-        cfg = RunConfig(
-            channels=ch22_file,
-            scenario="C",
-            method="wsr",
-            power=12.0,
-            out=str(out),
-            common=False,
-            sigma=0.5,
-        )
-        assert run(cfg) == 0
-        meta = dict(
-            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
-        )
-        assert len(sols) == 3  # weights 0, 0.5, 1, each covering both orders
-        assert int(meta["corner_ascents"]) == sum(sol.n_ascents for sol in sols) > 0
-        assert int(meta["corner_evals"]) == sum(sol.n_evals for sol in sols) > 0
-        assert int(meta["corner_unconverged"]) == sum(
-            sol.n_unconverged_ascents for sol in sols
-        )
-        assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
-        assert not [key for key in meta if key.startswith("bsmm_")]
-
-    def test_wsr_sidecar_sums_corner_batches(self, ch22_file, tmp_path, monkeypatch):
-        # Each stacked objective call of the corner searches' lockstep
-        # ascents is one batch; corner_evals still counts rows, so a batch
-        # carries at most one row per ascent.
-        solve = secregion.wsr.wsr_solve
-        sols = []
-
-        def recorded(*args):
-            sols.append(solve(*args))
-            return sols[-1]
-
-        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
-        out = tmp_path / "w.csv"
-        cfg = RunConfig(
-            channels=ch22_file,
-            scenario="C",
-            method="wsr",
-            power=12.0,
-            out=str(out),
-            common=False,
-            sigma=0.5,
-        )
-        assert run(cfg) == 0
-        meta = dict(
-            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
-        )
-        batches = int(meta["corner_batches"])
-        assert batches == sum(sol.n_batches for sol in sols) > 0
-        assert batches < int(meta["corner_evals"])
-        for sol in sols:
-            assert sol.n_batches <= sol.n_evals <= sol.n_ascents * sol.n_batches
-
-    def test_wsr_sidecar_sums_kept_squarem_steps(self, ch22_file, tmp_path, monkeypatch):
-        solve = secregion.wsr.wsr_solve
-        sols = []
-
-        def recorded(*args):
-            sols.append(solve(*args))
-            return sols[-1]
-
-        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
-        out = tmp_path / "w.csv"
-        cfg = RunConfig(
-            channels=ch22_file,
-            scenario="A",
-            method="wsr",
-            power=12.0,
-            out=str(out),
-            common=False,
-            sigma=0.5,
-        )
-        assert run(cfg) == 0
-        meta = dict(
-            line.split("=", 1) for line in (tmp_path / "w.csv.meta").read_text().splitlines()
-        )
-        kept = int(meta["bsmm_extrapolated"])
-        assert kept == sum(sol.n_extrapolated for sol in sols) > 0
-        # A kept step follows two rounds and is followed by a third.
-        assert 3 * kept <= int(meta["bsmm_rounds"])
+        assert float(meta["wsr_gap_max"]) == max(sol.gap for sol in sols)
+        assert not [k for k in meta if k.startswith(("bsmm_", "corner_", "wsr_power", "wsr_eps"))]
 
     def test_wsr_unconverged_count_from_solutions(self, ch22_file, tmp_path, monkeypatch):
         # Mark every other solve unconverged; the sidecar must count them.
-        solve = secregion.wsr.wsr_solve
+        sweep = secregion.cli.wsr_sweep_points
         flags = []
 
-        def flaky(*args):
-            sol = solve(*args)
-            flags.append(sol.converged and len(flags) % 2 == 1)
-            return replace(sol, converged=flags[-1])
+        def flaky(*args, **kwargs):
+            solved = []
+            for point, sol in sweep(*args, **kwargs):
+                flags.append(sol.converged and len(flags) % 2 == 1)
+                solved.append((point, replace(sol, converged=flags[-1])))
+            return solved
 
-        monkeypatch.setattr(secregion.wsr, "wsr_solve", flaky)
+        monkeypatch.setattr(secregion.cli, "wsr_sweep_points", flaky)
         out = tmp_path / "w.csv"
         cfg = RunConfig(
             channels=ch22_file,
@@ -627,14 +539,15 @@ class TestRun:
         # keep the power within the budget on this pair.
         path = tmp_path / "strong.txt"
         write_text(path, "1 1 2\n20 5\n4 30\n")
-        solve = secregion.wsr.wsr_solve
+        sweep = secregion.cli.wsr_sweep_points
         sols = []
 
-        def recorded(*args):
-            sols.append(solve(*args))
-            return sols[-1]
+        def recorded(*args, **kwargs):
+            solved = sweep(*args, **kwargs)
+            sols.extend(sol for _, sol in solved)
+            return solved
 
-        monkeypatch.setattr(secregion.wsr, "wsr_solve", recorded)
+        monkeypatch.setattr(secregion.cli, "wsr_sweep_points", recorded)
         argv = ["--channels", str(path), "--scenario", tag, "--common", "off"]
         argv += ["--method", "wsr", "--power", repr(power), "--sigma", "0.25"]
         assert main(argv + ["--out", str(tmp_path / "w.csv")]) == 0

@@ -38,7 +38,7 @@ def test_scenario_rules_only_in_types():
 def test_ascend_only_in_driver():
     # Every ascent runs through `rotation.search_problems`, the one search
     # driver, which runs the ascents of one problem or of several in one
-    # lockstep; `maximize_psd_objective` is its one-problem case.
+    # lockstep.
     package = Path(secregion.__file__).parent
     offenders = [
         f"{path.name}:{n}: {line.strip()}"

@@ -502,7 +502,7 @@ class TestSharedFactor:
     @given(stacked_cases())
     def test_rule_on_scalar_link_values(self, case):
         # The rule reads only the link values an order needs; the rest may
-        # be None, as in the WSR inner loop.
+        # be None, as in the WSR search, and float entries give one row.
         ch, sc, q0, q1, q2 = case
         orders = sc.orders
         want = rate_stack(ch, sc, q0, q1, q2, orders)

@@ -13,13 +13,14 @@ from secregion.rotation import (
     encode,
     factor_form,
     fw_gap,
-    maximize_psd_objective,
     mixed_start,
     root_form,
     search_problems,
 )
 from secregion.waterfill import waterfill
 from secregion.wiretap import _secrecy_rate_grad
+
+from conftest import random_psd
 
 
 class TestBuildRotation:
@@ -142,6 +143,83 @@ def assert_central_difference(search, x, nt, budget):
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
+class TestBlocks:
+    """k blocks that share one budget: x = (vec B1, ..., vec Bk, s)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 3))
+    def test_decode_feasible_and_rowwise(self, seed, nt, k):
+        rng = np.random.default_rng(seed)
+        budget = 10.0 ** rng.uniform(-3.0, 3.0)
+        x = rng.standard_normal((4, k * nt * nt + 1))
+        q = _decode(x, nt, budget)
+        assert q.shape == (4, k, nt, nt)
+        for row, blocks in zip(x, q):
+            assert np.array_equal(_decode(row, nt, budget), blocks)
+            assert np.trace(blocks, axis1=-2, axis2=-1).sum() <= budget * (1 + 1e-12)
+            assert np.linalg.eigvalsh(blocks).min() >= -1e-12 * budget
+
+    def test_encode_round_trip(self):
+        rng = np.random.default_rng(2)
+        q = np.array([random_psd(rng, 3, t) for t in (1.0, 0.5)])
+        x = encode(q, 3, 4.0)
+        assert x.size == 2 * 9 + 1
+        assert np.allclose(_decode(x, 3, 4.0), q, atol=1e-12)
+
+    def test_mixed_start_keeps_the_trace(self):
+        # Each block mixes in the isotropic split, budget/(k nt) I, so the
+        # trace sum stays at the budget and every block has full rank.
+        q = np.array([np.diag([6.0, 0.0]), np.zeros((2, 2))])
+        blocks = _decode(mixed_start(q, 2, 6.0), 2, 6.0)
+        assert np.trace(blocks, axis1=-2, axis2=-1).sum() == pytest.approx(6.0, rel=1e-7)
+        assert np.linalg.eigvalsh(blocks).min() > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 3))
+    def test_gradient_matches_central_differences(self, seed, nt, k):
+        # Each block its own link: sum_j 0.5 log2|I + Hj Qj Hj^T|.
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((k, int(rng.integers(1, 4)), nt))
+        budget = 10.0 ** rng.uniform(-2.0, 2.0)
+
+        def links(q):
+            rates, grads = link_rate_grad(h, q)
+            return rates.sum(-1), grads
+
+        assert_central_difference(links, rng.standard_normal(k * nt * nt + 1), nt, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases())
+    def test_one_block_unchanged(self, case):
+        # One block takes the products of the one-block form, bit for bit:
+        # 2/c (budget G B - <G, Q> B) for B and -2 <G, Q> s / c for s.
+        h1, h2, budget, x = case
+        nt = h1.shape[1]
+        x = np.array([x, 2.0 * x])
+        search = stacked(lambda q: _secrecy_rate_grad(h1, h2, q))
+        values, grads = factor_form(search, nt, budget)(x)
+        b = x[:, :-1].reshape(2, nt, nt)
+        c = np.vecdot(x, x)
+        c3 = c[:, None, None]
+        q = (budget / c3) * (b @ b.mT)
+        want_values, g = search(q)
+        gq = np.vecdot(g.reshape(2, -1), q.reshape(2, -1))
+        want = np.empty_like(x)
+        want[:, :-1] = ((2.0 / c3) * (budget * (g @ b) - gq[:, None, None] * b)).reshape(2, -1)
+        want[:, -1] = -2.0 * gq * x[:, -1] / c
+        assert np.array_equal(values, want_values) and np.array_equal(grads, want)
+
+    def test_gap_over_blocks(self):
+        # budget * max(lambda_max(G1), lambda_max(G2), 0) - sum_j <Gj, Qj>.
+        g = np.array([np.diag([1.0, 3.0]), np.diag([2.0, -1.0])])
+        zero = np.zeros((2, 2))
+        assert fw_gap(g, np.array([zero, zero]), 2.0) == 6.0
+        assert fw_gap(g, np.array([np.diag([0.0, 2.0]), zero]), 2.0) == 0.0
+        q = np.array([np.diag([0.5, 0.0]), np.diag([1.0, 0.5])])
+        assert fw_gap(g, q, 2.0) == 6.0 - (0.5 + 2.0 - 0.5)
+        assert fw_gap(-np.abs(g), np.array([zero, zero]), 2.0) == 0.0
+
+
 class TestFactorGradient:
     @settings(max_examples=100, deadline=None)
     @given(search_cases())
@@ -210,6 +288,14 @@ def ascend(search_objective, x0, nt, budget):
     return ends[0]
 
 
+def search_one(objective, nt, budget, candidates, starts, *, search_objective):
+    """``search_problems`` on one problem, ``search_objective`` taking the
+    problem's (k, nt^2 + 1) stacks alone."""
+    problem = Problem(objective, budget, candidates, starts)
+    solved = search_problems([problem], nt, lambda x, owner: search_objective(x))
+    return solved.results[0]
+
+
 def fail(*args, **kwargs):
     raise AssertionError("an ascent ran")
 
@@ -244,7 +330,7 @@ class TestDriver:
             return -float(np.sum((q - 0.3) ** 2))
 
         rng = np.random.default_rng(0)
-        q, _, _, _ = maximize_psd_objective(
+        q, _, _, _ = search_one(
             spiky,
             2,
             1.5,
@@ -262,10 +348,10 @@ class TestDriver:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         starts = [rng.standard_normal(5) for _ in range(3)]
-        a = maximize_psd_objective(
+        a = search_one(
             self.linear, 2, 1.0, [], starts, search_objective=factor_form(self.linear_search, 2, 1.0)
         )
-        b = maximize_psd_objective(
+        b = search_one(
             self.linear, 2, 1.0, [], starts, search_objective=factor_form(self.linear_search, 2, 1.0)
         )
         assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
@@ -279,7 +365,7 @@ class TestDriver:
 
     def test_concave_reference(self):
         # max tr(D q) with tr q <= 1 puts everything on the largest diagonal
-        q, val, converged, _ = maximize_psd_objective(
+        q, val, converged, _ = search_one(
             self.linear,
             2,
             1.0,
@@ -294,7 +380,7 @@ class TestDriver:
         # An ascent that ends on a candidate's value does not displace it.
         best = np.diag([0.0, 1.0])
         monkeypatch.setattr(rotation, "ascent", ended_ascents((best.copy(), False)))
-        q, val, converged, _ = maximize_psd_objective(
+        q, val, converged, _ = search_one(
             self.linear,
             2,
             1.0,
@@ -306,7 +392,7 @@ class TestDriver:
 
     def test_first_of_equal_candidates_wins(self):
         first, second = np.diag([0.0, 1.0]), np.diag([0.0, 1.0])
-        q, _, converged, _ = maximize_psd_objective(
+        q, _, converged, _ = search_one(
             self.linear,
             2,
             1.0,
@@ -323,7 +409,7 @@ class TestDriver:
             "ascent",
             ended_ascents(*((np.diag([0.0, 1.0]), flag) for flag in (False, True, False))),
         )
-        result = maximize_psd_objective(
+        result = search_one(
             self.linear,
             2,
             1.0,
@@ -336,7 +422,7 @@ class TestDriver:
 
     def test_empty_starts_run_no_ascent(self, monkeypatch):
         monkeypatch.setattr(rotation, "ascent", fail)
-        q, val, _, _ = maximize_psd_objective(
+        q, val, _, _ = search_one(
             self.linear,
             2,
             1.0,
@@ -422,6 +508,24 @@ class TestAscent:
         assert np.array_equal(q, _decode(x0, 2, 3.0))
 
 
+class TestNonFiniteSlope:
+    def test_overflowing_gradient_ends_the_ascent(self):
+        # Scaled by 1e300, the gradient's squared norm overflows and the
+        # slope along it is not finite: the line search gives up at once,
+        # and the ascent ends where it began, without raising.
+        h = np.array([[0.3, 2.5], [2.2, 1.8]])
+        x0 = mixed_start(np.diag([8.0, 4.0]), 2, 12.0)
+
+        def huge(q):
+            rates, grads = link_rate_grad(h, q)
+            return 1e300 * rates, 1e300 * grads
+
+        with np.errstate(over="ignore"):
+            q, converged = ascend(factor_form(huge, 2, 12.0), x0, 2, 12.0)
+        assert converged
+        assert np.array_equal(q, _decode(x0, 2, 12.0))
+
+
 def alone(search_objective, x0, nt, budget):
     """``(q, converged)`` of one ``rotation.ascent`` from ``x0`` run by
     itself, each trial point a stack of one row: the reference for the
@@ -479,7 +583,7 @@ class TestLockstep:
             return _secrecy_rate_grad(h1, h2, q)[0]
 
         candidates = [(np.zeros((nt, nt)), True)]
-        got = maximize_psd_objective(rate, nt, budget, candidates, starts, search_objective=search)
+        got = search_one(rate, nt, budget, candidates, starts, search_objective=search)
         self.assert_same(got, alone_search(rate, nt, budget, candidates, starts, search))
 
     def test_starts_end_at_different_steps(self, ch22):
@@ -497,7 +601,7 @@ class TestLockstep:
         rng = np.random.default_rng(3)
         starts = [rng.standard_normal(5) for _ in range(3)] + [np.full(5, 1e4)]
         sizes = []
-        got = maximize_psd_objective(
+        got = search_one(
             lambda q: _secrecy_rate_grad(ch22.h1, ch22.h2, q)[0],
             2,
             12.0,
@@ -525,14 +629,14 @@ class TestLockstep:
         def rate(q):
             return _secrecy_rate_grad(h1, h2, q)[0]
 
-        got = maximize_psd_objective(rate, 3, 4.0, [], starts, search_objective=search)
+        got = search_one(rate, 3, 4.0, [], starts, search_objective=search)
         want = alone_search(rate, 3, 4.0, [], starts, search)
         self.assert_same(got, want)
         assert got.n_unconverged > 0
 
     def test_empty_starts(self):
         candidates = [(np.zeros((2, 2)), True), (np.diag([0.0, 1.0]), False)]
-        got = maximize_psd_objective(
+        got = search_one(
             lambda q: float(np.trace(q)), 2, 1.0, candidates, [], search_objective=fail
         )
         self.assert_same(got, alone_search(lambda q: float(np.trace(q)), 2, 1.0, candidates, [], fail))
@@ -593,7 +697,7 @@ class TestSeveralProblems:
         assert len(solved.results) == len(problems)
         for (h1, h2, b, starts), got in zip(problems, solved.results):
             single = factor_form(lambda q: _secrecy_rate_grad(h1, h2, q), nt, b)
-            want = maximize_psd_objective(
+            want = search_one(
                 rate_of(h1, h2), nt, b, candidates, starts, search_objective=single
             )
             TestLockstep().assert_same(got, want)
