@@ -386,11 +386,10 @@ class TestRun:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("tag", ["A", "B", "C"])
-    def test_wsr_sidecar_counts_searches(self, ch22_file, tmp_path, tag):
-        # Every scenario's sweep is one lockstep per channel shape, and the
-        # sidecar gives its search counts as a ps job's does, with the most
-        # unused budget and the largest Frank-Wolfe gap of its solves.
+    @staticmethod
+    def _wsr_sidecar(ch22_file, tmp_path, tag):
+        """The sidecar of a wsr job at power 12, with the sweep's own
+        search counts and solutions for the same job."""
         out = tmp_path / "w.csv"
         cfg = RunConfig(
             channels=ch22_file,
@@ -412,6 +411,14 @@ class TestRun:
                 load_channels(ch22_file), Scenario(tag, False), 12.0, 0.5, counts
             )
         ]
+        return meta, counts, sols
+
+    @pytest.mark.parametrize("tag", ["A", "B"])
+    def test_wsr_sidecar_counts_searches(self, ch22_file, tmp_path, tag):
+        # Every scenario's sweep is one lockstep per channel shape, and the
+        # sidecar gives its search counts as a ps job's does, with the most
+        # unused budget and the largest Frank-Wolfe gap of its solves.
+        meta, counts, sols = self._wsr_sidecar(ch22_file, tmp_path, tag)
         assert len(sols) == (6 if tag == "A" else 3)
         batches, rows = int(meta["search_batches"]), int(meta["search_rows"])
         assert (batches, rows) == (counts.search_batches, counts.search_rows)
@@ -420,6 +427,28 @@ class TestRun:
         assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
         assert float(meta["wsr_gap_max"]) == max(sol.gap for sol in sols)
         assert not [k for k in meta if k.startswith(("bsmm_", "corner_", "wsr_power", "wsr_eps"))]
+
+    def test_wsr_sidecar_sums_corner_counts(self, ch22_file, tmp_path):
+        # Scenario C runs one corner search per weight, and its sidecar gives
+        # the searches' counts under the search_* keys a ps job uses.
+        meta, counts, sols = self._wsr_sidecar(ch22_file, tmp_path, "C")
+        assert len(sols) == 3  # weights 0, 0.5, 1, each covering both orders
+        assert int(meta["search_batches"]) == counts.search_batches > 0
+        assert int(meta["search_rows"]) == counts.search_rows > 0
+        assert sum(sol.n_ascents for sol in sols) > 0
+        for sol in sols:
+            assert 0 <= sol.n_unconverged_ascents <= sol.n_ascents
+        assert float(meta["wsr_unused_power_max"]) == max(sol.unused for sol in sols)
+        assert float(meta["wsr_gap_max"]) == max(sol.gap for sol in sols)
+        assert not [k for k in meta if k.startswith(("bsmm_", "corner_", "wsr_power", "wsr_eps"))]
+
+    def test_wsr_sidecar_sums_corner_batches(self, ch22_file, tmp_path):
+        # Each stacked objective call of the corner searches' lockstep
+        # ascents is one batch and search_rows counts their rows, so a batch
+        # carries at most one row per ascent.
+        meta, _, sols = self._wsr_sidecar(ch22_file, tmp_path, "C")
+        batches, rows = int(meta["search_batches"]), int(meta["search_rows"])
+        assert 0 < batches < rows <= batches * sum(sol.n_ascents for sol in sols)
 
     def test_wsr_unconverged_count_from_solutions(self, ch22_file, tmp_path, monkeypatch):
         # Mark every other solve unconverged; the sidecar must count them.
