@@ -19,7 +19,6 @@ from .splitting import (
     sweep_points,
     sweep_region,
 )
-from .transforms import whiten_multicast, whiten_p2p, whiten_wiretap
 from .types import (
     ORDER_12,
     ORDER_21,
@@ -34,7 +33,7 @@ from .types import (
     Scenario,
     pareto_filter,
 )
-from .waterfill import DegenerateChannelWarning, water_level, waterfill
+from .waterfill import DegenerateChannelWarning, waterfill
 from .wiretap import WiretapResult, secrecy_rate, solve_wiretap
 from .wsr import WsrConfig, WsrSolution, wsr_solve, wsr_sweep, wsr_sweep_points
 
@@ -78,11 +77,7 @@ __all__ = [
     "sweep_points",
     "sweep_region",
     "tdma_region",
-    "water_level",
     "waterfill",
-    "whiten_multicast",
-    "whiten_p2p",
-    "whiten_wiretap",
     "write_channels",
     "wsr_solve",
     "wsr_sweep",

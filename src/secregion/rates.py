@@ -16,24 +16,25 @@ stacks of matrices.
 Log determinants go through a Cholesky factorization of I + PSD, which
 is positive definite by construction.  ``_factor`` is the package's one
 Cholesky routine, for one matrix or a stack: the rate functions here and
-``resolvent`` take their factors from it, and it raises when round-off
+``_whitened`` take their factors from it, and it raises when round-off
 defeats the factorization of any matrix.
 Only ``link_logdet``, behind the reported rates, falls back to an
 eigenvalue sum instead, for each matrix of a stack whose factor failed,
 so that a rate never depends on the other rows of its stack.
 Inverse-times-matrix expressions in rates are rewritten as differences
 of log determinants; the only inverse formed is that of the Cholesky
-factor L in ``resolvent``, which gives the log-determinant, the whitened
+factor L in ``_whitened``, which gives the log-determinant, the whitened
 channel L^{-1} H and the Gram matrix H^T (I + H Q H^T)^{-1} H of one
-link from that one factor.  ``resolvent`` runs in the inner loops of the
-searches on matrices of a few rows, so the factor and
-L^{-1} come from the LAPACK gufuncs behind ``np.linalg.cholesky`` and
-``np.linalg.inv`` (``cholesky_lo`` and ``inv`` of
-``numpy.linalg._umath_linalg``), called directly, without numpy's
-per-call wrapper.  ``pencil``, the generalized eigenproblem of the
-wiretap beams and the secret-DPC corner, reduces its pair by the same
-factor; ``wiretap_pencil`` forms the wiretap beams' pair.  The package
-thus takes all its dense linear algebra from numpy and imports no scipy.
+link from that one factor, for the power-splitting sweep (``whiten``)
+and the searches (``link_rate_grad``).  It runs in their inner loops on
+matrices of a few rows, so the factor and L^{-1} come from the LAPACK
+gufuncs behind ``np.linalg.cholesky`` and ``np.linalg.inv``
+(``cholesky_lo`` and ``inv`` of ``numpy.linalg._umath_linalg``), called
+directly, without numpy's per-call wrapper.  ``pencil``, the generalized
+eigenproblem of the wiretap beams and the secret-DPC corner, reduces its
+pair by the same factor; ``wiretap_pencil`` forms the wiretap beams'
+pair.  The package thus takes all its dense linear algebra from numpy
+and imports no scipy.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def wiretap_pencil(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:
 def link_logdet(h: np.ndarray, q: np.ndarray):
     """ln|I + H Q H^T|, from the Cholesky factor alone.
 
-    For one (nt, nt) Q this is the first entry of ``resolvent`` bit for
-    bit, and a Q whose factorization fails raises.  A (k, nt, nt) stack of
-    Q gives a (k,) array, each entry its own stack of one's: where
+    For one (nt, nt) Q this is twice the first entry of ``_whitened``, bit
+    for bit, and a Q whose factorization fails raises.  A (k, nt, nt) stack
+    of Q gives a (k,) array, each entry its own stack of one's: where
     round-off defeats the factorization of a matrix, that matrix's
     log-determinant is an eigenvalue sum instead, each eigenvalue floored
     at the least positive double, and the other entries keep their
@@ -168,8 +169,9 @@ def link_logdet(h: np.ndarray, q: np.ndarray):
     return logdet
 
 
-def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
-    """``(ln|M|, Y, Y^T Y)`` for M = I + H Q H^T, from one Cholesky factor L.
+def _whitened(h: np.ndarray, q: np.ndarray) -> tuple:
+    """``(ln|L|, Y, Y^T Y)`` for M = I + H Q H^T = L L^T, from the one
+    Cholesky factor L; ln|M| is twice ln|L|, doubled exactly.
 
     Y = L^{-1} H is the whitened channel, and Y^T Y = H^T M^{-1} H the Gram
     matrix, symmetric by construction.  ``h`` is 2-D and ``q`` one (nt, nt)
@@ -183,15 +185,17 @@ def resolvent(h: np.ndarray, q: np.ndarray) -> tuple:
     that numpy expression bit for bit.  (``dtrtrs`` would be cheaper but
     rounds differently.)
     """
-    half, y, gram = _whitened(h, q)
-    return 2.0 * half, y, gram
-
-
-def _whitened(h: np.ndarray, q: np.ndarray) -> tuple:
-    """``resolvent`` with ln|L| = ln|M| / 2 in place of ln|M|."""
     half, chol = _factor(identity(h.shape[-2]) + h @ q @ h.mT)
     y = inv(chol) @ h
     return half, y, y.mT @ y
+
+
+def whiten(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Y = L^{-1} H for I + H X H^T = L L^T, so that the rate of every Q on
+    Y equals its layered rate over the interference X on H.  ``x`` is one
+    matrix or a (k, nt, nt) stack, each row bit for bit its own call;
+    nothing is validated."""
+    return _whitened(h, x)[1]
 
 
 def _check_link(h, q, name: str) -> tuple:
@@ -215,7 +219,7 @@ def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
     """``(rate, gradient)`` of 0.5 * log2|I + H Q H^T| for a search's inner loop.
 
     The gradient in Q is H^T (I + H Q H^T)^{-1} H / (2 ln 2).  ``q`` is one
-    matrix or a (k, nt, nt) stack, as for ``resolvent``, and ``h`` may be
+    matrix or a (k, nt, nt) stack, as for ``_whitened``, and ``h`` may be
     a stack of channels that broadcasts against it.  Nothing is
     validated, so reported results must still go through ``gauss_rate``,
     whose value this equals bit for bit.
@@ -231,7 +235,7 @@ def pair_rate_grad(h1: np.ndarray, h2: np.ndarray):
     shapes (2,) + s and (2,) + s + (nt, nt) for ``q`` of shape s + (nt, nt).
 
     Channels of one shape are stacked once, here, and go through
-    ``resolvent``'s gufuncs together, in one call each in place of two;
+    ``_whitened``'s gufuncs together, in one call each in place of two;
     the gufuncs work matrix by matrix, so every result is bit for bit its
     own call's.
 
@@ -267,8 +271,8 @@ def layered_rate(h, q_signal, q_interference) -> float:
 
     Computed as the log-determinant difference
     0.5 * (log2|I + H (Qi + Qs) H^T| - log2|I + H Qi H^T|), which equals
-    the resolvent form with (I + H Qi H^T) inverted but is better
-    conditioned.
+    the rate 0.5 * log2|I + Y Qs Y^T| on the channel Y that ``whiten``
+    gives for Qi, but needs no inverse.
     """
     h, qs = _check_link(h, q_signal, "signal")
     _, qi = _check_link(h, q_interference, "interference")

@@ -4,8 +4,9 @@ One split assigns fractions of the power budget to the first-encoded
 user's message, the second user's message, and the shared message, then
 solves the three stages in that sequence: an interference-free design for
 the first message (water-filling or wiretap search by scenario), a design
-on the interference-whitened channel for the second, and a max-min design
-on the residual-whitened channels for the shared message.
+for the second on the channels whitened by the first layer, and a max-min
+design for the shared message on the channels whitened by both: each is
+``rates.whiten`` of an original channel by the layers encoded before.
 
 ``sweep_points`` solves its grid in stage waves (``_sweep``): every
 first-stage problem of the grid, both encoding orders included, is
@@ -22,7 +23,7 @@ on the original channels, the reported truth, each row bit for bit its
 ``evaluate_triple`` call.  The rates that a cell's second and common
 stages found on their whitened channels must match its rates for the
 same messages; a disagreement beyond 1e-9 raises ``ConsistencyError``,
-keeping the transform identities load-bearing.  ``SweepCounts`` records
+keeping the whitening identity load-bearing.  ``SweepCounts`` records
 what the searches did.
 
 A region is reported as its frontier under time-sharing: the vertices of
@@ -42,9 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .multicast import solve_multicasts
-from .rates import evaluate_stack
+from .rates import evaluate_stack, whiten
 from .rotation import Solved
-from .transforms import whiten_multicast, whiten_p2p, whiten_wiretap
 from .types import (
     ORDER_12,
     ORDER_21,
@@ -185,11 +185,8 @@ def _sweep(
         p2 = _effective(split.alpha2 * p, p)
         if p2 != 0 and key not in whitened:
             work, qa = works[key[0]], first[key][0]
-            if scenario.user2_confidential:
-                h1w, h2w = whiten_wiretap(work, qa)
-                whitened[key] = (h2w, h1w)
-            else:
-                whitened[key] = (whiten_p2p(work.h2, qa), None)
+            he = whiten(work.h1, qa) if scenario.user2_confidential else None
+            whitened[key] = (whiten(work.h2, qa), he)
         problems.append((*whitened.get(key, (None, None)), p2))
     second = _stage_wave(scenario.user2_confidential, problems, nt, counts)
 
@@ -199,7 +196,8 @@ def _sweep(
         p0 = _effective(split.alpha0 * p, p)
         if p0 != 0:
             shared.append(n)
-            problems.append((*whiten_multicast(works[order], first[key][0], second[n][0]), p0))
+            work, x = works[order], first[key][0] + second[n][0]
+            problems.append((whiten(work.h1, x), whiten(work.h2, x), p0))
     solved = solve_multicasts(problems)
     counts.add(solved)
     for n, res in zip(shared, solved.results):

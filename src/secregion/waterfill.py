@@ -46,34 +46,6 @@ def singular_modes(a: np.ndarray) -> tuple:
     return vt, sig, k
 
 
-def water_level(floors, p: float) -> float:
-    """The unique level mu satisfying sum((mu - floor)+) == p.
-
-    Parameters
-    ----------
-    floors : array_like
-        Positive per-mode floors (inverse squared channel gains), sorted
-        ascending.
-    p : float
-        Nonnegative, finite power budget.  With p == 0 the level equals the
-        smallest floor and every mode gets zero power.
-    """
-    arr = np.asarray(floors, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("floors must be a nonempty 1-D sequence")
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("floors must be positive and finite")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError("floors must be sorted ascending")
-    check_budget(p)
-    csum = np.cumsum(arr)
-    for k in range(arr.size, 0, -1):
-        mu = (p + csum[k - 1]) / k
-        if mu >= arr[k - 1]:
-            return float(mu)
-    return float(arr[0])  # unreachable for valid input
-
-
 def _gap_loads(floors: list, p: float) -> list:
     """Per-mode powers (t - g_i)+ that fill ``p`` over sorted ``floors``.
 

@@ -25,13 +25,12 @@ from secregion import (
     tdma_region,
     oma_timeshare,
     waterfill,
-    whiten_multicast,
-    whiten_p2p,
-    whiten_wiretap,
     wsr_solve,
     wsr_sweep,
     write_channels,
 )
+from secregion.rates import whiten
+
 from conftest import (
     WSR_PRICE_PAIRS,
     fd_gradient,
@@ -76,15 +75,15 @@ class TestAcceptance:
             q2 = random_psd(rng, nt, float(rng.uniform(0.1, 6)))
             q0 = random_psd(rng, nt, float(rng.uniform(0.1, 6)))
 
-            h2w = whiten_p2p(ch.h2, q1)
+            h2w = whiten(ch.h2, q1)
             worst = max(
                 worst, abs(gauss_rate(h2w, q2) - layered_rate(ch.h2, q2, q1))
             )
-            w1, w2 = whiten_wiretap(ch, q1)
+            w1, w2 = whiten(ch.h1, q1), whiten(ch.h2, q1)
             got = gauss_rate(w2, q2) - gauss_rate(w1, q2)
             original = layered_rate(ch.h2, q2, q1) - layered_rate(ch.h1, q2, q1)
             worst = max(worst, abs(got - original))
-            g1, g2 = whiten_multicast(ch, q1, q2)
+            g1, g2 = whiten(ch.h1, q1 + q2), whiten(ch.h2, q1 + q2)
             worst = max(
                 worst, abs(gauss_rate(g1, q0) - layered_rate(ch.h1, q0, q1 + q2))
             )

@@ -285,11 +285,11 @@ class TestRun:
     def test_consistency_failure_is_one_line_exit_3(
         self, ch22_file, tmp_path, capsys, monkeypatch
     ):
-        # A whitening transform that no longer preserves rates trips the
+        # A whitening that no longer preserves rates trips the
         # 1e-9 consistency gate; the run reports it without a traceback.
-        whiten = secregion.splitting.whiten_p2p
+        whiten = secregion.splitting.whiten
         monkeypatch.setattr(
-            secregion.splitting, "whiten_p2p", lambda *args: 1.01 * whiten(*args)
+            secregion.splitting, "whiten", lambda *args: 1.01 * whiten(*args)
         )
         out = tmp_path / "o.csv"
         argv = ["--channels", ch22_file, "--scenario", "A", "--common", "off"]

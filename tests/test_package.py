@@ -65,6 +65,22 @@ def test_cholesky_only_in_rates():
     assert not offenders, "Cholesky factorization outside rates:\n" + "\n".join(offenders)
 
 
+def test_factor_inverse_only_in_rates():
+    # Only `rates` inverts a Cholesky factor (`_whitened`, behind every
+    # whitening, and `pencil`), so every whitening shares one factor and
+    # its rounding.  Comments and strings may name the inverse; code
+    # elsewhere may not call it.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "rates.py"
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string == "inv"
+    ]
+    assert not offenders, "matrix inverse outside rates:\n" + "\n".join(offenders)
+
+
 def test_svd_only_in_waterfill():
     # `waterfill.singular_modes` is the one SVD, so water-filling and the WSR
     # blocks share its zero-mode rule.  Comments and strings may name the

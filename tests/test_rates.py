@@ -20,6 +20,7 @@ from secregion import (
 )
 from secregion import rates
 from secregion.rates import (
+    _whitened,
     evaluate_stack,
     identity,
     link_logdet,
@@ -27,7 +28,7 @@ from secregion.rates import (
     pencil,
     rate_rule,
     rate_stack,
-    resolvent,
+    whiten,
 )
 from secregion.types import check_covariance_stacks
 
@@ -427,18 +428,24 @@ class TestLinkRateGrad:
 
 
 class TestSharedFactor:
+    """A link's resolvent: its log-determinant, whitened channel and Gram
+    matrix H^T (I + H Q H^T)^{-1} H, each read from the one Cholesky
+    factor (``_whitened``, ``whiten`` and ``link_logdet``)."""
+
     @settings(max_examples=300, deadline=None)
     @given(link_cases())
     def test_resolvent_matches_numpy(self, case):
         h, q, _ = case
-        ld, y, gram = resolvent(h, q)
+        half, y, gram = _whitened(h, q)
+        ld = 2.0 * half
         m = np.eye(h.shape[0]) + h @ q @ h.T
         chol = np.linalg.cholesky(0.5 * (m + m.T))
         y_ref = np.linalg.inv(chol) @ h
         want = (2.0 * np.sum(np.log(np.diagonal(chol))), y_ref, y_ref.T @ y_ref)
-        # resolvent calls the gufuncs behind these numpy functions.
+        # _whitened calls the gufuncs behind these numpy functions.
         for got, ref in zip((ld, y, gram), want):
             assert np.array_equal(got, ref)
+        assert np.array_equal(whiten(h, q), y)
         assert np.shape(ld) == () and y.shape == h.shape
         # Y is the whitened channel: Y^T Y = H^T M^{-1} H.
         assert np.allclose(gram, h.T @ np.linalg.solve(m, h), atol=1e-9)
@@ -448,7 +455,7 @@ class TestSharedFactor:
     @given(link_cases())
     def test_logdet_alone_matches_resolvent(self, case):
         h, q, _ = case
-        assert link_logdet(h, q) == resolvent(h, q)[0]
+        assert link_logdet(h, q) == 2.0 * _whitened(h, q)[0]
 
     def test_identity_is_cached_read_only(self):
         assert identity(3) is identity(3)
@@ -462,7 +469,7 @@ class TestSharedFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(np.linalg.LinAlgError):
-                resolvent(h, -4.0 * np.eye(2))
+                whiten(h, -4.0 * np.eye(2))
             with pytest.raises(np.linalg.LinAlgError):
                 link_logdet(h, -4.0 * np.eye(2))
 
@@ -472,7 +479,7 @@ class TestSharedFactor:
         # must run in a context of its own.
         rng = np.random.default_rng(3)
         cases = [(rng.standard_normal((200, 3)), random_psd(rng, 3, 2.0)) for _ in range(4)]
-        want = [resolvent(h, q)[1] for h, q in cases]
+        want = [whiten(h, q) for h, q in cases]
         errors = []
 
         def work():
@@ -481,7 +488,7 @@ class TestSharedFactor:
                     for (h, q), y in zip(cases, want):
                         # A threaded BLAS may split the work otherwise
                         # when called from several threads at once.
-                        assert np.allclose(resolvent(h, q)[1], y, rtol=1e-12, atol=0.0)
+                        assert np.allclose(whiten(h, q), y, rtol=1e-12, atol=0.0)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 

@@ -263,21 +263,20 @@ class TestSweepMatchesSolveSplit:
         assert counts.wiretap_rescues == sum(res.restarted for res in wiretaps)
 
 
-def planted(monkeypatch, name, hit=lambda *args: True):
-    """Make ``splitting``'s whitening transform ``name`` return its channels
-    scaled by 1.01 on the calls that ``hit`` selects."""
-    whiten = getattr(splitting, name)
+def planted(monkeypatch, hit=lambda *args: True):
+    """Make ``splitting``'s whitening ``whiten`` return its channel scaled
+    by 1.01 on the calls that ``hit`` selects."""
+    whiten = splitting.whiten
 
-    def faulty(*args):
-        out = whiten(*args)
-        if not hit(*args):
-            return out
-        return tuple(1.01 * g for g in out) if isinstance(out, tuple) else 1.01 * out
+    def faulty(h, x):
+        return 1.01 * whiten(h, x) if hit(h, x) else whiten(h, x)
 
-    monkeypatch.setattr(splitting, name, faulty)
+    monkeypatch.setattr(splitting, "whiten", faulty)
 
 
-# (transform, scenario tag, common message on, split that runs that stage)
+# (whitened stage, scenario tag, common message on, split that runs that
+# stage and no other whitened one): the second stage's point-to-point or
+# wiretap channels, or the shared message's.
 _GATED_STAGES = [
     ("whiten_p2p", "A", False, PowerSplit(0, 0.5, 0.5)),
     ("whiten_wiretap", "C", False, PowerSplit(0, 0.5, 0.5)),
@@ -286,17 +285,17 @@ _GATED_STAGES = [
 
 
 class TestConsistencyGate:
-    """A whitening transform that no longer preserves rates trips the gate."""
+    """A whitening that no longer preserves rates trips the gate."""
 
-    @pytest.mark.parametrize("name, tag, common, split", _GATED_STAGES)
-    def test_solve_split_gate_fires(self, ch22, monkeypatch, name, tag, common, split):
-        planted(monkeypatch, name)
+    @pytest.mark.parametrize("stage, tag, common, split", _GATED_STAGES)
+    def test_solve_split_gate_fires(self, ch22, monkeypatch, stage, tag, common, split):
+        planted(monkeypatch)
         with pytest.raises(ConsistencyError):
             solve_split(ch22, Scenario(tag, common), split, 12.0)
 
-    @pytest.mark.parametrize("name, tag, common, split", _GATED_STAGES)
-    def test_sweep_points_gate_fires(self, ch22, monkeypatch, name, tag, common, split):
-        planted(monkeypatch, name)
+    @pytest.mark.parametrize("stage, tag, common, split", _GATED_STAGES)
+    def test_sweep_points_gate_fires(self, ch22, monkeypatch, stage, tag, common, split):
+        planted(monkeypatch)
         with pytest.raises(ConsistencyError):
             sweep_points(ch22, Scenario(tag, common), 12.0, 0.5)
 
@@ -304,7 +303,7 @@ class TestConsistencyGate:
         # Only the swapped pair's second stage is faulty: in order "21" the
         # second-encoded user is user 1, whose rate the gate must compare.
         sc = Scenario("A", common_enabled=False)
-        planted(monkeypatch, "whiten_p2p", lambda h, q: np.array_equal(h, ch22.h1))
+        planted(monkeypatch, lambda h, x: np.array_equal(h, ch22.h1))
         solve_split(ch22, sc, PowerSplit(0, 0.5, 0.5), 12.0, order=ORDER_12)
         with pytest.raises(ConsistencyError):
             solve_split(ch22, sc, PowerSplit(0, 0.5, 0.5), 12.0, order=ORDER_21)

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from secregion.corner import _corner, _eigen_factor
 from secregion.multicast import _softmin_grad
-from secregion.rates import link_logdet, link_rate_grad, pair_rate_grad, pencil, resolvent
+from secregion.rates import (
+    _whitened,
+    link_logdet,
+    link_rate_grad,
+    pair_rate_grad,
+    pencil,
+    whiten,
+)
 from secregion.rotation import _decode, factor_form, root_form
 from secregion.wiretap import _secrecy_rate_grad
 
@@ -57,7 +64,7 @@ class TestStackedPrimitives:
     @given(stacks())
     def test_resolvent_and_link_rate_grad(self, case):
         h1, _, _, _, q, _ = case
-        for got, want in zip(resolvent(h1, q), zip(*(resolvent(h1, m) for m in q))):
+        for got, want in zip(_whitened(h1, q), zip(*(_whitened(h1, m) for m in q))):
             assert same(got, want)
         for got, want in zip(link_rate_grad(h1, q), zip(*(link_rate_grad(h1, m) for m in q))):
             assert same(got, want)
@@ -150,7 +157,7 @@ class TestFailedFactor:
     def test_indefinite_row_raises(self, bad_row):
         q = self.stack(bad_row)
         calls = [
-            lambda: resolvent(self.H, q),
+            lambda: whiten(self.H, q),
             lambda: link_rate_grad(self.H, q),
             lambda: pair_rate_grad(self.H, 2.0 * self.H)(q),
             lambda: pair_rate_grad(self.H, self.H[:1])(q),

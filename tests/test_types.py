@@ -10,7 +10,6 @@ from secregion import (
     solve_multicast,
     solve_wiretap,
     tdma_region,
-    water_level,
     waterfill,
     CovarianceTriple,
     DimensionError,
@@ -210,7 +209,6 @@ _CH = ChannelPair(np.eye(2), np.diag([2.0, 1.0]))
 # Every entry point that takes a power budget from its caller, as p -> call.
 BUDGET_ENTRY_POINTS = {
     "waterfill": lambda p: waterfill(_CH.h1, p),
-    "water_level": lambda p: water_level([1.0, 2.0], p),
     "solve_wiretap": lambda p: solve_wiretap(_CH.h1, _CH.h2, p),
     "solve_multicast": lambda p: solve_multicast(_CH.h1, _CH.h2, p),
     "random_search_region": lambda p: random_search_region(_CH, Scenario("A"), p, 4),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secregion import DegenerateChannelWarning, gauss_rate, water_level, waterfill
+from secregion import DegenerateChannelWarning, gauss_rate, waterfill
 from secregion.waterfill import SV_CUTOFF_REL
 
 from conftest import random_psd
@@ -51,34 +51,6 @@ def channel_cases(draw, deficient=True):
         s[-1] *= 10.0 ** rng.uniform(-16, -8)
         h = (u * s) @ vt
     return h, 10.0 ** draw(st.floats(-9.0, 6.0))
-
-
-class TestWaterLevel:
-    def test_two_modes(self):
-        assert water_level([0.25, 1.0], 1.0) == pytest.approx(1.125, abs=1e-15)
-
-    def test_single_mode(self):
-        assert water_level([0.25], 3.0) == pytest.approx(3.25, abs=1e-15)
-
-    def test_zero_budget_gives_min_floor(self):
-        assert water_level([0.25, 1.0, 4.0], 0.0) == 0.25
-
-    def test_budget_met_exactly(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(1, 6))
-            floors = np.sort(rng.uniform(0.05, 5.0, n))
-            p = float(rng.uniform(0, 20))
-            mu = water_level(floors, p)
-            assert np.sum(np.maximum(mu - floors, 0.0)) == pytest.approx(p, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            water_level([], 1.0)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            water_level([1.0, 0.5], 1.0)
 
 
 class TestWaterfill:

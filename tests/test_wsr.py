@@ -19,7 +19,7 @@ from secregion import (
     wsr_solve,
 )
 from secregion.corner import _corner, _lift
-from secregion.rates import LN2, evaluate_triple, rate_stack, resolvent
+from secregion.rates import LN2, _whitened, evaluate_triple, rate_stack
 from secregion.rotation import fw_gap
 from secregion.splitting import SweepCounts
 from secregion.types import ORDER_12, CovarianceTriple
@@ -517,7 +517,7 @@ def ab_price(ch, sc, q1, q2, w1, w2, block):
         return np.zeros((ch.nt, ch.nt))
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     leak = w1 if sc.user1_confidential else 0.0
-    g2_1, g2_12 = resolvent(ch.h2, q1)[2], resolvent(ch.h2, q1 + q2)[2]
+    g2_1, g2_12 = _whitened(ch.h2, q1)[2], _whitened(ch.h2, q1 + q2)[2]
     return ((leak + w2) * g2_1 - w2 * g2_12) / (2.0 * LN2)
 
 
@@ -528,9 +528,9 @@ def c_price(ch, q1, q2, w1, w2, block):
     -w2 (g1(q1 + q2) - g1(q1)) adds w2 times user 1's Gram at q1 + q2 to
     the price of either block, beside block 1's user-2 terms of scenario B.
     """
-    price = w2 * resolvent(ch.h1, q1 + q2)[2]
+    price = w2 * _whitened(ch.h1, q1 + q2)[2]
     if block == 1:
-        g2_1, g2_12 = resolvent(ch.h2, q1)[2], resolvent(ch.h2, q1 + q2)[2]
+        g2_1, g2_12 = _whitened(ch.h2, q1)[2], _whitened(ch.h2, q1 + q2)[2]
         price = price + (w1 + w2) * g2_1 - w2 * g2_12
     return price / (2.0 * LN2)
 
