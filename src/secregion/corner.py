@@ -35,13 +35,12 @@ A covariance S is lifted to the pair q1 = F P F^T, q2 = F (I - P) F^T
 under order "12" (``_lift``), P the orthogonal projector onto the span of
 the eigenvectors with lam > 1, which rates at (C1, C2) in exact
 arithmetic.  The search driver ranks its candidates and results by the
-``rates.rate_stack`` weighted sum of their lifted pairs: the rates that
-are reported.
+weighted sum of their lifted pairs' rates, from one ``rates.rate_stack``
+call on every lifted pair of the sweep: the rates that are reported.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -164,10 +163,11 @@ def corner_search(ch: ChannelPair, weights, p: float) -> Solved:
         x[-1] = 0.0  # full power, with no slack to give back
     w1, w2 = np.array(weights, dtype=float).reshape(-1, 2).T
 
-    def rated(v1, v2, s):
-        q1, q2 = _lift(h1, h2, s, p)
-        _, r1, r2 = rate_stack(ch, _SCENARIO_C, zeros[None], q1[None], q2[None])[0, 0]
-        return v1 * r1 + v2 * r2
+    def rated(s, owner):
+        """The ``rate_stack`` weighted sum of each S's lifted pair."""
+        q1, q2 = np.array([_lift(h1, h2, m, p) for m in s]).transpose(1, 0, 2, 3)
+        _, r1, r2 = rate_stack(ch, _SCENARIO_C, np.zeros_like(q1), q1, q2)[0].T
+        return w1[owner] * r1 + w2[owner] * r2
 
     # The ascents follow the value over the best start's, as GTOL is
     # absolute.  Where no start has a value, no weighted user has a mode
@@ -181,16 +181,9 @@ def corner_search(ch: ChannelPair, weights, p: float) -> Solved:
         value, grad = _corner(h1, h2, w1[owner], w2[owner], f)
         return value / scale[owner], grad / scale[owner][:, None, None]
 
-    problems = [
-        Problem(
-            functools.partial(rated, float(v1), float(v2)),
-            p,
-            [(zeros, True)] + [(q, True) for q in mats[3:]],
-            starts if top > 0.0 else [],
-        )
-        for v1, v2, top in zip(w1, w2, scale)
-    ]
-    solved = search_problems(problems, nt, root_form(scaled, nt, p))
+    candidates = [(zeros, True)] + [(q, True) for q in mats[3:]]
+    problems = [Problem(p, candidates, starts if top > 0.0 else []) for top in scale]
+    solved = search_problems(problems, nt, root_form(scaled, nt, p), rated)
     found = [
         CornerSearch(*_lift(h1, h2, s, p), converged, len(problem.starts), n_unconverged)
         for (s, _, converged, n_unconverged), problem in zip(solved.results, problems)

@@ -9,10 +9,11 @@ case 3 runs one BFGS ascent of the softmin (``rotation.ascent``, the
 package's own) over the factor form of ``rotation``, with no restarts,
 through the search driver ``rotation.search_problems``.  The two
 water-filling matrices stand as candidates, and the driver ranks them and
-the ascent by the true minimum, which is also the reported rate.  The
-case-3 ascents of several problems whose channels share their shapes run
-together (``solve_multicasts``); ``solve_multicast`` is the one-problem
-case.
+the ascent by the true minimum of the two link rates of
+``rates.pair_rate_grad``, which is also the reported rate.  The case-3
+ascents of a wave of problems over one nt run together, whatever their
+row counts (``solve_multicasts``); ``solve_multicast`` is the
+one-problem case.
 
 The smoothed minimum is -log(exp(-k a) + exp(-k b)) / k; its gradient is
 the softmax-weighted sum of the two rate gradients.
@@ -20,14 +21,13 @@ the softmax-weighted sum of the two rate gradients.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rates import gauss_rate, pair_rate_grad
 from .rotation import Problem, Solved, factor_form, mixed_start, search_problems
-from .types import as_channel_pair, check_budget
+from .types import as_channel_pair, check_wave
 from .waterfill import waterfill
 
 CASE_USER1_BINDING = "case1"
@@ -62,7 +62,7 @@ def _softmin(rates, grads) -> tuple:
 def _softmin_grad(h1w, h2w, q) -> tuple:
     """Smoothed min of the two link rates and its gradient in q, unchecked;
     ``q`` is one matrix or a (k, nt, nt) stack."""
-    return _softmin(*pair_rate_grad(h1w, h2w)(q))
+    return _softmin(*pair_rate_grad([h1w], [h2w])(q))
 
 
 def _classified(h1w, h2w, p0: float) -> tuple:
@@ -92,63 +92,45 @@ def _min_rate(h1w: np.ndarray, h2w: np.ndarray, q) -> float:
     return min(gauss_rate(h1w, q), gauss_rate(h2w, q))
 
 
-def _search_together(problems: list) -> Solved:
-    """``rotation.search_problems`` on case-3 (h1w, h2w, p0, q01, q02)
-    problems whose channels share their shapes: every row of a stacked
-    call meets its own problem's links and budget."""
-    nt = problems[0][0].shape[1]
-    links = pair_rate_grad(
-        np.array([h1w for h1w, *_ in problems]), np.array([h2w for _, h2w, *_ in problems])
-    )
-    # Water-filling is often rank-deficient, so the start is mixed.
-    searches = [
-        Problem(
-            functools.partial(_min_rate, h1w, h2w),
-            p0,
-            [(q01, True), (q02, True)],
-            [mixed_start(q01, nt, p0)],
-        )
-        for h1w, h2w, p0, q01, q02 in problems
-    ]
-    budgets = np.array([p0 for _, _, p0, _, _ in problems])
-    in_factor = factor_form(lambda q, owner: _softmin(*links(q, owner)), nt, budgets)
-    return search_problems(searches, nt, in_factor)
-
-
 def solve_multicasts(problems) -> Solved:
-    """``MulticastResult``s of (h1w, h2w, p0) problems, each bit for bit the
-    one ``solve_multicast`` gives it alone.
+    """``MulticastResult``s of (h1w, h2w, p0) problems over one nt, each
+    bit for bit the one ``solve_multicast`` gives it alone.
 
-    The case-3 ascents of the problems whose channels share their shapes
-    run together, as one ``rotation.search_problems`` call; ``n_batches``
-    and ``n_rows`` count the stacked search-objective calls and their rows.
+    The case-3 ascents run together, whatever their row counts, as one
+    ``rotation.search_problems`` call, which ranks by the wave's lesser
+    link rates; ``n_batches`` and ``n_rows`` count the stacked
+    search-objective calls and their rows.  Problems of different nt
+    raise ``DimensionError``.
     """
-    checked = []
-    for h1w, h2w, p0 in problems:
-        h1w, h2w = as_channel_pair(h1w, h2w, "h1w", "h2w")
-        check_budget(p0)
-        checked.append((h1w, h2w, p0))
-    results = [None] * len(checked)
-    groups = {}
+    checked, nt = check_wave(problems, "h1w", "h2w")
+    results = [MulticastResult(np.zeros((nt, nt)), 0.0, None, True)] * len(checked)
+    equalized = []
     for i, (h1w, h2w, p0) in enumerate(checked):
-        nt = h1w.shape[1]
         if p0 == 0:
-            results[i] = MulticastResult(np.zeros((nt, nt)), 0.0, None, True)
             continue
         case, q01, q02 = _classified(h1w, h2w, p0)
         if case == CASE_EQUALIZED:
-            groups.setdefault((h1w.shape, h2w.shape), []).append((i, q01, q02))
+            equalized.append((i, q01, q02))
             continue
         q = q01 if case == CASE_USER1_BINDING else q02
         results[i] = MulticastResult(q, _min_rate(h1w, h2w, q), case, True)
-    n_batches = n_rows = 0
-    for members in groups.values():
-        found, batches, rows = _search_together([(*checked[i], *fills) for i, *fills in members])
-        n_batches += batches
-        n_rows += rows
-        for (i, _, _), (q, rate, converged, _) in zip(members, found):
-            results[i] = MulticastResult(q, rate, CASE_EQUALIZED, converged)
-    return Solved(results, n_batches, n_rows)
+    wave = [checked[i] for i, _, _ in equalized]
+    links = pair_rate_grad([h1w for h1w, _, _ in wave], [h2w for _, h2w, _ in wave])
+    # Water-filling is often rank-deficient, so the start is mixed.
+    searches = [
+        Problem(p0, [(q01, True), (q02, True)], [mixed_start(q01, nt, p0)])
+        for (_, _, p0), (_, q01, q02) in zip(wave, equalized)
+    ]
+    budgets = np.array([p0 for _, _, p0 in wave])
+    solved = search_problems(
+        searches,
+        nt,
+        factor_form(lambda q, owner: _softmin(*links(q, owner)), nt, budgets),
+        lambda q, owner: np.minimum(*links(q, owner)[0]),
+    )
+    for (i, _, _), (q, rate, converged, _) in zip(equalized, solved.results):
+        results[i] = MulticastResult(q, rate, CASE_EQUALIZED, converged)
+    return Solved(results, solved.n_batches, solved.n_rows)
 
 
 def solve_multicast(h1w, h2w, p0: float) -> MulticastResult:

@@ -11,8 +11,9 @@ gradients of ``link_rate_grad``, which the rule, being linear in the link
 values, turns into rates and their gradients alike.  ``gauss_rate`` and
 ``layered_rate`` are the single-link primitives of the subproblem
 solvers, and ``link_rate_grad`` gives a link rate with its gradient for
-the searches, and ``pair_rate_grad`` those of two links at once, on
-stacks of matrices.
+the searches, and ``pair_rate_grad`` those of the two links of each of
+a wave's problems, of any row counts, on stacks of matrices; it is the
+one place that sorts links by shape.
 Log determinants go through a Cholesky factorization of I + PSD, which
 is positive definite by construction.  ``_factor`` is the package's one
 Cholesky routine, for one matrix or a stack: the rate functions here and
@@ -229,39 +230,57 @@ def link_rate_grad(h: np.ndarray, q: np.ndarray) -> tuple:
     return half / LN2, gram / (2.0 * LN2)
 
 
-def pair_rate_grad(h1: np.ndarray, h2: np.ndarray):
-    """The map from ``q`` to ``(rates, gradients)`` of ``link_rate_grad``
-    for two links at ``q``, one matrix or a (k, nt, nt) stack: arrays of
-    shapes (2,) + s and (2,) + s + (nt, nt) for ``q`` of shape s + (nt, nt).
+def pair_rate_grad(h1s, h2s):
+    """The map from a (k, nt, nt) stack ``q`` and its row-to-problem map
+    ``owner`` to the ``(rates, gradients)`` of ``link_rate_grad`` for the
+    two links of m problems, (2, k) and (2, k, nt, nt) arrays: row i of
+    ``q`` meets ``h1s[owner[i]]`` and ``h2s[owner[i]]``.  The links may
+    have any row counts and must share nt.  With one problem ``owner`` may
+    be left out, and ``q`` may be one matrix, which gives (2,) and
+    (2, nt, nt) arrays.
 
-    Channels of one shape are stacked once, here, and go through
-    ``_whitened``'s gufuncs together, in one call each in place of two;
-    the gufuncs work matrix by matrix, so every result is bit for bit its
-    own call's.
-
-    ``h1`` and ``h2`` may instead be (m, n, nt) stacks of the links of m
-    problems.  The map then takes a (k, nt, nt) stack ``q`` and the
-    row-to-problem map ``owner``, and row i of ``q`` meets the links
-    ``h1[owner[i]]`` and ``h2[owner[i]]``, again bit for bit as alone; a
-    stack of one problem's links broadcasts, with no copy.
+    This is the one place that sorts links by shape, as one gufunc call
+    takes links of one row count only.  The links of each row count are
+    stacked once, here, and every call sends each row's links through
+    ``link_rate_grad``, one call per row count present.  Where a row
+    count's links are all the links of one user or of both, as when every
+    link has one shape, their stack is indexed by problem and ``q``
+    broadcasts, with no copy, and one problem's links need no index
+    either; otherwise the rows that meet that count's links are gathered.
+    The gufuncs work matrix by matrix, so every result is bit for bit its
+    own one-problem call's.
     """
-    if h1.shape != h2.shape:
+    links = (list(h1s), list(h2s))
+    m = len(links[0])
+    counts = np.array([[len(h) for h in hs] for hs in links])
+    # (users, stack, slot): whole users' (u, m, n, nt) links, or the
+    # gathered links of a row count, slot[u, i] the place of user u's
+    # link of problem i in their stack and -1 where it has another count.
+    parts = []
+    for n in dict.fromkeys(counts.ravel().tolist()):
+        mine = counts == n
+        users = np.flatnonzero(mine.any(1))
+        if mine[users].all():
+            parts.append((users, np.array([links[u] for u in users]), None))
+            continue
+        slot = np.full((2, m), -1)
+        slot[mine] = np.arange(mine.sum())
+        stack = np.array([links[u][i] for u, i in zip(*np.nonzero(mine))])
+        parts.append((None, stack, slot))
 
-        def rate_grads(q, *owner):
-            l1, l2 = (h[owner[0]] if owner and len(h) > 1 else h for h in (h1, h2))
-            (r1, g1), (r2, g2) = link_rate_grad(l1, q), link_rate_grad(l2, q)
-            return np.array((r1, r2)), np.array((g1, g2))
-
-        return rate_grads
-    pair = np.array((h1, h2))
-    stacked = pair[:, None]
-
-    def rate_grads(q, *owner):
-        if owner:
-            links = pair[:, owner[0]] if len(h1) > 1 else pair
-        else:
-            links = stacked if q.ndim > 2 else pair
-        return link_rate_grad(links, q)
+    def rate_grads(q, owner=None):
+        if q.ndim == 2:
+            rates, grads = rate_grads(q[None], owner)
+            return rates[:, 0], grads[:, 0]
+        rates, grads = np.empty((2, len(q))), np.empty((2, *q.shape))
+        for users, stack, slot in parts:
+            if slot is None:
+                links = stack if m == 1 else stack[:, owner]
+                rates[users], grads[users] = link_rate_grad(links, q)
+            else:
+                u, j = np.nonzero(slot[:, owner] >= 0)
+                rates[u, j], grads[u, j] = link_rate_grad(stack[slot[u, owner[j]]], q[j])
+        return rates, grads
 
     return rate_grads
 

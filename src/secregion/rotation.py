@@ -1,8 +1,8 @@
 """Factor parameterization of trace-bounded PSD matrices and the
 quasi-Newton searches built on it: one BFGS ascent (``ascent``) from a
 start matrix (``mixed_start``), the one search driver that runs the
-ascents of one problem or of several together and ranks each problem's
-ready candidates and ascent results by its own true objective
+ascents of a wave of problems together and ranks every problem's ready
+candidates and ascent results by its true objective in one call
 (``search_problems``), and the Frank-Wolfe gap (``fw_gap``) that tells
 whether a result is stationary.  Every wiretap, multicast and WSR search
 runs through the driver.
@@ -36,9 +36,12 @@ map of its rows to an (m,) array of values and an (m, n) array of
 gradients, each row under its own problem's channels and budget.  Each
 row rounds as it would alone, so each ascent takes the steps it would
 take alone, bit for bit; a single start is a stack of one row.  So the
-wiretap, multicast and split-sweep stages of the same shape, and the
+problems of a wave, a split sweep's wiretap or multicast stage or the
 weights of a WSR sweep, which are small and many, share their objective
-calls.  The search objectives are natural in the matrix, and
+calls, whatever their channel shapes: ``rates.pair_rate_grad`` sorts
+the links by shape, so the driver never sees one.  The ranking is one
+call too, the rank map of the stack of every problem's candidates and
+ascent results.  The search objectives are natural in the matrix, and
 ``factor_form`` carries such an objective ``(values, G)`` to x by the
 chain rule.  The secret-DPC corner of ``corner`` is natural in the factor
 F of Q = F F^T instead, and ``root_form`` carries its ``(values, G_F)``.
@@ -55,7 +58,7 @@ package imports scipy.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -391,13 +394,11 @@ class Search(NamedTuple):
 
 
 class Problem(NamedTuple):
-    """One problem of ``search_problems``: ``objective`` maps an nt x nt
-    PSD matrix with trace <= ``budget``, or a (k, nt, nt) stack of blocks
-    with that trace sum, to the true value, ``candidates`` are ready
-    ``(q, converged)`` pairs and each parameter vector of ``starts`` runs
-    one ``ascent``."""
+    """One problem of ``search_problems``: ``candidates`` are ready
+    ``(q, converged)`` pairs, each an nt x nt PSD matrix with trace <=
+    ``budget`` or a (k, nt, nt) stack of blocks with that trace sum, and
+    each parameter vector of ``starts`` runs one ``ascent``."""
 
-    objective: Callable[[np.ndarray], float]
     budget: float
     candidates: list
     starts: list
@@ -413,7 +414,7 @@ class Solved(NamedTuple):
     n_rows: int
 
 
-def search_problems(problems, nt: int, search_objective) -> Solved:
+def search_problems(problems, nt: int, search_objective, rank) -> Solved:
     """The one search driver: for each ``Problem``, the ``Search`` that is
     the best of its ready candidates and of its ascents.
 
@@ -422,23 +423,33 @@ def search_problems(problems, nt: int, search_objective) -> Solved:
     (m, k nt^2 + 1) stack of factor vectors and the (m,) row-to-problem map
     ``owner``, which indexes ``problems``, to the ``(values, gradients)``
     of each row's problem's search objective, the objective itself or a
-    smoothed or rescaled surrogate (see ``factor_form``).  Each problem's
-    ``objective`` then ranks its candidates and then its ascent results;
-    the first of equals wins, as with ``max``.  So each problem's
+    smoothed or rescaled surrogate (see ``factor_form``).  Then one
+    ``rank(stack, owner)`` call maps the stack of every problem's
+    candidates and ascent results, each problem's candidates first, and
+    its row-to-problem map to an array of their true values, and each
+    problem's best row wins, the first of equals, as with ``max``.  Each
+    row of both calls rounds as it would alone, so each problem's
     ``Search`` is the one it gets alone, bit for bit, and a problem with
     no starts is ranked over its candidates only.
     """
+    if not problems:
+        return Solved([], 0, 0)
     starts = [(i, x0) for i, problem in enumerate(problems) for x0 in problem.starts]
     runs = [ascent(x0, nt, problems[i].budget) for i, x0 in starts]
     owners = np.array([i for i, _ in starts], dtype=np.intp)
     ends, n_batches, n_rows = _lockstep(search_objective, runs, owners)
-    found, k = [], 0
+    results, k = [], 0
     for problem in problems:
-        ascents = ends[k : k + len(problem.starts)]
+        results.append([*problem.candidates, *ends[k : k + len(problem.starts)]])
         k += len(problem.starts)
-        results = [*problem.candidates, *ascents]
-        values = [float(problem.objective(q)) for q, _ in results]
-        best = max(range(len(results)), key=values.__getitem__)
-        q, converged = results[best]
-        found.append(Search(q, values[best], converged, sum(not c for _, c in ascents)))
+    owner = np.repeat(np.arange(len(problems)), [len(mine) for mine in results])
+    values = rank(np.array([q for mine in results for q, _ in mine]), owner).tolist()
+    found, k = [], 0
+    for problem, mine in zip(problems, results):
+        own = values[k : k + len(mine)]
+        k += len(mine)
+        best = max(range(len(mine)), key=own.__getitem__)
+        q, converged = mine[best]
+        ascents = mine[len(problem.candidates) :]
+        found.append(Search(q, own[best], converged, sum(not c for _, c in ascents)))
     return Solved(found, n_batches, n_rows)

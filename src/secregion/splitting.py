@@ -12,12 +12,12 @@ design for the shared message on the channels whitened by both: each is
 first-stage problem of the grid, both encoding orders included, is
 solved once per (order, budget), as it depends on its own budget alone;
 then every cell's second stage on the channels whitened by its first
-stage, and then every cell's shared-message stage.  The wiretap and
-multicast problems of a wave are solved together
-(``wiretap.solve_wiretaps``, ``multicast.solve_multicasts``), their
-searches sharing stacked objective calls, and each gives what it gives
-alone, bit for bit.  ``solve_split`` is the sweep of a one-cell grid, and
-both return the record ``SplitResult``.
+stage, and then every cell's shared-message stage.  Each wave goes
+through ``_stage_wave`` with its wave solver, which solves the problems
+together (``wiretap.solve_wiretaps``, ``multicast.solve_multicasts``,
+their searches sharing stacked objective calls, or water-filling), and
+each gives what it gives alone, bit for bit.  ``solve_split`` is the
+sweep of a one-cell grid, and both return the record ``SplitResult``.
 Each order's covariance triples are rated by one ``evaluate_stack`` call
 on the original channels, the reported truth, each row bit for bit its
 ``evaluate_triple`` call.  The rates that a cell's second and common
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,25 +118,34 @@ class SweepCounts:
                 self.wiretap_gap_max = max(self.wiretap_gap_max, res.gap)
 
 
-def _stage_wave(confidential: bool, problems: list, nt: int, counts: SweepCounts) -> list:
+class _Filled(NamedTuple):
+    """A water-filling stage's result, read as a wave solver's are."""
+
+    q: np.ndarray
+    rate: float
+    converged: bool
+
+
+def _waterfills(problems) -> Solved:
+    """The wave solver of a stage without secrecy: water-filling on the
+    link h of each (h, he, budget) problem."""
+    return Solved([_Filled(*waterfill(h, budget), True) for h, _, budget in problems], 0, 0)
+
+
+def _stage_wave(solve, problems: list, nt: int, counts: SweepCounts) -> list:
     """``(q, rate, converged)`` of each (h, he, budget) problem of a stage.
 
-    With ``confidential`` each is the wiretap problem of link h against
-    the eavesdropper he, and they are solved together
-    (``solve_wiretaps``); otherwise each is water-filling on h.  A zero
-    budget gives the zero matrix, with no solve and no channel read.
+    ``solve`` is the stage's wave solver: ``solve_wiretaps`` (link h
+    against the eavesdropper he), ``solve_multicasts`` (the shared
+    message over the links h and he) or ``_waterfills``.  A zero budget
+    gives the zero matrix, with no solve and no channel read.
     """
     out = [(np.zeros((nt, nt)), 0.0, True)] * len(problems)
     live = [i for i, (_, _, budget) in enumerate(problems) if budget != 0]
-    if confidential:
-        solved = solve_wiretaps([problems[i] for i in live])
-        counts.add(solved)
-        for i, res in zip(live, solved.results):
-            out[i] = (res.q, res.rate, res.converged)
-    else:
-        for i in live:
-            h, _, budget = problems[i]
-            out[i] = (*waterfill(h, budget), True)
+    solved = solve([problems[i] for i in live])
+    counts.add(solved)
+    for i, res in zip(live, solved.results):
+        out[i] = (res.q, res.rate, res.converged)
     return out
 
 
@@ -175,7 +184,8 @@ def _sweep(
 
     firsts = list(dict.fromkeys(keys))
     problems = [(works[order].h1, works[order].h2, p1) for order, p1 in firsts]
-    first = dict(zip(firsts, _stage_wave(scenario.user1_confidential, problems, nt, counts)))
+    solve = solve_wiretaps if scenario.user1_confidential else _waterfills
+    first = dict(zip(firsts, _stage_wave(solve, problems, nt, counts)))
 
     # Each first stage's whitened channels are made once, and only where a
     # cell of it has a second-stage budget.
@@ -188,20 +198,18 @@ def _sweep(
             he = whiten(work.h1, qa) if scenario.user2_confidential else None
             whitened[key] = (whiten(work.h2, qa), he)
         problems.append((*whitened.get(key, (None, None)), p2))
-    second = _stage_wave(scenario.user2_confidential, problems, nt, counts)
+    solve = solve_wiretaps if scenario.user2_confidential else _waterfills
+    second = _stage_wave(solve, problems, nt, counts)
 
-    common = [(np.zeros((nt, nt)), 0.0, True)] * len(cells)
-    shared, problems = [], []
+    problems = []
     for n, ((order, split), key) in enumerate(zip(cells, keys)):
         p0 = _effective(split.alpha0 * p, p)
-        if p0 != 0:
-            shared.append(n)
-            work, x = works[order], first[key][0] + second[n][0]
-            problems.append((whiten(work.h1, x), whiten(work.h2, x), p0))
-    solved = solve_multicasts(problems)
-    counts.add(solved)
-    for n, res in zip(shared, solved.results):
-        common[n] = (res.q, res.rate, res.converged)
+        if p0 == 0:
+            problems.append((None, None, 0.0))
+            continue
+        work, x = works[order], first[key][0] + second[n][0]
+        problems.append((whiten(work.h1, x), whiten(work.h2, x), p0))
+    common = _stage_wave(solve_multicasts, problems, nt, counts)
 
     results = [None] * len(cells)
     for order in scenario.orders:

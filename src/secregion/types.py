@@ -81,6 +81,22 @@ def check_budget(p: float) -> None:
         raise ValueError(f"power budget must be nonnegative and finite, got {p}")
 
 
+def check_wave(problems, name1: str, name2: str) -> tuple:
+    """``(checked, nt)``: the (h1, h2, p) problems of one solve wave, each
+    pair through ``as_channel_pair`` and each budget through
+    ``check_budget``, and their column count, 0 for no problem.  A wave
+    searches in one lockstep, so its channels must share nt."""
+    checked = []
+    for h1, h2, p in problems:
+        h1, h2 = as_channel_pair(h1, h2, name1, name2)
+        check_budget(p)
+        checked.append((h1, h2, p))
+    nts = {h1.shape[1] for h1, _, _ in checked}
+    if len(nts) > 1:
+        raise DimensionError(f"the problems of one wave must share nt, got {sorted(nts)}")
+    return checked, max(nts, default=0)
+
+
 def check_covariance_stacks(stacks, p_total: float) -> None:
     """Validate k covariance triples given as q0, q1, q2 stacks of shape (k, nt, nt).
 

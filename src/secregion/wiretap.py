@@ -14,11 +14,13 @@ eigenvectors with lambda > 1 when there are two or more, each mixed with
 a little of the isotropic matrix.  The zero matrix, the beam and the
 legitimate channel's water-filling matrix stay candidates, so the rate
 never falls below theirs, nor below zero.  The search driver
-``rotation.search_problems`` runs the ascents and ranks everything; the
-searches of several problems whose channels share their shapes run
-together in it (``solve_wiretaps``), each row of a stacked call under its
-own problem's channels and budget, and ``solve_wiretap`` is the
-one-problem case.
+``rotation.search_problems`` runs the ascents and ranks everything by
+secrecy rate, r[0] - r[1] of the links' rates from
+``rates.pair_rate_grad``, which equal ``secrecy_rate``'s bit for bit.
+The searches of a wave of problems over one nt run together in it
+(``solve_wiretaps``), whatever their row counts, each row of a stacked
+call under its own problem's channels and budget, and ``solve_wiretap``
+is the one-problem case.
 
 The best result is accepted when its Frank-Wolfe gap is at most
 ``GAP_TOL`` bits, that is when it is stationary.  Otherwise the corner
@@ -32,7 +34,6 @@ the same result, alone or beside others.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ import numpy as np
 from .corner import corner_search
 from .rates import gauss_rate, pair_rate_grad, wiretap_pencil
 from .rotation import Problem, Solved, factor_form, fw_gap, mixed_start, search_problems
-from .types import ChannelPair, as_channel_pair, check_budget
+from .types import ChannelPair, check_wave
 from .waterfill import DegenerateChannelWarning, waterfill
 
 # Largest Frank-Wolfe gap, in bits, at which the first search's result is
@@ -69,11 +70,23 @@ def secrecy_rate(hm, he, q) -> float:
     return gauss_rate(hm, q) - gauss_rate(he, q)
 
 
+def _secrecy(hms, hes):
+    """The map from a stack ``q`` and its row-to-problem map to the
+    unchecked ``secrecy_rate`` of each row and its gradient in q, for the
+    (hm, he) links of several problems, as for ``rates.pair_rate_grad``."""
+    links = pair_rate_grad(hms, hes)
+
+    def rate_grads(q, owner=None):
+        rates, grads = links(q, owner)
+        return rates[0] - rates[1], grads[0] - grads[1]
+
+    return rate_grads
+
+
 def _secrecy_rate_grad(hm, he, q) -> tuple:
     """``secrecy_rate`` and its gradient in q, without argument checks;
-    ``q`` is one matrix or a (k, nt, nt) stack, as for ``pair_rate_grad``."""
-    rates, grads = pair_rate_grad(hm, he)(q)
-    return rates[0] - rates[1], grads[0] - grads[1]
+    ``q`` is one matrix or a (k, nt, nt) stack."""
+    return _secrecy([hm], [he])(q)
 
 
 def _seeds(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:
@@ -100,70 +113,46 @@ def _seeds(hm: np.ndarray, he: np.ndarray, p: float) -> tuple:
     return candidates, starts
 
 
-def _search_together(problems: list) -> Solved:
-    """``rotation.search_problems`` on (hm, he, p) problems whose channels
-    share their shapes: every row of a stacked call meets its own
-    problem's channels and budget."""
-    nt = problems[0][0].shape[1]
-    links = pair_rate_grad(
-        np.array([hm for hm, _, _ in problems]), np.array([he for _, he, _ in problems])
-    )
-
-    def search(q, owner):
-        rates, grads = links(q, owner)
-        return rates[0] - rates[1], grads[0] - grads[1]
-
-    searches = [
-        Problem(functools.partial(secrecy_rate, hm, he), p, *_seeds(hm, he, p))
-        for hm, he, p in problems
-    ]
-    budgets = np.array([p for _, _, p in problems])
-    return search_problems(searches, nt, factor_form(search, nt, budgets))
-
-
 def solve_wiretaps(problems) -> Solved:
-    """``WiretapResult``s of (hm, he, p) problems, each bit for bit the one
-    ``solve_wiretap`` gives it alone.
+    """``WiretapResult``s of (hm, he, p) problems over one nt, each bit for
+    bit the one ``solve_wiretap`` gives it alone.
 
-    The searches of the problems whose channels share their shapes run
-    together, as one ``rotation.search_problems`` call; the gap gate and
-    the rescue then run problem by problem.  ``n_batches`` and ``n_rows``
-    count the stacked search-objective calls and their rows, the rescues'
-    corner searches included.
+    The searches of the problems with a budget run together, whatever
+    their row counts, as one ``rotation.search_problems`` call, which
+    ranks by the wave's secrecy rates; the gap gate and the rescue then run
+    problem by problem.  ``n_batches`` and ``n_rows`` count the stacked
+    search-objective calls and their rows, the rescues' corner searches
+    included.  Problems of different nt raise ``DimensionError``.
     """
-    checked = []
-    for hm, he, p in problems:
-        hm, he = as_channel_pair(hm, he, "legitimate channel", "eavesdropper channel")
-        check_budget(p)
-        checked.append((hm, he, p))
-    results = [None] * len(checked)
-    groups = {}
-    for i, (hm, he, p) in enumerate(checked):
-        if p == 0:
-            nt = hm.shape[1]
-            results[i] = WiretapResult(np.zeros((nt, nt)), 0.0, True, 0.0, False)
-        else:
-            groups.setdefault((hm.shape, he.shape), []).append(i)
-    n_batches = n_rows = 0
-    for members in groups.values():
-        found, batches, rows = _search_together([checked[i] for i in members])
-        n_batches += batches
-        n_rows += rows
-        for i, (q, best, converged, _) in zip(members, found):
-            hm, he, p = checked[i]
-            gap = fw_gap(_secrecy_rate_grad(hm, he, q)[1], q, p)
-            if hm.shape[0] == 1 or gap <= GAP_TOL:
-                results[i] = WiretapResult(q, best, converged, gap, False)
-                continue
-            rescue = corner_search(ChannelPair(hm, he), [(1.0, 0.0)], p)
-            n_batches += rescue.n_batches
-            n_rows += rescue.n_rows
-            lifted = rescue.results[0]
-            rescued = secrecy_rate(hm, he, lifted.q1)
-            if rescued > best:
-                q, best, converged = lifted.q1, rescued, lifted.converged
-                gap = fw_gap(_secrecy_rate_grad(hm, he, q)[1], q, p)
-            results[i] = WiretapResult(q, best, converged, gap, True)
+    checked, nt = check_wave(problems, "legitimate channel", "eavesdropper channel")
+    results = [WiretapResult(np.zeros((nt, nt)), 0.0, True, 0.0, False)] * len(checked)
+    live = [i for i, (_, _, p) in enumerate(checked) if p != 0]
+    wave = [checked[i] for i in live]
+    secrecy = _secrecy([hm for hm, _, _ in wave], [he for _, he, _ in wave])
+    budgets = np.array([p for _, _, p in wave])
+    solved = search_problems(
+        [Problem(p, *_seeds(hm, he, p)) for hm, he, p in wave],
+        nt,
+        factor_form(secrecy, nt, budgets),
+        lambda q, owner: secrecy(q, owner)[0],
+    )
+    n_batches, n_rows = solved.n_batches, solved.n_rows
+    for j, (i, (q, best, converged, _)) in enumerate(zip(live, solved.results)):
+        hm, he, p = wave[j]
+        own = np.full(1, j)
+        gap = fw_gap(secrecy(q, own)[1], q, p)
+        if hm.shape[0] == 1 or gap <= GAP_TOL:
+            results[i] = WiretapResult(q, best, converged, gap, False)
+            continue
+        rescue = corner_search(ChannelPair(hm, he), [(1.0, 0.0)], p)
+        n_batches += rescue.n_batches
+        n_rows += rescue.n_rows
+        lifted = rescue.results[0]
+        rescued, g = secrecy(lifted.q1, own)
+        if rescued > best:
+            q, best, converged = lifted.q1, float(rescued), lifted.converged
+            gap = fw_gap(g, q, p)
+        results[i] = WiretapResult(q, best, converged, gap, True)
     return Solved(results, n_batches, n_rows)
 
 

@@ -29,14 +29,15 @@ the rates' gradients: one call carries values and gradients together
   small budgets, so each problem's ascents follow its value divided by
   its best start's value.  Where that value is not positive no ascent
   runs.
-* The driver ranks candidates and results by the ``rates.rate_stack``
-  weighted sum, and the reported rates are ``rates.evaluate_triple``'s on
+* The driver ranks candidates and results by the unscaled
+  ``_weighted_sum``, which equals the ``rates.rate_stack`` weighted sum
+  bit for bit, and the reported rates are ``rates.evaluate_triple``'s on
   the original channels.
 
-Every (weight, channel orientation) of a sweep is one problem, and the
-problems whose channels share their shapes are solved by one
-``rotation.search_problems`` call, each row of a stacked call under its
-own channels and weights; ``wsr_solve`` is the one-problem case.  The
+Every (weight, channel orientation) of a sweep is one problem, and all
+of them are solved by one ``rotation.search_problems`` call, whatever
+their channel shapes, each row of a stacked call under its own channels
+and weights; ``wsr_solve`` is the one-problem case.  The
 Frank-Wolfe gap over the pair, p max(lambda_max(G1), lambda_max(G2), 0)
 - <G1, q1> - <G2, q2>, reports how far each point is from stationary.
 
@@ -47,7 +48,6 @@ its sweep is one lockstep too.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corner import _within_budget, corner_search
-from .rates import evaluate_triple, pair_rate_grad, rate_rule, rate_stack, wiretap_pencil
+from .rates import evaluate_triple, pair_rate_grad, rate_rule, wiretap_pencil
 from .rotation import Problem, _decode, factor_form, fw_gap, mixed_start, search_problems
 from .splitting import SweepCounts, _alpha_grid, hull_pareto
 from .types import (
@@ -112,20 +112,23 @@ class WsrSolution:
     n_unconverged_ascents: int
 
 
-def _weighted_sum(scenario: Scenario, h1: np.ndarray, h2: np.ndarray):
+def _weighted_sum(scenario: Scenario, h1s, h2s):
     """The map from an (m, 2, nt, nt) stack of pairs (q1, q2), per-row
     weights and the row-to-problem map ``owner`` to ``(values, G)``: the
     unclamped w1 R1 + w2 R2 of each row under order "12", and its
     gradients in (q1, q2), an (m, 2, nt, nt) stack, in bits.
 
-    ``h1`` and ``h2`` are the users' channels, or (n, rows, nt) stacks of
-    the channels of n problems, as for ``rates.pair_rate_grad``.  Each
+    ``h1s`` and ``h2s`` are the sequences of the users' channels of n
+    problems, of any row counts, as for ``rates.pair_rate_grad``; with one
+    problem ``owner`` may be left out.  A row's value is the
+    ``rates.rate_stack`` weighted sum of its pair, bit for bit, as both
+    take each link value 0.5 * log2|I + Hu X Hu^T| as ln|L| / ln 2.  Each
     link value becomes a jet: the value, its gradient in q1, and its
     gradient in q2, which is the link's own gradient at q1 + q2 and zero
     at q1.  ``rates.rate_rule`` applied to the jets gives every rate's
     value and gradients, as the rule only adds and subtracts link values.
     """
-    links = pair_rate_grad(h1, h2)
+    links = pair_rate_grad(h1s, h2s)
 
     def objective(q, w1, w2, *owner):
         m, _, nt, _ = q.shape
@@ -166,25 +169,14 @@ def _pair_seeds(ch: ChannelPair, scenario: Scenario, p: float) -> tuple:
     return candidates, [mixed_start(np.array(pair), nt, p) for pair in seeds]
 
 
-def _rated(ch: ChannelPair, scenario: Scenario, w1: float, w2: float, q: np.ndarray) -> float:
-    """The ``rate_stack`` weighted sum of the pair ``q``, order "12"."""
-    zero = np.zeros((1, ch.nt, ch.nt))
-    _, r1, r2 = rate_stack(ch, scenario, zero, q[:1], q[1:])[0, 0]
-    return w1 * r1 + w2 * r2
-
-
 def _search_pairs(jobs: list, scenario: Scenario, p: float, counts: SweepCounts) -> list:
     """``(q1, q2, converged, n_ascents, n_unconverged)``, as
-    ``corner.CornerSearch`` has them, of A or B problems (ch, w1, w2)
-    whose channels share their shapes, searched together by one
+    ``corner.CornerSearch`` has them, of A or B problems (ch, w1, w2),
+    searched together, whatever their channel shapes, by one
     ``rotation.search_problems`` call."""
     nt = jobs[0][0].nt
     w1, w2 = (np.array([job[i] for job in jobs]) for i in (1, 2))
-    objective = _weighted_sum(
-        scenario,
-        np.array([ch.h1 for ch, _, _ in jobs]),
-        np.array([ch.h2 for ch, _, _ in jobs]),
-    )
+    objective = _weighted_sum(scenario, [ch.h1 for ch, _, _ in jobs], [ch.h2 for ch, _, _ in jobs])
     seeds = {}
     for ch, _, _ in jobs:
         if id(ch) not in seeds:
@@ -201,15 +193,15 @@ def _search_pairs(jobs: list, scenario: Scenario, p: float, counts: SweepCounts)
         return values / scale[owner], grads / scale[owner][:, None, None, None]
 
     problems = [
-        Problem(
-            functools.partial(_rated, ch, scenario, float(v1), float(v2)),
-            p,
-            seeds[id(ch)][0],
-            x if top > 0.0 else [],
-        )
-        for (ch, v1, v2), x, top in zip(jobs, starts, scale)
+        Problem(p, seeds[id(ch)][0], x if top > 0.0 else [])
+        for (ch, _, _), x, top in zip(jobs, starts, scale)
     ]
-    solved = search_problems(problems, nt, factor_form(scaled, nt, np.full(len(jobs), p)))
+    solved = search_problems(
+        problems,
+        nt,
+        factor_form(scaled, nt, np.full(len(jobs), p)),
+        lambda q, owner: objective(q, w1[owner], w2[owner], owner)[0],
+    )
     counts.add(solved)
     return [
         (*found.q, found.converged, len(problem.starts), found.n_unconverged)
@@ -221,36 +213,31 @@ def _solve(jobs: list, scenario: Scenario, p: float, counts: SweepCounts) -> lis
     """The ``WsrSolution`` of each (ch, w1, w2) problem, under scenario
     ``scenario`` without a shared message.
 
-    In A and B the problems whose channels share their shapes are
-    searched together; in C each channel pair's weights are one corner
-    search.  ``counts`` sums the stacked search-objective calls and rows.
+    In A and B the problems are searched together, whatever their channel
+    shapes; in C they share one channel pair, and their weights are one
+    corner search.  ``counts`` sums the stacked search-objective calls and
+    rows.
     """
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"power budget must be positive and finite, got {p}")
-    groups = {}
-    for i, (ch, _, _) in enumerate(jobs):
-        # C's corner search takes one pair; A and B stack channels of one shape.
-        key = id(ch) if scenario.user2_confidential else (ch.h1.shape, ch.h2.shape)
-        groups.setdefault(key, []).append(i)
-    found = [None] * len(jobs)
-    for members in groups.values():
-        group = [jobs[i] for i in members]
-        if scenario.user2_confidential:
-            solved = corner_search(group[0][0], [(w1, w2) for _, w1, w2 in group], p)
-            counts.add(solved)
-            ends = solved.results
-        else:
-            ends = _search_pairs(group, scenario, p, counts)
-        for i, end in zip(members, ends):
-            found[i] = end
+    if scenario.user2_confidential:
+        solved = corner_search(jobs[0][0], [(w1, w2) for _, w1, w2 in jobs], p)
+        counts.add(solved)
+        found = solved.results
+    else:
+        found = _search_pairs(jobs, scenario, p, counts)
+    pairs = np.array([_within_budget(q1, q2, p) for q1, q2, *_ in found])
+    w1, w2 = (np.array([job[i] for job in jobs]) for i in (1, 2))
+    grads = _weighted_sum(scenario, [ch.h1 for ch, _, _ in jobs], [ch.h2 for ch, _, _ in jobs])(
+        pairs, w1, w2, np.arange(len(jobs))
+    )[1]
     solutions = []
-    for (ch, w1, w2), (q1, q2, converged, n_ascents, n_unconverged) in zip(jobs, found):
-        q1, q2 = _within_budget(q1, q2, p)
-        q = np.array((q1, q2))
-        g = _weighted_sum(scenario, ch.h1, ch.h2)(q[None], np.array([w1]), np.array([w2]))[1][0]
+    for (ch, _, _), q, g, (_, _, converged, n_ascents, n_unconverged) in zip(
+        jobs, pairs, grads, found
+    ):
+        q1, q2 = q
         lam = float(np.vdot(g, q)) / p
-        zeros = np.zeros_like(q1)
-        rates = evaluate_triple(ch, scenario, CovarianceTriple(zeros, q1, q2, p), ORDER_12)
+        rates = evaluate_triple(ch, scenario, CovarianceTriple(np.zeros_like(q1), q1, q2, p), ORDER_12)
         unused = p - float(np.trace(q1) + np.trace(q2))
         solutions.append(
             WsrSolution(
@@ -281,8 +268,9 @@ def wsr_sweep_points(
     points are mapped back to user order and carry the "21" order tag,
     while their solutions stay in the exchanged roles.  Scenario B has one
     order, and C's corner search covers both in one solve.  Every solve of
-    the sweep runs in one lockstep per channel shape; ``counts``, when
-    given, adds their stacked search-objective calls and rows.
+    the sweep runs in one lockstep, both orientations of A included;
+    ``counts``, when given, adds their stacked search-objective calls and
+    rows.
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from secregion import (
+    DimensionError,
     case_classify,
     gauss_rate,
     multicast,
@@ -211,4 +212,15 @@ def test_multicast_wave_matches_each_solve():
         want = solve_multicast(h1, h2, p)
         assert got.q.tobytes() == want.q.tobytes()
         assert (got.rate, got.case, got.converged) == (want.rate, want.case, want.converged)
-    assert 0 < solved.n_batches < solved.n_rows
+    # Both shapes run in one lockstep: its calls are as many as the
+    # longest ascent's, and its rows those of every ascent.
+    alone = [multicast.solve_multicasts([pr]) for pr in problems]
+    assert solved.n_batches == max(a.n_batches for a in alone) > 0
+    assert solved.n_rows == sum(a.n_rows for a in alone) > solved.n_batches
+
+
+def test_mixed_nt_wave_raises():
+    # A wave searches in one lockstep, so its problems share nt.
+    problems = [(np.ones((2, 2)), np.ones((1, 2)), 1.0), (np.ones((1, 3)), np.ones((1, 3)), 0.0)]
+    with pytest.raises(DimensionError):
+        multicast.solve_multicasts(problems)

@@ -1,3 +1,4 @@
+import ast
 import io
 import re
 import tokenize
@@ -63,6 +64,46 @@ def test_cholesky_only_in_rates():
         if tok.type == tokenize.NAME and "cholesky" in tok.string.lower()
     ]
     assert not offenders, "Cholesky factorization outside rates:\n" + "\n".join(offenders)
+
+
+def _shape_keys(tree) -> list:
+    """The nodes of ``tree`` that use a whole ``.shape`` as a key: a dict
+    key, a set, list or tuple element, a subscript, or the first argument
+    of ``setdefault``, ``fromkeys``, ``get`` or ``groupby``.  A set
+    comprehension of shapes, which only counts the distinct shapes (as
+    ``CovarianceTriple``'s check does), is not a key."""
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys += [k for k in node.keys if k is not None]
+        elif isinstance(node, ast.DictComp):
+            keys.append(node.key)
+        elif isinstance(node, (ast.Tuple, ast.Set, ast.List)):
+            keys += node.elts
+        elif isinstance(node, ast.Subscript):
+            keys.append(node.slice)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("setdefault", "fromkeys", "get", "groupby")
+            and node.args
+        ):
+            keys.append(node.args[0])
+    return [k for k in keys if isinstance(k, ast.Attribute) and k.attr == "shape"]
+
+
+def test_shape_groups_only_in_rates():
+    # `rates.pair_rate_grad` alone sorts a wave's links by shape, so that
+    # one lockstep takes problems of any row counts; no other module keys
+    # a dict or a group on a channel's shape.
+    package = Path(secregion.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "rates.py"
+        for node in _shape_keys(ast.parse(path.read_text()))
+    ]
+    assert not offenders, "grouped by shape outside rates:\n" + "\n".join(offenders)
 
 
 def test_factor_inverse_only_in_rates():

@@ -288,12 +288,21 @@ def ascend(search_objective, x0, nt, budget):
     return ends[0]
 
 
-def search_one(objective, nt, budget, candidates, starts, *, search_objective):
+def search_one(rank, nt, budget, candidates, starts, *, search_objective):
     """``search_problems`` on one problem, ``search_objective`` taking the
-    problem's (k, nt^2 + 1) stacks alone."""
-    problem = Problem(objective, budget, candidates, starts)
-    solved = search_problems([problem], nt, lambda x, owner: search_objective(x))
+    problem's (k, nt^2 + 1) stacks alone and ``rank`` its stack of
+    candidates and ascent results."""
+    problem = Problem(budget, candidates, starts)
+    solved = search_problems(
+        [problem], nt, lambda x, owner: search_objective(x), lambda q, owner: rank(q)
+    )
     return solved.results[0]
+
+
+def each(objective):
+    """The rank map of a one-matrix ``objective``: its value at each
+    matrix of a stack."""
+    return lambda q: np.array([objective(m) for m in q])
 
 
 def fail(*args, **kwargs):
@@ -316,7 +325,8 @@ class TestDriver:
     D = np.diag([1.0, 3.0])
 
     def linear(self, q):
-        return float(np.trace(q @ self.D))
+        """tr(q D) of one matrix or of each matrix of a stack."""
+        return np.trace(q @ self.D, axis1=-2, axis2=-1)
 
     def linear_search(self, q):
         return stacked(lambda m: (self.linear(m), self.D))(q)
@@ -331,7 +341,7 @@ class TestDriver:
 
         rng = np.random.default_rng(0)
         q, _, _, _ = search_one(
-            spiky,
+            each(spiky),
             2,
             1.5,
             [(np.zeros((2, 2)), True)],
@@ -540,11 +550,12 @@ def alone(search_objective, x0, nt, budget):
             return stop.value
 
 
-def alone_search(objective, nt, budget, candidates, starts, search_objective):
-    """The driver's ranking over ``candidates`` and the ascents run alone."""
+def alone_search(rank, nt, budget, candidates, starts, search_objective):
+    """The driver's ranking over ``candidates`` and the ascents run alone,
+    each ranked as a stack of one."""
     ascents = [alone(search_objective, x0, nt, budget) for x0 in starts]
     results = [*candidates, *ascents]
-    values = [float(objective(q)) for q, _ in results]
+    values = [float(rank(q[None])[0]) for q, _ in results]
     best = max(range(len(results)), key=values.__getitem__)
     q, converged = results[best]
     return q, values[best], converged, sum(not c for _, c in ascents)
@@ -636,10 +647,12 @@ class TestLockstep:
 
     def test_empty_starts(self):
         candidates = [(np.zeros((2, 2)), True), (np.diag([0.0, 1.0]), False)]
-        got = search_one(
-            lambda q: float(np.trace(q)), 2, 1.0, candidates, [], search_objective=fail
-        )
-        self.assert_same(got, alone_search(lambda q: float(np.trace(q)), 2, 1.0, candidates, [], fail))
+
+        def trace(q):
+            return np.trace(q, axis1=-2, axis2=-1)
+
+        got = search_one(trace, 2, 1.0, candidates, [], search_objective=fail)
+        self.assert_same(got, alone_search(trace, 2, 1.0, candidates, [], fail))
         assert got.q is candidates[1][0]
 
     def test_one_start_is_a_stack_of_one(self, ch22):
@@ -654,14 +667,14 @@ class TestLockstep:
 
 @st.composite
 def problem_sets(draw):
-    """One to four wiretap problems over one nt (1-4) and one pair of
-    channel shapes (1-3 rows each), each with its own budget (1e-2 to
-    1e2) and zero to three standard normal starts."""
+    """One to four wiretap problems over one nt (1-4), each with its own
+    channel shapes (1-3 rows each), budget (1e-2 to 1e2) and zero to
+    three standard normal starts."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nt = draw(st.integers(1, 4))
-    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     problems = []
     for _ in range(draw(st.integers(1, 4))):
+        n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         h1, h2 = rng.standard_normal((n1, nt)), rng.standard_normal((n2, nt))
         budget = 10.0 ** draw(st.floats(-2.0, 2.0))
         starts = [rng.standard_normal(nt * nt + 1) for _ in range(draw(st.integers(0, 3)))]
@@ -671,14 +684,15 @@ def problem_sets(draw):
 
 class TestSeveralProblems:
     """``search_problems`` runs the ascents of several problems in one
-    lockstep, each row meeting its own problem's channels and budget;
-    each problem's ``Search`` is its own driver call's, bit for bit."""
+    lockstep, each row meeting its own problem's channels and budget, and
+    ranks all their results in one call; each problem's ``Search`` is its
+    own driver call's, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(problem_sets())
     def test_each_problem_as_alone(self, case):
         nt, problems = case
-        links = pair_rate_grad(*(np.array([pr[k] for pr in problems]) for k in (0, 1)))
+        links = pair_rate_grad(*([pr[k] for pr in problems] for k in (0, 1)))
 
         def search(q, owner):
             rates, grads = links(q, owner)
@@ -688,12 +702,19 @@ class TestSeveralProblems:
             return lambda q: _secrecy_rate_grad(h1, h2, q)[0]
 
         candidates = [(np.zeros((nt, nt)), True)]
-        sizes = []
+        sizes, ranked = [], []
+
+        def rank(q, owner):
+            ranked.append(len(q))
+            return search(q, owner)[0]
+
         solved = search_problems(
-            [Problem(rate_of(h1, h2), b, candidates, starts) for h1, h2, b, starts in problems],
+            [Problem(b, candidates, starts) for _, _, b, starts in problems],
             nt,
             sizes_seen(factor_form(search, nt, np.array([pr[2] for pr in problems])), sizes),
+            rank,
         )
+        assert ranked == [sum(1 + len(pr[3]) for pr in problems)]
         assert len(solved.results) == len(problems)
         for (h1, h2, b, starts), got in zip(problems, solved.results):
             single = factor_form(lambda q: _secrecy_rate_grad(h1, h2, q), nt, b)
@@ -727,18 +748,23 @@ class TestSeveralProblems:
         def rate(q):
             return _secrecy_rate_grad(ch22.h1, ch22.h2, q)[0]
 
+        def three_kinds(q, owner):
+            kinds = (rate(q), np.ones(len(q)), np.trace(q, axis1=1, axis2=2))
+            return np.choose(owner, kinds)
+
         rng = np.random.default_rng(5)
         starts = [rng.standard_normal(5) for _ in range(2)]
         zero = [(np.zeros((2, 2)), True)]
         sizes = []
         solved = search_problems(
             [
-                Problem(rate, 12.0, zero, starts),
-                Problem(lambda q: 1.0, 3.0, [], [np.ones(5)]),
-                Problem(lambda q: float(np.trace(q)), 1.0, [*zero, (np.eye(2) / 2, False)], []),
+                Problem(12.0, zero, starts),
+                Problem(3.0, [], [np.ones(5)]),
+                Problem(1.0, [*zero, (np.eye(2) / 2, False)], []),
             ],
             2,
             sizes_seen(two_kinds, sizes),
+            three_kinds,
         )
         first, second, third = solved.results
         TestLockstep().assert_same(first, alone_search(rate, 2, 12.0, zero, starts, search))

@@ -49,6 +49,20 @@ def stacks(draw):
     return h1, h2, budget, x, _decode(x, nt, budget), f
 
 
+@st.composite
+def waves(draw):
+    """The links of m = 1-4 problems, 1-4 rows each over one nt of 1-5,
+    and k = 1-8 PSD matrices with their owners among the problems."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nt, m, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rows = st.integers(1, 4)
+    h1s = [rng.standard_normal((draw(rows), nt)) for _ in range(m)]
+    h2s = [rng.standard_normal((draw(rows), nt)) for _ in range(m)]
+    g = rng.standard_normal((k, nt, nt)) * 10.0 ** rng.uniform(-2.0, 2.0, (k, 1, 1))
+    owner = np.array(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)))
+    return h1s, h2s, g @ g.mT, owner
+
+
 weights = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
 
 
@@ -75,10 +89,21 @@ class TestStackedPrimitives:
         # Both for channels of one shape, factored as one stack, and others.
         h1, h2, _, _, q, _ = case
         for pair in ((h1, h2), (h1, 2.0 * h1)):
-            rates, grads = pair_rate_grad(*pair)(q)
+            rates, grads = pair_rate_grad([pair[0]], [pair[1]])(q)
             singles = [[link_rate_grad(h, m) for m in q] for h in pair]
             assert same(rates, [[r for r, _ in rows] for rows in singles])
             assert same(grads, [[g for _, g in rows] for rows in singles])
+
+    @settings(max_examples=150, deadline=None)
+    @given(waves())
+    def test_pair_rate_grad_wave(self, case):
+        # The links of several problems, of any row counts: every row of a
+        # wave's call is its own one-problem call on that one matrix.
+        h1s, h2s, q, owner = case
+        rates, grads = pair_rate_grad(h1s, h2s)(q, owner)
+        alone = [pair_rate_grad([h1s[i]], [h2s[i]])(m) for m, i in zip(q, owner)]
+        assert same(rates.T, [r for r, _ in alone])
+        assert same(grads.transpose(1, 0, 2, 3), [g for _, g in alone])
 
     @settings(max_examples=150, deadline=None)
     @given(stacks())
@@ -147,6 +172,7 @@ class TestFailedFactor:
     raises from the searches' primitives instead of passing NaN on."""
 
     H = np.array([[1.0, 0.5], [0.2, 1.0]])
+    OWNER = np.array([0, 1, 1])
 
     def stack(self, bad_row):
         q = np.stack([np.eye(2), 0.5 * np.eye(2), np.diag([2.0, 0.1])])
@@ -159,8 +185,9 @@ class TestFailedFactor:
         calls = [
             lambda: whiten(self.H, q),
             lambda: link_rate_grad(self.H, q),
-            lambda: pair_rate_grad(self.H, 2.0 * self.H)(q),
-            lambda: pair_rate_grad(self.H, self.H[:1])(q),
+            lambda: pair_rate_grad([self.H], [2.0 * self.H])(q),
+            lambda: pair_rate_grad([self.H], [self.H[:1]])(q),
+            lambda: pair_rate_grad([self.H, self.H[:1]], [self.H[:1], self.H])(q, self.OWNER),
             lambda: _secrecy_rate_grad(self.H, self.H[:1], q),
             lambda: _softmin_grad(self.H, 2.0 * self.H, q),
             lambda: pencil(np.eye(2) + q, np.eye(2) + q),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from secregion import rotation, secrecy_rate, solve_wiretap, waterfill, wiretap
+from secregion import DimensionError, rotation, secrecy_rate, solve_wiretap, waterfill, wiretap
 from secregion.wiretap import GAP_TOL, _secrecy_rate_grad
 
 from conftest import random_psd
@@ -234,20 +234,32 @@ class TestGate:
 class TestSolveTogether:
     def test_wave_matches_each_solve(self):
         # 16 golden problems of mixed shapes (nt 1-5), budgets and zero
-        # budgets, solved together: each result is its own solve's, bit for
-        # bit, and the wave's counts cover every row of its stacked calls.
+        # budgets, solved as one wave per nt, each mixing row counts: each
+        # result is its own solve's, bit for bit, and each wave's counts
+        # cover every row of its stacked calls.
         items = TestGate.GOLDEN[:12] + TestGate.GOLDEN[40:44]
         problems = [(np.array(it["hm"]), np.array(it["he"]), it["p"]) for it in items]
         problems += [(problems[0][0], problems[0][1], 0.0)]
-        solved = wiretap.solve_wiretaps(problems)
-        assert sum(res.restarted for res in solved.results) >= 1
-        for (hm, he, p), got in zip(problems, solved.results):
-            want = solve_wiretap(hm, he, p)
-            assert got.q.tobytes() == want.q.tobytes()
-            assert (got.rate, got.converged, got.gap, got.restarted) == (
-                want.rate, want.converged, want.gap, want.restarted
-            )
-        assert 0 < solved.n_batches < solved.n_rows
+        restarted = 0
+        for nt in sorted({hm.shape[1] for hm, _, _ in problems}):
+            wave = [pr for pr in problems if pr[0].shape[1] == nt]
+            assert len({(hm.shape, he.shape) for hm, he, _ in wave}) > 1
+            solved = wiretap.solve_wiretaps(wave)
+            restarted += sum(res.restarted for res in solved.results)
+            for (hm, he, p), got in zip(wave, solved.results):
+                want = solve_wiretap(hm, he, p)
+                assert got.q.tobytes() == want.q.tobytes()
+                assert (got.rate, got.converged, got.gap, got.restarted) == (
+                    want.rate, want.converged, want.gap, want.restarted
+                )
+            assert 0 < solved.n_batches < solved.n_rows
+        assert restarted >= 1
+
+    def test_mixed_nt_wave_raises(self):
+        # A wave searches in one lockstep, so its problems share nt.
+        problems = [(np.ones((2, 2)), np.ones((1, 2)), 1.0), (np.ones((1, 3)), np.ones((1, 3)), 0.0)]
+        with pytest.raises(DimensionError):
+            wiretap.solve_wiretaps(problems)
 
 
 class TestRescue:

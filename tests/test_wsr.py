@@ -594,7 +594,7 @@ def pair_gap(ch, sc, w1, w2, q1, q2, p):
     """The Frank-Wolfe gap of w1 R1 + w2 R2 over the pairs within p, at
     (q1, q2), from the ascent's own gradient."""
     q = np.array((q1, q2), dtype=float)
-    g = _weighted_sum(sc, ch.h1, ch.h2)(q[None], np.array([w1]), np.array([w2]))[1][0]
+    g = _weighted_sum(sc, [ch.h1], [ch.h2])(q[None], np.array([w1]), np.array([w2]))[1][0]
     return fw_gap(g, q, p)
 
 
@@ -778,7 +778,7 @@ class TestFactorAscent:
             ch, q1, q2 = random_instance(rng, nt=int(rng.integers(1, 4)), n2=1)
             w1, w2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
             q = np.array((q1, q2))
-            value, grad = _weighted_sum(sc, ch.h1, ch.h2)(q[None], np.array([w1]), np.array([w2]))
+            value, grad = _weighted_sum(sc, [ch.h1], [ch.h2])(q[None], np.array([w1]), np.array([w2]))
             zero = np.zeros((1, ch.nt, ch.nt))
 
             def weighted(a, b):
@@ -800,11 +800,11 @@ class TestFactorAscent:
         w1, w2 = rng.uniform(0, 1, 3), rng.uniform(0, 1, 3)
         q = np.array([[random_psd(rng, 2, 3.0) for _ in range(2)] for _ in owner])
         for sc in (Scenario("A", False), Scenario("B", False)):
-            together = _weighted_sum(
-                sc, np.array([c.h1 for c in chans]), np.array([c.h2 for c in chans])
-            )(q, w1[owner], w2[owner], owner)
+            together = _weighted_sum(sc, [c.h1 for c in chans], [c.h2 for c in chans])(
+                q, w1[owner], w2[owner], owner
+            )
             for i, k in enumerate(owner):
-                alone = _weighted_sum(sc, chans[k].h1, chans[k].h2)(
+                alone = _weighted_sum(sc, [chans[k].h1], [chans[k].h2])(
                     q[i : i + 1], w1[k : k + 1], w2[k : k + 1]
                 )
                 assert together[0][i] == alone[0][0]
